@@ -154,10 +154,9 @@ def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
     """The shared enumeration-pipeline knobs (--engine and friends)."""
     p.add_argument("--engine", default=None,
                    help="relational backend: tuple (default), columnar, "
-                        "parallel, or compiled — radix hash kernels, "
-                        "numba-JITed when installed, numpy fallback "
-                        "otherwise (also via the REPRO_ENGINE "
-                        "environment variable)")
+                        "or parallel — columnar with block enumeration "
+                        "fanned out over a worker pool (also via the "
+                        "REPRO_ENGINE environment variable)")
     p.add_argument("--workers", type=int, default=None,
                    help="worker processes for the parallel backend "
                         "(default: os.cpu_count(), env REPRO_WORKERS; "
@@ -462,7 +461,6 @@ def _doctor_caches() -> None:
     """Cache-health lines from the always-on registry: worker-arena
     cache, pool lifecycle, per-symbol workspaces, watchdog."""
     from repro import obs
-    from repro.engine import get_engine
     from repro.engine.parallel import arena_cache_stats
     from repro.engine.symbols import sharing_enabled
 
@@ -485,16 +483,6 @@ def _doctor_caches() -> None:
           f"{reg.counter('engine.symbol_workspace_variant_hits')} variant "
           f"hits; {reg.counter('yannakakis.coalesced_semijoins')} "
           f"coalesced semijoins")
-    try:
-        sym = get_engine("compiled").symbol_cache_stats()
-    except Exception:  # pragma: no cover - compiled tier always registers
-        sym = None
-    if sym is not None:
-        print(f"compiled symbol cache: {sym['entries']} entries, "
-              f"{sym['probes']} probes, {sym['variants']} variants; "
-              f"{reg.counter('compiled.symbol_cache_hits')} hits, "
-              f"{reg.counter('compiled.symbol_cache_misses')} misses, "
-              f"{reg.counter('compiled.symbol_cache_patches')} patches")
     from repro.obs.watchdog import watchdog as _watchdog
 
     wd = _watchdog()
@@ -799,14 +787,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
                                           size=args.parallel_size,
                                           repeats=args.repeats,
                                           seed=args.seed)
-        if args.compiled_suite:
-            from repro.obs.observatory import run_compiled_suite
-
-            records += run_compiled_suite(timestamp,
-                                          sizes=args.compiled_sizes,
-                                          repeats=args.repeats,
-                                          max_outputs=args.max_outputs,
-                                          seed=args.seed)
         if args.dynamic_suite:
             from repro.obs.observatory import run_dynamic_suite
 
@@ -828,7 +808,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         _obs_finish(args, tracer, previous)
     observatory = Observatory(args.history_dir)
     snapshots = {"bench": args.snapshot, "parallel": args.parallel_snapshot,
-                 "compiled": args.compiled_snapshot,
                  "dynamic": args.dynamic_snapshot,
                  "selfjoin": args.selfjoin_snapshot}
     for record in records:
@@ -1184,24 +1163,14 @@ def build_parser() -> argparse.ArgumentParser:
                         "per case ('' disables)")
     p.add_argument("--parallel-suite", action=argparse.BooleanOptionalAction,
                    default=True,
-                   help="also run the worker-pool speedup-vs-workers "
-                        "suite (snapshot in --parallel-snapshot)")
+                   help="also run the worker-pool enumeration "
+                        "speedup-vs-workers suite (snapshot in "
+                        "--parallel-snapshot)")
     p.add_argument("--parallel-size", type=int, default=60_000,
                    help="tuples per relation for the parallel suite's "
                         "fixed instance")
     p.add_argument("--parallel-snapshot", default="BENCH_parallel.json",
                    help="snapshot file for the parallel suite "
-                        "('' disables)")
-    p.add_argument("--compiled-suite", action=argparse.BooleanOptionalAction,
-                   default=False,
-                   help="also run the compiled-tier size sweep vs the "
-                        "columnar baseline (snapshot in "
-                        "--compiled-snapshot)")
-    p.add_argument("--compiled-sizes", type=int, nargs="+", default=None,
-                   help="tuples per relation for the compiled suite's "
-                        "size sweep (default 8k/25k/80k)")
-    p.add_argument("--compiled-snapshot", default="BENCH_compiled.json",
-                   help="snapshot file for the compiled suite "
                         "('' disables)")
     p.add_argument("--dynamic-suite", action=argparse.BooleanOptionalAction,
                    default=False,

@@ -275,11 +275,8 @@ def cached_plan(kind: str, query: Hashable, db, engine_name: str,
     on a miss or when caching is disabled.  ``extra`` distinguishes
     same-query plans with different knobs — block size, and the engine's
     :meth:`~repro.engine.base.Engine.plan_key` (for the parallel backend:
-    worker count and fallback threshold, since shard plans and chunk
-    bounds built for one fan-out must not serve another; for the
-    compiled backend: the kernel tier and radix fan-out, since cached
-    relations carry probe structures built by one tier that the other
-    cannot read).
+    worker count and fallback threshold, since chunk bounds built for
+    one fan-out must not serve another).
 
     ``refresher`` opts the plan kind into delta propagation: when a
     lookup misses only because the database fingerprint moved, and

@@ -37,8 +37,7 @@ from repro.logic.terms import Variable
 
 
 def count_full_acyclic_join(relations: Sequence[VarRelation],
-                            weights: Optional[WeightFunction] = None,
-                            engine=None) -> Any:
+                            weights: Optional[WeightFunction] = None) -> Any:
     """Weighted number of tuples in the natural join of ``relations``.
 
     The relations' variable sets must form an acyclic hypergraph.  Message
@@ -49,11 +48,7 @@ def count_full_acyclic_join(relations: Sequence[VarRelation],
     When every relation is columnar and the weight is the plain counting
     weight, the messages are computed by vectorized group-sums
     (:func:`repro.engine.columnar.count_acyclic_join_columnar`; exact up
-    to the int64 range) instead of per-tuple dict probes.  An ``engine``
-    with worker-pool hooks additionally shards each node's message across
-    the pool when the inputs clear its tuple-count threshold (per-key
-    sums are bit-identical to the serial DP; see
-    :func:`repro.engine.parallel.parallel_count`).
+    to the int64 range) instead of per-tuple dict probes.
     """
     w = weights or WeightFunction.ones()
     relations = list(relations)
@@ -105,21 +100,7 @@ def count_full_acyclic_join(relations: Sequence[VarRelation],
     if all(isinstance(r, ColumnarRelation)
            and r.dictionary is relations[0].dictionary
            for r in relations):
-        from repro.engine import resolve_engine
-
-        eng = resolve_engine(engine)
-        par = getattr(eng, "parallel_count", None)
-        sharded = par is not None and eng.should_parallelise(relations)
-        # serial kernel override (the compiled engine's radix group
-        # tables); duck-typed like parallel_count
-        ckernel = getattr(eng, "count_acyclic", None)
         if unweighted:
-            if sharded:
-                return par(relations, tree, charged, share_vars)
-            if ckernel is not None:
-                with obs.span("count.message_passing", backend=eng.name,
-                              nodes=len(relations)):
-                    return ckernel(relations, tree, charged, share_vars)
             with obs.span("count.message_passing", backend="columnar",
                           nodes=len(relations)):
                 return count_acyclic_join_columnar(relations, tree, charged,
@@ -132,22 +113,12 @@ def count_full_acyclic_join(relations: Sequence[VarRelation],
 
             table = weights.code_table(relations[0].dictionary)
             if table is not None:
-                if sharded:
-                    total = par(relations, tree, charged, share_vars,
-                                weight_table=table)
-                elif ckernel is not None:
-                    with obs.span("count.message_passing",
-                                  backend=f"{eng.name}_weighted",
-                                  nodes=len(relations)):
-                        total = ckernel(relations, tree, charged,
-                                        share_vars, weight_table=table)
-                else:
-                    with obs.span("count.message_passing",
-                                  backend="columnar_weighted",
-                                  nodes=len(relations)):
-                        total = count_acyclic_join_columnar(
-                            relations, tree, charged, share_vars,
-                            weight_table=table)
+                with obs.span("count.message_passing",
+                              backend="columnar_weighted",
+                              nodes=len(relations)):
+                    total = count_acyclic_join_columnar(
+                        relations, tree, charged, share_vars,
+                        weight_table=table)
                 integral_weights = bool(np.all(table == np.floor(table)))
                 if integral_weights and float(total).is_integer():
                     return int(total)
@@ -223,8 +194,7 @@ def count_quantifier_free_acyclic(cq: ConjunctiveQuery, db: Database,
                 return state.total()
     from repro.eval.yannakakis import materialise_atoms
 
-    return count_full_acyclic_join(materialise_atoms(cq, db, engine), weights,
-                                   engine=engine)
+    return count_full_acyclic_join(materialise_atoms(cq, db, engine), weights)
 
 
 def derive_counting_join(cq: ConjunctiveQuery, db: Database, engine=None
@@ -370,7 +340,7 @@ def count_acq(cq: ConjunctiveQuery, db: Database,
             return 1  # satisfiable (derived is not None), the only answer is ()
         if any(len(r) == 0 for r in derived):
             return 0
-        return count_full_acyclic_join(derived, weights, engine=engine)
+        return count_full_acyclic_join(derived, weights)
 
 
 def count_cq_naive(cq: ConjunctiveQuery, db: Database,

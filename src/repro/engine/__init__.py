@@ -8,17 +8,16 @@ on:
 * ``tuple``    — Python tuples in hash-indexed dicts (the default, exact
   seed behaviour);
 * ``columnar`` — dictionary-encoded numpy int64 columns with vectorized
-  sort/radix-grouped kernels (typically >= 3x faster on 100k-tuple
-  acyclic joins; see ``benchmarks/test_bench_engines.py``);
-* ``parallel`` — the columnar kernels fanned out over a spawn-based
-  worker pool with shared-memory code columns (hash-sharded semijoins,
-  counting and order-preserving block enumeration; serial fallback
-  below a tuple-count threshold — see :mod:`repro.engine.parallel`);
-* ``compiled`` — the columnar layout on radix-partitioned hash kernels,
-  JIT-compiled with numba when installed (transparent numpy fallback
-  otherwise — ``REPRO_COMPILED_FALLBACK``), with probe structures shared
-  per relation *symbol* across self-join atoms (see
-  :mod:`repro.engine.compiled` and :mod:`repro.engine.radix`).
+  sort-grouped kernels (typically >= 3x faster on 100k-tuple acyclic
+  joins; see ``benchmarks/test_bench_engines.py``);
+* ``parallel`` — ``columnar``, except that free-connex block
+  enumeration fans out over a spawn-based worker pool with
+  shared-memory code columns, in the serial answer order (serial
+  fallback below a tuple-count threshold — see
+  :mod:`repro.engine.parallel`).
+
+Every backend shares per-symbol work (encodes, probe structures, masked
+atom variants) through :mod:`repro.engine.symbols`.
 
 Selection, in decreasing precedence:
 
@@ -36,7 +35,6 @@ from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional, Union
 
 from repro.engine.base import ColumnarEngine, Engine, TupleEngine
-from repro.engine.compiled import CompiledEngine, CompiledRelation
 from repro.engine.enumerate import (
     BLOCK_ENV_VAR,
     DEFAULT_BLOCK_SIZE,
@@ -56,12 +54,6 @@ from repro.engine.parallel import (
     pool_stats,
     set_default_workers,
     shutdown_pools,
-)
-from repro.engine.radix import (
-    FALLBACK_ENV_VAR,
-    HAVE_NUMBA,
-    RADIX_BITS_ENV_VAR,
-    kernel_tier,
 )
 
 DEFAULT_ENGINE = "tuple"
@@ -133,19 +125,12 @@ def resolve_engine(engine: Union[Engine, str, None]) -> Engine:
 register_engine(TupleEngine())
 register_engine(ColumnarEngine())
 register_engine(ParallelEngine())
-register_engine(CompiledEngine())
 
 __all__ = [
     "Engine",
     "TupleEngine",
     "ColumnarEngine",
-    "CompiledEngine",
-    "CompiledRelation",
     "ParallelEngine",
-    "kernel_tier",
-    "HAVE_NUMBA",
-    "FALLBACK_ENV_VAR",
-    "RADIX_BITS_ENV_VAR",
     "ParallelBlockIterator",
     "default_workers",
     "default_threshold",

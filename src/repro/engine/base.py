@@ -54,8 +54,8 @@ class Engine:
         run with ``REPRO_SYMBOL_SHARING=0`` (and vice versa — the two
         modes are deliberately comparable arms, never interchangeable
         artefacts).  The parallel backend additionally folds its worker
-        count and shard configuration in, so plans built for one fan-out
-        never serve another (see
+        count and threshold in, so plans built for one fan-out never
+        serve another (see
         :meth:`repro.engine.parallel.ParallelEngine.plan_key`)."""
         from repro.engine.symbols import sharing_enabled
 
@@ -104,7 +104,7 @@ class TupleEngine(Engine):
         if sig is None or not sharing_enabled():
             return atom_to_varrelation(db, atom)
         rel = db.relation(atom.relation)
-        entry = self.workspace.entry(atom.relation, rel, self.name)
+        entry = self.workspace.entry(atom.relation, rel)
         rows = entry.variant(
             ("rows", sig),
             lambda: atom_to_varrelation(db, atom).tuples())
@@ -146,8 +146,7 @@ class ColumnarEngine(Engine):
         from repro.engine.columnar import materialise_atom_columnar
 
         return materialise_atom_columnar(db, atom, self.dictionary,
-                                         workspace=self.workspace,
-                                         scope=self.name)
+                                         workspace=self.workspace)
 
     def from_relation(self, rel):
         from repro.engine.columnar import ColumnarRelation

@@ -309,8 +309,7 @@ class ColumnarRelation:
         only on the column arrays, so two same-symbol atoms sharing one
         cache dict (:class:`repro.engine.symbols.SymbolWorkspace`)
         resolve ``R(x, y)`` and ``R(u, v)`` probing column 0 to the same
-        entry.  The compiled subclass applies the same convention to its
-        radix tables."""
+        entry."""
         from repro.engine.enumerate import _BatchProbe
 
         self._flush()
@@ -741,14 +740,13 @@ def _masked_atom_columns(atom, cols, nrows,
 
 def materialise_atom_columnar(db, atom,
                               dictionary: Optional[ValueDictionary] = None,
-                              workspace=None, scope: str = "columnar"
-                              ) -> ColumnarRelation:
+                              workspace=None) -> ColumnarRelation:
     """Vectorized counterpart of :func:`repro.eval.join.atom_to_varrelation`:
     constants and repeated variables become boolean column masks.
 
     With a :class:`~repro.engine.symbols.SymbolWorkspace` (and sharing
     on), the result rides the per-symbol entry: all-distinct-variable
-    atoms share the entry's base probe cache (one sorted/radix build per
+    atoms share the entry's base probe cache (one sorted build per
     (symbol, positions, version) across every atom of the symbol), and
     masked atoms share one column set + probe cache per
     constant/dup-variable signature — ``R(x, x)`` and ``R(u, u)`` are
@@ -773,7 +771,7 @@ def materialise_atom_columnar(db, atom,
     obs.gauge("dictionary.size", len(dictionary))
     sig = atom_signature(atom)
     shared = workspace is not None and sharing_enabled()
-    entry = workspace.entry(atom.relation, rel, scope, dictionary) \
+    entry = workspace.entry(atom.relation, rel, dictionary) \
         if shared else None
     if sig is None:
         # base layout: the stored columns in term order, no copy; every

@@ -1,42 +1,24 @@
-"""Shared-memory parallel execution: sharded semijoins, counts, enumeration.
+"""Shared-memory parallel block enumeration over a spawn-based worker pool.
 
-The paper's preprocessing passes are linear scans over code columns —
-embarrassingly shardable by a hash of the join keys.  This module runs
-them across a pool of ``spawn``-ed worker processes with the relation
-columns living in one :mod:`multiprocessing.shared_memory` block, so the
-only per-task traffic is a small descriptor (column offsets, shard
-number) and a small result; the O(|D|) data is mapped zero-copy into
-every worker.
+The one layer of the paper's pipeline that pays for pool dispatch on a
+2-CPU host is the enumeration phase of Theorem 4.6: the batched block
+walk of :class:`~repro.engine.enumerate.BlockIterator` is sharded by
+contiguous ranges of the join-tree root's rows
+(:class:`ParallelBlockIterator`).  The relation columns live in one
+:mod:`multiprocessing.shared_memory` block, so the only per-task traffic
+is a small descriptor (column offsets, row range) and the answer blocks
+streamed back; the O(|D|) data is mapped zero-copy into every worker.
 
-Three operations distribute (see :mod:`repro.engine.shard` for the
-kernels and the sharding invariant):
+The emitted answer stream of the block walk is invariant to how the root
+batch is chunked (each root row's subtree expansion is independent and
+emitted depth-first), so streaming the per-chunk blocks back in
+``(chunk, seq)`` order yields the *identical* answer sequence to the
+serial iterator — order-preserving shard-merge, which keeps measured
+delays meaningful (DESIGN.md's amortised-delay caveat).  Everything else
+(materialisation, the full reducer, the counting DP) runs the serial
+columnar kernels: at 2 workers their sharded versions lost to columnar.
 
-* **full reduction** (:func:`parallel_full_reduce`) — each semijoin step
-  of the Yannakakis program is split into ``S`` hash-shards of the step's
-  join key; workers write survival into a shared ``alive`` mask at
-  disjoint row sets, and the driver barriers between steps.  Executing
-  the *same step sequence* against masked views reproduces the serial
-  reduced relations byte-for-byte (rows keep their original order; a row
-  survives a step iff it matches an alive row of the other side — the
-  exact serial semantics).
-* **counting** (:func:`parallel_count`) — each node of the Theorem 4.21
-  message pass is sharded by the hash of its share-with-parent
-  variables, so every message key group sits wholly inside one shard and
-  the driver merges by concatenation.  The root (empty key) is sharded
-  by contiguous row ranges and its partial sums added in shard order —
-  exact for int64 counts; for float64 weighted counts this is the one
-  place association order can differ from serial (see DESIGN.md).
-* **enumeration** (:class:`ParallelBlockIterator`) — the batched block
-  walk of :class:`~repro.engine.enumerate.BlockIterator` is sharded by
-  contiguous ranges of the join-tree root's rows.  The emitted answer
-  stream of the block walk is invariant to how the root batch is
-  chunked (each root row's subtree expansion is independent and emitted
-  depth-first), so streaming the per-chunk blocks back in ``(chunk,
-  seq)`` order yields the *identical* answer sequence to the serial
-  iterator — order-preserving shard-merge, which keeps measured delays
-  meaningful (DESIGN.md's amortised-delay caveat).
-
-Everything falls back to the serial columnar path below a tunable total
+Enumeration falls back to the serial columnar path below a tunable total
 tuple-count threshold (``REPRO_PARALLEL_THRESHOLD``, default
 ``DEFAULT_PARALLEL_THRESHOLD``): small inputs must not pay pool latency.
 Worker count resolves, in decreasing precedence: the ``workers=``
@@ -44,9 +26,9 @@ constructor argument, :func:`set_default_workers` (the ``--workers``
 CLI flag), the ``REPRO_WORKERS`` environment variable, then
 ``os.cpu_count()``.
 
-With tracing live, every task runs under a worker-local tracer whose
-spans are shipped back and adopted into the driver's trace with the
-worker's real pid (:meth:`repro.obs.trace.Tracer.adopt`), so ``repro
+With tracing live, every chunk task runs under a worker-local tracer
+whose spans are shipped back and adopted into the driver's trace with
+the worker's real pid (:meth:`repro.obs.trace.Tracer.adopt`), so ``repro
 explain --trace`` lays the fan-out on per-process tracks.
 """
 
@@ -68,12 +50,6 @@ import numpy as np
 
 from repro import obs
 from repro.engine.base import ColumnarEngine
-from repro.engine.shard import (
-    count_node_shard,
-    merge_count_messages,
-    semijoin_mask,
-    shard_ids,
-)
 from repro.errors import ReproError
 
 Tup = Tuple[Any, ...]
@@ -84,10 +60,6 @@ THRESHOLD_ENV_VAR = "REPRO_PARALLEL_THRESHOLD"
 #: below this many total input tuples the parallel engine runs the plain
 #: serial columnar path — pool dispatch costs more than it saves
 DEFAULT_PARALLEL_THRESHOLD = 50_000
-
-#: per-step fast path: when one semijoin step (or one count node) is this
-#: small, the driver runs the shard kernel inline instead of dispatching
-STEP_SERIAL_CUTOFF = 4096
 
 _DEFAULT_WORKERS: Optional[int] = None
 
@@ -145,8 +117,7 @@ _ARENA_REGISTRY: "weakref.WeakSet[ShmArena]" = weakref.WeakSet()
 class ShmArena:
     """A batch of numpy arrays in one shared-memory block.
 
-    The driver :meth:`publish`-es the code columns (and, for reduction,
-    the alive masks) once per parallel operation; workers
+    The driver :meth:`publish`-es the code columns once per column set; workers
     :meth:`attach` by name and get zero-copy views.  The descriptor —
     ``(segment name, [(dtype, length, offset), ...])`` — is tiny and
     picklable, so per-task payloads stay O(schema), not O(data).
@@ -246,19 +217,15 @@ def _dispose_arenas() -> None:  # pragma: no cover - exit path
 
 # -------------------------------------------------------------- arena cache
 #
-# Publishing an arena copies O(|D|) bytes into shared memory — by far the
-# dominant fixed cost of a parallel operation (BENCH_parallel's 0.29x at
-# 2 workers was mostly publish + spawn).  Code columns are immutable
-# (mutation builds new relations), so an arena over a given set of column
-# arrays stays valid for as long as those arrays live: the cache below
-# keys on the column arrays' identities — the same identity+length
-# fingerprint scheme PlanCache uses for stored relations — and pins the
-# arrays against id reuse.  A second operation over the same columns
-# (count then reduce in one query, or any warm-plan re-run on the same
-# db version) attaches to the already-published segment instead of
-# copying again.  Alive masks are *mutated* during reduction, so they
-# are never cached: reduction publishes a small separate mask arena per
-# call and disposes it in its ``finally``.
+# Publishing an arena copies O(|D|) bytes into shared memory — the
+# dominant fixed cost of a parallel enumeration after pool start.  Code
+# columns are immutable (mutation builds new relations), so an arena over
+# a given set of column arrays stays valid for as long as those arrays
+# live: the cache below keys on the column arrays' identities — the same
+# identity+length fingerprint scheme PlanCache uses for stored relations
+# — and pins the arrays against id reuse.  A second enumeration over the
+# same columns (any warm-plan re-run on the same db version) attaches to
+# the already-published segment instead of copying again.
 
 #: distinct column sets kept published at once (LRU beyond this)
 ARENA_CACHE_LIMIT = 4
@@ -396,8 +363,8 @@ def _revive_span(data: Dict[str, Any], pid: int):
 def _propagation_ctx() -> Optional[Dict[str, Any]]:
     """The driver's current trace context in wire form, for payloads.
 
-    Called *inside* the dispatch span (``parallel.full_reduce`` /
-    ``parallel.count`` / ``parallel.enumerate``), so the context's
+    Called *inside* the dispatch span (``parallel.enumerate``), so the
+    context's
     ``span_id`` names that span and adopted worker subtrees graft under
     it.  ``None`` when tracing is off or unsampled — workers then run
     exactly the pre-propagation path."""
@@ -409,7 +376,7 @@ def _worker_tracer(ctx_data: Optional[Dict[str, Any]]):
     """A worker-side tracer adopting the driver's propagated trace
     context.  Worker span ids are pid-prefixed, so they cannot collide
     with driver ids, and the worker root span's parent_id points at the
-    driver span that dispatched the wave — :meth:`Tracer.adopt` uses it
+    driver span that dispatched the chunk — :meth:`Tracer.adopt` uses it
     to graft the worker subtree into the request tree."""
     from repro.obs.trace import TraceContext, Tracer
 
@@ -422,7 +389,7 @@ def _task_meta(tracer=None) -> Optional[Dict[str, Any]]:
 
     The worker's always-on registry delta (counters/gauges/sketches
     accumulated since the last ship) rides on *every* result — this is
-    the piggyback on the existing wave round-trips that lets one driver
+    the piggyback on the existing chunk round-trips that lets one driver
     registry cover all engine tiers.  Spans and tracer counters are
     attached only when the task was traced."""
     meta: Dict[str, Any] = {}
@@ -475,52 +442,6 @@ def _worker_arena(descriptor) -> ShmArena:
             del _WORKER_PROBES[key]
         old.dispose()
     return arena
-
-
-def _task_reduce_step(payload: Dict[str, Any], _results, _tid) -> Dict[str, Any]:
-    """One shard of one semijoin step: kill non-matching alive left rows.
-
-    Columns come from the (cached, immutable) column arena; the alive
-    masks live in a small per-operation mask arena (``marena``) because
-    they are mutated in place."""
-    arr = _worker_arena(payload["arena"]).arrays
-    masks = _worker_arena(payload["marena"]).arrays
-    left_keys = [arr[i] for i in payload["left_keys"]]
-    left_mask = masks[payload["left_mask"]]
-    right_keys = [arr[i] for i in payload["right_keys"]]
-    right_mask = masks[payload["right_mask"]]
-    num_shards, shard = payload["shards"], payload["shard"]
-    with obs.span("parallel.reduce_step", phase=payload["phase"],
-                  node=payload["node"], shard=shard):
-        left_sel = left_mask & (shard_ids(left_keys, num_shards) == shard)
-        left_idx = np.flatnonzero(left_sel)
-        if left_idx.size == 0:
-            return {"kept": 0}
-        right_sel = right_mask & (shard_ids(right_keys, num_shards) == shard)
-        keep = semijoin_mask([c[left_idx] for c in left_keys],
-                             [c[right_sel] for c in right_keys])
-        left_mask[left_idx[~keep]] = False
-        return {"kept": int(np.count_nonzero(keep))}
-
-
-def _task_count_node(payload: Dict[str, Any], _results, _tid
-                     ) -> Tuple[List[np.ndarray], np.ndarray]:
-    """One shard of one counting-DP node message."""
-    arena = _worker_arena(payload["arena"])
-    arr = arena.arrays
-    cols = [arr[i] for i in payload["cols"]]
-    share_pos = payload["share_pos"]
-    with obs.span("parallel.count_node", node=payload["node"],
-                  shard=payload["shard"]):
-        if payload["range"] is not None:
-            start, stop = payload["range"]
-            select: Any = slice(start, stop)
-        else:
-            key_cols = [cols[p] for p in share_pos]
-            select = shard_ids(key_cols, payload["shards"]) == payload["shard"]
-        return count_node_shard(
-            cols, select, share_pos, payload["charged_pos"],
-            payload["children"], payload["weight_table"])
 
 
 def _task_enum_chunk(payload: Dict[str, Any], results, tid) -> Dict[str, Any]:
@@ -610,8 +531,6 @@ def _task_ping(payload: Dict[str, Any], _results, _tid) -> Dict[str, Any]:
 
 
 _HANDLERS = {
-    "reduce_step": _task_reduce_step,
-    "count_node": _task_count_node,
     "enum_chunk": _task_enum_chunk,
     "ping": _task_ping,
 }
@@ -630,24 +549,6 @@ def _worker_main(worker_index: int, tasks, results) -> None:
             break
         kind, tid, payload = msg
         try:
-            if kind == "batch":
-                # one queue message, several tasks: run them sequentially
-                # and ship one result list back (one round-trip per wave)
-                if any(p.get("trace") for _k, p in payload):
-                    ctx_data = next(
-                        (p.get("trace_ctx") for _k, p in payload
-                         if p.get("trace_ctx")), None)
-                    with obs.capture(_worker_tracer(ctx_data)) as tracer:
-                        with obs.span("parallel.worker", worker=worker_index,
-                                      task="batch", items=len(payload)):
-                            outs = [_HANDLERS[k](p, results, tid)
-                                    for k, p in payload]
-                    meta = _task_meta(tracer)
-                else:
-                    outs = [_HANDLERS[k](p, results, tid) for k, p in payload]
-                    meta = _task_meta()
-                results.put(("ok", tid, outs, meta))
-                continue
             handler = _HANDLERS[kind]
             if payload.get("trace"):
                 with obs.capture(
@@ -703,42 +604,6 @@ class WorkerPool:
         self.tasks.put((kind, tid, payload))
         obs.count("parallel.tasks")
         return tid
-
-    def post_batch(self, items: Sequence[Tuple[str, Dict[str, Any]]]) -> int:
-        """One queue message carrying several tasks for one worker, run
-        sequentially there; the result payload is the list of per-item
-        results in item order."""
-        tid = self._next_id
-        self._next_id += 1
-        self.tasks.put(("batch", tid, list(items)))
-        obs.count("parallel.batches")
-        obs.count("parallel.tasks", len(items))
-        return tid
-
-    def gather_batches(self, batches: Sequence[Sequence[
-            Tuple[str, Dict[str, Any]]]]) -> List[List[Any]]:
-        """Run one batch per entry (normally one per worker), returning
-        per-batch result lists in batch order.  A whole semijoin wave
-        costs one queue round-trip per worker instead of one per task."""
-        expected: Dict[int, int] = {}
-        for i, items in enumerate(batches):
-            expected[self.post_batch(items)] = i
-        out: List[Any] = [None] * len(batches)
-        remaining = len(expected)
-        while remaining:
-            msg = self.recv()
-            if msg[0] == "block":  # stale stream from an abandoned iterator
-                continue
-            status, tid = msg[0], msg[1]
-            if tid not in expected:
-                continue
-            if status == "err":
-                raise ParallelExecutionError(
-                    f"parallel batch failed in a pool worker:\n{msg[2]}")
-            out[expected.pop(tid)] = msg[2]
-            _absorb_meta(msg[3])
-            remaining -= 1
-        return out
 
     def recv(self) -> Tuple:
         """Next result message; raises if a worker process died."""
@@ -850,249 +715,6 @@ def shutdown_pools() -> None:
     _POOLS.clear()
 
 
-# --------------------------------------------------------------- operations
-
-
-def parallel_full_reduce(tree, relations: Sequence[Any], *,
-                         engine: "ParallelEngine") -> List[Any]:
-    """The Yannakakis semijoin program, hash-sharded in batched waves.
-
-    Serial step order (bottom-up then top-down) is preserved *as
-    observed*: consecutive steps are grouped into a wave while they
-    touch disjoint state — a step joins the wave only if its written
-    relation is neither written nor read by the wave and its read
-    relation is not written by it, so every step still sees exactly the
-    masks the serial program would have shown it.  One wave is one queue
-    round-trip per worker (``WorkerPool.gather_batches``) instead of one
-    per step, and the relation columns come from the process-wide arena
-    cache — only the small mutable alive masks are published per call.
-    The final masked relations are byte-identical to the serial
-    reducer's output (same rows, same original order).
-    """
-    from repro.engine.columnar import ColumnarRelation
-
-    relations = list(relations)
-    num_shards = engine.workers
-    pool = get_pool(num_shards)
-    trace = obs.enabled()
-
-    steps: List[Tuple[int, int, str]] = []
-    for node in tree.bottom_up():
-        parent = tree.parent[node]
-        if parent is not None:
-            steps.append((parent, node, "bottom_up"))
-    for node in tree.top_down():
-        for child in tree.children[node]:
-            steps.append((child, node, "top_down"))
-
-    with obs.span("parallel.full_reduce", nodes=len(relations),
-                  workers=num_shards, steps=len(steps)):
-        trace_ctx = _propagation_ctx()
-        entry, col_index = _acquire_column_arena(relations)
-        arena = entry.arena
-        mask_arena = ShmArena.publish(
-            [np.ones(len(r), dtype=bool) for r in relations])
-        try:
-            mask_views = mask_arena.arrays
-            counts = [len(r) for r in relations]
-
-            # the pending wave: per step, one payload per shard
-            wave: List[Tuple[int, List[Dict[str, Any]]]] = []
-            writers: set = set()
-            readers: set = set()
-
-            def flush() -> None:
-                if not wave:
-                    return
-                batches: List[List[Tuple[str, Dict[str, Any]]]] = \
-                    [[] for _ in range(num_shards)]
-                for _left, payloads in wave:
-                    for shard, p in enumerate(payloads):
-                        batches[shard].append(("reduce_step", p))
-                with obs.span("parallel.reduce_wave", steps=len(wave),
-                              workers=num_shards):
-                    results = pool.gather_batches(batches)
-                obs.count("parallel.waves")
-                for i, (left, _payloads) in enumerate(wave):
-                    counts[left] = sum(results[s][i]["kept"]
-                                       for s in range(num_shards))
-                wave.clear()
-                writers.clear()
-                readers.clear()
-
-            for left, right, phase in steps:
-                if left in writers or left in readers or right in writers:
-                    flush()
-                lrel, rrel = relations[left], relations[right]
-                shared = [v for v in lrel.variables
-                          if rrel.has_variable(v)]
-                if not shared:
-                    # serial semantics: semijoin against a nonempty
-                    # disjoint relation is the identity; against an
-                    # empty one it annihilates
-                    if counts[right] == 0:
-                        mask_views[left][:] = False
-                        counts[left] = 0
-                    continue
-                if counts[left] == 0:
-                    continue
-                if counts[right] == 0:
-                    mask_views[left][:] = False
-                    counts[left] = 0
-                    continue
-                left_keys = [col_index[left][lrel.position(v)]
-                             for v in shared]
-                right_keys = [col_index[right][rrel.position(v)]
-                              for v in shared]
-                if counts[left] + counts[right] <= STEP_SERIAL_CUTOFF:
-                    # tiny step, run inline: it conflicts with nothing
-                    # pending (checked above), so it commutes with the
-                    # open wave
-                    lm, rm = mask_views[left], mask_views[right]
-                    li = np.flatnonzero(lm)
-                    keep = semijoin_mask(
-                        [arena.arrays[i][li] for i in left_keys],
-                        [arena.arrays[i][rm] for i in right_keys])
-                    lm[li[~keep]] = False
-                    counts[left] = int(np.count_nonzero(keep))
-                    obs.count("parallel.inline_steps")
-                    continue
-                wave.append((left, [{
-                    "arena": arena.descriptor,
-                    "marena": mask_arena.descriptor,
-                    "left_keys": left_keys,
-                    "left_mask": left,
-                    "right_keys": right_keys,
-                    "right_mask": right,
-                    "shard": shard,
-                    "shards": num_shards,
-                    "phase": phase,
-                    "node": left,
-                    "trace": trace,
-                    "trace_ctx": trace_ctx,
-                } for shard in range(num_shards)]))
-                writers.add(left)
-                readers.add(right)
-            flush()
-            reduced = []
-            for rel, mask in zip(relations, mask_views):
-                if isinstance(rel, ColumnarRelation):
-                    reduced.append(rel.select_mask(np.array(mask)))
-                else:  # pragma: no cover - guarded by should_parallelise
-                    raise TypeError("parallel reduce needs columnar inputs")
-            return reduced
-        finally:
-            mask_arena.dispose()
-            _release_arena(entry)
-
-
-def parallel_count(relations: Sequence[Any], tree,
-                   charged: Dict[int, Tuple],
-                   share_vars: Dict[int, Tuple],
-                   weight_table: Optional[np.ndarray] = None, *,
-                   engine: "ParallelEngine") -> Any:
-    """The Theorem 4.21 counting DP with every node's message sharded.
-
-    Nodes with share variables shard by the key hash (key groups never
-    split, so per-key sums are final within a shard and the merge is a
-    concatenation); empty-key nodes (the root, cross-product components)
-    shard by contiguous row ranges and add partials in shard order.
-    """
-    num_shards = engine.workers
-    pool = get_pool(num_shards)
-    trace = obs.enabled()
-    with obs.span("parallel.count", nodes=len(relations),
-                  workers=num_shards):
-        trace_ctx = _propagation_ctx()
-        entry, col_index = _acquire_column_arena(relations)
-        arena = entry.arena
-        try:
-            # siblings at one tree depth are independent (a node needs
-            # only its children's merged messages), so each depth is one
-            # batched wave: worker ``s`` runs shard ``s`` of every node
-            # of the level in one queue round-trip
-            depth = {tree.root: 0}
-            for node in tree.top_down():
-                for child in tree.children[node]:
-                    depth[child] = depth[node] + 1
-            levels: Dict[int, List[int]] = {}
-            for node in tree.bottom_up():
-                levels.setdefault(depth[node], []).append(node)
-            messages: Dict[int, Tuple[List[np.ndarray], np.ndarray]] = {}
-            for d in sorted(levels, reverse=True):
-                pending: List[Tuple[int, int, int]] = []  # node, nshare, parts
-                batches: List[List[Tuple[str, Dict[str, Any]]]] = \
-                    [[] for _ in range(num_shards)]
-                where: Dict[Tuple[int, int], Tuple[int, int]] = {}
-                for node in levels[d]:
-                    rel = relations[node]
-                    n = len(rel)
-                    share_pos = [rel.position(v) for v in share_vars[node]]
-                    charged_pos = [rel.position(v) for v in charged[node]]
-                    children = [
-                        ([rel.position(v) for v in share_vars[c]],
-                         messages[c][0], messages[c][1])
-                        for c in tree.children[node]
-                    ]
-                    if n <= STEP_SERIAL_CUTOFF:
-                        obs.count("parallel.inline_steps")
-                        messages[node] = count_node_shard(
-                            rel.code_columns(), None, share_pos, charged_pos,
-                            children, weight_table)
-                        continue
-                    if share_pos:
-                        specs = [{"range": None, "shard": s}
-                                 for s in range(num_shards)]
-                    else:
-                        bounds = [n * i // num_shards
-                                  for i in range(num_shards + 1)]
-                        specs = [{"range": (bounds[i], bounds[i + 1]),
-                                  "shard": i}
-                                 for i in range(num_shards)
-                                 if bounds[i] < bounds[i + 1]]
-                    for s, spec in enumerate(specs):
-                        where[(node, s)] = (s, len(batches[s]))
-                        batches[s].append(("count_node", {
-                            "arena": arena.descriptor,
-                            "cols": col_index[node],
-                            "share_pos": share_pos,
-                            "charged_pos": charged_pos,
-                            "children": children,
-                            "weight_table": weight_table,
-                            "shards": num_shards,
-                            "node": node,
-                            "trace": trace,
-                            "trace_ctx": trace_ctx,
-                            **spec,
-                        }))
-                    pending.append((node, len(share_pos), len(specs)))
-                if not pending:
-                    continue
-                # worker s's batch holds shard s of each pending node in
-                # pending order; nodes with fewer parts (contiguous
-                # ranges) simply stop contributing to higher workers
-                rows = {s: i for i, s in enumerate(
-                    s for s, b in enumerate(batches) if b)}
-                with obs.span("parallel.count_wave", depth=d,
-                              nodes=len(pending)):
-                    results = pool.gather_batches(
-                        [b for b in batches if b])
-                obs.count("parallel.waves")
-                for node, nshare, nparts in pending:
-                    parts = []
-                    for s in range(nparts):  # shard order, as the merge needs
-                        shard, pos = where[(node, s)]
-                        parts.append(results[rows[shard]][pos])
-                    messages[node] = merge_count_messages(parts, nshare)
-            _keys, root_sums = messages[tree.root]
-            if len(root_sums) == 0:
-                return 0
-            root = root_sums[0]
-            return float(root) if weight_table is not None else int(root)
-        finally:
-            _release_arena(entry)
-
-
 # -------------------------------------------------------------- enumeration
 
 
@@ -1140,7 +762,7 @@ class ParallelBlockIterator:
         if reduce:
             from repro.enumeration.full_acyclic import reduce_relations
 
-            relations = reduce_relations(tree, relations, engine=engine)
+            relations = reduce_relations(tree, relations)
         self._relations = relations
         self._empty = any(len(r) == 0 for r in relations)
         self._dict = relations[0].dictionary
@@ -1296,13 +918,12 @@ class ParallelBlockIterator:
 
 
 class ParallelEngine(ColumnarEngine):
-    """The third backend: columnar kernels plus the worker-pool layer.
+    """The third backend: columnar kernels plus pooled block enumeration.
 
-    Materialisation and per-operator kernels are inherited unchanged from
-    :class:`ColumnarEngine` (so any code path the parallel layer does not
-    cover behaves exactly like ``columnar``); the full reducer, the
-    counting DP and block enumeration consult :meth:`should_parallelise`
-    and dispatch to the pool above the tuple-count threshold.
+    Everything is inherited unchanged from :class:`ColumnarEngine`, so
+    the parallel backend *is* ``columnar`` except for free-connex block
+    enumeration, which consults :meth:`should_parallelise` and dispatches
+    to the pool above the tuple-count threshold.
     """
 
     name = "parallel"
@@ -1326,9 +947,9 @@ class ParallelEngine(ColumnarEngine):
             else default_threshold()
 
     def plan_key(self) -> Tuple:
-        """Folds the shard plan into PlanCache keys: a cached plan built
-        for one worker count must not serve a run with another (worker
-        probes, chunk bounds and arena layouts all depend on it)."""
+        """Folds the fan-out into PlanCache keys: a cached plan built for
+        one worker count must not serve a run with another (chunk bounds
+        and worker probes depend on it)."""
         return super().plan_key() + (
             "workers", self.workers, "threshold", self.threshold)
 
@@ -1345,15 +966,7 @@ class ParallelEngine(ColumnarEngine):
             return False
         return True
 
-    # hooks the algorithm layers call (duck-typed: absent on serial engines)
-
-    def parallel_reduce(self, tree, relations: Sequence[Any]) -> List[Any]:
-        return parallel_full_reduce(tree, relations, engine=self)
-
-    def parallel_count(self, relations: Sequence[Any], tree, charged,
-                       share_vars, weight_table=None) -> Any:
-        return parallel_count(relations, tree, charged, share_vars,
-                              weight_table, engine=self)
+    # hook the enumeration layer calls (duck-typed: absent on serial engines)
 
     def parallel_enumerator(self, relations: Sequence[Any], head,
                             block_size=None, tree=None,

@@ -3,20 +3,19 @@
 The unit of repeated work in a self-join query is the relation *symbol*,
 not the atom: ``R(x, y), R(y, z), R(z, x)`` names one stored relation
 three times, and every per-atom artefact — the dictionary encoding, the
-sorted/radix probe structures, the constant/duplicate-variable masks —
+sorted probe structures, the constant/duplicate-variable masks —
 depends only on the stored rows and the *positions* involved, never on
-the variable names the atom happens to use.  The compiled tier proved
-the idea for all-distinct-variable atoms; this module generalises it so
-every backend (tuple, columnar, parallel, compiled) shares one build per
-(symbol, database version):
+the variable names the atom happens to use.  This module lets every
+backend (tuple, columnar, parallel) share one build per (symbol,
+database version):
 
 * one **entry** per (symbol, stored-relation identity, version), LRU'd
   and pinned exactly like :mod:`repro.core.plancache` (an id can only be
   reused after the pinned object dies, so the key is sound);
 * per entry, one shared position-keyed **probe cache** served to every
-  all-distinct-variable atom over the symbol (``_BatchProbe`` and radix
-  tables key on column positions, so ``R(x, y)`` and ``R(u, v)`` probing
-  column 0 resolve to the same structure);
+  all-distinct-variable atom over the symbol (``_BatchProbe`` keys on
+  column positions, so ``R(x, y)`` and ``R(u, v)`` probing column 0
+  resolve to the same structure);
 * per entry, a **variant** table keyed by the atom's constant/dup-var
   *signature* — ``R(x, x)`` and ``R(u, u)`` share one masked column set
   (and its own probe cache); ``R(3, x)`` and ``R(3, y)`` likewise —
@@ -36,10 +35,8 @@ into every engine's ``plan_key`` so plans built under one mode never
 serve the other.
 
 Counters: ``engine.symbol_workspace_{hits,misses,patches}`` aggregate
-across backends; ``<engine>.symbol_cache_{hits,misses,patches}`` keep
-the per-backend view (the compiled tier's historical names), and
-``engine.symbol_workspace_variant_{hits,misses}`` track the masked-atom
-variants.
+across backends, and ``engine.symbol_workspace_variant_{hits,misses}``
+track the masked-atom variants.
 """
 
 from __future__ import annotations
@@ -145,7 +142,7 @@ class SymbolWorkspace:
         self._entries: "OrderedDict[Tuple[str, int, int], _SymbolEntry]" = \
             OrderedDict()
 
-    def entry(self, name: str, rel: Any, scope: str,
+    def entry(self, name: str, rel: Any,
               dictionary: Any = None) -> _SymbolEntry:
         """The live entry for ``rel``'s current version (hit), or a fresh
         one seeded from its stale predecessor where sound (miss)."""
@@ -154,16 +151,14 @@ class SymbolWorkspace:
         if found is not None:
             self._entries.move_to_end(key)
             obs.count("engine.symbol_workspace_hits")
-            obs.count(f"{scope}.symbol_cache_hits")
             return found
         obs.count("engine.symbol_workspace_misses")
-        obs.count(f"{scope}.symbol_cache_misses")
         stale = [k for k in self._entries
                  if k[0] == name and k[1] == id(rel)]
         probes: Dict[Any, Any] = {}
         if stale and dictionary is not None:
             probes = self._migrated_probes(
-                rel, max(stale, key=lambda k: k[2]), dictionary, scope)
+                rel, max(stale, key=lambda k: k[2]), dictionary)
         for k in stale:
             del self._entries[k]
         made = _SymbolEntry(rel, probes)
@@ -173,7 +168,7 @@ class SymbolWorkspace:
         return made
 
     def _migrated_probes(self, rel: Any, stale_key: Tuple,
-                         dictionary: Any, scope: str) -> Dict[Any, Any]:
+                         dictionary: Any) -> Dict[Any, Any]:
         """Seed a fresh base probe cache from its stale predecessor.
 
         Only on an *append-only* delta (every effective op since the
@@ -181,10 +176,10 @@ class SymbolWorkspace:
         the old rows plus the appended ones at the end): each
         position-keyed probe entry with a merge path (sorted
         ``_BatchProbe``'s ``extended``) is carried forward in
-        O(delta + log n).  Radix tables have no merge path and rebuild
-        lazily; deletes or delta-log overflow migrate nothing — a cold
-        rebuild is always sound.  Masked variants are never migrated:
-        appended rows change their selections unpredictably.
+        O(delta + log n).  Deletes or delta-log overflow migrate
+        nothing — a cold rebuild is always sound.  Masked variants are
+        never migrated: appended rows change their selections
+        unpredictably.
         """
         from repro.core.plancache import incremental_enabled
 
@@ -201,7 +196,7 @@ class SymbolWorkspace:
             extend = getattr(probe, "extended", None)
             if extend is None or not (
                     isinstance(pkey, tuple) and pkey
-                    and pkey[0] in ("radix_probe", "batch_probe")):
+                    and pkey[0] == "batch_probe"):
                 continue
             cols = []
             for p in pkey[1]:
@@ -214,7 +209,6 @@ class SymbolWorkspace:
             if patched is not None:
                 migrated[pkey] = patched
                 obs.count("engine.symbol_workspace_patches")
-                obs.count(f"{scope}.symbol_cache_patches")
         return migrated
 
     def stats(self) -> Dict[str, int]:

@@ -39,23 +39,11 @@ from repro.logic.terms import Variable
 _DELAY_STRIDE = 256
 
 
-def reduce_relations(tree: JoinTree, relations: List[VarRelation],
-                     engine=None) -> List[VarRelation]:
+def reduce_relations(tree: JoinTree, relations: List[VarRelation]
+                     ) -> List[VarRelation]:
     """Full reducer on bare relations along a join tree (node i uses
-    relations[i]); returns the reduced list.
-
-    When ``engine`` (an Engine, a backend name, or None for the current
-    selection) exposes the worker-pool hooks and the inputs clear its
-    tuple-count threshold, the semijoin passes are sharded across the
-    pool; the reduced relations are byte-identical either way.
-    """
+    relations[i]); returns the reduced list."""
     relations = list(relations)
-    from repro.engine import resolve_engine
-
-    eng = resolve_engine(engine)
-    parallel = getattr(eng, "parallel_reduce", None)
-    if parallel is not None and eng.should_parallelise(relations):
-        return parallel(tree, relations)
     with obs.span("full_join.reduce", nodes=len(relations)):
         for node in tree.bottom_up():
             parent = tree.parent[node]
@@ -91,9 +79,9 @@ class FullJoinEnumerator(Enumerator):
         value <= 0 forces the tuple-at-a-time path.
     engine:
         Backend selection (an Engine, a name, or None for the current
-        process-wide selection).  An engine with worker-pool hooks routes
-        the reduction and the batched enumeration through the pool when
-        the inputs clear its threshold; answer order is unaffected.
+        process-wide selection).  An engine with a worker pool routes the
+        batched enumeration through it when the inputs clear its
+        threshold; answer order is unaffected.
     """
 
     def __init__(self, relations: Sequence[VarRelation],
@@ -130,8 +118,7 @@ class FullJoinEnumerator(Enumerator):
         )
         self._tree = build_join_tree(h)  # raises NotAcyclicError if cyclic
         if self._reduce:
-            self._relations = reduce_relations(self._tree, self._relations,
-                                               engine=self._engine)
+            self._relations = reduce_relations(self._tree, self._relations)
         if any(len(r) == 0 for r in self._relations):
             self._empty = True
             return

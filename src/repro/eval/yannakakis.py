@@ -140,34 +140,22 @@ def full_reducer(cq: ConjunctiveQuery, db: Database,
                     refresher=lambda st, deltas: st.refreshed(deltas))
                 tree, reduced = state.result()
                 return tree, [r.copy() for r in reduced]
-        # the engine's plan_key folds the shard configuration (worker
-        # count, fallback threshold) into the cache key: a reduction
-        # computed under one fan-out must not serve another
         tree, reduced = cached_plan(
             "full_reducer", cq, db, eng.name,
-            lambda: _full_reduce(cq, db, cached_join_tree(cq.hypergraph()),
-                                 materialise_atoms(cq, db, eng), engine=eng),
+            lambda: _full_reduce(cached_join_tree(cq.hypergraph()),
+                                 materialise_atoms(cq, db, eng)),
             extra=extra)
         return tree, [r.copy() for r in reduced]
     if tree is None:
         tree = cached_join_tree(cq.hypergraph())
     if relations is None:
         relations = materialise_atoms(cq, db, engine)
-    return _full_reduce(cq, db, tree, relations, engine=engine)
+    return _full_reduce(tree, relations)
 
 
-def _full_reduce(cq: ConjunctiveQuery, db: Database, tree: JoinTree,
-                 relations: List[VarRelation],
-                 engine: EngineLike = None
+def _full_reduce(tree: JoinTree, relations: List[VarRelation]
                  ) -> Tuple[JoinTree, List[VarRelation]]:
     relations = list(relations)
-    eng = _engine(engine)
-    # the parallel backend shards every semijoin step across its worker
-    # pool (above its tuple-count threshold); the result is byte-identical
-    # to the serial passes below, so callers never see the difference
-    parallel = getattr(eng, "parallel_reduce", None)
-    if parallel is not None and eng.should_parallelise(relations):
-        return tree, parallel(tree, relations)
     from repro.engine.symbols import sharing_enabled
 
     # coalesce provably-identical passes: once a target was reduced by a

@@ -141,8 +141,9 @@ def event(name: str, **fields: Any) -> Dict[str, Any]:
 def propagation_context() -> Optional[TraceContext]:
     """The active tracer's :class:`TraceContext` positioned at the
     calling thread's current span — what the parallel layer ships in
-    wave payloads so worker spans join the request tree.  ``None`` when
-    tracing is off or the tracer carries no request identity."""
+    enumeration-chunk payloads so worker spans join the request tree.
+    ``None`` when tracing is off or the tracer carries no request
+    identity."""
     return _TRACER.propagation_context()
 
 

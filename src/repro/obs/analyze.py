@@ -126,8 +126,6 @@ def _aggregate_spans(tracer: Any) -> Dict[str, Dict[str, Any]]:
         key = span.name
         if span.name == "yannakakis.semijoin":
             key = f"semijoin[{span.attrs.get('phase', '?')}]"
-        elif span.name == "parallel.reduce_step":
-            key = f"semijoin[{span.attrs.get('phase', '?')}]"
         elif span.name == "block.expand":
             key = f"block.expand[level={span.attrs.get('level', '?')}]"
         entry = agg.setdefault(key, {"count": 0, "dur_ns": 0, "attrs": []})
@@ -264,17 +262,15 @@ def analyze(query: Any, db: Any = None, *, size: int = 4000,
             INFO, "shared per-symbol workspace "
             "(disable with REPRO_SYMBOL_SHARING=0)")
 
-    # preprocessing (serial or parallel full reduce)
-    for key in ("yannakakis.full_reduce", "parallel.full_reduce"):
-        entry = spans1.get(key)
-        if not entry:
-            continue
+    # preprocessing: the full reduce
+    key = "yannakakis.full_reduce"
+    entry = spans1.get(key)
+    if entry:
         status, note = _scale_status(
             entry["dur_ns"],
             spans2.get(key, {}).get("dur_ns") if run2 else None,
             SCALE_SLACK)
-        expected = expected_prep or "no claim"
-        row(key, f"preprocessing: {expected}",
+        row(key, f"preprocessing: {expected_prep or 'no claim'}",
             f"{entry['dur_ns'] / 1e6:.2f} ms", status, note)
 
     # block expansion: no dead ends on reduced inputs

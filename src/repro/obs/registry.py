@@ -18,9 +18,9 @@ Everything lives in one flat dotted namespace, fed through the
 existing ``obs.count``/``obs.gauge``/``obs.span`` call sites — library
 code does not know the registry exists.  Parallel workers run their
 own registry instance and ``drain()`` it into the result metadata of
-each wave round-trip; the driver folds the state back in with
+each task round-trip; the driver folds the state back in with
 ``merge_state`` (order-independent, see sketch.py), so one registry
-covers all four engine tiers.
+covers all three engine tiers.
 
 Gating: ``REPRO_METRICS=0`` (or ``off``/``false``/``no``) disables
 collection process-wide; anything else — including unset — leaves it
@@ -191,8 +191,8 @@ class MetricsRegistry:
     def drain(self) -> Optional[Dict[str, Any]]:
         """Atomically take-and-reset the accumulated state.
 
-        Workers call this after each task batch and ship the result in
-        the wave round-trip metadata; returns ``None`` when there is
+        Workers call this after each task and ship the result in the
+        task round-trip metadata; returns ``None`` when there is
         nothing to ship, so idle round-trips stay payload-free."""
         with self._lock:
             if not self._counters and not self._gauges and not self._sketches:
@@ -211,7 +211,7 @@ class MetricsRegistry:
     def merge_state(self, state: Optional[Dict[str, Any]]) -> None:
         """Fold a ``drain()`` payload from another process into this
         registry.  Counter addition and sketch merge are commutative,
-        so wave arrival order does not matter."""
+        so result arrival order does not matter."""
         if not state or not self.enabled:
             return
         counters = state.get("counters") or {}

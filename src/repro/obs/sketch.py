@@ -21,7 +21,7 @@ sketch is cheap enough to sit on always-on paths.
 
 Sketches **merge** by adding bucket counts, which is associative and
 commutative: the driver can fold per-worker sketches shipped through
-the parallel wave round-trips in any arrival order and always get the
+the parallel task round-trips in any arrival order and always get the
 same result (``tests/test_obs_registry.py`` checks order independence).
 """
 
@@ -229,7 +229,7 @@ class QuantileSketch:
 
     def to_dict(self) -> Dict[str, Any]:
         """Picklable/JSON-able form for cross-process transport (the
-        parallel wave round-trips ship these)."""
+        parallel task round-trips ship these)."""
         out: Dict[str, Any] = {
             "buckets": {str(k): v for k, v in self.buckets.items()},
             "count": self.count,

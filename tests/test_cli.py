@@ -239,17 +239,17 @@ def test_bench_parallel_suite_records(tmp_path, capsys):
             "--parallel-snapshot", str(tmp_path / "BENCH_parallel.json")]
     assert main(args) == 0
     out = capsys.readouterr().out
-    assert "parallel/count_wall" in out and "parallel/enum_wall" in out
+    assert "parallel/enum_wall" in out
+    assert "parallel/count_wall" not in out
     records = Observatory(str(tmp_path / "hist")).load("parallel")
-    assert {r["case"] for r in records} \
-        == {"parallel/count_wall", "parallel/enum_wall"}
+    assert {r["case"] for r in records} == {"parallel/enum_wall"}
     for record in records:
         assert record["metric"] == "wall_seconds"
         assert record["provenance"]["engine"] == "parallel"
         for point in record["points"]:
             assert point["speedup_x"] > 0
     snapshot = load_snapshot(str(tmp_path / "BENCH_parallel.json"))
-    assert len(snapshot) == 2
+    assert len(snapshot) == 1
     # the bench snapshot carries only the join/triangle suites
     assert all(r["suite"] == "bench"
                for r in load_snapshot(str(tmp_path / "BENCH_bench.json")))

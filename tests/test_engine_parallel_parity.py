@@ -1,13 +1,13 @@
 """Parity suite for the parallel backend (shared-memory worker pool).
 
 The parallel engine's contract is *byte-level* equivalence with the
-serial columnar engine: the full reducer must keep the same rows in the
-same order, counts and weighted sums must agree, and block enumeration
-must emit the identical flat answer sequence — at every worker count.
-These tests force pool dispatch with a zero threshold so even tiny
-hypothesis instances exercise the sharded paths, and pin the degenerate
-shapes (empty relations, single-shard key skew, below-threshold
-fallback) directly.
+serial columnar engine: block enumeration — the one layer it hands to
+the pool — must emit the identical flat answer sequence at every worker
+count, and everything else (reduction, plain and weighted counts) runs
+the serial columnar kernels, so it must agree exactly.  These tests
+force pool dispatch with a zero threshold so even tiny hypothesis
+instances cross the shared-memory path, and pin the below-threshold
+fallback directly.
 
 Worker pools are cached process-wide by worker count, so the spawn cost
 is paid once per module, not per example.
@@ -17,17 +17,17 @@ from __future__ import annotations
 
 import random
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import obs
 from repro.core.plancache import plan_cache_disabled
-from repro.counting.acq_count import count_acq, count_full_acyclic_join
+from repro.counting.acq_count import count_acq
 from repro.counting.weighted import WeightFunction
 from repro.data.database import Database
 from repro.data.relation import Relation
+from repro.engine.base import ColumnarEngine
 from repro.engine.columnar import ColumnarRelation, ValueDictionary
 from repro.engine.enumerate import BlockIterator
 from repro.engine.parallel import (
@@ -36,23 +36,21 @@ from repro.engine.parallel import (
     arena_cache_stats,
     get_pool,
     invalidate_arena_cache,
-    parallel_full_reduce,
     pool_stats,
     shutdown_pools,
 )
-from repro.engine.shard import (
-    count_node_shard,
-    merge_count_messages,
-    semijoin_mask,
-    shard_ids,
-)
 from repro.enumeration.free_connex import FreeConnexEnumerator
+from repro.enumeration.full_acyclic import (
+    FullJoinEnumerator,
+    reduce_relations,
+)
 from repro.eval.naive import evaluate_cq_naive
 from repro.eval.yannakakis import full_reducer
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.hypergraph.jointree import build_join_tree
 from repro.logic.atoms import Atom
 from repro.logic.cq import ConjunctiveQuery
+from repro.logic.parser import parse_cq
 from repro.logic.terms import Variable
 
 WORKER_COUNTS = (1, 2, 4)
@@ -119,107 +117,27 @@ def _path_relations(sizes, seed=3, dom=30):
     return rels, (x, y, z, w)
 
 
-# ------------------------------------------------------- shard kernels
-
-
-def test_shard_ids_are_row_consistent_and_full_range():
-    rng = np.random.default_rng(0)
-    a = rng.integers(0, 50, size=5000)
-    b = rng.integers(0, 50, size=5000)
-    for shards in (1, 2, 4, 7):
-        sid = shard_ids([a, b], shards)
-        assert sid.min() >= 0 and sid.max() < shards
-        # same key values -> same shard, independent of row position
-        seen = {}
-        for i in range(len(a)):
-            key = (a[i], b[i])
-            assert seen.setdefault(key, sid[i]) == sid[i]
-    # one shard is the identity partition
-    assert not shard_ids([a], 1).any()
-
-
-def test_shard_ids_mix_avoids_residue_skew():
-    # keys that are all congruent mod 4 must still spread over 4 shards
-    keys = np.arange(0, 4000, 4, dtype=np.int64)
-    sid = shard_ids([keys], 4)
-    counts = np.bincount(sid, minlength=4)
-    assert (counts > 0).all()
-
-
-def test_semijoin_mask_matches_set_semantics():
-    rng = np.random.default_rng(1)
-    left = [rng.integers(0, 6, size=200), rng.integers(0, 6, size=200)]
-    right = [rng.integers(0, 6, size=40), rng.integers(0, 6, size=40)]
-    mask = semijoin_mask(left, right)
-    present = set(zip(right[0].tolist(), right[1].tolist()))
-    expect = np.array([(a, b) in present
-                       for a, b in zip(left[0], left[1])])
-    assert (mask == expect).all()
-
-
-def test_semijoin_mask_empty_sides():
-    a = np.array([1, 2, 3], dtype=np.int64)
-    empty = np.array([], dtype=np.int64)
-    assert semijoin_mask([a], [empty]).sum() == 0
-    assert semijoin_mask([empty], [a]).shape == (0,)
-
-
-def test_merge_count_messages_zero_key_adds_in_shard_order():
-    parts = [([], np.array([2.0])), ([], np.array([3.0])),
-             ([], np.array([0.5]))]
-    keys, sums = merge_count_messages(parts, 0)
-    assert keys == [] or all(len(k) == 0 for k in keys)
-    assert sums.tolist() == [5.5]
-
-
-def test_count_node_shard_sharded_equals_whole():
-    rng = np.random.default_rng(2)
-    cols = [rng.integers(0, 5, size=300), rng.integers(0, 5, size=300)]
-    whole_keys, whole_sums = count_node_shard(cols, None, [0], [1], [], None)
-    parts = []
-    for shard in range(3):
-        sel = shard_ids([cols[0]], 3) == shard
-        parts.append(count_node_shard(cols, sel, [0], [1], [], None))
-    keys, sums = merge_count_messages(parts, 1)
-    merged = dict(zip(keys[0].tolist(), sums.tolist()))
-    expect = dict(zip(whole_keys[0].tolist(), whole_sums.tolist()))
-    assert merged == expect
-
-
-# ------------------------------------------- reduce / count / enumerate
-
-
-@pytest.mark.parametrize("workers", WORKER_COUNTS)
-def test_parallel_reduce_is_byte_identical(workers):
-    rels, _head = _path_relations([400, 400, 120])
-    h = Hypergraph({v for r in rels for v in r.variables},
-                   [frozenset(r.variables) for r in rels])
-    tree = build_join_tree(h)
-    serial = rels
-    for node in tree.bottom_up():
-        parent = tree.parent[node]
-        if parent is not None:
-            serial = list(serial)
-            serial[parent] = serial[parent].semijoin(serial[node])
-    for node in tree.top_down():
-        for child in tree.children[node]:
-            serial = list(serial)
-            serial[child] = serial[child].semijoin(serial[node])
-    reduced = parallel_full_reduce(tree, rels, engine=_engine(workers))
-    for s, p in zip(serial, reduced):
-        # identical rows in the identical (original) order
-        assert list(s) == list(p)
+# ------------------------------------------------------ count / enumerate
 
 
 @pytest.mark.parametrize("workers", WORKER_COUNTS)
 def test_parallel_count_and_weighted_parity(workers):
-    rels, _head = _path_relations([500, 500, 150], seed=9)
-    eng = _engine(workers)
-    assert count_full_acyclic_join(rels, engine=eng) \
-        == count_full_acyclic_join(rels)
-    wf = WeightFunction(lambda v: 2.0 if v % 2 == 0 else 0.5)
-    assert count_full_acyclic_join(rels, wf, engine=eng) \
-        == pytest.approx(count_full_acyclic_join(rels, wf))
+    """Counting runs the serial columnar kernel on the parallel backend,
+    so plain counts and float64 weighted sums are *exactly* columnar's.
+    Fresh dictionaries: the weight table covers every value a dictionary
+    holds, and the process-global one carries foreign values."""
+    rng = random.Random(9)
+    db = Database.from_relations({
+        name: [(rng.randrange(30), rng.randrange(30)) for _ in range(n)]
+        for name, n in (("R", 500), ("S", 500), ("T", 150))})
+    cq = parse_cq("Q(x, y, z, w) :- R(x, y), S(y, z), T(z, w)")
+    wf = WeightFunction(lambda v: 1.3 if v % 2 == 0 else 0.7)
+    par = ParallelEngine(ValueDictionary(), workers=workers, threshold=0)
+    col = ColumnarEngine(ValueDictionary())
+    with plan_cache_disabled():
+        assert count_acq(cq, db, engine=par) == count_acq(cq, db, engine=col)
+        assert count_acq(cq, db, wf, engine=par) \
+            == count_acq(cq, db, wf, engine=col)
 
 
 @pytest.mark.parametrize("workers", WORKER_COUNTS)
@@ -239,47 +157,15 @@ def test_parallel_enumeration_restartable():
     assert list(it) == serial
 
 
-# ------------------------------------------------------ degenerate shards
-
-
-def test_parallel_reduce_empty_relation_annihilates():
-    rels, _head = _path_relations([200, 200, 60])
-    x, y = Variable("x"), Variable("y")
-    empty = ColumnarRelation([x, y], [], dictionary=rels[0].dictionary)
-    rels = [rels[0], rels[1], empty]
-    h = Hypergraph({v for r in rels for v in r.variables},
-                   [frozenset(r.variables) for r in rels])
-    tree = build_join_tree(h)
-    reduced = parallel_full_reduce(tree, rels, engine=_engine(2))
-    assert all(len(r) == 0 for r in reduced)
-
-
-def test_parallel_single_shard_key_skew():
-    # every tuple shares one join-key value: all semijoin work lands in
-    # one shard and the others must stay no-ops
-    x, y, z = Variable("x"), Variable("y"), Variable("z")
-    d = ValueDictionary()
-    rng = random.Random(2)
-    R = ColumnarRelation([x, y], [(rng.randrange(50), 7)
-                                  for _ in range(300)], dictionary=d)
-    S = ColumnarRelation([y, z], [(7, rng.randrange(50))
-                                  for _ in range(300)], dictionary=d)
-    eng = _engine(4)
-    assert count_full_acyclic_join([R, S], engine=eng) \
-        == count_full_acyclic_join([R, S])
-    serial = list(BlockIterator([R, S], (x, y, z), block_size=64))
-    par = list(ParallelBlockIterator([R, S], (x, y, z), block_size=64,
-                                     engine=eng))
-    assert serial == par
-
-
 def test_below_threshold_falls_back_to_serial():
-    rels, _head = _path_relations([50, 50, 20])
+    rels, head = _path_relations([50, 50, 20])
     eng = ParallelEngine(workers=2, threshold=10 ** 9)
     assert not eng.should_parallelise(rels)
-    # the public paths still answer correctly through the serial kernels
-    assert count_full_acyclic_join(rels, engine=eng) \
-        == count_full_acyclic_join(rels)
+    # the public path still answers in order through the serial iterator
+    with obs.capture() as tracer:
+        answers = list(FullJoinEnumerator(rels, head, engine=eng))
+    assert answers == list(BlockIterator(rels, head))
+    assert "parallel.tasks" not in tracer.counters
 
 
 def test_workers_one_never_dispatches():
@@ -348,16 +234,25 @@ def test_full_reducer_entry_point_parity():
 # -------------------------------------------- arena cache / pool hygiene
 
 
+def _scan(rels, head, eng, reduce=True):
+    return list(ParallelBlockIterator(rels, head, reduce=reduce, engine=eng))
+
+
 def test_arena_cache_cold_then_warm():
-    """The first parallel call over a relation list publishes its column
-    arena; subsequent calls over the same columns attach to the cached
+    """The first parallel enumeration over a relation list publishes its
+    column arena; later ones over the same columns attach to the cached
     segment instead of re-copying."""
     invalidate_arena_cache()
-    rels, _head = _path_relations([500, 500, 150], seed=9)
+    rels, head = _path_relations([500, 500, 150], seed=9)
+    # reduce once up front: each iterator's own reduction would build
+    # fresh column arrays, i.e. a different arena key
+    rels = reduce_relations(build_join_tree(Hypergraph(
+        {v for r in rels for v in r.variables},
+        [frozenset(r.variables) for r in rels])), rels)
     eng = _engine(2)
     with obs.capture() as tracer:
-        first = count_full_acyclic_join(rels, engine=eng)
-        second = count_full_acyclic_join(rels, engine=eng)
+        first = _scan(rels, head, eng, reduce=False)
+        second = _scan(rels, head, eng, reduce=False)
     assert first == second
     assert tracer.counters.get("parallel.arena_cache_misses") == 1
     assert tracer.counters.get("parallel.arena_cache_hits") == 1
@@ -373,8 +268,8 @@ def test_arena_cache_lru_eviction_and_invalidate():
     eng = _engine(2)
     with obs.capture() as tracer:
         for seed in range(6):  # > ARENA_CACHE_LIMIT distinct column sets
-            rels, _head = _path_relations([120, 120, 40], seed=100 + seed)
-            count_full_acyclic_join(rels, engine=eng)
+            rels, head = _path_relations([120, 120, 40], seed=100 + seed)
+            _scan(rels, head, eng)
     assert tracer.counters.get("parallel.arena_cache_misses") == 6
     assert tracer.counters.get("parallel.arena_cache_evictions", 0) >= 1
     stats = arena_cache_stats()
@@ -384,8 +279,8 @@ def test_arena_cache_lru_eviction_and_invalidate():
 
 
 def test_shutdown_pools_clears_arena_cache_and_stats_shape():
-    rels, _head = _path_relations([200, 200, 60], seed=12)
-    count_full_acyclic_join(rels, engine=_engine(2))
+    rels, head = _path_relations([200, 200, 60], seed=12)
+    _scan(rels, head, _engine(2))
     assert arena_cache_stats()["entries"] >= 1
     stats = pool_stats()
     assert "arena_cache" in stats
@@ -413,33 +308,3 @@ def test_pool_spawn_reuse_respawn_counters():
     assert fresh is not pool and fresh.alive()
     assert arena_cache_stats()["entries"] == 0
     shutdown_pools()
-
-
-def test_wave_batching_counters_and_parity():
-    """Above the inline cutoff, consecutive conflict-free semijoin steps
-    ride one batched wave (one queue round-trip per worker), and the
-    reduced output is still byte-identical to the serial program."""
-    rels, _head = _path_relations([9000, 9000, 6000], seed=21, dom=100)
-    assert all(len(r) > 2048 for r in rels)
-    h = Hypergraph({v for r in rels for v in r.variables},
-                   [frozenset(r.variables) for r in rels])
-    tree = build_join_tree(h)
-    serial = list(rels)
-    for node in tree.bottom_up():
-        parent = tree.parent[node]
-        if parent is not None:
-            serial[parent] = serial[parent].semijoin(serial[node])
-    for node in tree.top_down():
-        for child in tree.children[node]:
-            serial[child] = serial[child].semijoin(serial[node])
-    with obs.capture() as tracer:
-        reduced = parallel_full_reduce(tree, rels, engine=_engine(2))
-    waves = tracer.counters.get("parallel.waves", 0)
-    batches = tracer.counters.get("parallel.batches", 0)
-    tasks = tracer.counters.get("parallel.tasks", 0)
-    assert waves >= 1
-    assert batches >= waves          # >= one batch (worker) per wave
-    assert tasks >= batches          # each batch carries >= 1 step-shard
-    for s, p in zip(serial, reduced):
-        assert list(s) == list(p)
-    invalidate_arena_cache()

@@ -35,7 +35,7 @@ from repro.enumeration.free_connex import FreeConnexEnumerator
 from repro.eval.yannakakis import full_reducer
 from repro.logic.parser import parse_cq
 
-ENGINES = ["tuple", "columnar", "parallel", "compiled"]
+ENGINES = ["tuple", "columnar", "parallel"]
 
 PATH_QUERY = "Q(x, y, z) :- R(x, y), S(y, z), T(z)"
 ARITIES = {"R": 2, "S": 2, "T": 1}

@@ -296,5 +296,6 @@ def test_cli_doctor_mentions_cache_counters(capsys):
     out = capsys.readouterr().out
     assert "arena cache:" in out
     assert "pool lifecycle:" in out
-    assert "compiled symbol cache:" in out
+    assert "symbol workspace:" in out
+    assert "compiled symbol cache:" not in out
     assert "delay watchdog:" in out

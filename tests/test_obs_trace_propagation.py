@@ -1,7 +1,7 @@
-"""Trace-context propagation across the parallel wave transport.
+"""Trace-context propagation across the parallel enumeration transport.
 
-ISSUE 9's tentpole contract: a request's :class:`TraceContext` rides
-the wave payloads into the worker processes, worker tracers mint spans
+The contract: a request's :class:`TraceContext` rides the
+enumeration-chunk payloads into the worker processes, worker tracers mint spans
 under the propagated identity, and the driver grafts the shipped-back
 subtrees under the dispatching span.  The observable outcome — asserted
 here over worker counts and data seeds — is that every worker span
@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 from repro import obs
 from repro.core.planner import enumerate_answers
 from repro.data import generators
-from repro.engine import parallel as par_mod
 from repro.engine.parallel import ParallelEngine
 from repro.logic.parser import parse_cq
 from repro.obs.export import chrome_trace
@@ -33,19 +32,14 @@ QUERY = "Q(x) :- R(x, z), S(z, y)"
 
 def _traced_parallel_run(workers: int, seed: int):
     """One parallel evaluation under a capturing tracer; returns the
-    tracer and the answers.  STEP_SERIAL_CUTOFF drops to 0 so even the
-    small test database actually dispatches waves (the whole point is
-    to cross the process boundary)."""
+    tracer and the answers.  ``threshold=0`` makes even the small test
+    database dispatch its enumeration chunks to the pool (the whole
+    point is to cross the process boundary)."""
     q = parse_cq(QUERY)
     db = generators.random_database({"R": 2, "S": 2}, 50, 400, seed=seed)
     eng = ParallelEngine(workers=workers, threshold=0)
-    old_cutoff = par_mod.STEP_SERIAL_CUTOFF
-    par_mod.STEP_SERIAL_CUTOFF = 0
-    try:
-        with obs.capture() as tracer:
-            answers = sorted(enumerate_answers(q, db, engine=eng))
-    finally:
-        par_mod.STEP_SERIAL_CUTOFF = old_cutoff
+    with obs.capture() as tracer:
+        answers = sorted(enumerate_answers(q, db, engine=eng))
     return tracer, answers
 
 
@@ -63,7 +57,7 @@ def test_worker_spans_carry_root_trace_id_and_form_one_tree(workers, seed):
     root_trace = tracer.context.trace_id
 
     workers_spans = _worker_spans(tracer)
-    assert workers_spans, "no wave was dispatched — the test is vacuous"
+    assert workers_spans, "no chunk was dispatched — the test is vacuous"
     for span in workers_spans:
         assert span.trace_id == root_trace, (
             f"worker span {span.name} carries {span.trace_id}, "
@@ -119,12 +113,7 @@ def test_explicit_context_wins_over_fresh_mint(workers):
     q = parse_cq(QUERY)
     db = generators.random_database({"R": 2, "S": 2}, 50, 400, seed=5)
     eng = ParallelEngine(workers=workers, threshold=0)
-    old_cutoff = par_mod.STEP_SERIAL_CUTOFF
-    par_mod.STEP_SERIAL_CUTOFF = 0
-    try:
-        with obs.capture(Tracer(context=ctx)) as tracer:
-            list(enumerate_answers(q, db, engine=eng))
-    finally:
-        par_mod.STEP_SERIAL_CUTOFF = old_cutoff
+    with obs.capture(Tracer(context=ctx)) as tracer:
+        list(enumerate_answers(q, db, engine=eng))
     spans = _worker_spans(tracer)
     assert spans and all(s.trace_id == "feedfacefeedface" for s in spans)

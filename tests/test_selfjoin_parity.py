@@ -21,7 +21,9 @@ from repro.core.plancache import clear_plan_cache
 from repro.counting.acq_count import count_acq
 from repro.data.database import Database
 from repro.data.relation import Relation
+from repro import obs
 from repro.engine import get_engine
+from repro.engine.base import ColumnarEngine
 from repro.engine.symbols import (
     SymbolWorkspace,
     atom_signature,
@@ -38,7 +40,7 @@ from repro.logic.terms import Constant, Variable
 from repro.obs.fitting import expected_verdict
 from repro.obs.registry import registry
 
-ENGINES = ("tuple", "columnar", "parallel", "compiled")
+ENGINES = ("tuple", "columnar", "parallel")
 
 DOMAIN = st.integers(min_value=0, max_value=4)
 
@@ -160,6 +162,65 @@ def test_interleaved_updates_invalidate_workspace():
 # ------------------------------------------------------- workspace internals
 
 
+def test_same_symbol_atoms_share_one_probe_cache():
+    """All-distinct-variable atoms over one symbol share the entry's
+    position-keyed probe cache: one workspace miss (the first atom), one
+    hit (the second), and ``R(x, y)`` / ``R(y, z)`` probing column 0
+    resolve to the same probe object."""
+    db = Database([Relation("E", 2, [(i % 25, (i * 7) % 25)
+                                     for i in range(800)])])
+    x, y, z = Variable("x"), Variable("y"), Variable("z")
+    eng = ColumnarEngine()
+    with sharing_scope(True), obs.capture() as tracer:
+        r1 = eng.materialise_atom(db, Atom("E", (x, y)))
+        r2 = eng.materialise_atom(db, Atom("E", (y, z)))
+    assert tracer.counters.get("engine.symbol_workspace_misses") == 1
+    assert tracer.counters.get("engine.symbol_workspace_hits") == 1
+    assert r1._probecache is r2._probecache
+    assert r1.batch_probe((x,)) is r2.batch_probe((y,))
+
+
+def test_version_bump_gives_a_fresh_probe_cache():
+    db = Database([Relation("E", 2, [(1, 2), (2, 3)])])
+    atom = Atom("E", (Variable("x"), Variable("y")))
+    eng = ColumnarEngine()
+    with sharing_scope(True):
+        r1 = eng.materialise_atom(db, atom)
+        before = r1._probecache
+        r1.batch_probe((r1.variables[0],))
+        assert len(before) > 0
+        db.relation("E").add((3, 4))  # version bump
+        with obs.capture() as tracer:
+            r2 = eng.materialise_atom(db, atom)
+    assert tracer.counters.get("engine.symbol_workspace_misses") == 1
+    assert r2._probecache is not before
+    assert len(r2) == 3
+
+
+def test_masked_atoms_share_variants_by_signature():
+    """Constant and duplicate-variable atoms materialise masked columns,
+    so they never share the base probe cache; atoms with the *same*
+    signature share one variant whatever their variable names."""
+    db = Database([Relation("E", 2, [(1, 1), (1, 2), (2, 2)])])
+    x, u = Variable("x"), Variable("u")
+    eng = ColumnarEngine()
+    with sharing_scope(True):
+        dup = eng.materialise_atom(db, Atom("E", (x, x)))
+        plain = eng.materialise_atom(db, Atom("E", (x, Variable("y"))))
+        const = eng.materialise_atom(db, Atom("E", (x, Constant(2))))
+        dup2 = eng.materialise_atom(db, Atom("E", (u, u)))
+        const2 = eng.materialise_atom(db, Atom("E", (u, Constant(2))))
+        other = eng.materialise_atom(db, Atom("E", (x, Constant(1))))
+    assert dup._probecache is not plain._probecache
+    assert const._probecache is not plain._probecache
+    assert set(dup) == {(1,), (2,)}       # rows with t[0] == t[1]
+    assert set(const) == {(1,), (2,)}     # rows with t[1] == 2
+    assert dup2._probecache is dup._probecache
+    assert const2._probecache is const._probecache
+    assert other._probecache is not const._probecache
+    assert set(other) == {(1,)}           # rows with t[1] == 1
+
+
 def test_atom_signature_layouts():
     x, y = Variable("x"), Variable("y")
     u = Variable("u")
@@ -178,10 +239,10 @@ def test_atom_signature_layouts():
 def test_workspace_hit_miss_and_version_invalidation():
     ws = SymbolWorkspace()
     r = Relation("R", 2, [(1, 2)])
-    e1 = ws.entry("R", r, "unit")
-    assert ws.entry("R", r, "unit") is e1          # same version: hit
+    e1 = ws.entry("R", r)
+    assert ws.entry("R", r) is e1          # same version: hit
     r.add((3, 4))                                  # version bump
-    e2 = ws.entry("R", r, "unit")
+    e2 = ws.entry("R", r)
     assert e2 is not e1
     assert ws.stats()["entries"] == 1              # stale entry dropped
 
@@ -189,7 +250,7 @@ def test_workspace_hit_miss_and_version_invalidation():
 def test_workspace_variant_memoised_once():
     ws = SymbolWorkspace()
     r = Relation("R", 2, [(1, 1), (1, 2)])
-    entry = ws.entry("R", r, "unit")
+    entry = ws.entry("R", r)
     calls = []
 
     def build():
@@ -207,7 +268,7 @@ def test_workspace_lru_eviction():
     ws = SymbolWorkspace(limit=2)
     rels = [Relation(f"R{i}", 1, [(i,)]) for i in range(3)]
     for rel in rels:
-        ws.entry(rel.name, rel, "unit")
+        ws.entry(rel.name, rel)
     assert ws.stats()["entries"] == 2              # oldest evicted
 
 
