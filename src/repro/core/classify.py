@@ -17,11 +17,16 @@ ACQ<                  W[1]-hard even to decide (Thm 4.15)
 (*) conditional on Mat-Mul / Hyperclique; decision for any ACQ is
 O(||phi|| ||D||) by Yannakakis (Thm 4.2).  UCQs classify through union
 extensions (Thm 4.13), NCQs through beta-acyclicity (Thm 4.31).
+
+For a CQ the same analysis also fixes how it is executed: :func:`plan_for`
+turns the facts into a :class:`Plan` (route, the query the route runs,
+expected shapes) that the planner and the observability layer consume.
 """
 
 from __future__ import annotations
 
-from typing import Any, Union
+from dataclasses import dataclass
+from typing import Any, Dict, Optional, Tuple, Union
 
 from repro.core.report import ComplexityReport, TaskVerdict
 from repro.logic.cq import ConjunctiveQuery
@@ -54,18 +59,19 @@ def classify(query: QueryLike) -> ComplexityReport:
 # ------------------------------------------------------------------------- CQ
 
 
-def _selfjoin_core_facts(cq: ConjunctiveQuery, facts) -> bool:
+def _selfjoin_core_facts(cq: ConjunctiveQuery,
+                         facts) -> Optional[ConjunctiveQuery]:
     """Carmeli–Segoufin-style structural analysis of a self-join CQ.
 
     A query with self-joins is equivalent to its homomorphic core
     (Chandra–Merlin), which may identify same-symbol atoms and land in
     an easier structural class — the paper's self-join-free dichotomies
     then apply to the core and transfer to the query (arXiv 2206.04988).
-    Records ``core_*`` facts and returns True when the analysis ran
-    (comparisons make homomorphism reasoning unsound, so disequality
-    queries skip it)."""
+    Records ``core_*`` facts and returns the core when the analysis ran,
+    ``None`` otherwise (comparisons make homomorphism reasoning unsound,
+    so disequality queries skip it)."""
     if facts["has_disequalities"] or facts["has_order_comparisons"]:
-        return False
+        return None
     from repro.logic.containment import core
     from repro.logic.selfjoin import variable_identifications
 
@@ -81,12 +87,14 @@ def _selfjoin_core_facts(cq: ConjunctiveQuery, facts) -> bool:
         facts["core_free_connex"] = cstar <= 1
     else:
         facts["core_free_connex"] = False
-    return True
+    return minimal
 
 
-def _classify_cq(cq: ConjunctiveQuery) -> ComplexityReport:
-    report = ComplexityReport(query_repr=repr(cq), query_class="CQ")
-    facts = report.facts
+def _cq_facts(cq: ConjunctiveQuery
+              ) -> Tuple[Dict[str, Any], Optional[ConjunctiveQuery]]:
+    """The structural facts of a CQ, the *effective* ones included, and
+    its homomorphic core when the self-join analysis computed one."""
+    facts: Dict[str, Any] = {}
     facts["arity"] = cq.arity
     facts["self_join_free"] = cq.is_self_join_free()
     facts["quantifier_free"] = cq.is_quantifier_free()
@@ -98,13 +106,35 @@ def _classify_cq(cq: ConjunctiveQuery) -> ComplexityReport:
     from repro.logic.selfjoin import selfjoin_signature
 
     facts["self_join_signature"] = selfjoin_signature(cq)
-    cored = (not facts["self_join_free"]
-             and _selfjoin_core_facts(cq, facts))
+    minimal = (None if facts["self_join_free"]
+               else _selfjoin_core_facts(cq, facts))
     # the *effective* structure is the best of the query and its core:
     # equivalent queries have identical answer sets, counts and delays,
-    # so downstream consumers (obs.fitting.expected_verdict, the
-    # watchdog) gate on these, not on the syntactic shape
+    # so the plan (route and expected shapes, see plan_for) gates on
+    # these, not on the syntactic shape
     facts["effective_acyclic"] = acyclic or facts.get("core_acyclic", False)
+    if facts["has_order_comparisons"]:
+        return facts, minimal
+    stars = []
+    if acyclic:
+        star = cq.quantified_star_size()
+        facts["quantified_star_size"] = star
+        facts["free_connex"] = star <= 1
+        stars.append(star)
+    if facts.get("core_acyclic"):
+        stars.append(facts["core_quantified_star_size"])
+    facts["effective_free_connex"] = bool(stars) and min(stars) <= 1
+    if stars:
+        facts["effective_quantified_star_size"] = min(stars)
+    return facts, minimal
+
+
+def _classify_cq(cq: ConjunctiveQuery) -> ComplexityReport:
+    facts, minimal = _cq_facts(cq)
+    report = ComplexityReport(query_repr=repr(cq), query_class="CQ",
+                              facts=facts)
+    cored = minimal is not None
+    acyclic = facts["acyclic"]
 
     if facts["has_order_comparisons"]:
         report.query_class = "ACQ<" if acyclic else "CQ<"
@@ -133,8 +163,6 @@ def _classify_cq(cq: ConjunctiveQuery) -> ComplexityReport:
             report.query_class = "cyclic CQ (acyclic core)"
             cs = "Carmeli-Segoufin (arXiv 2206.04988) via homomorphic core"
             cstar = facts["core_quantified_star_size"]
-            facts["effective_free_connex"] = facts["core_free_connex"]
-            facts["effective_quantified_star_size"] = cstar
             report.verdicts.append(TaskVerdict(
                 "decide", True, "O(||phi|| * ||D||) on the acyclic core",
                 f"Theorem 4.2 + {cs}",
@@ -165,7 +193,6 @@ def _classify_cq(cq: ConjunctiveQuery) -> ComplexityReport:
                     caveat="conditional on Mat-Mul; the bound holds for "
                            "the query's core, hence for the query"))
             return report
-        facts["effective_free_connex"] = False
         report.verdicts.append(TaskVerdict(
             "decide", None, "NP-complete in combined complexity",
             "Chandra-Merlin 1977 (Section 1)", "repro.eval.naive",
@@ -192,17 +219,9 @@ def _classify_cq(cq: ConjunctiveQuery) -> ComplexityReport:
             caveat=caveat))
         return report
 
-    star = cq.quantified_star_size()
-    free_connex = star <= 1
-    facts["quantified_star_size"] = star
-    facts["free_connex"] = free_connex
-    # effective = best of the query and its (equivalent) core structure
-    if cored and facts["core_acyclic"]:
-        eff_star = min(star, facts["core_quantified_star_size"])
-    else:
-        eff_star = star
-    facts["effective_free_connex"] = eff_star <= 1
-    facts["effective_quantified_star_size"] = eff_star
+    star = facts["quantified_star_size"]
+    free_connex = facts["free_connex"]
+    eff_star = facts["effective_quantified_star_size"]
     report.query_class = "ACQ" + ("!=" if facts["has_disequalities"] else "")
 
     report.verdicts.append(TaskVerdict(
@@ -270,6 +289,116 @@ def _classify_cq(cq: ConjunctiveQuery) -> ComplexityReport:
             "Theorem 4.28", "repro.counting.acq_count.count_acq",
             caveat="unbounded star size over a query class means #W[1]-hard"))
     return report
+
+
+# ---------------------------------------------------------------------- plans
+
+
+def expected_classes(facts: Dict[str, Any]
+                     ) -> Tuple[Optional[str], Optional[str]]:
+    """The (delay, preprocessing) shapes the theory predicts from a
+    report's facts, in the :data:`repro.obs.fitting.VERDICTS` vocabulary:
+
+    * effectively free-connex -> ``constant-delay`` (Theorem 4.6);
+    * effectively acyclic -> ``linear`` delay (Theorem 4.3) and
+      ``linear`` preprocessing (Theorems 4.2 / 4.6);
+    * otherwise ``superlinear`` (Theorems 4.8 / 4.9 conditional bounds).
+
+    Self-join queries gate on the *effective* structure, the best of the
+    query and its homomorphic core (Carmeli-Segoufin, arXiv 2206.04988),
+    because the planner runs the core.  Order comparisons carry no shape
+    claim (even deciding is W[1]-hard), so both are ``None``."""
+    if facts.get("has_order_comparisons"):
+        return None, None
+    acyclic = facts.get("effective_acyclic", False)
+    if facts.get("effective_free_connex"):
+        delay = "constant-delay"
+    else:
+        delay = "linear" if acyclic else "superlinear"
+    return delay, "linear" if acyclic else "superlinear"
+
+
+@dataclass(frozen=True)
+class Plan:
+    """How the planner executes one CQ, decided once from its facts.
+
+    ``route`` is one of
+
+    * ``free-connex``: Theorem 4.6 enumeration, Theorem 4.21 counting,
+      Yannakakis decision;
+    * ``acyclic``: Algorithm 2 (Theorem 4.3), star-size counting,
+      Yannakakis decision;
+    * ``cyclic``: naive evaluation;
+    * ``disequalities``: the ACQ!= engine, falling back to backtracking;
+    * ``order-comparisons``: backtracking.
+
+    ``query`` is what the route runs: the homomorphic core (``on_core``)
+    exactly when the effective facts come from it, i.e. a self-join query
+    without comparisons that is cyclic or not free-connex; the query
+    itself otherwise.  The core keeps the head, so its answers are the
+    query's answers, tuple for tuple.
+    """
+
+    route: str
+    query: ConjunctiveQuery
+    on_core: bool
+    expected_delay: Optional[str]
+    expected_preprocessing: Optional[str]
+
+    def span_attrs(self) -> Dict[str, Any]:
+        """The attributes the planner spans carry."""
+        if self.on_core:
+            return {"route": self.route, "core_atoms": len(self.query.atoms)}
+        return {"route": self.route}
+
+
+#: memoised plans, keyed on the query's ordered form
+_PLANS: Dict[Tuple[Any, ...], Plan] = {}
+PLAN_MEMO_SIZE = 4096
+
+
+def plan_for(cq: ConjunctiveQuery) -> Plan:
+    """The memoised :class:`Plan` of a CQ.
+
+    The key is the query's ordered form (name, head, atoms in order,
+    comparisons), not its set-based equality: a re-parsed query costs
+    one hash lookup, and two queries that differ only in atom order keep
+    their own plans, hence their own enumeration orders.  The memo is
+    emptied when it reaches :data:`PLAN_MEMO_SIZE` entries."""
+    key = (cq.name, cq.head, cq.atoms, cq.comparisons)
+    plan = _PLANS.get(key)
+    if plan is None:
+        if len(_PLANS) >= PLAN_MEMO_SIZE:
+            _PLANS.clear()
+        # two threads may build the same plan; both return the stored one
+        plan = _PLANS.setdefault(key, _build_plan(cq))
+    return plan
+
+
+def _build_plan(cq: ConjunctiveQuery) -> Plan:
+    facts, minimal = _cq_facts(cq)
+    delay, preprocessing = expected_classes(facts)
+    on_core = False
+    if facts["has_order_comparisons"]:
+        route = "order-comparisons"
+    elif facts["has_disequalities"]:
+        route = "disequalities"
+    else:
+        acyclic = facts["acyclic"]
+        free_connex = facts.get("free_connex", False)
+        # a route must fit the query it runs: an acyclic query switches
+        # to its core only when the core is acyclic too, while a cyclic
+        # one always runs the (smaller) core
+        on_core = (minimal is not None and facts["core_is_proper"]
+                   and not free_connex
+                   and (facts["core_acyclic"] or not acyclic))
+        if on_core:
+            acyclic = facts["core_acyclic"]
+            free_connex = facts["core_free_connex"]
+        route = ("free-connex" if free_connex
+                 else "acyclic" if acyclic else "cyclic")
+    return Plan(route, minimal if on_core else cq, on_core, delay,
+                preprocessing)
 
 
 def _classify_signed(sq) -> ComplexityReport:

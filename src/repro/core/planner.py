@@ -1,7 +1,9 @@
 """One-call answering: route a query to the best implemented engine.
 
-The planner consults the same structure the classifier reports on and
-dispatches:
+A CQ runs the route of its memoised :class:`~repro.core.classify.Plan`
+(:func:`~repro.core.classify.plan_for`), on the plan's query: the
+homomorphic core when the classifier's verdicts come from it.  The
+entry points dispatch:
 
 * ``decide`` — Boolean answering (Yannakakis / DP resolution / naive);
 * ``count`` — star-size counting for ACQs, naive elsewhere;
@@ -9,13 +11,17 @@ dispatches:
   without disequalities), linear-delay ACQ, union extensions for UCQs,
   with correct fallbacks everywhere else;
 * ``answer`` — materialise the full answer set.
+
+Their spans carry the plan's ``route`` (and ``core_atoms`` when the
+core runs), so ``repro explain`` shows which plan ran.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Set, Tuple, Union
+from typing import Any, Dict, Iterator, Set, Tuple, Union
 
 from repro import obs
+from repro.core.classify import plan_for
 from repro.data.database import Database
 from repro.errors import UnsupportedQueryError
 from repro.logic.cq import ConjunctiveQuery
@@ -27,11 +33,18 @@ QueryLike = Union[ConjunctiveQuery, UnionOfConjunctiveQueries,
                   NegativeConjunctiveQuery, Formula]
 
 
+def _span_attrs(query: QueryLike) -> Dict[str, Any]:
+    attrs: Dict[str, Any] = {"query": type(query).__name__}
+    if isinstance(query, ConjunctiveQuery):
+        attrs.update(plan_for(query).span_attrs())
+    return attrs
+
+
 def decide(query: QueryLike, db: Database) -> bool:
     """Boolean query answering (model checking)."""
     from repro.eval.modelcheck import model_check
 
-    with obs.span("planner.decide", query=type(query).__name__):
+    with obs.span("planner.decide", **_span_attrs(query)):
         return model_check(query, db)
 
 
@@ -56,43 +69,42 @@ def enumerate_answers(query: QueryLike, db: Database, engine=None,
     if not obs.enabled():
         yield from inner
         return
-    with obs.span("planner.enumerate", query=type(query).__name__):
+    with obs.span("planner.enumerate", **_span_attrs(query)):
         yield from inner
 
 
 def _enumerate_answers(query: QueryLike, db: Database, engine=None,
                        block_size=None) -> Iterator[Tuple[Any, ...]]:
     if isinstance(query, ConjunctiveQuery):
-        if query.order_comparisons():
-            from repro.enumeration.disequality import FallbackDisequalityEnumerator
+        plan = plan_for(query)
+        q = plan.query
+        if plan.route == "free-connex":
+            from repro.enumeration.free_connex import FreeConnexEnumerator
 
-            yield from FallbackDisequalityEnumerator(query, db)
-            return
-        if query.disequalities():
+            yield from FreeConnexEnumerator(q, db, engine=engine,
+                                            block_size=block_size)
+        elif plan.route == "acyclic":
+            from repro.enumeration.acq_linear import LinearDelayACQEnumerator
+
+            yield from LinearDelayACQEnumerator(q, db, engine=engine)
+        elif plan.route == "cyclic":
+            from repro.eval.naive import evaluate_cq_naive
+
+            yield from sorted(evaluate_cq_naive(q, db), key=repr)
+        elif plan.route == "disequalities":
             from repro.enumeration.disequality import enumerate_acq_disequalities
             from repro.errors import NotFreeConnexError
 
             try:
-                yield from enumerate_acq_disequalities(query, db)
+                yield from enumerate_acq_disequalities(q, db)
             except NotFreeConnexError:
                 from repro.enumeration.disequality import FallbackDisequalityEnumerator
 
-                yield from FallbackDisequalityEnumerator(query, db)
-            return
-        if query.is_acyclic():
-            if query.is_free_connex():
-                from repro.enumeration.free_connex import FreeConnexEnumerator
+                yield from FallbackDisequalityEnumerator(q, db)
+        else:
+            from repro.enumeration.disequality import FallbackDisequalityEnumerator
 
-                yield from FreeConnexEnumerator(query, db, engine=engine,
-                                                block_size=block_size)
-            else:
-                from repro.enumeration.acq_linear import LinearDelayACQEnumerator
-
-                yield from LinearDelayACQEnumerator(query, db, engine=engine)
-            return
-        from repro.eval.naive import evaluate_cq_naive
-
-        yield from sorted(evaluate_cq_naive(query, db), key=repr)
+            yield from FallbackDisequalityEnumerator(q, db)
         return
     if isinstance(query, UnionOfConjunctiveQueries):
         from repro.enumeration.ucq_union import enumerate_ucq
@@ -129,29 +141,30 @@ def count(query: QueryLike, db: Database, weights=None, engine=None) -> Any:
     ``engine`` selects the relational backend for the routes that use
     one (star-size counting of ACQs); other routes ignore it.
     """
-    with obs.span("planner.count", query=type(query).__name__):
+    with obs.span("planner.count", **_span_attrs(query)):
         return _count(query, db, weights, engine=engine)
 
 
 def _count(query: QueryLike, db: Database, weights=None, engine=None) -> Any:
     if isinstance(query, ConjunctiveQuery):
-        if not query.has_comparisons() and query.is_acyclic():
+        plan = plan_for(query)
+        q = plan.query
+        if plan.route in ("free-connex", "acyclic"):
             from repro.counting.acq_count import count_acq
 
-            return count_acq(query, db, weights, engine=engine)
-        if (query.disequalities() and not query.order_comparisons()
-                and weights is None):
+            return count_acq(q, db, weights, engine=engine)
+        if plan.route == "disequalities" and weights is None:
             # count through the ACQ!= enumerator when its fragment applies
             from repro.enumeration.disequality import enumerate_acq_disequalities
             from repro.errors import NotFreeConnexError
 
             try:
-                return sum(1 for _ in enumerate_acq_disequalities(query, db))
+                return sum(1 for _ in enumerate_acq_disequalities(q, db))
             except NotFreeConnexError:
                 pass
         from repro.counting.acq_count import count_cq_naive
 
-        return count_cq_naive(query, db, weights)
+        return count_cq_naive(q, db, weights)
     if isinstance(query, UnionOfConjunctiveQueries):
         if weights is not None:
             from repro.counting.weighted import sum_of_weights

@@ -25,7 +25,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import product as iproduct
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.data.database import Database
 from repro.data.relation import Relation
@@ -59,27 +59,37 @@ def exact_dnf_count(terms: Sequence[Sequence[int]], n_vars: int) -> int:
 
 def exact_dnf_count_inclusion_exclusion(terms: Sequence[Sequence[int]],
                                         n_vars: int) -> int:
-    """Inclusion-exclusion over terms (2^m terms) — a second ground truth,
-    exact for any n when m is small."""
-    from itertools import combinations
+    """Exact #DNF by inclusion-exclusion over the consistent term subsets.
 
-    m = len(terms)
+    A subset S of terms contributes (-1)^(|S|+1) * 2^(n - |var(S)|) when
+    its literals are consistent and 0 otherwise.  Every superset of an
+    inconsistent subset is inconsistent too, so a depth-first walk that
+    only extends consistent subsets visits exactly the non-zero summands:
+    exact for any n, and fast unless most term subsets are consistent
+    (2^m of them when the terms share no variable)."""
+    # each term as (positive, negative) variable bitmasks
+    masks = []
+    for term in terms:
+        pos = neg = 0
+        for lit in term:
+            if lit > 0:
+                pos |= 1 << lit
+            else:
+                neg |= 1 << -lit
+        masks.append((pos, neg))
     total = 0
-    for r in range(1, m + 1):
-        for subset in combinations(range(m), r):
-            merged: Dict[int, bool] = {}
-            consistent = True
-            for i in subset:
-                for lit in terms[i]:
-                    v, sign = abs(lit), lit > 0
-                    if merged.get(v, sign) != sign:
-                        consistent = False
-                        break
-                    merged[v] = sign
-                if not consistent:
-                    break
-            if consistent:
-                total += (-1) ** (r + 1) * (1 << (n_vars - len(merged)))
+    # (next term to try, merged literals of the subset so far, sign of
+    # a subset one term larger)
+    stack = [(0, 0, 0, 1)]
+    while stack:
+        start, pos, neg, sign = stack.pop()
+        for i in range(start, len(masks)):
+            p = pos | masks[i][0]
+            q = neg | masks[i][1]
+            if p & q:
+                continue
+            total += sign * (1 << (n_vars - (p | q).bit_count()))
+            stack.append((i + 1, p, q, -sign))
     return total
 
 

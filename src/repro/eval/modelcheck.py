@@ -2,8 +2,11 @@
 
 Routes a Boolean query to the cheapest applicable engine:
 
-* acyclic CQ -> Yannakakis semijoin pass, O(||phi|| * ||D||);
-* cyclic CQ -> backtracking join (exponential in the query only);
+* CQ -> the route of its plan (:func:`repro.core.classify.plan_for`),
+  run on the plan's query (the homomorphic core when the classifier's
+  verdict comes from it): a Yannakakis semijoin pass, O(||phi|| * ||D||),
+  when that query is acyclic, a backtracking join (exponential in the
+  query only) otherwise;
 * beta-acyclic NCQ -> nest-point Davis-Putnam (quasi-linear, Thm 4.31);
 * other NCQ / FO sentences -> naive structural recursion.
 """
@@ -27,11 +30,12 @@ def model_check(query, db: Database) -> bool:
     if isinstance(query, ConjunctiveQuery):
         if not query.is_boolean():
             raise UnsupportedQueryError("model_check expects a Boolean query")
-        if query.has_comparisons():
-            return cq_is_satisfiable_naive(query, db)
-        if query.is_acyclic():
-            return yannakakis_boolean(query, db)
-        return cq_is_satisfiable_naive(query, db)
+        from repro.core.classify import plan_for
+
+        plan = plan_for(query)
+        if plan.route in ("free-connex", "acyclic"):
+            return yannakakis_boolean(plan.query, db)
+        return cq_is_satisfiable_naive(plan.query, db)
     if isinstance(query, UnionOfConjunctiveQueries):
         return any(model_check(d, db) for d in query.disjuncts)
     if isinstance(query, NegativeConjunctiveQuery):

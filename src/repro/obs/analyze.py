@@ -177,7 +177,8 @@ def analyze(query: Any, db: Any = None, *, size: int = 4000,
     points to compare.  Returns a JSON-able analysis dict; see
     :func:`render_text` for the human rendering.
     """
-    from repro.core.classify import classify
+    from repro.core.classify import classify, plan_for
+    from repro.logic.cq import ConjunctiveQuery
     from repro.obs.fitting import expected_verdict
 
     if scale is None:
@@ -193,6 +194,11 @@ def analyze(query: Any, db: Any = None, *, size: int = 4000,
         db2 = None
 
     report = classify(query)
+    facts = {k: report.facts[k] for k in ("acyclic", "free_connex")
+             if k in report.facts}
+    if isinstance(query, ConjunctiveQuery):
+        # the route that ran, and the core's size when the core ran
+        facts.update(plan_for(query).span_attrs())
     try:
         expected_delay = expected_verdict(query, "delay")
         expected_prep = expected_verdict(query, "preprocessing")
@@ -325,9 +331,7 @@ def analyze(query: Any, db: Any = None, *, size: int = 4000,
         "query": str(query),
         "plan": label,
         "query_class": report.query_class,
-        "facts": {k: report.facts[k]
-                  for k in ("acyclic", "free_connex")
-                  if k in report.facts},
+        "facts": facts,
         "expected": {"delay": expected_delay,
                      "preprocessing": expected_prep},
         "sizes": [size] + ([2 * size] if run2 is not None else []),

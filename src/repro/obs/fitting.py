@@ -201,8 +201,11 @@ def expected_verdict(query, metric_kind: str) -> Optional[str]:
 
     ``metric_kind`` is one of ``delay`` (per-answer enumeration delay),
     ``total`` (full evaluation wall time), ``preprocessing``
-    (Section 2.3.3 phase one).  The mapping follows the classifier
-    (:func:`repro.core.classify.classify`):
+    (Section 2.3.3 phase one).  For a CQ the answer is the memoised
+    plan's expected class (:func:`repro.core.classify.plan_for`), so the
+    planner, the watchdog, ``analyze`` and the observatory share one
+    source; other queries map their report's facts through the same
+    :func:`repro.core.classify.expected_classes`:
 
     * free-connex ACQ + ``delay``  -> ``constant-delay`` (Theorem 4.6);
     * acyclic, not free-connex + ``delay`` -> ``linear`` (Theorem 4.3);
@@ -212,32 +215,24 @@ def expected_verdict(query, metric_kind: str) -> Optional[str]:
     * cyclic + anything -> ``superlinear`` (Theorems 4.8 / 4.9
       conditional lower bounds).
 
-    Self-join queries gate on the *effective* structure — the best of
-    the query and its homomorphic core (``effective_acyclic``,
-    ``effective_free_connex``; Carmeli-Segoufin, arXiv 2206.04988) —
-    because the classifier's verdicts, and any evaluator that minimises
-    first, ride on the core.  For self-join-free queries the effective
-    facts coincide with the syntactic ones.
+    Self-join queries gate on the *effective* structure, the best of the
+    query and its homomorphic core (Carmeli-Segoufin, arXiv 2206.04988),
+    because the planner runs the core.
 
     Returns ``None`` when the classification carries no shape claim for
     the metric (e.g. comparisons, where even deciding is W[1]-hard).
     """
-    from repro.core.classify import classify
+    from repro.core.classify import classify, expected_classes, plan_for
+    from repro.logic.cq import ConjunctiveQuery
 
-    report = classify(query)
-    facts = report.facts
-    if facts.get("has_order_comparisons"):
-        return None
-    acyclic = facts.get("effective_acyclic", facts.get("acyclic", False))
-    if metric_kind == "delay":
-        if facts.get("effective_free_connex", facts.get("free_connex")):
-            return "constant-delay"
-        if acyclic:
-            return "linear"
-        return "superlinear"
-    if metric_kind in ("total", "preprocessing"):
-        return "linear" if acyclic else "superlinear"
-    raise ValueError(f"unknown metric kind {metric_kind!r}")
+    if metric_kind not in ("delay", "total", "preprocessing"):
+        raise ValueError(f"unknown metric kind {metric_kind!r}")
+    if isinstance(query, ConjunctiveQuery):
+        plan = plan_for(query)
+        delay, preprocessing = plan.expected_delay, plan.expected_preprocessing
+    else:
+        delay, preprocessing = expected_classes(classify(query).facts)
+    return delay if metric_kind == "delay" else preprocessing
 
 
 def verdict_matches(measured: str, expected: Optional[str]) -> Optional[bool]:

@@ -104,31 +104,20 @@ class GuaranteeWatchdog:
         self.tail_dir = tail_dir
         self._lock = threading.Lock()
         self._local = threading.local()
-        self._expectations: Dict[Any, Optional[str]] = {}
         self._installed = False
 
     # --------------------------------------------------------- expectations
 
     def expectation_for(self, query: Any) -> Optional[str]:
-        """The classifier's delay expectation for ``query`` (cached);
-        ``None`` when the theory makes no shape claim."""
-        try:
-            cached = self._expectations.get(query, _MISS)
-        except TypeError:  # unhashable query object
-            cached = _MISS
-        if cached is not _MISS:
-            return cached
+        """The classifier's delay expectation for ``query`` (memoised per
+        CQ with its plan); ``None`` when the theory makes no shape claim,
+        or the query cannot be classified: the watchdog never takes the
+        answer stream down."""
         try:
             from .fitting import expected_verdict
-            verdict = expected_verdict(query, "delay")
+            return expected_verdict(query, "delay")
         except Exception:
-            verdict = None
-        try:
-            if len(self._expectations) < 4096:
-                self._expectations[query] = verdict
-        except TypeError:
-            pass
-        return verdict
+            return None
 
     # ------------------------------------------------------------- observing
 
@@ -354,7 +343,6 @@ class GuaranteeWatchdog:
         with self._lock:
             self.plans.clear()
             self.tail.clear()
-            self._expectations.clear()
 
     def stats(self) -> Dict[str, Any]:
         with self._lock:
@@ -371,7 +359,6 @@ class GuaranteeWatchdog:
             }
 
 
-_MISS = object()
 _WATCHDOG = GuaranteeWatchdog()
 
 

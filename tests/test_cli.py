@@ -115,6 +115,18 @@ def test_explain_count_mode(capsys):
     out = capsys.readouterr().out
     assert "count:" in out
     assert "planner.count" in out
+    assert "route=free-connex" in out
+
+
+def test_explain_count_shows_the_core_route(capsys):
+    """The cyclic self-join query counts on its one-atom core: the
+    planner span names the route and the core's size, and the
+    star-size count runs under it."""
+    assert main(["explain", "Q(x, y) :- E(x, y), E(x, z), E(w, y), E(w, z)",
+                 "--size", "200", "--count"]) == 0
+    out = capsys.readouterr().out
+    assert "route=free-connex, core_atoms=1" in out
+    assert "count.acq" in out and "(atoms=1)" in out
 
 
 def test_explain_csv_data(tables, capsys):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.classify import classify
+from repro.core.classify import classify, plan_for
 from repro.core.planner import answer, count, decide, enumerate_answers
 from repro.core.report import ComplexityReport, TaskVerdict
 from repro.data import generators
@@ -135,6 +135,52 @@ def test_planner_decide():
     db = Database.from_relations({"R": [(1, 2)], "S": [(2, 3)]})
     assert decide(parse_cq("Q() :- R(x, y), S(y, z)"), db)
     assert not decide(parse_cq("Q() :- R(x, x)"), db)
+
+
+def test_plan_memo_is_keyed_on_the_ordered_form():
+    q = parse_cq("Q(x, y) :- E(x, y), E(x, z), E(w, y), E(w, z)")
+    plan = plan_for(q)
+    assert plan_for(parse_cq(repr(q))) is plan
+    swapped = parse_cq("Q(x, y) :- E(x, z), E(x, y), E(w, y), E(w, z)")
+    assert swapped == q                    # equal as sets of atoms,
+    assert plan_for(swapped) is not plan   # but planned on its own
+
+
+@pytest.mark.parametrize("text, route, core_atoms", [
+    # cyclic; the core E(x, y) is free-connex
+    ("Q(x, y) :- E(x, y), E(x, z), E(w, y), E(w, z)", "free-connex", 1),
+    # cyclic; the core E(x, z), E(z, y) is acyclic, not free-connex
+    ("Q(x, y) :- E(x, z), E(z, y), E(x, w), E(w, y)", "acyclic", 2),
+    # cyclic with a cyclic proper core: naive evaluation of the triangle
+    ("Q() :- E(x, y), E(y, z), E(z, x), E(x, w)", "cyclic", 3),
+    # the triangle is its own core
+    ("Q() :- E(x, y), E(y, z), E(z, x)", "cyclic", None),
+    # already free-connex: nothing to gain from the core
+    ("Q(x, y, z) :- E(x, y), E(x, z)", "free-connex", None),
+    # comparisons block the core analysis
+    ("Q(x, y) :- E(x, y), E(x, z), E(w, y), E(w, z), x != z",
+     "disequalities", None),
+])
+def test_plan_runs_the_core_exactly_when_the_verdict_comes_from_it(
+        text, route, core_atoms):
+    q = parse_cq(text)
+    plan = plan_for(q)
+    assert plan.route == route
+    assert plan.on_core == (core_atoms is not None)
+    if core_atoms is None:
+        assert plan.query.atoms == q.atoms  # the query as written
+    else:
+        assert len(plan.query.atoms) == core_atoms
+        assert plan.query.head == q.head
+        assert plan.span_attrs() == {"route": route,
+                                     "core_atoms": core_atoms}
+    db = generators.random_database({"E": 2}, 6, 14, seed=2)
+    expect = evaluate_cq_naive(q, db)
+    got = list(enumerate_answers(q, db))
+    assert len(got) == len(set(got)) and set(got) == expect
+    assert count(q, db) == len(expect)
+    if q.is_boolean():
+        assert decide(q, db) == bool(expect)
 
 
 def test_planner_ucq_and_ncq():

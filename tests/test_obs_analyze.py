@@ -28,6 +28,10 @@ from repro.obs.watchdog import GuaranteeWatchdog, plan_label
 
 FREE_CONNEX = "Q(x) :- R(x, z), S(z, y)"
 ACYCLIC_ONLY = "Q(x, y) :- R(x, z), S(z, y)"
+# cyclic, with the one-atom free-connex core E(x, y)
+CORE_ONE_ATOM = "Q(x, y) :- E(x, y), E(x, z), E(w, y), E(w, z)"
+# cyclic, with the two-atom free-connex core R(x, z), S(z, y)
+CORE_TWO_ATOMS = "Q(x, z) :- R(x, z), S(z, y), R(x, w), S(w, y)"
 
 
 @pytest.fixture(autouse=True)
@@ -67,6 +71,27 @@ def test_analyze_free_connex_produces_the_full_row_set():
     assert analysis["flagged"] == []
     # every row's status is one of the three levels
     assert all(r["status"] in (OK, FLAG, INFO) for r in analysis["rows"])
+
+
+@pytest.mark.parametrize("text, core_atoms", [(CORE_ONE_ATOM, 1),
+                                              (CORE_TWO_ATOMS, 2)])
+def test_analyze_runs_the_core_of_a_cyclic_selfjoin_query(text, core_atoms):
+    """The query is cyclic, but the planner runs its free-connex core,
+    so the full row set of a constant-delay plan shows up and nothing
+    is flagged.  A one-atom core has no semijoin step to report."""
+    analysis = analyze(parse_query(text), size=2000, seed=7)
+    assert analysis["facts"]["route"] == "free-connex"
+    assert analysis["facts"]["core_atoms"] == core_atoms
+    rows = {r["operator"]: r for r in analysis["rows"]}
+    needed = ["materialise", "yannakakis.full_reduce", "enumerate"]
+    if core_atoms > 1:
+        needed += ["semijoin[bottom_up]", "semijoin[top_down]"]
+    for op in needed:
+        assert op in rows, (op, sorted(rows))
+    assert analysis["expected"]["delay"] == "constant-delay"
+    assert rows["enumerate"]["status"] == OK
+    assert "no delay samples" not in rows["enumerate"]["actual"]
+    assert analysis["flagged"] == []
 
 
 def test_analyze_with_explicit_db_skips_the_scale_run():

@@ -4,7 +4,9 @@
   the connectedness condition;
 * beta-acyclicity <=> all edge-subsets alpha-acyclic;
 * free-connex <=> quantified star size <= 1;
-* enumeration engines == naive evaluation, duplicate-free;
+* the planner's enumerate (duplicate-free), count, weighted count and
+  decide == naive evaluation on every engine, including on self-join
+  queries that fold onto an acyclic core;
 * star-size counting == naive counting, for arbitrary weights;
 * cover algebra: minimal covers are covers, mutually incomparable,
   <= k! many; representative sets preserve the cover set;
@@ -75,6 +77,30 @@ def acyclic_queries_with_dbs(draw):
     return q, db
 
 
+@st.composite
+def folded_selfjoin_queries_with_dbs(draw):
+    """An acyclic query from :func:`acyclic_queries_with_dbs` plus three
+    same-symbol copies of one of its atoms over fresh existential
+    variables, in a random atom order.  For the atom ``R(.., u, .., v, ..)``
+    the copies replace ``u`` by ``a``, ``v`` by ``b``, and both, like
+    ``E(x, y), E(x, z), E(w, y), E(w, z)`` built on ``E(x, y)``.  The
+    four atoms close the cycle u-v-a-b, so the result is cyclic, while
+    the endomorphism a -> u, b -> v folds it back onto the acyclic
+    query: its core."""
+    q, db = draw(acyclic_queries_with_dbs())
+    atom = draw(st.sampled_from([a for a in q.atoms if a.arity >= 2]))
+    i, j = sorted(draw(st.permutations(range(atom.arity)))[:2])
+    a, b = Variable("a0"), Variable("b0")
+
+    def copy(replace):
+        return Atom(atom.relation, [replace.get(p, t)
+                                    for p, t in enumerate(atom.terms)])
+
+    extra = [copy({i: a}), copy({j: b}), copy({i: a, j: b})]
+    atoms = draw(st.permutations(list(q.atoms) + extra))
+    return ConjunctiveQuery(q.head, atoms), db
+
+
 # ----------------------------------------------------------------- GYO
 
 
@@ -117,16 +143,44 @@ def test_free_connex_iff_star_size_le_one(qdb):
 # ----------------------------------------------------------- enumeration
 
 
-@given(acyclic_queries_with_dbs())
-@settings(max_examples=50, deadline=None)
-def test_engines_agree_with_naive(qdb):
-    from repro.core.planner import enumerate_answers
-    from repro.eval.naive import evaluate_cq_naive
+ENGINES = ("tuple", "columnar", "parallel")
+
+
+@given(st.one_of(acyclic_queries_with_dbs(),
+                 folded_selfjoin_queries_with_dbs()),
+       st.dictionaries(st.integers(0, 4), st.integers(-3, 3), max_size=5))
+@settings(max_examples=60, deadline=None)
+def test_engines_agree_with_naive(qdb, weight_map):
+    """The planner's enumerate, count (plain and weighted) and decide
+    agree with naive evaluation on every engine, including on the
+    folded self-join queries it runs on their acyclic core."""
+    from repro.core.classify import plan_for
+    from repro.core.plancache import clear_plan_cache
+    from repro.core.planner import count, decide, enumerate_answers
+    from repro.counting.acq_count import count_cq_naive
+    from repro.counting.weighted import WeightFunction
+    from repro.engine import use_engine
+    from repro.eval.naive import cq_is_satisfiable_naive, evaluate_cq_naive
+    from repro.logic.parser import parse_cq
 
     q, db = qdb
-    got = list(enumerate_answers(q, db))
-    assert len(got) == len(set(got))
-    assert set(got) == evaluate_cq_naive(q, db)
+    plan = plan_for(q)
+    assert plan_for(parse_cq(repr(q))) is plan
+    if not q.is_acyclic():
+        assert plan.on_core and plan.route in ("free-connex", "acyclic")
+    expect = evaluate_cq_naive(q, db)
+    w = WeightFunction(weight_map)
+    boolean = q.with_head(())
+    for engine in ENGINES:
+        clear_plan_cache()
+        with use_engine(engine):
+            got = list(enumerate_answers(q, db))
+            assert len(got) == len(set(got)), engine
+            assert set(got) == expect, engine
+            assert count(q, db) == count_cq_naive(q, db), engine
+            assert count(q, db, w) == count_cq_naive(q, db, w), engine
+            assert decide(boolean, db) == \
+                cq_is_satisfiable_naive(boolean, db), engine
 
 
 @given(acyclic_queries_with_dbs(),
