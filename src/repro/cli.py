@@ -74,6 +74,10 @@ Commands
 trace-event JSON for chrome://tracing / Perfetto) and ``--metrics``
 (flat JSON counters/gauges on stderr); the ``REPRO_TRACE`` environment
 variable does the same without flags.
+
+A library error (:class:`~repro.errors.ReproError`: a malformed query or
+CSV row, an unsupported query) prints one ``repro: error: ...`` line on
+stderr and exits with status 2.
 """
 
 from __future__ import annotations
@@ -85,6 +89,7 @@ from typing import Any, List, Optional, Sequence
 
 from repro.data.database import Database
 from repro.data.relation import Relation
+from repro.errors import MalformedQueryError, ReproError
 
 
 def _parse_value(text: str) -> Any:
@@ -96,23 +101,30 @@ def _parse_value(text: str) -> Any:
 
 
 def load_csv_database(directory: str) -> Database:
-    """Load every ``*.csv`` in ``directory`` as one relation each."""
+    """Load every ``*.csv`` in ``directory`` as one relation each.
+
+    A row whose width differs from the file's first row raises
+    :class:`~repro.errors.MalformedQueryError` naming the file and line.
+    """
     db = Database()
     for name in sorted(os.listdir(directory)):
         if not name.endswith(".csv"):
             continue
-        rel_name = name[:-4]
+        path = os.path.join(directory, name)
         rows: List[tuple] = []
-        with open(os.path.join(directory, name)) as fh:
-            for line in fh:
+        with open(path) as fh:
+            for lineno, line in enumerate(fh, 1):
                 line = line.strip()
                 if not line or line.startswith("#"):
                     continue
-                rows.append(tuple(_parse_value(v) for v in line.split(",")))
-        if not rows:
-            continue
-        rel = Relation(rel_name, len(rows[0]), rows)
-        db.add_relation(rel)
+                row = tuple(_parse_value(v) for v in line.split(","))
+                if rows and len(row) != len(rows[0]):
+                    raise MalformedQueryError(
+                        f"{path}, line {lineno}: row has {len(row)} "
+                        f"values, the first row has {len(rows[0])}")
+                rows.append(row)
+        if rows:
+            db.add_relation(Relation(name[:-4], len(rows[0]), rows))
     return db
 
 
@@ -1288,7 +1300,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ReproError as exc:
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -14,13 +14,14 @@ preprocessing phase is pure recomputation.  This module caches it.
 
 where the fingerprint (:meth:`repro.data.database.Database.fingerprint`)
 combines each stored relation's identity (``id``), its mutation
-``version`` counter, and its cardinality, plus the domain size — so any
-``add``/``discard`` on any relation invalidates every plan derived from
-that database.  Because ``id()`` values are only unique among *live*
-objects, every cache entry keeps strong references to the database and
-its relations; an entry therefore can never refer to a dead (and
-potentially recycled) id, at the price of keeping cached databases alive
-until eviction.  ``maxsize`` bounds that retention.
+``version`` counter, and its cardinality, plus the number of explicit
+domain additions — so any ``add``/``discard`` on any relation
+invalidates every plan derived from that database.  Because ``id()``
+values are only unique among *live* objects, every cache entry keeps
+strong references to the database and its relations; an entry
+therefore can never refer to a dead (and potentially recycled) id, at
+the price of keeping cached databases alive until eviction.
+``maxsize`` bounds that retention.
 
 Cached values are returned as-is: callers that hand mutable relations to
 consumers must copy them first (see ``full_reducer``).  Enumerator-level
@@ -241,10 +242,13 @@ def _collect_deltas(db, old_fp, new_fp
     """Per-relation effective ops taking ``old_fp`` to ``new_fp``.
 
     Returns ``None`` when the two fingerprints are not delta-comparable:
-    different domain size or relation line-up (the domain and the
-    relation list only change at ``add_relation``, so a mismatch means
-    a structurally different database, not a tuple-level update), or
-    any per-relation delta log that has overflowed.
+    a different count of explicit domain additions or relation line-up
+    (those only change at ``add_domain_values`` and ``add_relation``,
+    so a mismatch means a structurally different database, not a
+    tuple-level update), or any per-relation delta log that has
+    overflowed.  Tuple writes that bring in new values stay comparable:
+    they reach the lazy domain through the relation versions, not the
+    first field.
     """
     if old_fp is None or new_fp is None or old_fp[0] != new_fp[0]:
         return None

@@ -24,18 +24,29 @@ class Database:
     The domain always contains every value occurring in some relation;
     isolated domain elements (occurring in no tuple) are allowed and matter
     for the semantics of quantifiers and for the degree notion.
+
+    The domain is kept lazily: registering or mutating a relation merges
+    nothing, and every read of the domain first catches up with each
+    relation whose ``version`` moved since the last read.  Explicit
+    values (``domain=``, :meth:`add_domain_values`) catch up first too,
+    so the order is relation values in registration order, then explicit
+    values, then later relation values.
     """
 
     def __init__(self, relations: Optional[Iterable[Relation]] = None,
                  domain: Optional[Iterable[Any]] = None):
         self._relations: Dict[str, Relation] = {}
         self._domain: Dict[Any, None] = {}
+        # relation name -> the version its values were last merged at
+        self._synced: Dict[str, int] = {}
+        # explicit domain values added so far (the fingerprint's first
+        # field: reading the domain must never move the fingerprint)
+        self._explicit = 0
         if relations is not None:
             for rel in relations:
                 self.add_relation(rel)
         if domain is not None:
-            for value in domain:
-                self._domain.setdefault(value, None)
+            self.add_domain_values(domain)
 
     # ----------------------------------------------------------- construction
 
@@ -60,16 +71,29 @@ class Database:
         return cls(rels, domain=domain)
 
     def add_relation(self, rel: Relation) -> None:
-        """Register a relation; its values are merged into the domain."""
+        """Register a relation; its values join the domain when the
+        domain is next read."""
         if rel.name in self._relations:
             raise MalformedQueryError(f"duplicate relation name {rel.name!r}")
         self._relations[rel.name] = rel
-        for value in rel.domain_values():
-            self._domain.setdefault(value, None)
 
     def add_domain_values(self, values: Iterable[Any]) -> None:
-        for value in values:
-            self._domain.setdefault(value, None)
+        """Add explicit domain values, after every relation value so far;
+        each new one moves the fingerprint."""
+        domain = self._synced_domain()
+        before = len(domain)
+        domain.update(dict.fromkeys(values))
+        self._explicit += len(domain) - before
+
+    def _synced_domain(self) -> Dict[Any, None]:
+        """The domain dict, after merging the values of every relation
+        whose version moved since it was last merged."""
+        domain, synced = self._domain, self._synced
+        for name, rel in self._relations.items():
+            if synced.get(name) != rel.version:
+                domain.update(dict.fromkeys(rel.domain_values()))
+                synced[name] = rel.version
+        return domain
 
     # ----------------------------------------------------------------- access
 
@@ -92,20 +116,20 @@ class Database:
     def domain(self) -> List[Any]:
         """The domain in a fixed (insertion) order — the linear order the
         RAM model assumes on the input encoding."""
-        return list(self._domain)
+        return list(self._synced_domain())
 
     def domain_size(self) -> int:
-        return len(self._domain)
+        return len(self._synced_domain())
 
     def __contains__(self, value: Any) -> bool:
-        return value in self._domain
+        return value in self._synced_domain()
 
     def __iter__(self) -> Iterator[Relation]:
         return iter(self._relations.values())
 
     def __repr__(self) -> str:
         rels = ", ".join(f"{r.name}/{r.arity}:{len(r)}" for r in self._relations.values())
-        return f"Database(|dom|={len(self._domain)}, {rels})"
+        return f"Database(|dom|={self.domain_size()}, {rels})"
 
     # ------------------------------------------------------------------ sizes
 
@@ -113,7 +137,7 @@ class Database:
         """||D|| as defined in Section 2.1 of the paper."""
         return (
             len(self._relations)
-            + len(self._domain)
+            + self.domain_size()
             + sum(r.size_contribution() for r in self._relations.values())
         )
 
@@ -130,7 +154,7 @@ class Database:
         for that tuple, matching "the total number of tuples of relations
         R_i to which x belongs".
         """
-        deg: Dict[Any, int] = {value: 0 for value in self._domain}
+        deg: Dict[Any, int] = dict.fromkeys(self._synced_domain(), 0)
         for rel in self._relations.values():
             for t in rel:
                 for value in set(t):
@@ -148,13 +172,16 @@ class Database:
         """A hashable snapshot identity for plan caching.
 
         Combines, per relation, its object identity with its mutation
-        ``version`` and cardinality, plus the domain size — equal
-        fingerprints mean "the same relation objects in the same state".
-        Only sound while the relation objects are alive (``id`` reuse);
-        :mod:`repro.core.plancache` pins them for exactly that reason.
+        ``version`` and cardinality, plus the number of explicit domain
+        additions — equal fingerprints mean "the same relation objects in
+        the same state".  Values that reach the domain through relations
+        are covered by the versions, so taking a fingerprint never syncs
+        the lazy domain.  Only sound while the relation objects are alive
+        (``id`` reuse); :mod:`repro.core.plancache` pins them for exactly
+        that reason.
         """
         return (
-            len(self._domain),
+            self._explicit,
             tuple((name, id(rel), rel.version, len(rel))
                   for name, rel in self._relations.items()),
         )
@@ -162,19 +189,18 @@ class Database:
     # ------------------------------------------------------------------ misc
 
     def copy(self) -> "Database":
-        db = Database(domain=self._domain)
+        db = Database(domain=self._synced_domain())
         for rel in self._relations.values():
-            db._relations[rel.name] = rel.copy()
+            copied = rel.copy()
+            db.add_relation(copied)
+            db._synced[copied.name] = copied.version
         return db
 
     def restrict_domain(self, values: Iterable[Any]) -> "Database":
         """Induced substructure on ``values`` (keeps tuples fully inside)."""
         keep = set(values)
-        rels = []
-        for rel in self._relations.values():
-            sub = Relation(rel.name, rel.arity)
-            for t in rel:
-                if all(v in keep for v in t):
-                    sub.add(t)
-            rels.append(sub)
-        return Database(rels, domain=[v for v in self._domain if v in keep])
+        rels = [Relation(rel.name, rel.arity,
+                         [t for t in rel if keep.issuperset(t)])
+                for rel in self._relations.values()]
+        return Database(rels, domain=[v for v in self._synced_domain()
+                                      if v in keep])

@@ -35,10 +35,9 @@ def random_relation(name: str, arity: int, domain: Sequence[Any], n_tuples: int,
                     seed: Optional[int] = None) -> Relation:
     """Random relation with (up to) ``n_tuples`` tuples over ``domain``."""
     rng = _rng(seed)
-    rel = Relation(name, arity)
-    for _ in range(n_tuples):
-        rel.add(tuple(rng.choice(domain) for _ in range(arity)))
-    return rel
+    return Relation(name, arity,
+                    [tuple(rng.choice(domain) for _ in range(arity))
+                     for _ in range(n_tuples)])
 
 
 def random_database(schema: Dict[str, int], domain_size: int, tuples_per_relation: int,

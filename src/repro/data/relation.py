@@ -15,7 +15,8 @@ from __future__ import annotations
 import itertools
 import os
 from collections import deque
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (Any, Dict, Iterable, Iterator, List, NoReturn, Optional,
+                    Sequence, Tuple)
 
 from repro.errors import MalformedQueryError
 
@@ -94,6 +95,10 @@ class Relation:
         Number of columns.  Every tuple added must have exactly this length.
     tuples:
         Optional initial contents; duplicates are silently collapsed.
+        They are stored in one bulk pass: the relation starts at version
+        ``len(self)``, as if each distinct row had been added in turn,
+        with an empty delta log (no consumer can have seen an earlier
+        version of an object still in its constructor).
     """
 
     __slots__ = ("name", "arity", "_tuples", "_indexes", "_colcache",
@@ -120,8 +125,16 @@ class Relation:
         # ago, for incremental plan refresh (repro.core.plancache)
         self._deltalog = DeltaLog()
         if tuples is not None:
-            for t in tuples:
-                self.add(t)
+            self._tuples = dict.fromkeys(map(tuple, tuples))
+            if set(map(len, self._tuples)) - {arity}:
+                bad = next(t for t in self._tuples if len(t) != arity)
+                self._arity_error(bad)
+            self._version = len(self._tuples)
+
+    def _arity_error(self, t: Tup) -> NoReturn:
+        raise MalformedQueryError(
+            f"relation {self.name!r} has arity {self.arity}, got tuple of length {len(t)}"
+        )
 
     # ------------------------------------------------------------------ basic
 
@@ -129,9 +142,7 @@ class Relation:
         """Insert a tuple (idempotent)."""
         t = tuple(tup)
         if len(t) != self.arity:
-            raise MalformedQueryError(
-                f"relation {self.name!r} has arity {self.arity}, got tuple of length {len(t)}"
-            )
+            self._arity_error(t)
         if t in self._tuples:
             return  # no-op: version and delta log must not move
         self._tuples[t] = None
@@ -252,18 +263,13 @@ class Relation:
     def project(self, columns: Sequence[int], name: Optional[str] = None) -> "Relation":
         """Projection onto ``columns`` (duplicates removed)."""
         cols = tuple(columns)
-        out = Relation(name or f"{self.name}_proj", len(cols))
-        for t in self._tuples:
-            out.add(tuple(t[c] for c in cols))
-        return out
+        return Relation(name or f"{self.name}_proj", len(cols),
+                        [tuple(t[c] for c in cols) for t in self._tuples])
 
     def select(self, predicate, name: Optional[str] = None) -> "Relation":
         """Selection: keep tuples for which ``predicate(tuple)`` is true."""
-        out = Relation(name or f"{self.name}_sel", self.arity)
-        for t in self._tuples:
-            if predicate(t):
-                out.add(t)
-        return out
+        return Relation(name or f"{self.name}_sel", self.arity,
+                        filter(predicate, self._tuples))
 
     def semijoin(self, columns: Sequence[int], other: "Relation",
                  other_columns: Sequence[int]) -> "Relation":
@@ -276,19 +282,14 @@ class Relation:
         if len(tuple(columns)) != len(tuple(other_columns)):
             raise MalformedQueryError("semijoin column lists must have equal length")
         keys = other.index_on(other_columns)
-        out = Relation(self.name, self.arity)
         cols = tuple(columns)
-        for t in self._tuples:
-            if tuple(t[c] for c in cols) in keys:
-                out.add(t)
-        return out
+        return Relation(self.name, self.arity,
+                        [t for t in self._tuples
+                         if tuple(t[c] for c in cols) in keys])
 
     def domain_values(self) -> set:
         """Set of all values occurring in any column."""
-        vals = set()
-        for t in self._tuples:
-            vals.update(t)
-        return vals
+        return set(itertools.chain.from_iterable(self._tuples))
 
     def size_contribution(self) -> int:
         """Contribution of this relation to ||D|| (|R| * ar(R))."""

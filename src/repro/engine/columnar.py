@@ -31,6 +31,7 @@ which leaves the measured scaling *shapes* intact (see
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import (
     Any,
     Dict,
@@ -89,26 +90,30 @@ class ValueDictionary:
         return self._values[code]
 
     def encode_values(self, values: Sequence[Any]) -> np.ndarray:
-        """Encode a Python sequence into an int64 code array."""
-        encode = self.encode
-        return np.fromiter((encode(v) for v in values), dtype=np.int64,
-                           count=len(values))
+        """Encode a Python sequence into an int64 code array.
+
+        Known values are looked up in one C-level ``map`` pass; only the
+        misses go through :meth:`encode`, in sequence order, so fresh
+        codes are still assigned in first-seen order.
+        """
+        codes = list(map(self._codes.get, values))
+        if None in codes:
+            encode = self.encode
+            codes = [encode(v) if c is None else c
+                     for v, c in zip(values, codes)]
+        return np.array(codes, dtype=np.int64)
 
     def encode_column(self, column: np.ndarray) -> np.ndarray:
         """Encode one raw column, vectorized for integer dtypes.
 
         Integer columns are encoded through their (few) distinct values:
-        one Python-level dictionary insertion per *distinct* value, one
-        ``searchsorted`` gather for the bulk.
+        fresh codes go to the unseen ones in ascending order, and one
+        gather through the unique-inverse encodes the bulk.
         """
         arr = np.asarray(column)
         if arr.dtype.kind in _INT_KINDS and arr.size:
-            uniq, inverse = np.unique(arr, return_inverse=True)
-            encode = self.encode
-            codes_for_uniq = np.fromiter(
-                (encode(int(v)) for v in uniq), dtype=np.int64,
-                count=len(uniq))
-            return codes_for_uniq[inverse.reshape(-1)]
+            uniq, inverse = _unique_inverse(arr)
+            return self.encode_values(uniq.tolist())[inverse]
         return self.encode_values(list(column))
 
     def decode_table(self) -> np.ndarray:
@@ -127,6 +132,25 @@ class ValueDictionary:
     def decode_column(self, codes: np.ndarray) -> np.ndarray:
         """Decode a code array into an object array of original values."""
         return self.decode_table()[codes]
+
+
+def _unique_inverse(arr: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``np.unique(arr, return_inverse=True)`` of a 1-d integer array.
+
+    When int64 values span a range at most twice their count, a presence
+    bitmap over the range gives the same output in O(n + range), without
+    the sort.
+    """
+    if arr.dtype == np.int64:
+        lo, hi = int(arr.min()), int(arr.max())
+        if hi - lo < 2 * arr.size:
+            offsets = arr - lo
+            present = np.zeros(hi - lo + 1, dtype=bool)
+            present[offsets] = True
+            slot = np.cumsum(present) - 1
+            return np.flatnonzero(present) + lo, slot[offsets]
+    uniq, inverse = np.unique(arr, return_inverse=True)
+    return uniq, inverse.reshape(-1)
 
 
 _DEFAULT_DICTIONARY = ValueDictionary()
@@ -583,27 +607,28 @@ def _dedupe_columns(columns: List[np.ndarray], nrows: int
     return [c[first] for c in columns], len(first)
 
 
-def _encode_rows(rows: List[Tup], width: int,
+def _encode_rows(rows: Iterable[Tup], width: int,
                  dictionary: ValueDictionary) -> List[np.ndarray]:
-    """Encode a list of equal-length Python tuples column-wise.
+    """Encode equal-length Python tuples column-wise.
 
-    Integer-only data takes the vectorized path through a single 2-d
-    array; anything else (mixed types, strings) is encoded value by
-    value to avoid numpy's dtype coercion changing equality semantics.
+    The rows are flattened into one list and converted to one 1-d array.
+    Integer-only data (an integer dtype) is encoded column by column
+    through its distinct values; anything else (mixed types, strings,
+    floats, ints beyond 64 bits) is encoded from strided slices of the
+    flat list, so numpy's dtype coercion never changes equality
+    semantics.
     """
     if width == 0:
         return []
-    arr = None
+    flat = list(chain.from_iterable(rows))
     try:
-        candidate = np.asarray(rows)
-        if candidate.ndim == 2 and candidate.dtype.kind in _INT_KINDS:
-            arr = candidate
-    except (ValueError, TypeError):  # ragged or unorderable rows
+        arr = np.asarray(flat)
+    except (ValueError, TypeError):  # values numpy cannot stack
         arr = None
-    if arr is not None:
+    if arr is not None and arr.ndim == 1 and arr.dtype.kind in _INT_KINDS:
+        arr = arr.reshape(-1, width)
         return [dictionary.encode_column(arr[:, j]) for j in range(width)]
-    return [dictionary.encode_values([t[j] for t in rows])
-            for j in range(width)]
+    return [dictionary.encode_values(flat[j::width]) for j in range(width)]
 
 
 # ------------------------------------------------------- atom materialisation

@@ -5,6 +5,7 @@ import os
 import pytest
 
 from repro.cli import build_parser, load_csv_database, main
+from repro.errors import MalformedQueryError
 
 
 @pytest.fixture
@@ -22,6 +23,29 @@ def test_load_csv_database(tables):
     assert (1, 2) in db.relation("R")
     assert (1, "ana") in db.relation("Names")  # mixed int/str parsing
     assert db.relation("R").arity == 2
+
+
+def test_load_csv_database_names_the_ragged_row(tmp_path):
+    (tmp_path / "R.csv").write_text("1,2\n# comment\n3,4\n5\n")
+    with pytest.raises(MalformedQueryError,
+                       match=r"R\.csv, line 4: row has 1 values"):
+        load_csv_database(str(tmp_path))
+
+
+def test_run_ragged_csv_prints_one_error_line(tmp_path, capsys):
+    (tmp_path / "R.csv").write_text("1,2\n3,4,5\n")
+    assert main(["run", "Q(x, y) :- R(x, y)", "--data", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("repro: error: ") and "line 2" in err[0]
+
+
+def test_run_bad_query_prints_one_error_line(tables, capsys):
+    assert main(["run", "Q(x :- R(x, y)", "--data", tables]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("repro: error: ")
 
 
 def test_classify_command(capsys):

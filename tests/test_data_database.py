@@ -98,3 +98,79 @@ def test_iteration_and_names():
 
 def test_empty_database_degree():
     assert Database().degree() == 0
+
+
+# ------------------------------------------------------ lazy domain
+
+
+def stale_domain_db():
+    """A relation written to after it was registered."""
+    r = Relation("R", 2, [(1, 2)])
+    db = Database([r])
+    r.add((3, 4))
+    return db
+
+
+def test_domain_sees_values_added_after_registration():
+    assert 3 in stale_domain_db()
+
+
+def test_size_counts_values_added_after_registration():
+    # ||D|| = 1 relation + 4 domain values + 2 tuples * arity 2
+    assert stale_domain_db().size() == 9
+
+
+def test_degrees_cover_values_added_after_registration():
+    assert stale_domain_db().degrees()[3] == 1
+
+
+def test_fo_answers_range_over_values_added_after_registration():
+    from repro.eval.naive import fo_answers
+    from repro.logic.fo_parser import parse_fo
+
+    answers = fo_answers(parse_fo("exists y. R(x, y)"), stale_domain_db())
+    assert answers == {(1,), (3,)}
+
+
+def test_explicit_domain_keeps_relation_values_first():
+    r = Relation("R", 2, [(1, 2)])
+    db = Database([r], domain=[9])
+    assert db.domain == [1, 2, 9]
+    r.add((2, 5))
+    assert db.domain == [1, 2, 9, 5]
+
+
+def test_reading_the_domain_leaves_the_fingerprint_unchanged():
+    r = Relation("R", 2, [(1, 2)])
+    db = Database([r], domain=[9])
+    r.add((3, 4))
+    before = db.fingerprint()
+    assert db.domain_size() == 5
+    assert db.fingerprint() == before
+    db.add_domain_values([9, 3])        # both already present
+    assert db.fingerprint() == before
+    db.add_domain_values([10])
+    assert db.fingerprint() != before
+
+
+def test_copy_and_restriction_start_from_a_synced_domain():
+    db = stale_domain_db()
+    assert set(db.copy().domain) == {1, 2, 3, 4}
+    assert db.restrict_domain([3, 4]).domain == [3, 4]
+
+
+def test_new_value_write_refreshes_the_count_plan():
+    from repro import count
+    from repro.core.plancache import incremental_scope, plan_cache
+    from repro.logic.parser import parse_query
+
+    q = parse_query("Q(x, y, z) :- R(x, y), S(y, z)")
+    r = Relation("R", 2, [(1, 2), (5, 2)])
+    db = Database([r, Relation("S", 2, [(2, 3)])])
+    with incremental_scope(True):
+        assert count(q, db) == 2
+        refreshes = plan_cache().refreshes
+        r.add((7, 2))                   # 7 is a new domain value
+        assert 7 in db                  # reading the domain syncs it
+        assert count(q, db) == 3
+        assert plan_cache().refreshes > refreshes

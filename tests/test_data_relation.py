@@ -1,6 +1,8 @@
 """Unit tests for repro.data.relation."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.data.relation import Relation
 from repro.errors import MalformedQueryError
@@ -124,3 +126,54 @@ def test_size_contribution():
 def test_empty_relation_is_falsy():
     assert not Relation("R", 2)
     assert Relation("R", 2, [(1, 2)])
+
+
+# --------------------------------------------------- bulk constructor
+
+# small pools, so rows repeat; 0 == False == 0.0 == -0.0 collapse too
+VALUES = st.one_of(st.integers(-2, 2), st.booleans(), st.text(max_size=1),
+                   st.sampled_from([-0.0, 0.0, 0.5, 1.0]))
+
+
+@st.composite
+def rows_of_arity(draw):
+    arity = draw(st.integers(0, 3))
+    row = st.lists(VALUES, min_size=arity, max_size=arity)
+    rows = draw(st.lists(st.one_of(row, row.map(tuple)), max_size=12))
+    return arity, rows
+
+
+def _built_by_add(arity, rows):
+    ref = Relation("R", arity)
+    for row in rows:
+        ref.add(row)
+    return ref
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows_of_arity(), VALUES)
+def test_bulk_constructor_matches_add_loop(drawn, extra):
+    arity, rows = drawn
+    bulk, ref = Relation("R", arity, rows), _built_by_add(arity, rows)
+    assert repr(bulk.tuples()) == repr(ref.tuples())
+    assert len(bulk) == len(ref)
+    assert bulk.version == ref.version
+    assert len(bulk.delta_log) == 0
+    for cols in ([], list(range(arity)), list(range(arity))[:1]):
+        assert repr(bulk.index_on(cols)) == repr(ref.index_on(cols))
+    # later writes log the same ops from the constructed version on
+    v = bulk.version
+    new = (extra,) * arity
+    for rel in (bulk, ref):
+        rel.add(new)
+        rel.discard(rows[0] if rows else new)
+    assert bulk.version == ref.version
+    assert repr(bulk.deltas_since(v)) == repr(ref.deltas_since(v))
+    assert repr(bulk.tuples()) == repr(ref.tuples())
+
+
+@pytest.mark.parametrize("bad", [(3,), (3, 4, 5)])
+def test_bulk_constructor_rejects_wrong_width_rows(bad):
+    message = rf"'Q' has arity 2, got tuple of length {len(bad)}"
+    with pytest.raises(MalformedQueryError, match=message):
+        Relation("Q", 2, [(1, 2), bad, (5, 6)])

@@ -20,6 +20,8 @@ from repro.engine.base import ColumnarEngine, TupleEngine
 from repro.engine.columnar import (
     ColumnarRelation,
     ValueDictionary,
+    _encode_rows,
+    _unique_inverse,
     group_ids,
     materialise_atom_columnar,
 )
@@ -93,6 +95,62 @@ def test_value_dictionary_roundtrip():
     assert codes[0] == codes[4] and codes[1] == codes[5]
     assert [d.decode(c) for c in codes[:4]] == [3, "a", (1, 2), None]
     assert d.code_of("missing") is None
+
+
+def _reference_encode(rows, width):
+    """Codes a fresh dictionary must assign, column by column: ascending
+    (as Python ints) when every value is a 64-bit int and not all are
+    bools, first-seen order otherwise."""
+    flat = [v for t in rows for v in t]
+    ascending = (bool(flat) and not all(isinstance(v, bool) for v in flat)
+                 and all(isinstance(v, int) and -2**63 <= v < 2**63
+                         for v in flat))
+    codes, values, cols = {}, [], []
+    for j in range(width):
+        column = [int(t[j]) if ascending else t[j] for t in rows]
+        for v in sorted(set(column)) if ascending else column:
+            if v not in codes:
+                codes[v] = len(values)
+                values.append(v)
+        cols.append([codes[v] for v in column])
+    return cols, values
+
+
+@pytest.mark.parametrize("rows", [
+    [(-3, 5), (-10, -3), (7, -10), (-3, 5)],
+    [(3, -1), (1, 2), (2, -1), (3, 3)],
+    [(10**12, 5), (-(10**12), 5)],
+    [(True, 3), (0, False), (2, True)],
+    [(True, False), (False, False)],
+    [(1.5, 2), (0.5, 1.5), (2.0, 3)],
+    [("b", "a"), ("a", "c"), ("b", 1)],
+    [(2**70, 1), (-(2**70), 2**70), (3, 1)],
+    [],
+], ids=["negative-ints", "dense-ints", "sparse-ints", "bools-and-ints",
+        "bools", "floats", "strings", "beyond-int64", "zero-rows"])
+def test_encode_rows_assigns_codes_in_reference_order(rows):
+    d = ValueDictionary()
+    cols = _encode_rows(rows, 2, d)
+    want_cols, want_values = _reference_encode(rows, 2)
+    assert [c.dtype for c in cols] == [np.int64, np.int64]
+    assert [c.tolist() for c in cols] == want_cols
+    assert repr(d._values) == repr(want_values)
+
+
+@pytest.mark.parametrize("arr", [
+    np.array([3, 1, 2, 1, 3], dtype=np.int64),
+    np.array([-5, 10**12, -5, 7], dtype=np.int64),
+    np.array([2**63 - 1, 2**63 - 2, 2**63 - 1], dtype=np.int64),
+    np.array([-2**63, -2**63 + 1, -2**63], dtype=np.int64),
+    np.array([-100, 100, 0, -100], dtype=np.int8),
+    np.array([2**64 - 1, 0, 2**64 - 1], dtype=np.uint64),
+], ids=["dense", "sparse", "int64-max", "int64-min", "int8", "uint64"])
+def test_unique_inverse_matches_np_unique(arr):
+    want_uniq, want_inverse = np.unique(arr, return_inverse=True)
+    uniq, inverse = _unique_inverse(arr)
+    assert uniq.dtype == want_uniq.dtype
+    assert uniq.tolist() == want_uniq.tolist()
+    assert inverse.tolist() == want_inverse.reshape(-1).tolist()
 
 
 def test_group_ids_distinguishes_composite_keys():
