@@ -60,13 +60,12 @@ def record_case(suite: str, case: str, metric: str,
     ``<snapshot_dir>/BENCH_<suite>.json``.  Raises
     :class:`repro.obs.observatory.SchemaError` on malformed payloads.
     """
-    from repro.obs.observatory import Observatory, collect_provenance, \
-        make_record, merge_snapshot
+    from repro.obs.observatory import collect_provenance, make_record, \
+        save_records
 
     rec = make_record(suite, case, metric, points, expectation=expectation,
                       provenance=collect_provenance(run_timestamp()))
-    Observatory(history_dir).append(rec)
-    merge_snapshot(os.path.join(snapshot_dir, f"BENCH_{suite}.json"), rec)
+    save_records([rec], history_dir, snapshot_dir)
     return rec
 
 

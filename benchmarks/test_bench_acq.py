@@ -16,8 +16,8 @@ from repro.enumeration.disequality import DisequalityEnumerator
 from repro.enumeration.free_connex import FreeConnexEnumerator
 from repro.eval.yannakakis import yannakakis
 from repro.logic.parser import parse_cq
+from repro.obs.fitting import fit_loglog
 from repro.perf.delay import measure_enumerator
-from repro.perf.scaling import loglog_slope
 
 # >1 decade of ||D||: the observatory's anti-flake rule refuses a
 # verdict on narrower sweeps (see repro.obs.fitting)
@@ -49,7 +49,7 @@ def test_t42_yannakakis_output_sensitive(benchmark):
                 [{"n": r[1], "value": v, "outputs": r[2]}
                  for r, v in zip(rows, per_tuple)])
     # per-tuple cost must not grow linearly with ||D||
-    slope = loglog_slope([r[1] for r in rows], per_tuple)
+    slope = fit_loglog([r[1] for r in rows], per_tuple).slope
     assert slope < 0.75, text
     db = make_db(4000)
     benchmark(lambda: yannakakis(q, db))
@@ -101,7 +101,7 @@ def test_t46_constant_delay_flat(benchmark):
                 [{"n": r[1], "value": v, "outputs": r[2]}
                  for r, v in zip(rows, p95s)],
                 expectation="constant-delay")
-    slope = loglog_slope([r[1] for r in rows], p95s)
+    slope = fit_loglog([r[1] for r in rows], p95s).slope
     assert slope < 0.4, text  # flat
     db = make_db(2000)
     benchmark(lambda: list(FreeConnexEnumerator(q, db)))
@@ -127,7 +127,7 @@ def test_t420_disequality_constant_delay(benchmark):
                 [{"n": r[1], "value": v, "outputs": r[2]}
                  for r, v in zip(rows, p95s)],
                 expectation="constant-delay")
-    slope = loglog_slope([r[1] for r in rows], p95s)
+    slope = fit_loglog([r[1] for r in rows], p95s).slope
     assert slope < 0.4, text
     db = make_db(2000)
     benchmark(lambda: sum(1 for _ in DisequalityEnumerator(q, db)))

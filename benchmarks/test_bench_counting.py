@@ -22,7 +22,7 @@ from repro.counting.matchings import (
 from repro.counting.weighted import WeightFunction
 from repro.data import generators
 from repro.logic.parser import parse_cq
-from repro.perf.scaling import loglog_slope
+from repro.obs.fitting import fit_loglog
 
 
 def make_db(n, seed=11):
@@ -46,7 +46,7 @@ def test_t421_quantifier_free_linear(benchmark):
         rows.append((n, db.size(), count, weighted, elapsed * 1e3))
         times.append(elapsed)
         sizes.append(db.size())
-    slope = loglog_slope(sizes, times)
+    slope = fit_loglog(sizes, times).slope
     text = format_rows(["tuples", "||D||", "count", "weighted", "ms"], rows)
     record("t421_qf_counting",
            f"Theorem 4.21 — #ACQ^0 linear counting (slope {slope:.2f})\n" + text)
@@ -103,8 +103,8 @@ def test_t428_scaling_in_database(benchmark):
         t1s.append(t1)
         t2s.append(t2)
         sizes.append(db.size())
-    s1 = loglog_slope(sizes, t1s)
-    s2 = loglog_slope(sizes, t2s)
+    s1 = fit_loglog(sizes, t1s).slope
+    s2 = fit_loglog(sizes, t2s).slope
     text = format_rows(["tuples", "||D||", "s=1 ms", "s=2 ms"], rows)
     record("t428_scaling",
            f"Theorem 4.28 — star size 1 slope {s1:.2f} vs star size 2 "

@@ -18,13 +18,12 @@ Assertion stance on the 1% point:
   delta; it is gated at a conservative >= 3x with the measured value
   recorded, the same warn-leaning stance the observatory gate takes.
 
-Measurements go through :func:`repro.obs.observatory.run_dynamic_suite`
-(the same code ``repro bench --dynamic-suite`` runs), so history rows in
-``benchmarks/history/dynamic.jsonl`` and the ``BENCH_dynamic.json``
-snapshot look identical no matter which entry point produced them.
+Measurements are the ``dynamic`` suite, run and recorded through the
+observatory's runner (the same code ``repro bench --suite dynamic``
+runs), so history rows in ``benchmarks/history/dynamic.jsonl`` and the
+``BENCH_dynamic.json`` snapshot look identical no matter which entry
+point produced them.
 """
-
-import os
 
 from _util import HISTORY_DIR, REPO_ROOT, format_rows, record, run_timestamp
 
@@ -37,13 +36,9 @@ from repro.core.planner import count
 from repro.data import generators
 from repro.eval.yannakakis import full_reducer
 from repro.logic.parser import parse_cq
-from repro.obs.observatory import (
-    Observatory,
-    merge_snapshot,
-    run_dynamic_suite,
-)
+from repro.obs.observatory import SUITES, run_suites, save_records
 
-SIZE = 100_000
+SIZE = SUITES["dynamic"].sweep
 QUERY = "Q(x, z, y) :- R(x, z), S(z, y)"
 
 
@@ -75,11 +70,8 @@ def test_dynamic_refresh_parity_at_bench_scale():
 
 def test_dynamic_refresh_speedup(benchmark):
     """Record the warm-vs-cold cycle curve; gate the 1% point."""
-    records = run_dynamic_suite(run_timestamp(), size=SIZE, repeats=2)
-    observatory = Observatory(HISTORY_DIR)
-    for rec in records:
-        observatory.append(rec)
-        merge_snapshot(os.path.join(REPO_ROOT, "BENCH_dynamic.json"), rec)
+    records = run_suites(["dynamic"], run_timestamp())
+    save_records(records, HISTORY_DIR, REPO_ROOT)
 
     rows, at_1pct = [], {}
     for rec in records:

@@ -16,15 +16,14 @@ appended to ``benchmarks/history/core.jsonl`` and merged into
 ``BENCH_core.json`` at the repo root.
 """
 
-import time
-
 from _util import format_rows, record, record_case
 
 from repro.counting.acq_count import count_quantifier_free_acyclic
 from repro.data import generators
 from repro.eval.yannakakis import full_reducer, yannakakis
 from repro.logic.parser import parse_cq
-from repro.perf.scaling import loglog_slope
+from repro.obs.fitting import fit_loglog
+from repro.obs.observatory import best_of
 
 SPEEDUP_SIZES = [10000, 30000, 100000]
 # >1 decade of n so the observatory can pass a shape verdict
@@ -37,14 +36,9 @@ def make_db(n, seed=7):
                                       seed=seed)
 
 
-def best_of(fn, repeats=3):
+def warm_best_of(fn, repeats=3):
     fn()  # warm caches: join tree, dictionary encoding, hash indexes
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
+    return best_of(fn, repeats)
 
 
 def kernel_ops(q, db, backend):
@@ -68,7 +62,7 @@ def test_columnar_speedup_on_acyclic_joins(benchmark):
         secs = {}
         for backend in ("tuple", "columnar"):
             for op, fn in kernel_ops(q, db, backend).items():
-                secs[(op, backend)] = best_of(fn, repeats=2)
+                secs[(op, backend)] = warm_best_of(fn, repeats=2)
                 series.setdefault((op, backend), []).append(
                     {"n": n, "value": secs[(op, backend)]})
         for op in ("full_reducer", "yannakakis_full", "acyclic_count"):
@@ -101,8 +95,8 @@ def test_columnar_kernels_stay_linear(benchmark):
     for n in SHAPE_SIZES:
         db = make_db(n)
         ops = kernel_ops(q, db, "columnar")
-        r = best_of(ops["full_reducer"])
-        c = best_of(ops["acyclic_count"])
+        r = warm_best_of(ops["full_reducer"])
+        c = warm_best_of(ops["acyclic_count"])
         reducer_secs.append(r)
         count_secs.append(c)
         rows.append((n, r * 1e3, c * 1e3))
@@ -117,8 +111,8 @@ def test_columnar_kernels_stay_linear(benchmark):
                 [{"n": n, "value": v}
                  for n, v in zip(SHAPE_SIZES, count_secs)],
                 expectation="linear")
-    assert loglog_slope(SHAPE_SIZES, reducer_secs) < 1.35, text
-    assert loglog_slope(SHAPE_SIZES, count_secs) < 1.35, text
+    assert fit_loglog(SHAPE_SIZES, reducer_secs).slope < 1.35, text
+    assert fit_loglog(SHAPE_SIZES, count_secs).slope < 1.35, text
     db = make_db(SHAPE_SIZES[-1])
     benchmark(lambda: full_reducer(q, db, engine="columnar"))
 

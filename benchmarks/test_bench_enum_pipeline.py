@@ -24,8 +24,8 @@ from repro.core.plancache import clear_plan_cache, plan_cache_disabled
 from repro.data import generators
 from repro.enumeration.free_connex import FreeConnexEnumerator
 from repro.logic.parser import parse_cq
+from repro.obs.fitting import fit_loglog
 from repro.perf.delay import measure_enumerator
-from repro.perf.scaling import loglog_slope
 
 # Theorem 4.6 workloads: quantifier-free (enumeration-heavy) and
 # projected (the paper's Q(x) example) free-connex queries
@@ -158,7 +158,7 @@ def test_batched_delay_stays_flat(benchmark):
     record_case("enum", "flat_delay/columnar-batched",
                 "delay_mean_seconds", points,
                 expectation="constant-delay")
-    slope = loglog_slope([float(n) for n in SHAPE_SIZES], means)
+    slope = fit_loglog([float(n) for n in SHAPE_SIZES], means).slope
     assert slope < 0.4, text
     db = make_db(SHAPE_SIZES[0])
     benchmark(lambda: sum(1 for _ in FreeConnexEnumerator(

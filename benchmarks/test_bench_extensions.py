@@ -17,7 +17,7 @@ from repro.dynamic import DynamicFreeConnexView
 from repro.enumeration.free_connex import FreeConnexEnumerator
 from repro.enumeration.random_access import RandomAccessEnumerator
 from repro.logic.parser import parse_cq
-from repro.perf.scaling import loglog_slope
+from repro.obs.fitting import fit_loglog
 
 
 def test_x1_dynamic_updates_flat(benchmark):
@@ -54,7 +54,7 @@ def test_x1_dynamic_updates_flat(benchmark):
         sizes.append(n)
     text = format_rows(["base tuples", "us/update", "recompute ms", "|Q(D)|"],
                        rows)
-    slope = loglog_slope(sizes, per_update)
+    slope = fit_loglog(sizes, per_update).slope
     record("x1_dynamic",
            f"Extension X1 — dynamic view updates (per-update slope "
            f"{slope:.2f}; recompute grows linearly)\n" + text)
@@ -92,7 +92,7 @@ def test_x2_random_access_logarithmic(benchmark):
         costs.append(per_access)
         sizes.append(n)
     text = format_rows(["tuples", "|Q(D)|", "us/answer(j)"], rows)
-    slope = loglog_slope(sizes, costs)
+    slope = fit_loglog(sizes, costs).slope
     record("x2_random_access",
            f"Extension X2 — random access answer(j) (slope {slope:.2f})\n"
            + text)

@@ -19,7 +19,7 @@ from repro.enumeration.acq_linear import LinearDelayACQEnumerator
 from repro.eval.naive import cq_is_satisfiable_naive, evaluate_cq_naive
 from repro.eval.yannakakis import acyclic_answers, yannakakis_boolean
 from repro.logic.parser import parse_cq
-from repro.perf.scaling import loglog_slope
+from repro.obs.fitting import fit_loglog
 from repro.reductions.bmm import (
     example_47_database,
     example_47_query,
@@ -67,8 +67,8 @@ def test_t48_bmm_reduction_crossover(benchmark):
                 [{"n": size, "value": r[3] / 1e3}
                  for size, r in zip(sizes, rows)])
     # the hard query's per-unit cost grows; the easy one's does not
-    assert loglog_slope(sizes, hard_per_unit) > \
-        loglog_slope(sizes, easy_per_unit) + 0.2, text
+    assert fit_loglog(sizes, hard_per_unit).slope > \
+        fit_loglog(sizes, easy_per_unit).slope + 0.2, text
     a = generators.boolean_matrix(60, 0.25, seed=1)
     b = generators.boolean_matrix(60, 0.25, seed=2)
     db = example_47_database(a, b)
@@ -107,7 +107,8 @@ def test_t49_cyclic_vs_acyclic(benchmark):
                 [{"n": size, "value": r[3] / 1e3}
                  for size, r in zip(sizes, rows)],
                 expectation="linear")
-    assert loglog_slope(sizes, tri_pu) > loglog_slope(sizes, path_pu) + 0.15, text
+    assert fit_loglog(sizes, tri_pu).slope > \
+        fit_loglog(sizes, path_pu).slope + 0.15, text
     db = generators.graph_database(
         [(("a", i), ("b", j)) for i in range(60) for j in range(60)
          if (i + j) % 3])

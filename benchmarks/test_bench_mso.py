@@ -16,8 +16,8 @@ from repro.mso.courcelle import count_solutions, decide, optimise
 from repro.mso.enumeration import enumerate_solutions, two_cluster_example
 from repro.mso.properties import ColoringProperty, DominatingSetProperty, IndependentSetProperty
 from repro.mso.treedecomp import adjacency_from_database, tree_decomposition
+from repro.obs.fitting import fit_loglog
 from repro.perf.delay import measure_stream
-from repro.perf.scaling import loglog_slope
 
 sys.setrecursionlimit(40000)  # nice decompositions of long paths are deep
 
@@ -46,7 +46,7 @@ def test_t311_linear_decision_and_counting(benchmark):
                      elapsed * 1e3))
         times.append(elapsed)
         sizes.append(n)
-    slope = loglog_slope(sizes, times)
+    slope = fit_loglog(sizes, times).slope
     text = format_rows(["vertices", "3-colourable", "#indep sets", "decide ms"],
                        rows)
     record("t311_courcelle",
@@ -78,7 +78,7 @@ def test_t312_enumeration_linear_in_output(benchmark):
                      profile.median_delay * 1e6 / n))
         delays.append(profile.median_delay)
         sizes.append(n)
-    slope = loglog_slope(sizes, delays)
+    slope = fit_loglog(sizes, delays).slope
     text = format_rows(["vertices", "outputs", "median delay us",
                         "delay/vertex us"], rows)
     record("t312_enumeration",

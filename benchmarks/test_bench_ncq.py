@@ -11,7 +11,7 @@ from repro.data import generators
 from repro.hypergraph.acyclicity import nest_point_elimination_order
 from repro.logic.atoms import Atom
 from repro.logic.ncq import NegativeConjunctiveQuery
-from repro.perf.scaling import loglog_slope
+from repro.obs.fitting import fit_loglog
 from repro.data.database import Database
 from repro.data.relation import Relation
 
@@ -36,7 +36,7 @@ def test_t431_quasi_linear_scaling(benchmark):
         rows.append((n, len(ncq.atoms), elapsed * 1e3))
         times.append(elapsed)
         sizes.append(n)
-    slope = loglog_slope(sizes, times)
+    slope = fit_loglog(sizes, times).slope
     text = format_rows(["vars", "clauses", "decide ms"], rows)
     record("t431_scaling",
            f"Theorem 4.31 — beta-acyclic NCQ decision (slope {slope:.2f})\n"

@@ -10,11 +10,11 @@ Two claims:
   speedup claim is reported but not asserted — the same warn-only
   stance the observatory gate takes for this suite.
 
-The measured curve is recorded through the canonical observatory path
-(:func:`repro.obs.observatory.run_parallel_suite` — the same code
-``repro bench`` runs), so history rows in ``benchmarks/history/
-parallel.jsonl`` and the ``BENCH_parallel.json`` snapshot look identical
-no matter which entry point produced them.
+The measured curve is the ``parallel`` suite's quick sweep, run and
+recorded through the observatory's runner — the same code ``repro bench
+--quick`` runs — so history rows in ``benchmarks/history/parallel.jsonl``
+and the ``BENCH_parallel.json`` snapshot look identical no matter which
+entry point produced them.
 """
 
 import os
@@ -27,13 +27,9 @@ from repro.data import generators
 from repro.engine.parallel import ParallelEngine, shutdown_pools
 from repro.enumeration.free_connex import FreeConnexEnumerator
 from repro.logic.parser import parse_cq
-from repro.obs.observatory import (
-    Observatory,
-    merge_snapshot,
-    run_parallel_suite,
-)
+from repro.obs.observatory import SUITES, run_suites, save_records
 
-SIZE = 60_000
+SIZE = SUITES["parallel"].quick
 WORKERS = sorted({1, 2, 4, os.cpu_count() or 1})
 QUERY = "Q(x, z, y) :- R(x, z), S(z, y)"
 
@@ -61,12 +57,8 @@ def test_parallel_speedup_curve(benchmark):
     """Record the speedup-vs-workers curve; assert >= 2x only where the
     hardware can deliver it (cpu_count >= 4)."""
     cpus = os.cpu_count() or 1
-    records = run_parallel_suite(run_timestamp(), size=SIZE,
-                                 workers_list=WORKERS, repeats=2)
-    observatory = Observatory(HISTORY_DIR)
-    for rec in records:
-        observatory.append(rec)
-        merge_snapshot(os.path.join(REPO_ROOT, "BENCH_parallel.json"), rec)
+    records = run_suites(["parallel"], run_timestamp(), quick=True)
+    save_records(records, HISTORY_DIR, REPO_ROOT)
 
     rows = []
     best = {}

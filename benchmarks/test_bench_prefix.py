@@ -23,7 +23,7 @@ from repro.data.relation import Relation
 from repro.enumeration.gray import Sigma0SOEnumerator
 from repro.logic.fo import And, Not, RelAtom, SOAtom, SecondOrderVariable
 from repro.logic.terms import Constant, Variable
-from repro.perf.scaling import loglog_slope
+from repro.obs.fitting import fit_loglog
 
 
 def sigma0_formula():
@@ -47,7 +47,7 @@ def test_t53_sigma0_polynomial(benchmark):
         rows.append((n, count.bit_length(), elapsed * 1e3))
         times.append(elapsed)
         sizes.append(n)
-    slope = loglog_slope(sizes, times)
+    slope = fit_loglog(sizes, times).slope
     text = format_rows(["|Dom|", "count bits", "ms"], rows)
     record("t53_sigma0",
            f"Theorem 5.3 — #Sigma_0 exact counting stays polynomial "

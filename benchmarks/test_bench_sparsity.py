@@ -19,8 +19,8 @@ from repro.enumeration.bounded_degree import (
 from repro.enumeration.low_degree import DegreeProfile, LowDegreeEnumerator
 from repro.logic.atoms import Atom, Comparison
 from repro.logic.terms import Variable
+from repro.obs.fitting import fit_loglog
 from repro.perf.delay import measure_stream
-from repro.perf.scaling import loglog_slope
 
 x, y, z = Variable("x"), Variable("y"), Variable("z")
 
@@ -46,7 +46,7 @@ def test_t31_linear_model_checking(benchmark):
         rows.append((n, db.size(), elapsed * 1e3))
         times.append(elapsed)
         sizes.append(db.size())
-    slope = loglog_slope(sizes, times)
+    slope = fit_loglog(sizes, times).slope
     text = format_rows(["vertices", "||D||", "decide ms"], rows)
     record("t31_model_checking",
            f"Theorem 3.1 — linear FO decision on bounded degree "
@@ -67,7 +67,7 @@ def test_t32_linear_counting(benchmark):
         rows.append((n, db.size(), count, elapsed * 1e3))
         times.append(elapsed)
         sizes.append(db.size())
-    slope = loglog_slope(sizes, times)
+    slope = fit_loglog(sizes, times).slope
     text = format_rows(["vertices", "||D||", "count", "count ms"], rows)
     record("t32_counting",
            f"Theorem 3.2 — linear FO counting on bounded degree "
@@ -91,7 +91,7 @@ def test_t32_constant_delay_enumeration(benchmark):
                      profile.percentile(0.95) * 1e6))
         p95s.append(profile.percentile(0.95))
         sizes.append(db.size())
-    slope = loglog_slope(sizes, p95s)
+    slope = fit_loglog(sizes, p95s).slope
     text = format_rows(["vertices", "||D||", "outputs", "median us", "p95 us"],
                        rows)
     record("t32_enumeration",
@@ -128,7 +128,7 @@ def test_t39_t310_low_degree(benchmark):
            "Theorems 3.9/3.10 — low-degree pseudo-linear decision, "
            "flat delay\n" + text)
     # pseudo-linear: per-||D||-unit cost must grow sublinearly
-    slope = loglog_slope(sizes, per_unit)
+    slope = fit_loglog(sizes, per_unit).slope
     assert slope < 0.5, text
     db = generators.clique_plus_independent(12)
     benchmark(lambda: model_check_pattern(two_hop, db))

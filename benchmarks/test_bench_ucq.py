@@ -12,8 +12,8 @@ from repro.enumeration.acq_linear import LinearDelayACQEnumerator
 from repro.enumeration.ucq_union import UCQEnumerator
 from repro.logic.parser import parse_cq
 from repro.logic.ucq import UnionOfConjunctiveQueries
+from repro.obs.fitting import fit_loglog
 from repro.perf.delay import measure_enumerator
-from repro.perf.scaling import loglog_slope
 
 SIZES = [1000, 2000, 4000, 8000]
 
@@ -47,7 +47,7 @@ def test_t413_union_flat_delay(benchmark):
     text = format_rows(
         ["tuples", "||D||", "outputs", "pre ms", "median us", "p95 us"], rows)
     record("t413_union", "Theorem 4.13 — union-extension enumeration\n" + text)
-    assert loglog_slope(sizes, medians) < 0.4, text
+    assert fit_loglog(sizes, medians).slope < 0.4, text
     db = make_db(2000)
     benchmark(lambda: sum(1 for _ in UCQEnumerator(ucq, db)))
 
@@ -72,7 +72,7 @@ def test_t413_vs_hard_disjunct_alone(benchmark):
         ["tuples", "phi1 alone mean us", "union mean us"], rows)
     record("t413_vs_alone",
            "Theorem 4.13 — hard disjunct alone vs rescued union\n" + text)
-    assert loglog_slope(sizes, hard_means) > \
-        loglog_slope(sizes, union_means) + 0.3, text
+    assert fit_loglog(sizes, hard_means).slope > \
+        fit_loglog(sizes, union_means).slope + 0.3, text
     db = make_db(2000)
     benchmark(lambda: sum(1 for _ in UCQEnumerator(equation1(), db)))

@@ -35,26 +35,26 @@ Commands
     Regenerate the paper's three figures as text.
 
 ``bench``
-    Run the built-in complexity suites (free-connex delay, acyclic
-    total time, Algorithm 2 delay, the triangle lower bound), record
-    every case into ``benchmarks/history/*.jsonl`` under the canonical
-    observatory schema, and print the verdict table (measured log-log
-    slope + CI vs the shape the classifier predicts)::
+    Run the complexity suites, record every case into
+    ``benchmarks/history/<suite>.jsonl`` and ``BENCH_<suite>.json`` under
+    the canonical observatory schema, and print the verdict table
+    (measured log-log slope + CI vs the shape the classifier
+    predicts)::
 
-        python -m repro bench --quick
+        python -m repro bench --quick [--suite bench parallel dynamic selfjoin]
 
-    ``--gate fail`` turns a regression against the rolling baseline
-    into a nonzero exit code (default: warn only).
+    The suites are ``bench`` (free-connex delay and preprocessing,
+    acyclic total time, Algorithm 2 delay, the triangle lower bound),
+    ``parallel`` (enumeration speedup vs workers), ``dynamic`` (delta
+    refresh vs cold rebuild) and ``selfjoin`` (shared vs per-atom work).
+    ``--gate fail`` turns a regression of a case just run against its
+    rolling baseline into a nonzero exit code (default: warn only).
 
 ``report``
     Render the benchmark history as a self-contained HTML/SVG dashboard
     (trajectories, scaling sweeps, verdicts, regression flags)::
 
         python -m repro report -o report.html [--gate fail]
-
-``bench-delay``
-    Quick built-in delay experiment: free-connex vs Algorithm 2 on
-    synthetic data of a given size.
 
 ``metrics-serve``
     Serve the process-wide always-on metrics registry as an OpenMetrics
@@ -581,171 +581,6 @@ def cmd_figures(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench_core(args: argparse.Namespace) -> int:
-    """Time the core relational kernel (full reducer, Yannakakis,
-    counting) on every registered backend and write BENCH_core.json."""
-    import json
-    import time as _time
-
-    from repro.counting.acq_count import count_quantifier_free_acyclic
-    from repro.data import generators
-    from repro.engine import available_engines
-    from repro.eval.yannakakis import full_reducer, yannakakis
-    from repro.logic.parser import parse_cq
-
-    full_q = parse_cq("Q(x, z, y) :- R(x, z), S(z, y)")
-    backends = args.engines or available_engines()
-    rows = []
-    print(f"{'op':>16} {'n':>9} {'backend':>9} {'seconds':>10}")
-    for n in args.sizes:
-        db = generators.random_database({"R": 2, "S": 2}, max(4, n // 4), n,
-                                        seed=7)
-        for backend in backends:
-            ops = {
-                "full_reducer": lambda: full_reducer(full_q, db,
-                                                     engine=backend),
-                "yannakakis_full": lambda: yannakakis(full_q, db,
-                                                      engine=backend),
-                "acyclic_count": lambda: count_quantifier_free_acyclic(
-                    full_q, db, engine=backend),
-            }
-            for op, fn in ops.items():
-                fn()  # warm caches (join tree, dictionary encoding)
-                best = min(
-                    _timed_once(_time, fn) for _ in range(max(1, args.repeats))
-                )
-                rows.append({"op": op, "n": n, "backend": backend,
-                             "seconds": best})
-                print(f"{op:>16} {n:>9} {backend:>9} {best:>10.6f}")
-    with open(args.output, "w") as fh:
-        json.dump(rows, fh, indent=2)
-        fh.write("\n")
-    print(f"wrote {args.output}")
-    if args.json:
-        _write_bench_core_json(args.json, rows, args.sizes)
-        print(f"wrote {args.json}")
-    return 0
-
-
-def _write_bench_core_json(path: str, rows: List[dict],
-                           sizes: List[int]) -> None:
-    """Structured bench-core results: raw rows plus a log-log scaling
-    slope per (op, backend) series."""
-    import json
-
-    from repro.perf.delay import timer_overhead_ns
-    from repro.perf.scaling import loglog_slope
-
-    slopes = {}
-    for row in rows:
-        slopes.setdefault((row["op"], row["backend"]), {})[row["n"]] = \
-            row["seconds"]
-    slope_rows = [
-        {"op": op, "backend": backend,
-         "loglog_slope": loglog_slope(sorted(series),
-                                      [series[n] for n in sorted(series)])}
-        for (op, backend), series in sorted(slopes.items())
-    ]
-    doc = {
-        "benchmark": "bench-core",
-        "sizes": list(sizes),
-        "timer_overhead_ns": timer_overhead_ns(),
-        "rows": rows,
-        "slopes": slope_rows,
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
-
-
-def _timed_once(time_mod, fn) -> float:
-    start = time_mod.perf_counter()
-    fn()
-    return time_mod.perf_counter() - start
-
-
-def cmd_bench_delay(args: argparse.Namespace) -> int:
-    """Quick delay experiment: free-connex vs Algorithm 2."""
-    from repro.data import generators
-    from repro.enumeration.acq_linear import LinearDelayACQEnumerator
-    from repro.enumeration.free_connex import FreeConnexEnumerator
-    from repro.logic.parser import parse_cq
-    from repro.perf.delay import measure_enumerator
-
-    _select_engine(args)
-
-    fc = parse_cq("Q(x) :- R(x, z), S(z, y)")
-    lin = parse_cq("Q(x, y) :- R(x, z), S(z, y)")
-    rows = []
-    print(f"{'tuples':>8} {'fc median us':>13} {'fc p95 us':>10} "
-          f"{'alg2 mean us':>13}")
-    for n in args.sizes:
-        db = generators.random_database({"R": 2, "S": 2}, max(4, n // 4), n,
-                                        seed=7)
-        p_fc = measure_enumerator(
-            FreeConnexEnumerator(fc, db, block_size=args.block_size),
-            max_outputs=500)
-        p_lin = measure_enumerator(LinearDelayACQEnumerator(lin, db),
-                                   max_outputs=500)
-        print(f"{n:>8} {p_fc.median_delay * 1e6:>13.2f} "
-              f"{p_fc.percentile(0.95) * 1e6:>10.2f} "
-              f"{p_lin.mean_delay * 1e6:>13.2f}")
-        rows.append({
-            "n": n,
-            "free_connex": _delay_profile_row(p_fc),
-            "acq_linear": _delay_profile_row(p_lin),
-        })
-    if args.json:
-        _write_bench_delay_json(args.json, rows, args.sizes)
-        print(f"wrote {args.json}", file=sys.stderr)
-    return 0
-
-
-def _delay_profile_row(profile) -> dict:
-    """JSON-able summary of one DelayProfile (seconds throughout) — the
-    canonical observatory statistics block."""
-    return profile.summary()
-
-
-def _write_bench_delay_json(path: str, rows: List[dict],
-                            sizes: List[int]) -> None:
-    """Structured bench-delay results with log-log scaling slopes: the
-    free-connex median delay should stay flat (slope ~0) while its
-    preprocessing and Algorithm 2's delay grow with the data."""
-    import json
-
-    from repro.perf.delay import timer_overhead_ns
-    from repro.perf.scaling import loglog_slope
-
-    ns = [row["n"] for row in rows]
-    doc = {
-        "benchmark": "bench-delay",
-        "sizes": list(sizes),
-        "timer_overhead_ns": timer_overhead_ns(),
-        "rows": rows,
-        "slopes": {
-            "free_connex_delay_p50": loglog_slope(
-                ns, [r["free_connex"]["delay_p50_seconds"] for r in rows]),
-            "free_connex_preprocessing": loglog_slope(
-                ns, [r["free_connex"]["preprocessing_seconds"] for r in rows]),
-            "acq_linear_delay_mean": loglog_slope(
-                ns, [r["acq_linear"]["delay_mean_seconds"] for r in rows]),
-        },
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
-
-
-#: ``repro bench --quick`` sweep: ~1.2 decades of ||D|| for the binary
-#: joins and ~1.5 decades for the triangle instances — the smallest
-#: spans wide enough that the fitter's anti-flake rule (one decade
-#: minimum) cannot return `inconclusive` on a healthy machine, while the
-#: whole run stays under ~10 seconds.
-QUICK_SIZES = [500, 1000, 2000, 4000, 8000]
-QUICK_TRIANGLE_SIZES = [12, 22, 40, 70]
-QUICK_SELFJOIN_SIZES = [2000, 5000, 12000]
-
 DEFAULT_HISTORY_DIR = "benchmarks/history"
 
 
@@ -769,64 +604,22 @@ def _print_regressions(regressions, gate: str) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    """Run the built-in complexity suites, append every case to the
-    history, refresh the snapshot, and print the verdict table."""
+    """Run the chosen suites, record every case to the history and the
+    ``BENCH_<suite>.json`` snapshots, print the verdict table, and gate
+    the recorded cases against their rolling baselines."""
     import datetime
 
-    from repro.obs.observatory import Observatory, merge_snapshot, \
-        run_bench_suites
+    from repro.obs.observatory import Observatory, run_suites, save_records
 
     _select_engine(args)
     tracer, previous = _obs_setup(args)
-    sizes = args.sizes
-    triangle_sizes = args.triangle_sizes
-    if args.quick:
-        sizes = sizes or QUICK_SIZES
-        triangle_sizes = triangle_sizes or QUICK_TRIANGLE_SIZES
-    if not sizes or not triangle_sizes:
-        print("bench needs --quick or explicit --sizes and "
-              "--triangle-sizes", file=sys.stderr)
-        return 2
     timestamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
     try:
-        records = run_bench_suites(sizes, triangle_sizes, timestamp,
-                                   max_outputs=args.max_outputs,
-                                   repeats=args.repeats, seed=args.seed)
-        if args.parallel_suite:
-            from repro.obs.observatory import run_parallel_suite
-
-            records += run_parallel_suite(timestamp,
-                                          size=args.parallel_size,
-                                          repeats=args.repeats,
-                                          seed=args.seed)
-        if args.dynamic_suite:
-            from repro.obs.observatory import run_dynamic_suite
-
-            records += run_dynamic_suite(timestamp,
-                                         size=args.dynamic_size,
-                                         repeats=args.repeats,
-                                         seed=args.seed)
-        if args.selfjoin_suite:
-            from repro.obs.observatory import run_selfjoin_suite
-
-            selfjoin_sizes = args.selfjoin_sizes
-            if args.quick and selfjoin_sizes is None:
-                selfjoin_sizes = QUICK_SELFJOIN_SIZES
-            records += run_selfjoin_suite(timestamp,
-                                          sizes=selfjoin_sizes,
-                                          repeats=args.repeats,
-                                          seed=args.seed)
+        records = run_suites(args.suite, timestamp, quick=args.quick,
+                             repeats=args.repeats, seed=args.seed)
     finally:
         _obs_finish(args, tracer, previous)
-    observatory = Observatory(args.history_dir)
-    snapshots = {"bench": args.snapshot, "parallel": args.parallel_snapshot,
-                 "dynamic": args.dynamic_snapshot,
-                 "selfjoin": args.selfjoin_snapshot}
-    for record in records:
-        observatory.append(record)
-        snapshot = snapshots.get(record["suite"])
-        if snapshot:
-            merge_snapshot(snapshot, record)
+    save_records(records, args.history_dir, args.snapshot_dir)
     print(f"{'case':>26} {'n range':>16} {'slope [95% CI]':>22} "
           f"{'verdict':>15} {'expected':>15} {'ok':>3}")
     for record in records:
@@ -844,9 +637,14 @@ def cmd_bench(args: argparse.Namespace) -> int:
         print(f"{record['case']:>26} {min(ns):>7}-{max(ns):>8} {ci:>22} "
               f"{record['verdict']:>15} "
               f"{record['expectation'] or '-':>15} {ok:>3}")
-    print(f"recorded {len(records)} cases -> {args.history_dir}"
-          + (f" and {args.snapshot}" if args.snapshot else ""))
-    rc = _print_regressions(observatory.regressions(), args.gate)
+    print(f"recorded {len(records)} cases -> {args.history_dir} and "
+          f"BENCH_*.json in {args.snapshot_dir}")
+    # gate only what this run measured: a case another writer recorded
+    # (or one a suite no longer runs) is `repro report`'s business
+    recorded = {(r["suite"], r["case"]) for r in records}
+    rc = _print_regressions(
+        [reg for reg in Observatory(args.history_dir).regressions()
+         if (reg.suite, reg.case) in recorded], args.gate)
     if args.strict and any(r["verdict_ok"] is False for r in records):
         print("verdict check: measured shape contradicts the classifier "
               "for at least one case — failing (--strict)",
@@ -1153,64 +951,31 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("figures", help="regenerate the paper's figures")
     p.set_defaults(fn=cmd_figures)
 
+    from repro.obs.observatory import SUITES
+
     p = sub.add_parser("bench",
                        help="run the complexity suites, record history, "
                             "print the verdict table")
+    p.add_argument("--suite", nargs="+", choices=list(SUITES),
+                   default=["bench", "parallel"], metavar="NAME",
+                   help="suites to run, from: " + ", ".join(SUITES)
+                        + " (default: bench parallel)")
     p.add_argument("--quick", action="store_true",
-                   help="use the built-in quick sweep (~10s total)")
-    p.add_argument("--sizes", type=int, nargs="+", default=None,
-                   help="tuples per relation for the join suites")
-    p.add_argument("--triangle-sizes", type=int, nargs="+", default=None,
-                   help="per-side vertex counts for the triangle "
-                        "lower-bound instances")
-    p.add_argument("--max-outputs", type=int, default=600,
-                   help="answers measured per enumeration run")
+                   help="run the smaller sweeps CI uses where a suite has "
+                        "one (parallel 60k tuples, selfjoin 2k-12k)")
     p.add_argument("--repeats", type=int, default=2,
                    help="repetitions per point (best-of)")
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--history-dir", default=DEFAULT_HISTORY_DIR,
                    help="JSONL history directory (one file per suite)")
-    p.add_argument("--snapshot", default="BENCH_bench.json",
-                   help="snapshot file updated with the latest record "
-                        "per case ('' disables)")
-    p.add_argument("--parallel-suite", action=argparse.BooleanOptionalAction,
-                   default=True,
-                   help="also run the worker-pool enumeration "
-                        "speedup-vs-workers suite (snapshot in "
-                        "--parallel-snapshot)")
-    p.add_argument("--parallel-size", type=int, default=60_000,
-                   help="tuples per relation for the parallel suite's "
-                        "fixed instance")
-    p.add_argument("--parallel-snapshot", default="BENCH_parallel.json",
-                   help="snapshot file for the parallel suite "
-                        "('' disables)")
-    p.add_argument("--dynamic-suite", action=argparse.BooleanOptionalAction,
-                   default=False,
-                   help="also run the incremental-maintenance suite: "
-                        "update+query cycles, warm delta refresh vs cold "
-                        "re-preprocessing (snapshot in --dynamic-snapshot)")
-    p.add_argument("--dynamic-size", type=int, default=100_000,
-                   help="tuples per relation for the dynamic suite's "
-                        "fixed instance")
-    p.add_argument("--dynamic-snapshot", default="BENCH_dynamic.json",
-                   help="snapshot file for the dynamic suite "
-                        "('' disables)")
-    p.add_argument("--selfjoin-suite", action=argparse.BooleanOptionalAction,
-                   default=False,
-                   help="also run the self-join work-sharing suite: "
-                        "shared per-symbol workspace vs per-atom rebuild "
-                        "(REPRO_SYMBOL_SHARING=0) on same-symbol joins "
-                        "(snapshot in --selfjoin-snapshot)")
-    p.add_argument("--selfjoin-sizes", type=int, nargs="+", default=None,
-                   help="tuples per relation for the self-join suite's "
-                        "size sweep (default 10k/100k/300k)")
-    p.add_argument("--selfjoin-snapshot", default="BENCH_selfjoin.json",
-                   help="snapshot file for the self-join suite "
-                        "('' disables)")
+    p.add_argument("--snapshot-dir", default=".",
+                   help="directory of the BENCH_<suite>.json snapshots, "
+                        "updated with the latest record per case")
     p.add_argument("--gate", choices=("off", "warn", "fail"),
                    default="warn",
-                   help="regression gate against the rolling baseline: "
-                        "warn (default) prints flags, fail exits nonzero")
+                   help="regression gate of the cases just run against "
+                        "their rolling baselines: warn (default) prints "
+                        "flags, fail exits nonzero")
     p.add_argument("--strict", action="store_true",
                    help="exit nonzero when a measured verdict "
                         "contradicts the classifier's expectation")
@@ -1271,28 +1036,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--once", action="store_true",
                    help="print one frame without clearing the screen")
     p.set_defaults(fn=cmd_top)
-
-    p = sub.add_parser("bench-delay", help="quick delay experiment")
-    p.add_argument("--sizes", type=int, nargs="+",
-                   default=[1000, 4000, 16000])
-    p.add_argument("--json", default=None, metavar="PATH",
-                   help="also write structured results (p50/p95/p99 delays, "
-                        "preprocessing, log-log slopes) as JSON")
-    _add_pipeline_flags(p)
-    p.set_defaults(fn=cmd_bench_delay)
-
-    p = sub.add_parser("bench-core",
-                       help="time the relational kernel per backend")
-    p.add_argument("--sizes", type=int, nargs="+",
-                   default=[10000, 30000, 100000])
-    p.add_argument("--engines", nargs="+", default=None,
-                   help="backends to time (default: all registered)")
-    p.add_argument("--repeats", type=int, default=3)
-    p.add_argument("--output", default="BENCH_core.json")
-    p.add_argument("--json", default=None, metavar="PATH",
-                   help="also write structured results with per-(op, backend) "
-                        "log-log slopes as JSON")
-    p.set_defaults(fn=cmd_bench_core)
 
     return parser
 

@@ -650,7 +650,7 @@ def encoded_relation_columns(rel, dictionary: ValueDictionary
     The cache is the symbol-level share of the encode work, so the
     ``REPRO_SYMBOL_SHARING=0`` kill-switch bypasses it: every atom (and
     every run) then pays its own per-occurrence encode, which is the
-    measured baseline of ``repro bench --selfjoin-suite``.
+    measured baseline of ``repro bench --suite selfjoin``.
     """
     from repro.engine.symbols import sharing_enabled
 

@@ -30,7 +30,7 @@ passes identical by comparing column identities.
 ``REPRO_SYMBOL_SHARING=0`` (or :func:`sharing_scope`) force-disables
 every layer of the sharing — per-atom encodes, private probe caches, no
 coalescing — which is both the parity-test baseline and the measured
-"per-atom" arm of ``repro bench --selfjoin-suite``.  The flag folds
+"per-atom" arm of ``repro bench --suite selfjoin``.  The flag folds
 into every engine's ``plan_key`` so plans built under one mode never
 serve the other.
 

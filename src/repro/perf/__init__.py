@@ -1,14 +1,11 @@
-"""Measurement harness: per-output delay instrumentation and scaling
-experiments (the empirical side of every theorem reproduction)."""
+"""Measurement harness: per-output delay instrumentation (the empirical
+side of every theorem reproduction; slope fits live in
+:mod:`repro.obs.fitting`)."""
 
 from repro.perf.delay import DelayProfile, measure_enumerator, measure_stream
-from repro.perf.scaling import ScalingResult, run_scaling, loglog_slope
 
 __all__ = [
     "DelayProfile",
     "measure_enumerator",
     "measure_stream",
-    "ScalingResult",
-    "run_scaling",
-    "loglog_slope",
 ]

@@ -86,13 +86,6 @@ def test_figures_command(capsys):
     assert "quantified star size = 3" in out
 
 
-def test_bench_delay_command(capsys):
-    assert main(["bench-delay", "--sizes", "200", "400"]) == 0
-    out = capsys.readouterr().out
-    assert "fc median us" in out
-    assert len(out.strip().splitlines()) == 3
-
-
 def test_parser_requires_command():
     with pytest.raises(SystemExit):
         build_parser().parse_args([])
@@ -191,38 +184,6 @@ def test_run_trace_and_metrics(tables, tmp_path, capsys):
     assert not obs.enabled()  # tracer restored after the command
 
 
-def test_bench_delay_json(tmp_path, capsys):
-    import json
-
-    path = tmp_path / "bd.json"
-    assert main(["bench-delay", "--sizes", "200", "400",
-                 "--json", str(path)]) == 0
-    doc = json.loads(path.read_text())
-    assert doc["benchmark"] == "bench-delay"
-    assert len(doc["rows"]) == 2
-    row = doc["rows"][0]["free_connex"]
-    for key in ("preprocessing_seconds", "outputs", "delay_p50_seconds",
-                "delay_p95_seconds", "delay_p99_seconds"):
-        assert key in row
-    assert set(doc["slopes"]) == {"free_connex_delay_p50",
-                                  "free_connex_preprocessing",
-                                  "acq_linear_delay_mean"}
-
-
-def test_bench_core_json(tmp_path, capsys):
-    import json
-
-    out_rows = tmp_path / "rows.json"
-    path = tmp_path / "bc.json"
-    assert main(["bench-core", "--sizes", "500", "1000", "--repeats", "1",
-                 "--output", str(out_rows), "--json", str(path)]) == 0
-    doc = json.loads(path.read_text())
-    assert doc["benchmark"] == "bench-core"
-    assert doc["rows"] and doc["slopes"]
-    for slope in doc["slopes"]:
-        assert {"op", "backend", "loglog_slope"} <= set(slope)
-
-
 def test_doctor_environment_checks(capsys):
     assert main(["doctor"]) == 0
     out = capsys.readouterr().out
@@ -231,19 +192,37 @@ def test_doctor_environment_checks(capsys):
     assert "plan cache:" in out
 
 
-def _bench_args(tmp_path, *extra):
-    # tiny sub-decade sweep: fast, and the fitter's anti-flake rule makes
-    # the join-suite verdicts `inconclusive` — fine for plumbing tests.
-    # The parallel suite is off here (it has its own test below) so the
-    # plumbing tests stay fast and never touch the repo-root snapshot.
-    return ["bench", "--sizes", "200", "400", "--triangle-sizes", "8",
-            "12", "--max-outputs", "50", "--repeats", "1",
-            "--no-parallel-suite",
+#: sweeps small enough that a CLI run of each suite stays well under a
+#: second; the bench sweep spans less than a decade, so its verdicts are
+#: `inconclusive` — fine for plumbing tests
+SMALL_SWEEPS = {"bench": ((200, 400), (8, 12)), "parallel": 500,
+                "dynamic": 2000, "selfjoin": (300, 600)}
+
+
+@pytest.fixture
+def small_suites(monkeypatch):
+    from dataclasses import replace
+
+    from repro.obs.observatory import SUITES
+
+    for name, sweep in SMALL_SWEEPS.items():
+        monkeypatch.setitem(SUITES, name,
+                            replace(SUITES[name], sweep=sweep, quick=None))
+
+
+def _bench_args(tmp_path, *extra, suites=("bench",)):
+    return ["bench", "--suite", *suites, "--repeats", "1",
             "--history-dir", str(tmp_path / "hist"),
-            "--snapshot", str(tmp_path / "BENCH_bench.json"), *extra]
+            "--snapshot-dir", str(tmp_path), *extra]
 
 
-def test_bench_command_records_history(tmp_path, capsys):
+def test_bench_defaults():
+    args = build_parser().parse_args(["bench"])
+    assert args.suite == ["bench", "parallel"]
+    assert args.snapshot_dir == "." and not args.quick
+
+
+def test_bench_command_records_history(tmp_path, capsys, small_suites):
     import json
 
     from repro.obs.observatory import Observatory, load_snapshot
@@ -264,16 +243,10 @@ def test_bench_command_records_history(tmp_path, capsys):
     assert len(load_snapshot(str(tmp_path / "BENCH_bench.json"))) == 5
 
 
-def test_bench_parallel_suite_records(tmp_path, capsys):
+def test_bench_parallel_suite_records(tmp_path, capsys, small_suites):
     from repro.obs.observatory import Observatory, load_snapshot
 
-    args = ["bench", "--sizes", "200", "--triangle-sizes", "8",
-            "--max-outputs", "50", "--repeats", "1",
-            "--parallel-size", "500",
-            "--history-dir", str(tmp_path / "hist"),
-            "--snapshot", str(tmp_path / "BENCH_bench.json"),
-            "--parallel-snapshot", str(tmp_path / "BENCH_parallel.json")]
-    assert main(args) == 0
+    assert main(_bench_args(tmp_path, suites=("bench", "parallel"))) == 0
     out = capsys.readouterr().out
     assert "parallel/enum_wall" in out
     assert "parallel/count_wall" not in out
@@ -282,6 +255,7 @@ def test_bench_parallel_suite_records(tmp_path, capsys):
     for record in records:
         assert record["metric"] == "wall_seconds"
         assert record["provenance"]["engine"] == "parallel"
+        assert record["instance_size"] == SMALL_SWEEPS["parallel"]
         for point in record["points"]:
             assert point["speedup_x"] > 0
     snapshot = load_snapshot(str(tmp_path / "BENCH_parallel.json"))
@@ -291,12 +265,48 @@ def test_bench_parallel_suite_records(tmp_path, capsys):
                for r in load_snapshot(str(tmp_path / "BENCH_bench.json")))
 
 
-def test_bench_requires_sizes(capsys):
-    assert main(["bench"]) == 2
-    assert "--quick" in capsys.readouterr().err
+def test_bench_runs_every_suite(tmp_path, capsys, small_suites):
+    from repro.obs.observatory import load_snapshot
+
+    assert main(_bench_args(tmp_path, suites=("dynamic", "selfjoin"))) == 0
+    dynamic = load_snapshot(str(tmp_path / "BENCH_dynamic.json"))
+    assert {r["case"] for r in dynamic} == {"dynamic/count_refresh",
+                                            "dynamic/reduce_refresh"}
+    assert [p["n"] for p in dynamic[0]["points"]] == [2, 20, 200]
+    selfjoin = load_snapshot(str(tmp_path / "BENCH_selfjoin.json"))
+    assert len(selfjoin) == 4
+    for record in dynamic + selfjoin:
+        assert record["provenance"]["engine"] == "columnar"
+        assert record["best_speedup_x"] > 0
+    assert not (tmp_path / "BENCH_bench.json").exists()
 
 
-def test_report_command(tmp_path, capsys):
+def test_bench_gates_only_the_suites_it_ran(tmp_path, capsys, small_suites):
+    """A flagged case this run did not record (another suite's, or one
+    its own suite no longer runs) neither prints nor fails ``bench
+    --gate fail``; ``report`` still gates it."""
+    from repro.obs.observatory import PROVENANCE_KEYS, Observatory, \
+        make_record
+
+    history = Observatory(str(tmp_path / "hist"))
+    provenance = dict.fromkeys(PROVENANCE_KEYS, "test")
+    for suite, case in (("enum", "plan_cache/tuple-warm"),
+                        ("bench", "retired/total")):
+        for value in (1.0, 1.0, 1.0, 10.0):
+            history.append(make_record(
+                suite, case, "total_seconds",
+                [{"n": 100, "value": value}], provenance=provenance))
+    assert main(_bench_args(tmp_path, "--gate", "fail")) == 0
+    captured = capsys.readouterr()
+    assert "plan_cache" not in captured.out + captured.err
+    assert "retired" not in captured.out + captured.err
+    assert "bench/free_connex/delay" in captured.out
+    assert main(["report", "-o", str(tmp_path / "r.html"),
+                 "--history-dir", str(tmp_path / "hist"),
+                 "--gate", "fail"]) == 1
+
+
+def test_report_command(tmp_path, capsys, small_suites):
     assert main(_bench_args(tmp_path)) == 0
     out_html = tmp_path / "report.html"
     assert main(["report", "-o", str(out_html),
@@ -306,7 +316,7 @@ def test_report_command(tmp_path, capsys):
     assert "<svg" in html and "free_connex/delay" in html
 
 
-def test_report_gate_fails_on_slowed_entry(tmp_path, capsys):
+def test_report_gate_fails_on_slowed_entry(tmp_path, capsys, small_suites):
     import json
 
     from repro.obs.observatory import Observatory

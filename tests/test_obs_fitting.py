@@ -96,6 +96,11 @@ def test_fit_to_dict_is_jsonable():
     assert doc["reliable"] is True
 
 
+def test_fewer_than_two_distinct_sizes_fit_slope_zero():
+    assert fit_loglog([1], [1]).slope == 0.0
+    assert fit_loglog([50, 50], [1.0, 3.0]).slope == 0.0
+
+
 def test_zero_values_clamped_by_floor():
     fit = fit_loglog(SIZES, [0.0] * len(SIZES))
     assert verdict_from_fit(fit) == "constant-delay"

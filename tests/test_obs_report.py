@@ -3,12 +3,13 @@ history."""
 
 import pytest
 
-from repro.obs.observatory import Observatory, backfill_provenance, \
+from repro.obs.observatory import PROVENANCE_KEYS, Observatory, \
     make_record
 from repro.obs.report import render_dashboard, trajectory_svg, \
     write_dashboard
 
 TS = "2026-08-05T00:00:00+00:00"
+PROVENANCE = dict.fromkeys(PROVENANCE_KEYS, "test") | {"timestamp": TS}
 
 
 def _record(case, value, exponent=0.0, expectation=None, suite="bench"):
@@ -17,7 +18,7 @@ def _record(case, value, exponent=0.0, expectation=None, suite="bench"):
               for n in (100, 1000, 10000)]
     return make_record(suite, case, "delay_p50_seconds", points,
                        expectation=expectation,
-                       provenance=backfill_provenance(TS))
+                       provenance=PROVENANCE)
 
 
 @pytest.fixture

@@ -141,22 +141,27 @@ def test_selfjoin_enumeration_parity(instance):
 
 def test_interleaved_updates_invalidate_workspace():
     """Mutations bump the stored relation's version; the next query must
-    see the new data on every backend (a stale shared materialisation
-    would be silently wrong), with workspace misses accounting for the
-    invalidation."""
+    see the new data on every backend, with sharing on and off (a stale
+    shared materialisation would be silently wrong).  With sharing on,
+    workspace misses account for the invalidation; with it off, the
+    workspace is bypassed altogether."""
     q = parse_cq("Q(x, y, z) :- R(x, y), R(y, z)")
-    db = Database([Relation("R", 2, [(i, i + 1) for i in range(20)])])
     reg = registry()
-    for step in range(4):
-        expect = evaluate_cq_naive(q, db)
-        misses_before = reg.counter("engine.symbol_workspace_misses")
-        for engine in ENGINES:
-            assert set(yannakakis(q, db, engine=engine)) == expect
-        if step % 2 == 0:
-            db.relation("R").add((100 + step, 0))       # append-only delta
-        else:
-            db.relation("R").discard((step, step + 1))  # delete path
-        assert reg.counter("engine.symbol_workspace_misses") > misses_before
+    for enabled in (True, False):
+        db = Database([Relation("R", 2, [(i, i + 1) for i in range(20)])])
+        with sharing_scope(enabled):
+            for step in range(4):
+                expect = evaluate_cq_naive(q, db)
+                misses_before = reg.counter("engine.symbol_workspace_misses")
+                for engine in ENGINES:
+                    assert set(yannakakis(q, db, engine=engine)) == expect
+                if step % 2 == 0:
+                    db.relation("R").add((100 + step, 0))   # append-only
+                else:
+                    db.relation("R").discard((step, step + 1))  # delete
+                if enabled:
+                    assert reg.counter("engine.symbol_workspace_misses") \
+                        > misses_before
 
 
 # ------------------------------------------------------- workspace internals
