@@ -111,7 +111,13 @@ def count_full_acyclic_join(relations: Sequence[VarRelation],
             # floats (see WeightFunction.code_table)
             import numpy as np
 
-            table = weights.code_table(relations[0].dictionary)
+            dictionary = relations[0].dictionary
+            used = np.zeros(len(dictionary), dtype=bool)
+            for node, mine in charged.items():
+                for v in mine:
+                    used[relations[node].column(v)] = True
+            codes = np.flatnonzero(used)
+            table = weights.code_table(dictionary, codes)
             if table is not None:
                 with obs.span("count.message_passing",
                               backend="columnar_weighted",
@@ -119,7 +125,9 @@ def count_full_acyclic_join(relations: Sequence[VarRelation],
                     total = count_acyclic_join_columnar(
                         relations, tree, charged, share_vars,
                         weight_table=table)
-                integral_weights = bool(np.all(table == np.floor(table)))
+                used_weights = table[codes]
+                integral_weights = bool(
+                    np.all(used_weights == np.floor(used_weights)))
                 if integral_weights and float(total).is_integer():
                     return int(total)
                 return total

@@ -53,16 +53,19 @@ class WeightFunction:
         """The counting weight (every element weighs 1)."""
         return cls(None, default=1)
 
-    def code_table(self, dictionary) -> Optional[Any]:
+    def code_table(self, dictionary, codes) -> Optional[Any]:
         """Per-code float64 weight table for the columnar counting kernel.
 
-        Maps every value interned in ``dictionary``
-        (:class:`repro.engine.columnar.ValueDictionary`) through the
-        weight function into a numpy float64 array indexed by code.
-        Returns None — "use the exact per-tuple path" — as soon as any
-        weight is not a machine numeric exactly representable in float64
-        (bools, floats, and ints with |w| <= 2^53 qualify; Fractions,
-        Decimals and other field elements do not).
+        Maps the values behind ``codes``, the codes a count reads from
+        ``dictionary`` (:class:`repro.engine.columnar.ValueDictionary`),
+        through the weight function into a numpy float64 array indexed by
+        code.  The weight function sees only those values: the dictionary
+        is shared across databases, and a weight need only be defined on
+        the domain of the database being counted.  Returns None — "use
+        the exact per-tuple path" — as soon as one of these weights is not
+        a machine numeric exactly representable in float64 (bools, floats,
+        and ints with |w| <= 2^53 qualify; Fractions, Decimals and other
+        field elements do not).
 
         Float64 caveat: each *weight* is exact, but the kernel's sums
         and products are float64 arithmetic, so results of magnitude
@@ -70,36 +73,35 @@ class WeightFunction:
         precision ints) would not.  Callers convert integral results
         back to int when every weight is integer-valued.
 
-        The table (including a None verdict) is memoised per dictionary
-        state — it is rebuilt only when the dictionary has interned new
-        values since the last call, so repeated weighted counts (and the
-        parallel backend, which ships the table to every worker task)
-        pay the per-code evaluation loop once.
+        The table is memoised per dictionary and grows with it, so each
+        value's weight is computed once across repeated weighted counts.
         """
         import numpy as np
 
         from repro import obs
 
         n = len(dictionary)
-        if self._table_cache is not None:
-            ref, size, cached = self._table_cache
-            if ref() is dictionary and size == n:
-                return cached
-        table: Optional[Any] = np.empty(n, dtype=np.float64)
+        cache = self._table_cache
+        if cache is None or cache[0]() is not dictionary:
+            table, known = np.zeros(n), np.zeros(n, dtype=bool)
+        else:
+            _ref, table, known = cache
+            if len(table) < n:
+                grow = n - len(table)
+                table = np.concatenate([table, np.zeros(grow)])
+                known = np.concatenate([known, np.zeros(grow, dtype=bool)])
+        self._table_cache = (weakref.ref(dictionary), table, known)
         fn = self._fn
-        for code in range(n):
+        for code in codes[~known[codes]].tolist():
             w = fn(dictionary.decode(code))
             if isinstance(w, bool) or isinstance(w, int):
                 if abs(w) > 2 ** 53:
-                    table = None
-                    break
+                    return None
             elif not isinstance(w, float):
-                table = None
-                break
+                return None
             table[code] = w
-        if table is not None:
-            obs.gauge("weights.code_table_size", n)
-        self._table_cache = (weakref.ref(dictionary), n, table)
+            known[code] = True
+        obs.gauge("weights.code_table_size", n)
         return table
 
 

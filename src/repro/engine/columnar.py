@@ -23,9 +23,16 @@ runs unmodified on either backend; hash-index probes fall back to a
 decoded per-relation dict index, which keeps enumeration correct while
 the bulk passes (full reducer, joins, counting) stay vectorized.
 
-Grouping uses sorting (`np.unique`), so the kernels run in O(n log n)
-worst case — a log factor over the RAM-model hash bounds of the paper,
-which leaves the measured scaling *shapes* intact (see
+Grouping is sort-free on dense keys.  `group_ids` keeps ids below
+``max(1024, 4n)``, so membership masks, group sums and first occurrences
+are scatters over that range, and semijoin, project/distinct and the
+counting messages run in O(n).  Three passes still sort: the natural
+join's argsort of its build side, the argsort inside
+:class:`repro.engine.enumerate._BatchProbe`, and the `np.unique`
+re-densification of sparse keys (in `group_ids` and in
+`_unique_inverse`'s fallback).  Those keep an O(n log n) worst case — a
+log factor over the RAM-model hash bounds of the paper, which leaves the
+measured scaling *shapes* intact (see
 ``benchmarks/test_bench_engines.py``).
 """
 
@@ -139,9 +146,9 @@ def _unique_inverse(arr: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
     When int64 values span a range at most twice their count, a presence
     bitmap over the range gives the same output in O(n + range), without
-    the sort.
+    the sort.  Empty, sparse and other-dtype arrays take ``np.unique``.
     """
-    if arr.dtype == np.int64:
+    if arr.dtype == np.int64 and arr.size:
         lo, hi = int(arr.min()), int(arr.max())
         if hi - lo < 2 * arr.size:
             offsets = arr - lo
@@ -193,10 +200,21 @@ def group_ids(columns: Sequence[np.ndarray], length: int
     return acc.astype(np.int64, copy=False), int(card)
 
 
-def first_occurrences(ids: np.ndarray) -> np.ndarray:
-    """Indices of the first row of each group, in insertion order."""
-    _uniq, first = np.unique(ids, return_index=True)
-    return np.sort(first)
+def first_occurrences(ids: np.ndarray, card: int) -> np.ndarray:
+    """Indices of the first row of each group, in insertion order.
+
+    ``ids`` are dense group ids in ``[0, card)`` (see :func:`group_ids`).
+    A scatter-min of row indices finds each group's first row, and a
+    bitmap over the rows reads them back in row order: O(n + card), no
+    sort.
+    """
+    n = len(ids)
+    first = np.full(card, n, dtype=np.int64)
+    np.minimum.at(first, ids, np.arange(n, dtype=np.int64))
+    # absent groups keep ``n`` and land in the spare last slot
+    is_first = np.zeros(n + 1, dtype=bool)
+    is_first[first] = True
+    return np.flatnonzero(is_first[:n])
 
 
 def grouped_sums(ids: np.ndarray, card: int,
@@ -600,8 +618,8 @@ def _dedupe_columns(columns: List[np.ndarray], nrows: int
         return columns, min(nrows, 1)
     if nrows <= 1:
         return columns, nrows
-    ids, _card = group_ids(columns, nrows)
-    first = first_occurrences(ids)
+    ids, card = group_ids(columns, nrows)
+    first = first_occurrences(ids, card)
     if len(first) == nrows:
         return columns, nrows
     return [c[first] for c in columns], len(first)
@@ -832,7 +850,11 @@ def count_acyclic_join_columnar(relations: Sequence[ColumnarRelation],
     Mirrors the tuple-backed message passing of
     :func:`repro.counting.acq_count.count_full_acyclic_join`: a message is
     ``(key columns, per-key sums)``; child factors are fetched with
-    a dense scatter/gather instead of per-tuple dict probes.
+    a dense scatter/gather instead of per-tuple dict probes.  Each
+    message is built without a sort, in O(n + card): a scatter-add of
+    the per-group sums and :func:`first_occurrences` for the keys.  Its
+    keys come in first-occurrence order; the parent only scatters the
+    values by group id, so that order never reaches a result.
 
     Unweighted (``weight_table=None``) sums run in int64, exact up to
     its range.  With a per-code float64 ``weight_table``
@@ -865,8 +887,8 @@ def count_acyclic_join_columnar(relations: Sequence[ColumnarRelation],
         shared_cols = [rel.column(v) for v in share_vars[node]]
         ids, card = group_ids(shared_cols, n)
         sums = grouped_sums(ids, card, values)
-        uniq, first = np.unique(ids, return_index=True)
-        messages[node] = ([c[first] for c in shared_cols], sums[uniq])
+        first = first_occurrences(ids, card)
+        messages[node] = ([c[first] for c in shared_cols], sums[ids[first]])
     _keys, root_sums = messages[tree.root]
     if len(root_sums) == 0:
         return 0

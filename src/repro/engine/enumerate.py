@@ -14,9 +14,10 @@ assignments as dictionary-encoded int64 columns:
 * **preprocessing** builds, per non-root node, a :class:`_BatchProbe`:
   the node's probe columns (variables shared with its parent) are folded
   into one dense int64 key per row (pairwise packing with
-  ``np.unique``-densification, so intermediates never overflow), then the
-  rows are stably argsorted by key — insertion order is preserved inside
-  each key group;
+  re-densification through a presence bitmap, ``np.unique`` only for
+  sparse keys, so intermediates never overflow), then the rows are
+  stably argsorted by key — insertion order is preserved inside each key
+  group;
 * **expansion** of one batch against a node is the parent-code gather +
   group-offset arithmetic of the columnar join kernel: ``searchsorted``
   the batch keys into the sorted node keys, ``repeat``/``cumsum`` the
@@ -47,7 +48,7 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import obs
-from repro.engine.columnar import ColumnarRelation
+from repro.engine.columnar import ColumnarRelation, _unique_inverse
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.hypergraph.jointree import JoinTree, cached_join_tree
 from repro.logic.terms import Variable
@@ -106,9 +107,9 @@ class _BatchProbe:
         self.steps: List[Tuple[np.ndarray, np.ndarray]] = []
         packed = np.zeros(nrows, dtype=np.int64)
         for col in key_columns:
-            cu, col_dense = np.unique(col, return_inverse=True)
-            su, dense = np.unique(packed, return_inverse=True)
-            packed = dense.reshape(-1) * max(len(cu), 1) + col_dense.reshape(-1)
+            cu, col_dense = _unique_inverse(col)
+            su, dense = _unique_inverse(packed)
+            packed = dense * max(len(cu), 1) + col_dense
             self.steps.append((su, cu))
         self.order = np.argsort(packed, kind="stable")
         self.sorted_keys = packed[self.order]

@@ -12,6 +12,7 @@ from repro.counting.acq_count import (
 from repro.counting.weighted import WeightFunction, sum_of_weights
 from repro.data import generators
 from repro.data.database import Database
+from repro.engine.columnar import default_dictionary
 from repro.errors import NotAcyclicError, UnsupportedQueryError
 from repro.eval.join import VarRelation
 from repro.eval.naive import evaluate_cq_naive
@@ -86,6 +87,20 @@ def test_count_acq_weighted_matches_reference():
         got = count_acq(q, db, w)
         expected = sum_of_weights(evaluate_cq_naive(q, db), w)
         assert got == expected, seed
+
+
+@pytest.mark.parametrize("engine", ["tuple", "columnar"])
+def test_weights_are_read_only_on_the_counted_database(engine):
+    # the columnar dictionary is shared across databases; a weight
+    # defined on this database's values must not see another's
+    default_dictionary().encode("a value of another database")
+    db = generators.random_database({"R": 2, "S": 2}, 5, 12, seed=1)
+    w = WeightFunction(lambda v: v + 1)
+    for text in ("Q(x, y, z) :- R(x, y), S(y, z)",
+                 "Q(x, y) :- R(x, z), S(z, y)"):
+        q = parse_cq(text)
+        expected = sum_of_weights(evaluate_cq_naive(q, db), w)
+        assert count_acq(q, db, w, engine=engine) == expected, text
 
 
 def test_count_acq_boolean():

@@ -6,6 +6,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.data.database import Database
 from repro.data.relation import Relation
@@ -22,6 +24,7 @@ from repro.engine.columnar import (
     ValueDictionary,
     _encode_rows,
     _unique_inverse,
+    first_occurrences,
     group_ids,
     materialise_atom_columnar,
 )
@@ -144,13 +147,47 @@ def test_encode_rows_assigns_codes_in_reference_order(rows):
     np.array([-2**63, -2**63 + 1, -2**63], dtype=np.int64),
     np.array([-100, 100, 0, -100], dtype=np.int8),
     np.array([2**64 - 1, 0, 2**64 - 1], dtype=np.uint64),
-], ids=["dense", "sparse", "int64-max", "int64-min", "int8", "uint64"])
+    np.array([], dtype=np.int64),
+], ids=["dense", "sparse", "int64-max", "int64-min", "int8", "uint64",
+        "empty"])
 def test_unique_inverse_matches_np_unique(arr):
     want_uniq, want_inverse = np.unique(arr, return_inverse=True)
     uniq, inverse = _unique_inverse(arr)
     assert uniq.dtype == want_uniq.dtype
     assert uniq.tolist() == want_uniq.tolist()
     assert inverse.tolist() == want_inverse.reshape(-1).tolist()
+
+
+@st.composite
+def dense_group_ids(draw):
+    """Dense group ids with their ``card``: repeated ids, one group,
+    all-distinct ids, ``card`` above ``n`` (unused ids), or no rows."""
+    shape = draw(st.sampled_from(
+        ["repeats", "single", "distinct", "gaps", "empty"]))
+    n = 0 if shape == "empty" else draw(st.integers(1, 60))
+    if shape == "single":
+        ids = [0] * n
+        card = 1
+    elif shape == "distinct":
+        ids = draw(st.permutations(range(n)))
+        card = n
+    elif shape == "empty":
+        ids = []
+        card = draw(st.integers(1, 4))
+    else:
+        card = (draw(st.integers(1, max(1, n // 2))) if shape == "repeats"
+                else draw(st.integers(n + 1, 4 * n + 8)))
+        ids = draw(st.lists(st.integers(0, card - 1), min_size=n,
+                            max_size=n))
+    return np.array(ids, dtype=np.int64), card
+
+
+@settings(max_examples=200, deadline=None)
+@given(dense_group_ids())
+def test_first_occurrences_matches_sorted_unique_index(case):
+    ids, card = case
+    want = np.sort(np.unique(ids, return_index=True)[1])
+    assert first_occurrences(ids, card).tolist() == want.tolist()
 
 
 def test_group_ids_distinguishes_composite_keys():
@@ -195,7 +232,7 @@ def test_columnar_join_column_order_and_duplicate_free():
 
 def test_columnar_project_preserves_first_seen_order():
     rel = ColumnarRelation((x, y), [(5, 1), (3, 1), (5, 2), (3, 9)])
-    assert list(rel.project([x])) == [5, 3] or list(rel.project([x])) == [(5,), (3,)]
+    assert list(rel.project([x])) == [(5,), (3,)]
 
 
 def test_columnar_probe_interface_matches_tuple_backend():

@@ -24,6 +24,8 @@ from repro.engine.enumerate import (
 from repro.enumeration.free_connex import FreeConnexEnumerator
 from repro.enumeration.full_acyclic import FullJoinEnumerator
 from repro.eval.naive import evaluate_cq_naive
+from repro.hypergraph.hypergraph import Hypergraph
+from repro.hypergraph.jointree import JoinTree
 from repro.logic.atoms import Atom
 from repro.logic.cq import ConjunctiveQuery
 from repro.logic.parser import parse_cq
@@ -128,6 +130,20 @@ def test_blocks_respect_block_size():
     assert sum(len(b) for b in blocks) == len(list(it))
     # every answer in exactly one block
     assert Counter(t for b in blocks for t in b) == Counter(it)
+
+
+@pytest.mark.parametrize("reduce", [True, False])
+def test_empty_non_root_relation_yields_nothing(reduce):
+    d = ValueDictionary()
+    (r, s), head = _columnar_pair(d)
+    empty = ColumnarRelation(s.variables, dictionary=d)
+    h = Hypergraph(set(head),
+                   [frozenset(r.variables), frozenset(s.variables)])
+    tree = JoinTree(h, root=0, parent={0: None, 1: 0})
+    it = BlockIterator([r, empty], head, block_size=7, tree=tree,
+                       reduce=reduce)
+    assert list(it) == []
+    assert list(it.blocks()) == []
 
 
 def test_block_iterator_rejects_mixed_backends():
