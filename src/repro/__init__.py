@@ -42,6 +42,7 @@ from repro.core.classify import classify
 from repro.core.planner import answer, count, decide, enumerate_answers
 from repro.core.report import ComplexityReport, TaskVerdict
 from repro.errors import (
+    ConfigurationError,
     EnumerationError,
     MalformedQueryError,
     NotAcyclicError,
@@ -81,5 +82,6 @@ __all__ = [
     "NotFreeConnexError",
     "UnsupportedQueryError",
     "EnumerationError",
+    "ConfigurationError",
     "__version__",
 ]

@@ -41,12 +41,12 @@ Commands
     (measured log-log slope + CI vs the shape the classifier
     predicts)::
 
-        python -m repro bench --quick [--suite bench parallel dynamic selfjoin]
+        python -m repro bench --quick [--suite bench dynamic selfjoin]
 
     The suites are ``bench`` (free-connex delay and preprocessing,
     acyclic total time, Algorithm 2 delay, the triangle lower bound),
-    ``parallel`` (enumeration speedup vs workers), ``dynamic`` (delta
-    refresh vs cold rebuild) and ``selfjoin`` (shared vs per-atom work).
+    ``dynamic`` (delta refresh vs cold rebuild) and ``selfjoin``
+    (shared vs per-atom work).
     ``--gate fail`` turns a regression of a case just run against its
     rolling baseline into a nonzero exit code (default: warn only).
 
@@ -76,8 +76,8 @@ trace-event JSON for chrome://tracing / Perfetto) and ``--metrics``
 variable does the same without flags.
 
 A library error (:class:`~repro.errors.ReproError`: a malformed query or
-CSV row, an unsupported query) prints one ``repro: error: ...`` line on
-stderr and exits with status 2.
+CSV row, an unsupported query, an unknown engine) prints one
+``repro: error: ...`` line on stderr and exits with status 2.
 """
 
 from __future__ import annotations
@@ -145,11 +145,6 @@ def _select_engine(args: argparse.Namespace) -> None:
         from repro.engine import set_engine
 
         set_engine(name)
-    workers = getattr(args, "workers", None)
-    if workers is not None:
-        from repro.engine import set_default_workers
-
-        set_default_workers(workers)
     plan_cache = getattr(args, "plan_cache", None)
     if plan_cache is not None:
         from repro.core.plancache import set_plan_cache_enabled
@@ -165,14 +160,8 @@ def _select_engine(args: argparse.Namespace) -> None:
 def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
     """The shared enumeration-pipeline knobs (--engine and friends)."""
     p.add_argument("--engine", default=None,
-                   help="relational backend: tuple (default), columnar, "
-                        "or parallel — columnar with block enumeration "
-                        "fanned out over a worker pool (also via the "
-                        "REPRO_ENGINE environment variable)")
-    p.add_argument("--workers", type=int, default=None,
-                   help="worker processes for the parallel backend "
-                        "(default: os.cpu_count(), env REPRO_WORKERS; "
-                        "1 disables pool dispatch)")
+                   help="relational backend: tuple (default) or columnar "
+                        "(also via the REPRO_ENGINE environment variable)")
     p.add_argument("--block-size", type=int, default=None,
                    help="answers per batched emission block on the columnar "
                         "backend (default 1024, env REPRO_BLOCK_SIZE; <= 0 "
@@ -433,60 +422,16 @@ def _doctor_environment() -> None:
               f"WARNING: above {NOISE_CV_THRESHOLD}; this machine (a "
               f"loaded CI container?) is too noisy for trustworthy "
               f"slope fitting, expect inconclusive verdicts")
-    _doctor_parallel()
-
-
-def _doctor_parallel() -> None:
-    """Worker-pool health: cpu budget, spawn availability, live pools."""
-    import multiprocessing as _mp
-    import os as _os
-
-    from repro import obs
-    from repro.engine import default_workers, pool_stats
-
-    cpus = _os.cpu_count() or 1
-    workers = default_workers()
-    obs.gauge("doctor.cpu_count", cpus)
-    obs.gauge("doctor.default_workers", workers)
-    methods = _mp.get_all_start_methods()
-    obs.gauge("doctor.spawn_available", int("spawn" in methods))
-    if workers > 1:
-        print(f"parallel engine: {workers} workers over {cpus} cpus")
-    else:
-        print(f"parallel engine: 1 worker over {cpus} cpus — pool "
-              f"dispatch disabled, the parallel backend runs serially "
-              f"(set REPRO_WORKERS or --workers to force a pool)")
-    if "spawn" not in methods:  # pragma: no cover - all tier-1 platforms have it
-        print("start methods: WARNING: no 'spawn' support; the parallel "
-              "backend cannot start workers on this platform")
-    else:
-        print(f"start methods: {', '.join(methods)} (pool uses spawn)")
-    st = pool_stats()
-    if st["pools"]:
-        live = ", ".join(f"{w} workers ({'up' if st['alive'][w] else 'down'})"
-                         for w in st["pools"])
-        print(f"live pools: {live}")
     _doctor_caches()
 
 
 def _doctor_caches() -> None:
-    """Cache-health lines from the always-on registry: worker-arena
-    cache, pool lifecycle, per-symbol workspaces, watchdog."""
+    """Cache-health lines from the always-on registry: per-symbol
+    workspaces, watchdog."""
     from repro import obs
-    from repro.engine.parallel import arena_cache_stats
     from repro.engine.symbols import sharing_enabled
 
     reg = obs.registry()
-    arena = arena_cache_stats()
-    print(f"arena cache: {arena['entries']} entries, {arena['bytes']} bytes "
-          f"(limit {arena['limit']}); "
-          f"{reg.counter('parallel.arena_cache_hits')} hits, "
-          f"{reg.counter('parallel.arena_cache_misses')} misses, "
-          f"{reg.counter('parallel.arena_cache_evictions')} evictions, "
-          f"{reg.counter('parallel.arena_shared_columns')} shared columns")
-    print(f"pool lifecycle: {reg.counter('parallel.pool_reuse')} reuses, "
-          f"{reg.counter('parallel.pool_spawn')} spawns, "
-          f"{reg.counter('parallel.pool_respawn')} respawns")
     print(f"symbol workspace: "
           f"{'on' if sharing_enabled() else 'OFF (REPRO_SYMBOL_SHARING=0)'}; "
           f"{reg.counter('engine.symbol_workspace_hits')} hits, "
@@ -796,8 +741,7 @@ def _render_top(data: dict, prev_counters: dict,
           f"{ctr.get('engine.symbol_workspace_misses', 0)} misses, "
           f"{ctr.get('engine.symbol_workspace_variant_hits', 0)} variant "
           f"hits, {ctr.get('yannakakis.coalesced_semijoins', 0)} coalesced "
-          f"semijoins, {ctr.get('parallel.arena_shared_columns', 0)} "
-          f"arena-shared columns")
+          f"semijoins")
     delays = {n: s for n, s in data["summaries"].items() if "delay" in n}
     phases = {n: s for n, s in data["summaries"].items() if n not in delays}
     if delays:
@@ -957,12 +901,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run the complexity suites, record history, "
                             "print the verdict table")
     p.add_argument("--suite", nargs="+", choices=list(SUITES),
-                   default=["bench", "parallel"], metavar="NAME",
+                   default=["bench"], metavar="NAME",
                    help="suites to run, from: " + ", ".join(SUITES)
-                        + " (default: bench parallel)")
+                        + " (default: bench)")
     p.add_argument("--quick", action="store_true",
                    help="run the smaller sweeps CI uses where a suite has "
-                        "one (parallel 60k tuples, selfjoin 2k-12k)")
+                        "one (selfjoin 2k-12k)")
     p.add_argument("--repeats", type=int, default=2,
                    help="repetitions per point (best-of)")
     p.add_argument("--seed", type=int, default=7)
@@ -1010,9 +954,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--interval", type=float, default=10.0,
                    help="flush period in seconds for --metrics-out")
     p.add_argument("--events", default=None, metavar="FILE",
-                   help="write discrete events (pool respawns, guarantee "
-                        "violations, ...) to this NDJSON file, rotated "
-                        "at 4MiB")
+                   help="write discrete events (delta-log overflows, "
+                        "guarantee violations, ...) to this NDJSON file, "
+                        "rotated at 4MiB")
     p.add_argument("--duration", type=float, default=None,
                    help="serve for N seconds then exit (default: until "
                         "interrupted)")

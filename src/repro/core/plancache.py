@@ -278,9 +278,7 @@ def cached_plan(kind: str, query: Hashable, db, engine_name: str,
     ``builder`` runs (and its result is cached, with ``db`` pinned) only
     on a miss or when caching is disabled.  ``extra`` distinguishes
     same-query plans with different knobs — block size, and the engine's
-    :meth:`~repro.engine.base.Engine.plan_key` (for the parallel backend:
-    worker count and fallback threshold, since chunk bounds built for
-    one fan-out must not serve another).
+    :meth:`~repro.engine.base.Engine.plan_key` (the symbol-sharing mode).
 
     ``refresher`` opts the plan kind into delta propagation: when a
     lookup misses only because the database fingerprint moved, and

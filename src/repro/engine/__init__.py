@@ -9,14 +9,9 @@ on:
   seed behaviour);
 * ``columnar`` — dictionary-encoded numpy int64 columns with vectorized
   sort-grouped kernels (typically >= 3x faster on 100k-tuple acyclic
-  joins; see ``benchmarks/test_bench_engines.py``);
-* ``parallel`` — ``columnar``, except that free-connex block
-  enumeration fans out over a spawn-based worker pool with
-  shared-memory code columns, in the serial answer order (serial
-  fallback below a tuple-count threshold — see
-  :mod:`repro.engine.parallel`).
+  joins; see ``benchmarks/test_bench_engines.py``).
 
-Every backend shares per-symbol work (encodes, probe structures, masked
+Both backends share per-symbol work (encodes, probe structures, masked
 atom variants) through :mod:`repro.engine.symbols`.
 
 Selection, in decreasing precedence:
@@ -26,6 +21,8 @@ Selection, in decreasing precedence:
 2. :func:`set_engine` / the :func:`use_engine` context manager;
 3. the ``REPRO_ENGINE`` environment variable;
 4. the default, ``tuple``.
+
+An unknown name raises :class:`~repro.errors.ConfigurationError`.
 """
 
 from __future__ import annotations
@@ -43,18 +40,7 @@ from repro.engine.enumerate import (
     block_enumerate,
     resolve_block_size,
 )
-from repro.engine.parallel import (
-    DEFAULT_PARALLEL_THRESHOLD,
-    THRESHOLD_ENV_VAR,
-    WORKERS_ENV_VAR,
-    ParallelBlockIterator,
-    ParallelEngine,
-    default_threshold,
-    default_workers,
-    pool_stats,
-    set_default_workers,
-    shutdown_pools,
-)
+from repro.errors import ConfigurationError
 
 DEFAULT_ENGINE = "tuple"
 ENV_VAR = "REPRO_ENGINE"
@@ -76,6 +62,11 @@ def available_engines() -> List[str]:
     return sorted(_REGISTRY)
 
 
+def _unknown_engine(name: str) -> ConfigurationError:
+    return ConfigurationError(
+        f"unknown engine {name!r}; available: {available_engines()}")
+
+
 def get_engine(name: Optional[str] = None) -> Engine:
     """The engine named ``name``, or the currently selected one.
 
@@ -88,16 +79,13 @@ def get_engine(name: Optional[str] = None) -> Engine:
     try:
         return _REGISTRY[name]
     except KeyError:
-        raise ValueError(
-            f"unknown engine {name!r}; available: {available_engines()}"
-        ) from None
+        raise _unknown_engine(name) from None
 
 
 def set_engine(name: Optional[str]) -> None:
     """Select the process-wide default backend (None resets to env/default)."""
     if name is not None and name not in _REGISTRY:
-        raise ValueError(
-            f"unknown engine {name!r}; available: {available_engines()}")
+        raise _unknown_engine(name)
     global _SELECTED
     _SELECTED = name
 
@@ -124,22 +112,11 @@ def resolve_engine(engine: Union[Engine, str, None]) -> Engine:
 
 register_engine(TupleEngine())
 register_engine(ColumnarEngine())
-register_engine(ParallelEngine())
 
 __all__ = [
     "Engine",
     "TupleEngine",
     "ColumnarEngine",
-    "ParallelEngine",
-    "ParallelBlockIterator",
-    "default_workers",
-    "default_threshold",
-    "set_default_workers",
-    "shutdown_pools",
-    "pool_stats",
-    "DEFAULT_PARALLEL_THRESHOLD",
-    "WORKERS_ENV_VAR",
-    "THRESHOLD_ENV_VAR",
     "register_engine",
     "available_engines",
     "get_engine",

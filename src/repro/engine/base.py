@@ -53,10 +53,7 @@ class Engine:
         relations carry shared per-symbol probe caches must not serve a
         run with ``REPRO_SYMBOL_SHARING=0`` (and vice versa — the two
         modes are deliberately comparable arms, never interchangeable
-        artefacts).  The parallel backend additionally folds its worker
-        count and threshold in, so plans built for one fan-out never
-        serve another (see
-        :meth:`repro.engine.parallel.ParallelEngine.plan_key`)."""
+        artefacts)."""
         from repro.engine.symbols import sharing_enabled
 
         return ("symsharing", 1 if sharing_enabled() else 0)

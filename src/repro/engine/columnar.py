@@ -367,10 +367,6 @@ class ColumnarRelation:
         self._flush()
         return self._columns[self._positions[v]]
 
-    def code_columns(self) -> List[np.ndarray]:
-        self._flush()
-        return list(self._columns)
-
     @property
     def dictionary(self) -> ValueDictionary:
         return self._dict

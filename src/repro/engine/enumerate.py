@@ -49,6 +49,7 @@ import numpy as np
 
 from repro import obs
 from repro.engine.columnar import ColumnarRelation, _unique_inverse
+from repro.errors import ConfigurationError
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.hypergraph.jointree import JoinTree, cached_join_tree
 from repro.logic.terms import Variable
@@ -64,7 +65,8 @@ def resolve_block_size(block_size: Optional[int] = None) -> int:
 
     ``None`` consults the ``REPRO_BLOCK_SIZE`` environment variable and
     falls back to :data:`DEFAULT_BLOCK_SIZE`; zero or a negative value
-    disables batching (callers then keep the tuple-at-a-time path).
+    disables batching (callers then keep the tuple-at-a-time path).  A
+    non-integer variable raises :class:`~repro.errors.ConfigurationError`.
     """
     if block_size is None:
         env = os.environ.get(BLOCK_ENV_VAR)
@@ -72,7 +74,7 @@ def resolve_block_size(block_size: Optional[int] = None) -> int:
             try:
                 block_size = int(env)
             except ValueError:
-                raise ValueError(
+                raise ConfigurationError(
                     f"{BLOCK_ENV_VAR} must be an integer, got {env!r}"
                 ) from None
         else:
@@ -187,8 +189,8 @@ def build_probe(rel: ColumnarRelation, probe_vars: Sequence[Variable]):
     (:meth:`ColumnarRelation.cached_probe`, shared across ``copy()``
     views and invalidated by the relation's version counter) means
     repeated enumerator builds over the same reduced relations — warm
-    plan-cache runs, parallel enumeration workers, reruns at a different
-    block size — skip the rebuild entirely.  Dispatches through
+    plan-cache runs, reruns at a different block size — skip the
+    rebuild entirely.  Dispatches through
     :meth:`ColumnarRelation.batch_probe`, whose position-keyed cache
     entries are shared across same-symbol atoms.
     """

@@ -5,9 +5,9 @@ not the atom: ``R(x, y), R(y, z), R(z, x)`` names one stored relation
 three times, and every per-atom artefact — the dictionary encoding, the
 sorted probe structures, the constant/duplicate-variable masks —
 depends only on the stored rows and the *positions* involved, never on
-the variable names the atom happens to use.  This module lets every
-backend (tuple, columnar, parallel) share one build per (symbol,
-database version):
+the variable names the atom happens to use.  This module lets both
+backends (tuple and columnar) share one build per (symbol, database
+version):
 
 * one **entry** per (symbol, stored-relation identity, version), LRU'd
   and pinned exactly like :mod:`repro.core.plancache` (an id can only be
@@ -22,10 +22,8 @@ database version):
   closing the gap where masked atoms silently bypassed all sharing.
 
 Because shared materialisations reuse the *same ndarray objects*, the
-parallel engine's arena cache (keyed on column identity) collapses to
-one published segment per symbol automatically, and the semijoin
-coalescing in :mod:`repro.eval.yannakakis` can prove two reduction
-passes identical by comparing column identities.
+semijoin coalescing in :mod:`repro.eval.yannakakis` can prove two
+reduction passes identical by comparing column identities.
 
 ``REPRO_SYMBOL_SHARING=0`` (or :func:`sharing_scope`) force-disables
 every layer of the sharing — per-atom encodes, private probe caches, no

@@ -144,8 +144,7 @@ class FreeConnexEnumerator(Enumerator):
             return ("enum", None)
         derived = [r for r in derived if len(r.variables) > 0]
         inner = FullJoinEnumerator(derived, self.cq.head, reduce=True,
-                                   block_size=self.block_size,
-                                   engine=self.engine)
+                                   block_size=self.block_size)
         inner.preprocess()
         return ("enum", inner)
 

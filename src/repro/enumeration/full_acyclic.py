@@ -77,21 +77,15 @@ class FullJoinEnumerator(Enumerator):
         every relation is a ColumnarRelation over one shared dictionary;
         ``None`` consults ``REPRO_BLOCK_SIZE`` (default 1024), and a
         value <= 0 forces the tuple-at-a-time path.
-    engine:
-        Backend selection (an Engine, a name, or None for the current
-        process-wide selection).  An engine with a worker pool routes the
-        batched enumeration through it when the inputs clear its
-        threshold; answer order is unaffected.
     """
 
     def __init__(self, relations: Sequence[VarRelation],
                  head: Sequence[Variable], reduce: bool = True,
-                 block_size: Optional[int] = None, engine=None):
+                 block_size: Optional[int] = None):
         super().__init__()
         self._relations = list(relations)
         self._head = tuple(head)
         self._reduce = reduce
-        self._engine = engine
         self._block_size = resolve_block_size(block_size)
         self._block_iter: Optional[BlockIterator] = None
         all_vars: Dict[Variable, None] = {}
@@ -125,18 +119,9 @@ class FullJoinEnumerator(Enumerator):
         if self._block_size > 0 and batchable(self._relations):
             # batched columnar pipeline: probe structures replace the
             # decoded hash indexes entirely
-            from repro.engine import resolve_engine
-
-            eng = resolve_engine(self._engine)
-            par_enum = getattr(eng, "parallel_enumerator", None)
-            if par_enum is not None and eng.should_parallelise(self._relations):
-                self._block_iter = par_enum(
-                    self._relations, self._head, block_size=self._block_size,
-                    tree=self._tree, reduce=False)
-            else:
-                self._block_iter = BlockIterator(
-                    self._relations, self._head, block_size=self._block_size,
-                    tree=self._tree, reduce=False)
+            self._block_iter = BlockIterator(
+                self._relations, self._head, block_size=self._block_size,
+                tree=self._tree, reduce=False)
             return
         # DFS preorder; for each node, the probe variables (shared with parent)
         self._order = self._tree.top_down()

@@ -50,3 +50,10 @@ class UnsupportedQueryError(ReproError):
 class EnumerationError(ReproError):
     """Raised when an enumeration run violates its protocol (for example,
     a phase method called out of order)."""
+
+
+class ConfigurationError(ReproError, ValueError):
+    """Raised when an engine setting is invalid: an unknown engine name
+    (``--engine``, ``REPRO_ENGINE``) or a non-integer
+    ``REPRO_BLOCK_SIZE``.  Also a :class:`ValueError`, so callers that
+    catch ``ValueError`` for a bad setting keep working."""

@@ -92,7 +92,7 @@ def enabled() -> bool:
 def span(name: str, **attrs: Any):
     """Context manager timing one named region.
 
-    With a tracer active it records a full span (tree position, pid,
+    With a tracer active it records a full span (tree position,
     attributes); otherwise, with the always-on registry enabled, the
     duration still lands in the registry's ``phase.<name>`` latency
     sketch; with both off it is the usual no-op null context."""
@@ -136,15 +136,6 @@ def event(name: str, **fields: Any) -> Dict[str, Any]:
     from repro.obs.expose import emit_event
 
     return emit_event(name, **fields)
-
-
-def propagation_context() -> Optional[TraceContext]:
-    """The active tracer's :class:`TraceContext` positioned at the
-    calling thread's current span — what the parallel layer ships in
-    enumeration-chunk payloads so worker spans join the request tree.
-    ``None`` when tracing is off or the tracer carries no request
-    identity."""
-    return _TRACER.propagation_context()
 
 
 def enable(t: Optional[Tracer] = None) -> Tracer:
@@ -262,7 +253,6 @@ __all__ = [
     "gauge",
     "metrics",
     "metrics_dump",
-    "propagation_context",
     "registry",
     "render_explain",
     "sample_rate",

@@ -36,26 +36,17 @@ def chrome_trace_events(tracer: Tracer) -> List[Dict[str, Any]]:
     """The trace-event list: one ``X`` event per span, one ``C`` event
     per counter (timestamped at the trace end).
 
-    Spans adopted from pool workers carry their own ``pid``
-    (:meth:`repro.obs.trace.Tracer.adopt`), so the export lays the
-    fan-out on separate process tracks; ``process_name`` metadata
-    events label the driver vs the workers.  Events are emitted in
-    ``start_ns`` order — adopted worker spans arrive after the driver's
-    own, so begin order alone would break the monotonic-``ts`` property
-    trace viewers (and the trace lint) expect.  Sampled spans carry
-    their ``trace_id``/``span_id``/``parent_id`` in ``args``, so one
-    request's events are joinable across process tracks."""
+    Events are emitted in ``start_ns`` order, the monotonic-``ts``
+    property trace viewers (and the trace lint) expect.  Sampled spans
+    carry their ``trace_id``/``span_id``/``parent_id`` in ``args``, so
+    one request's events are joinable."""
     epoch = tracer.epoch_ns
     pid = os.getpid()
     events: List[Dict[str, Any]] = []
     last_end = epoch
-    worker_pids = set()
     for span in sorted(tracer.spans, key=lambda s: s.start_ns):
         end_ns = span.end_ns if span.end_ns is not None else span.start_ns
         last_end = max(last_end, end_ns)
-        span_pid = span.pid if span.pid is not None else pid
-        if span_pid != pid:
-            worker_pids.add(span_pid)
         args = {k: _jsonable(v) for k, v in span.attrs.items()}
         if span.trace_id is not None:
             args["trace_id"] = span.trace_id
@@ -68,16 +59,10 @@ def chrome_trace_events(tracer: Tracer) -> List[Dict[str, Any]]:
             "cat": "repro",
             "ts": (span.start_ns - epoch) / 1e3,  # microseconds
             "dur": (end_ns - span.start_ns) / 1e3,
-            "pid": span_pid,
+            "pid": pid,
             "tid": span.tid,
             "args": args,
         })
-    if worker_pids:
-        events.append({"name": "process_name", "ph": "M", "pid": pid,
-                       "tid": 0, "args": {"name": "repro driver"}})
-        for wpid in sorted(worker_pids):
-            events.append({"name": "process_name", "ph": "M", "pid": wpid,
-                           "tid": 0, "args": {"name": "repro worker"}})
     ts_end = (last_end - epoch) / 1e3
     for name in sorted(tracer.counters):
         events.append({

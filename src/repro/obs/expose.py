@@ -8,8 +8,8 @@ Three ways out of the process, all stdlib-only:
   metrics-serve``), and :class:`MetricsFlusher` writes it (plus a JSON
   snapshot) to a file on a timer for scrape-less deployments.
 * :class:`EventLog` — rotating NDJSON structured event log for
-  *discrete* events that do not belong in a counter: pool respawns,
-  delta-log overflows, refresh fallbacks, guarantee violations.  Every
+  *discrete* events that do not belong in a counter: delta-log
+  overflows, refresh fallbacks, guarantee violations.  Every
   event also lands in an in-memory ring so ``repro top`` and tests can
   read recent events without a file.
 
@@ -102,8 +102,7 @@ def openmetrics_text(extra_info: Optional[Dict[str, str]] = None) -> str:
 
     Includes plan-cache stats as gauges so one scrape covers the full
     namespace the issue asks for: counters, per-enumerator delay and
-    per-phase latency quantiles, plan-cache/delta-refresh/arena-cache
-    rates."""
+    per-phase latency quantiles, plan-cache/delta-refresh rates."""
     reg = registry()
     out = io.StringIO()
 

@@ -80,7 +80,7 @@ def collect_provenance(timestamp: str) -> Dict[str, Any]:
     """
     import platform as _platform
 
-    from repro.engine import default_workers, get_engine, resolve_block_size
+    from repro.engine import get_engine, resolve_block_size
     from repro.perf.delay import timer_overhead_ns
 
     try:
@@ -95,9 +95,8 @@ def collect_provenance(timestamp: str) -> Dict[str, Any]:
         numpy_version: Optional[str] = numpy.__version__
     except Exception:  # pragma: no cover - numpy is baked into the image
         numpy_version = None
-    # cpu_count/workers are additive (not in PROVENANCE_KEYS): pre-pool
-    # records without them stay schema-valid, new records let the gate's
-    # readers normalise parallel timings by the fan-out they ran at
+    # cpu_count is additive (not in PROVENANCE_KEYS): records without
+    # it stay schema-valid
     return {
         "git_sha": sha,
         "timestamp": timestamp,
@@ -110,7 +109,6 @@ def collect_provenance(timestamp: str) -> Dict[str, Any]:
         "block_size": resolve_block_size(None),
         "timer_overhead_ns": timer_overhead_ns(),
         "cpu_count": os.cpu_count(),
-        "workers": default_workers(),
     }
 
 
@@ -134,7 +132,7 @@ def make_record(suite: str, case: str, metric: str,
     stored record is self-interpreting.
 
     Pass ``fit=False`` when ``n`` is *not* an instance size (e.g. the
-    parallel suite's worker counts): a log-log slope over such an axis
+    dynamic suite's delta sizes): a log-log slope over such an axis
     is not a scaling law, so the record stores no fit and an
     ``inconclusive`` verdict instead of a number that invites
     misreading.
@@ -517,56 +515,6 @@ def run_bench_suite(sweep: Tuple[Sequence[int], Sequence[int]],
     ]
 
 
-def run_parallel_suite(size: int, repeats: int = 2,
-                       seed: int = 7) -> List[Dict[str, Any]]:
-    """The parallel backend's enumeration speedup-vs-workers curve.
-
-    One fixed two-atom join instance of ``size`` tuples per relation; the
-    serial ``columnar`` backend sets the baseline, then the wall time of
-    a full free-connex scan is measured per worker count (pool dispatch
-    forced by a zero threshold).  Block enumeration is the only layer
-    the parallel backend hands to its pool; counting runs the serial
-    columnar kernel there, so it has no curve to record.  Points use
-    ``n`` = workers and ``value`` = wall seconds (the gate's
-    higher-is-worse convention; the headline is the max-worker wall
-    time), with the speedup over serial riding along as a per-point
-    ``speedup_x`` and its best value as a record-level
-    ``best_speedup_x``.  The record carries **no slope fit**
-    (``fit=False``): ``n`` is a worker count, not an instance size.  No
-    expectation is attached either: on shared 1-2 cpu runners the curve
-    is flat or worse, and a verdict there would only produce noise
-    (warn-only by design).
-    """
-    from repro.core.plancache import clear_plan_cache
-    from repro.data import generators
-    from repro.engine.parallel import ParallelEngine
-    from repro.enumeration.free_connex import FreeConnexEnumerator
-    from repro.logic.parser import parse_cq
-
-    cpus = os.cpu_count() or 1
-    query = parse_cq("Q(x, z, y) :- R(x, z), S(z, y)")
-    db = generators.random_database({"R": 2, "S": 2}, max(4, size // 4),
-                                    size, seed=seed)
-
-    def enum_wall(engine) -> float:
-        return best_of(
-            lambda: sum(1 for _ in FreeConnexEnumerator(query, db,
-                                                        engine=engine)),
-            repeats, setup=clear_plan_cache)
-
-    serial = enum_wall("columnar")
-    points = []
-    for w in sorted({1, 2, min(4, max(2, cpus)), cpus}):
-        wall = enum_wall(ParallelEngine(workers=w, threshold=0))
-        points.append({"n": w, "value": wall, "speedup_x": serial / wall,
-                       "serial_seconds": serial})
-    return [dict(case="parallel/enum_wall", metric="wall_seconds",
-                 engine=ParallelEngine.name,
-                 points=points, fit=False, instance_size=size,
-                 cpu_count=cpus,
-                 best_speedup_x=max(p["speedup_x"] for p in points))]
-
-
 def run_dynamic_suite(size: int, repeats: int = 2,
                       seed: int = 7) -> List[Dict[str, Any]]:
     """Delta-propagated plan refresh against cold re-preprocessing.
@@ -762,7 +710,6 @@ class Suite:
 SUITES: Dict[str, Suite] = {
     "bench": Suite(run_bench_suite,
                    ((500, 1000, 2000, 4000, 8000), (12, 22, 40, 70))),
-    "parallel": Suite(run_parallel_suite, 300_000, quick=60_000),
     "dynamic": Suite(run_dynamic_suite, 100_000),
     "selfjoin": Suite(run_selfjoin_suite, (10_000, 100_000, 300_000),
                       quick=(2000, 5000, 12000)),

@@ -7,20 +7,16 @@ store that is *always* on, cheap enough that nobody ever turns it off,
 and covers the whole process lifetime.  That is this registry:
 
 * **counters** — monotone event totals (``plancache.hits``,
-  ``enum.answers``, ``parallel.pool_respawn``, ...),
-* **gauges** — last-write-wins observations (worker counts, timer
+  ``enum.answers``, ...),
+* **gauges** — last-write-wins observations (dictionary sizes, timer
   overhead),
-* **sketches** — mergeable log-bucketed quantile sketches
+* **sketches** — log-bucketed quantile sketches
   (:mod:`repro.obs.sketch`) for per-enumerator delay and per-phase
   latency distributions (p50/p95/p99/p99.9 online, constant memory).
 
 Everything lives in one flat dotted namespace, fed through the
 existing ``obs.count``/``obs.gauge``/``obs.span`` call sites — library
-code does not know the registry exists.  Parallel workers run their
-own registry instance and ``drain()`` it into the result metadata of
-each task round-trip; the driver folds the state back in with
-``merge_state`` (order-independent, see sketch.py), so one registry
-covers all three engine tiers.
+code does not know the registry exists.
 
 Gating: ``REPRO_METRICS=0`` (or ``off``/``false``/``no``) disables
 collection process-wide; anything else — including unset — leaves it
@@ -185,49 +181,6 @@ class MetricsRegistry:
         that needs arbitrary quantiles, not just the summary set)."""
         with self._lock:
             return {k: v.copy() for k, v in self._sketches.items()}
-
-    # ----------------------------------------------------------- transport
-
-    def drain(self) -> Optional[Dict[str, Any]]:
-        """Atomically take-and-reset the accumulated state.
-
-        Workers call this after each task and ship the result in the
-        task round-trip metadata; returns ``None`` when there is
-        nothing to ship, so idle round-trips stay payload-free."""
-        with self._lock:
-            if not self._counters and not self._gauges and not self._sketches:
-                return None
-            state = {
-                "counters": self._counters,
-                "gauges": self._gauges,
-                "sketches": {k: v.to_dict()
-                             for k, v in self._sketches.items()},
-            }
-            self._counters = {}
-            self._gauges = {}
-            self._sketches = {}
-        return state
-
-    def merge_state(self, state: Optional[Dict[str, Any]]) -> None:
-        """Fold a ``drain()`` payload from another process into this
-        registry.  Counter addition and sketch merge are commutative,
-        so result arrival order does not matter."""
-        if not state or not self.enabled:
-            return
-        counters = state.get("counters") or {}
-        gauges = state.get("gauges") or {}
-        sketches = state.get("sketches") or {}
-        with self._lock:
-            for name, n in counters.items():
-                self._counters[name] = self._counters.get(name, 0) + n
-            self._gauges.update(gauges)
-            for name, data in sketches.items():
-                incoming = QuantileSketch.from_dict(data)
-                existing = self._sketches.get(name)
-                if existing is None:
-                    self._sketches[name] = incoming
-                else:
-                    existing.merge(incoming)
 
     def reset(self) -> None:
         """Drop all accumulated state (tests; listeners survive)."""

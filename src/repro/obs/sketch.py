@@ -1,4 +1,4 @@
-"""Log-bucketed quantile sketches: constant memory, mergeable, online.
+"""Log-bucketed quantile sketches: constant memory, online.
 
 The paper's guarantees are *shapes* over time: a constant-delay
 enumerator's per-answer delay distribution must not move when ``||D||``
@@ -18,17 +18,12 @@ The bucketing is HDR-histogram style (log-linear): values below
 into ``2^SUB_BITS`` equal sub-buckets.  Index arithmetic is a handful
 of integer ops (``bit_length``, shifts) — no ``math.log`` — so the
 sketch is cheap enough to sit on always-on paths.
-
-Sketches **merge** by adding bucket counts, which is associative and
-commutative: the driver can fold per-worker sketches shipped through
-the parallel task round-trips in any arrival order and always get the
-same result (``tests/test_obs_registry.py`` checks order independence).
 """
 
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 #: sub-buckets per power-of-two octave (2^3 = 8): worst-case relative
 #: bucket width 1/8, so a midpoint estimate is within ~6% of the value
@@ -36,7 +31,7 @@ SUB_BITS = 3
 
 #: exemplars are retained only on the highest-index (largest-value)
 #: buckets — the p99/p99.9 region a tail investigation starts from; a
-#: bounded set keeps the per-add cost O(1) and the transport dicts small
+#: bounded set keeps the per-add cost O(1)
 EXEMPLAR_BUCKETS = 8
 
 _SUB = 1 << SUB_BITS  # 8
@@ -117,8 +112,9 @@ class QuantileSketch:
     def _note_exemplar(self, idx: int,
                        entry: Tuple[float, str, int]) -> None:
         """Install ``entry`` as bucket ``idx``'s exemplar if it is newer
-        than the current one (tuple order: timestamp first, so merges
-        are order-independent), then trim to the tail buckets."""
+        than the current one (tuple order: timestamp first, so the
+        surviving exemplars do not depend on the order of the adds),
+        then trim to the tail buckets."""
         current = self.exemplars.get(idx)
         if current is None or entry > current:
             self.exemplars[idx] = entry
@@ -191,30 +187,14 @@ class QuantileSketch:
             "p999": self.quantile(0.999),
         }
 
-    # ------------------------------------------------------------- merging
-
-    def merge(self, other: "QuantileSketch") -> "QuantileSketch":
-        """Fold ``other`` into this sketch (in place; returns self).
-
-        Bucket addition is commutative and associative, so merging a
-        set of sketches gives the same result in any order."""
-        for idx, n in other.buckets.items():
-            self.buckets[idx] = self.buckets.get(idx, 0) + n
-        self.count += other.count
-        self.total += other.total
-        if other.min is not None and (self.min is None or other.min < self.min):
-            self.min = other.min
-        if other.max is not None and (self.max is None or other.max > self.max):
-            self.max = other.max
-        # exemplar merge is newest-wins per bucket (timestamp-first tuple
-        # comparison), so it is commutative like the bucket counts
-        for idx, entry in other.exemplars.items():
-            self._note_exemplar(idx, entry)
-        return self
-
     def copy(self) -> "QuantileSketch":
         fresh = QuantileSketch()
-        fresh.merge(self)
+        fresh.buckets = dict(self.buckets)
+        fresh.count = self.count
+        fresh.total = self.total
+        fresh.min = self.min
+        fresh.max = self.max
+        fresh.exemplars = dict(self.exemplars)
         return fresh
 
     def clear(self) -> None:
@@ -224,44 +204,6 @@ class QuantileSketch:
         self.min = None
         self.max = None
         self.exemplars.clear()
-
-    # ----------------------------------------------------------- transport
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Picklable/JSON-able form for cross-process transport (the
-        parallel task round-trips ship these)."""
-        out: Dict[str, Any] = {
-            "buckets": {str(k): v for k, v in self.buckets.items()},
-            "count": self.count,
-            "total": self.total,
-            "min": self.min,
-            "max": self.max,
-        }
-        if self.exemplars:
-            out["exemplars"] = {str(k): list(v)
-                                for k, v in self.exemplars.items()}
-        return out
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "QuantileSketch":
-        sketch = cls()
-        sketch.buckets = {int(k): int(v)
-                          for k, v in data.get("buckets", {}).items()}
-        sketch.count = int(data.get("count", 0))
-        sketch.total = int(data.get("total", 0))
-        sketch.min = data.get("min")
-        sketch.max = data.get("max")
-        sketch.exemplars = {
-            int(k): (float(v[0]), str(v[1]), int(v[2]))
-            for k, v in data.get("exemplars", {}).items()}
-        return sketch
-
-    @classmethod
-    def merged(cls, sketches: Iterable["QuantileSketch"]) -> "QuantileSketch":
-        out = cls()
-        for s in sketches:
-            out.merge(s)
-        return out
 
     def __len__(self) -> int:
         return len(self.buckets)

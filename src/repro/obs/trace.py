@@ -59,20 +59,18 @@ def sample_rate() -> float:
 class TraceContext:
     """Identity of one request's trace: W3C-style ids, explicit sampling.
 
-    ``trace_id`` names the whole request tree; ``span_id`` is the id of
-    the *current* span (the propagation parent for remote children);
-    ``parent_id`` is that span's own parent, kept so a revived context
-    can be inspected.  ``sampled`` is the head-sampling decision, made
-    once in :meth:`new` and carried — never re-rolled — across every
-    propagation hop, so a request's spans are all-or-nothing."""
+    ``trace_id`` names the whole request tree; ``span_id``, when a
+    caller hands in a context that has one, is the parent the trace's
+    root spans name.  ``sampled`` is the head-sampling decision, made
+    once in :meth:`new` and never re-rolled, so a request's spans are
+    all-or-nothing."""
 
-    __slots__ = ("trace_id", "span_id", "parent_id", "sampled")
+    __slots__ = ("trace_id", "span_id", "sampled")
 
     def __init__(self, trace_id: str, span_id: Optional[str] = None,
-                 parent_id: Optional[str] = None, sampled: bool = True):
+                 sampled: bool = True):
         self.trace_id = trace_id
         self.span_id = span_id
-        self.parent_id = parent_id
         self.sampled = sampled
 
     @classmethod
@@ -82,22 +80,6 @@ class TraceContext:
         rate = sample_rate()
         sampled = rate >= 1.0 or random.random() < rate
         return cls(trace_id, sampled=sampled)
-
-    def at(self, span_id: Optional[str]) -> "TraceContext":
-        """This trace positioned at ``span_id`` — what a child (local
-        thread or remote worker) should treat as its parent."""
-        return TraceContext(self.trace_id, span_id, self.span_id,
-                            self.sampled)
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Wire format for cross-process propagation (queue payloads)."""
-        return {"trace_id": self.trace_id, "span_id": self.span_id,
-                "parent_id": self.parent_id, "sampled": self.sampled}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "TraceContext":
-        return cls(data["trace_id"], data.get("span_id"),
-                   data.get("parent_id"), bool(data.get("sampled", True)))
 
     def __repr__(self) -> str:
         return (f"TraceContext({self.trace_id}, span={self.span_id}, "
@@ -147,27 +129,18 @@ def scoped_context(ctx: Optional[TraceContext]) -> Iterator[
 
 class Span:
     """One timed region: name, ``perf_counter_ns`` bounds, attributes,
-    children (spans begun while this one topped the stack).
-
-    ``pid`` is None for spans recorded in-process; spans adopted from a
-    pool worker (:meth:`Tracer.adopt`) carry the worker's pid so the
-    Chrome export lays them out on separate process tracks.  On Linux
-    ``perf_counter_ns`` is CLOCK_MONOTONIC — system-wide, not
-    per-process — so worker timestamps are directly comparable with the
-    driver's epoch."""
+    children (spans begun while this one topped the stack)."""
 
     __slots__ = ("name", "start_ns", "end_ns", "attrs", "children", "tid",
-                 "pid", "trace_id", "span_id", "parent_id")
+                 "trace_id", "span_id", "parent_id")
 
-    def __init__(self, name: str, start_ns: int, tid: int,
-                 pid: Optional[int] = None):
+    def __init__(self, name: str, start_ns: int, tid: int):
         self.name = name
         self.start_ns = start_ns
         self.end_ns: Optional[int] = None
         self.attrs: Dict[str, Any] = {}
         self.children: List["Span"] = []
         self.tid = tid
-        self.pid = pid
         # request identity, stamped by the tracer when its context is
         # sampled; None on unsampled / context-free spans
         self.trace_id: Optional[str] = None
@@ -239,11 +212,8 @@ class Tracer:
         if context is Tracer._NEW:
             context = TraceContext.new()
         self.context: Optional[TraceContext] = context
-        # span_id -> span, for grafting adopted worker spans under the
-        # driver span whose propagated context they carried
-        self._by_id: Dict[str, Span] = {}
-        # cheap per-tracer span ids: pid prefix guarantees uniqueness
-        # across pool workers, the counter within the process
+        # cheap span ids: a counter, behind a pid prefix that keeps them
+        # apart from ids minted by the process a caller's context came from
         self._id_prefix = f"{os.getpid() & 0xffffff:x}"
         self._id_seq = itertools.count(1)
 
@@ -274,8 +244,7 @@ class Tracer:
         if ctx is not None and ctx.sampled:
             span.trace_id = ctx.trace_id
             span.span_id = f"{self._id_prefix}-{next(self._id_seq):x}"
-            # a root span's parent is the propagated remote parent (the
-            # driver span whose context reached this tracer), if any
+            # a root span's parent is the context's own span, if any
             span.parent_id = (parent.span_id if parent is not None
                               else ctx.span_id)
         with self._lock:
@@ -284,8 +253,6 @@ class Tracer:
             else:
                 parent.children.append(span)
             self.spans.append(span)
-            if span.span_id is not None:
-                self._by_id[span.span_id] = span
             self.events += 1
         stack.append(span)
         return span
@@ -301,48 +268,6 @@ class Tracer:
             if stack[i] is span:
                 del stack[i]
                 break
-
-    def adopt(self, span: Span) -> None:
-        """Graft a *completed* foreign span tree into this trace.
-
-        The parallel layer rebuilds worker spans driver-side (with their
-        worker ``pid``) and adopts them, so one trace — and one Chrome
-        export — covers the whole fan-out.  When the foreign root's
-        ``parent_id`` names a span of *this* trace (the driver span
-        whose propagated :class:`TraceContext` the worker received), it
-        is grafted as that span's child and the worker's subtree joins
-        the request tree; otherwise it lands as an extra root, the
-        pre-propagation behaviour.  The span and all its descendants
-        enter the flat ``spans`` list; nothing is pushed on any thread's
-        live stack (the foreign work is already finished)."""
-        with self._lock:
-            parent = (self._by_id.get(span.parent_id)
-                      if span.parent_id is not None else None)
-            if parent is not None:
-                parent.children.append(span)
-            else:
-                self.roots.append(span)
-            stack = [span]
-            while stack:
-                s = stack.pop()
-                self.spans.append(s)
-                if s.span_id is not None:
-                    self._by_id.setdefault(s.span_id, s)
-                self.events += 1
-                stack.extend(s.children)
-
-    def propagation_context(self) -> Optional[TraceContext]:
-        """The context to hand a child of the *current* span — this
-        trace positioned at whatever span tops the calling thread's
-        stack (or at the context's own position when no span is open).
-        ``None`` when the tracer has no request identity."""
-        ctx = self.context
-        if ctx is None:
-            return None
-        stack = self._stack()
-        if stack:
-            return ctx.at(stack[-1].span_id)
-        return ctx
 
     # -------------------------------------------------------- counters/gauges
 
@@ -373,7 +298,6 @@ class _NullSpan:
     children: List[Span] = []
     start_ns = end_ns = 0
     duration_ns = 0
-    pid = None
     tid = 0
     trace_id = span_id = parent_id = None
 
@@ -422,9 +346,6 @@ class NullTracer:
 
     def elapsed_ns(self) -> int:
         return 0
-
-    def propagation_context(self) -> Optional[TraceContext]:
-        return None
 
 
 NULL_SPAN = _NullSpan()

@@ -1,14 +1,12 @@
 """Schema lint for exported Chrome trace-event documents.
 
 Trace viewers are forgiving; CI should not be.  A trace that renders in
-Perfetto can still be subtly wrong — duration events out of order (the
-bug this module was written against: adopted worker spans appended
-after the driver's own broke monotonic ``ts``), unmatched ``B``/``E``
-pairs from a span that never closed, or worker events missing the
-request identity that makes the fan-out attributable.  The CI
-observability job runs :func:`lint_chrome_trace` over every trace the
-smoke steps export, so a regression in the exporter or the propagation
-plumbing fails the build instead of a future debugging session.
+Perfetto can still be subtly wrong — duration events out of order,
+unmatched ``B``/``E`` pairs from a span that never closed, or events
+carrying another request's identity.  The CI observability job runs
+:func:`lint_chrome_trace` over every trace the smoke steps export, so a
+regression in the exporter or the trace-context plumbing fails the
+build instead of a future debugging session.
 
 The checks (each violation is one human-readable string):
 

@@ -48,6 +48,41 @@ def test_run_bad_query_prints_one_error_line(tables, capsys):
     assert len(err) == 1 and err[0].startswith("repro: error: ")
 
 
+EXPLAIN = ["explain", "Q(x) :- R(x, z), S(z, y)", "--size", "200"]
+DEAD_ENGINE = ("repro: error: unknown engine 'parallel'; "
+               "available: ['columnar', 'tuple']")
+
+
+@pytest.fixture
+def no_engine_selection(monkeypatch):
+    """Clear the process-wide engine selection for one test (restored
+    afterwards), so ``REPRO_ENGINE`` decides and no ``--engine`` leaks
+    into later tests."""
+    monkeypatch.setattr("repro.engine._SELECTED", None)
+
+
+def test_unknown_engine_flag_prints_one_error_line(capsys,
+                                                   no_engine_selection):
+    assert main([*EXPLAIN, "--engine", "parallel"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [DEAD_ENGINE]
+
+
+def test_unknown_engine_env_prints_one_error_line(monkeypatch, capsys,
+                                                  no_engine_selection):
+    monkeypatch.setenv("REPRO_ENGINE", "parallel")
+    assert main(EXPLAIN) == 2
+    assert capsys.readouterr().err.splitlines() == [DEAD_ENGINE]
+
+
+def test_bad_block_size_env_prints_one_error_line(monkeypatch, capsys):
+    monkeypatch.setenv("REPRO_BLOCK_SIZE", "abc")
+    assert main(EXPLAIN) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "repro: error: REPRO_BLOCK_SIZE must be an integer, got 'abc'"]
+
+
 def test_classify_command(capsys):
     assert main(["classify", "Q(x, y) :- R(x, z), S(z, y)"]) == 0
     out = capsys.readouterr().out
@@ -195,8 +230,8 @@ def test_doctor_environment_checks(capsys):
 #: sweeps small enough that a CLI run of each suite stays well under a
 #: second; the bench sweep spans less than a decade, so its verdicts are
 #: `inconclusive` — fine for plumbing tests
-SMALL_SWEEPS = {"bench": ((200, 400), (8, 12)), "parallel": 500,
-                "dynamic": 2000, "selfjoin": (300, 600)}
+SMALL_SWEEPS = {"bench": ((200, 400), (8, 12)), "dynamic": 2000,
+                "selfjoin": (300, 600)}
 
 
 @pytest.fixture
@@ -218,7 +253,7 @@ def _bench_args(tmp_path, *extra, suites=("bench",)):
 
 def test_bench_defaults():
     args = build_parser().parse_args(["bench"])
-    assert args.suite == ["bench", "parallel"]
+    assert args.suite == ["bench"]
     assert args.snapshot_dir == "." and not args.quick
 
 
@@ -240,29 +275,9 @@ def test_bench_command_records_history(tmp_path, capsys, small_suites):
         json.dumps(record)
         assert record["schema"] == "repro-bench/1"
         assert record["provenance"]["git_sha"]
-    assert len(load_snapshot(str(tmp_path / "BENCH_bench.json"))) == 5
-
-
-def test_bench_parallel_suite_records(tmp_path, capsys, small_suites):
-    from repro.obs.observatory import Observatory, load_snapshot
-
-    assert main(_bench_args(tmp_path, suites=("bench", "parallel"))) == 0
-    out = capsys.readouterr().out
-    assert "parallel/enum_wall" in out
-    assert "parallel/count_wall" not in out
-    records = Observatory(str(tmp_path / "hist")).load("parallel")
-    assert {r["case"] for r in records} == {"parallel/enum_wall"}
-    for record in records:
-        assert record["metric"] == "wall_seconds"
-        assert record["provenance"]["engine"] == "parallel"
-        assert record["instance_size"] == SMALL_SWEEPS["parallel"]
-        for point in record["points"]:
-            assert point["speedup_x"] > 0
-    snapshot = load_snapshot(str(tmp_path / "BENCH_parallel.json"))
-    assert len(snapshot) == 1
-    # the bench snapshot carries only the join/triangle suites
-    assert all(r["suite"] == "bench"
-               for r in load_snapshot(str(tmp_path / "BENCH_bench.json")))
+    snapshot = load_snapshot(str(tmp_path / "BENCH_bench.json"))
+    assert len(snapshot) == 5
+    assert all(r["suite"] == "bench" for r in snapshot)
 
 
 def test_bench_runs_every_suite(tmp_path, capsys, small_suites):

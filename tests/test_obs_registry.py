@@ -1,9 +1,8 @@
 """Tests for the always-on metrics registry (repro.obs.registry) and
-its quantile sketches (repro.obs.sketch): bucket accuracy, merge
-order-independence, drain/merge transport, always-on collection with
-the tracer disabled, and counter exactness across worker fan-outs."""
+its quantile sketches (repro.obs.sketch): bucket accuracy, weighted
+adds, independent copies, always-on collection with the tracer
+disabled, and exact counters over a columnar enumeration."""
 
-import os
 import random
 
 import pytest
@@ -66,33 +65,27 @@ def test_sketch_quantiles_accurate_on_random_data():
         assert abs(approx - exact) / exact < 0.15, (q, exact, approx)
 
 
-def test_sketch_merge_is_order_independent():
-    rng = random.Random(7)
-    parts = []
-    for _ in range(5):
-        sk = QuantileSketch()
-        for _ in range(1_000):
-            sk.add(rng.randrange(1, 10**7))
-        parts.append(sk)
-    orders = [parts, list(reversed(parts)),
-              [parts[2], parts[0], parts[4], parts[1], parts[3]]]
-    merged = [QuantileSketch.merged(order) for order in orders]
-    for other in merged[1:]:
-        assert other.buckets == merged[0].buckets
-        assert other.count == merged[0].count
-        assert other.total == merged[0].total
-        assert other.min == merged[0].min and other.max == merged[0].max
+def _sketch_state(sk):
+    return (dict(sk.buckets), sk.count, sk.total, sk.min, sk.max,
+            dict(sk.exemplars))
 
 
-def test_sketch_dict_round_trip_and_weights():
+def test_sketch_copy_and_weights():
     sk = QuantileSketch()
     sk.add(1_000, weight=10)
     sk.add(2_000, weight=5)
-    clone = QuantileSketch.from_dict(sk.to_dict())
-    assert clone.count == 15
-    assert clone.total == sk.total
-    assert clone.buckets == sk.buckets
+    sk.add(90_000_000, trace_id="cafe", ts=9.5)
+    assert sk.count == 16
+    assert sk.total == 1_000 * 10 + 2_000 * 5 + 90_000_000
+    source = _sketch_state(sk)
+    clone = sk.copy()
+    assert _sketch_state(clone) == source
     assert clone.summary() == sk.summary()
+    # the copy owns its state: later adds to the source leave it alone
+    sk.add(5, weight=3)
+    sk.add(90_000_001, trace_id="beef", ts=10.0)
+    assert _sketch_state(sk) != source
+    assert _sketch_state(clone) == source
 
 
 def test_sketch_empty_and_negative():
@@ -113,47 +106,11 @@ def test_registry_counts_and_gauges_exact():
         reg.count("a")
     reg.count("b", 42)
     reg.gauge("g", 3.5)
+    reg.observe("lat", 500, weight=2)
     snap = reg.snapshot()
     assert snap["counters"] == {"a": 100, "b": 42}
     assert snap["gauges"] == {"g": 3.5}
-
-
-def test_registry_drain_and_merge_round_trip():
-    worker = MetricsRegistry()
-    worker.enabled = True
-    worker.count("w.tasks", 3)
-    worker.observe("w.lat", 500, weight=2)
-    state = worker.drain()
-    assert state is not None
-    assert worker.drain() is None          # drained registry is empty
-    driver = MetricsRegistry()
-    driver.enabled = True
-    driver.count("w.tasks", 1)
-    driver.merge_state(state)
-    snap = driver.snapshot()
-    assert snap["counters"]["w.tasks"] == 4
-    assert snap["sketches"]["w.lat"]["count"] == 2
-
-
-def test_registry_merge_is_commutative():
-    states = []
-    for seed in range(3):
-        reg = MetricsRegistry()
-        reg.enabled = True
-        rng = random.Random(seed)
-        for _ in range(200):
-            reg.observe("lat", rng.randrange(1, 10**6))
-        reg.count("n", seed + 1)
-        states.append(reg.drain())
-    a = MetricsRegistry()
-    a.enabled = True
-    b = MetricsRegistry()
-    b.enabled = True
-    for st in states:
-        a.merge_state(st)
-    for st in reversed(states):
-        b.merge_state(st)
-    assert a.snapshot() == b.snapshot()
+    assert snap["sketches"]["lat"]["count"] == 2
 
 
 def test_registry_disabled_records_nothing():
@@ -162,7 +119,7 @@ def test_registry_disabled_records_nothing():
     reg.count("x")
     reg.observe("y", 5)
     reg.record_delay(100, 1)
-    assert reg.drain() is None
+    assert reg.snapshot() == {"counters": {}, "gauges": {}, "sketches": {}}
 
 
 def test_suspended_context_manager():
@@ -222,54 +179,15 @@ def test_metrics_env_var_disables(monkeypatch):
     assert MetricsRegistry().enabled
 
 
-# ------------------------------------------------------- worker exactness
+# ------------------------------------------------------- counter exactness
 
 
-@pytest.mark.parametrize("workers", [1, 2, 4])
-def test_counters_exact_across_worker_counts(workers):
-    from repro.engine.parallel import ParallelEngine
-
+def test_counters_exact_on_columnar():
     q = parse_query(FULL_QUERY)
     db = _demo_db(n=600, seed=3)
-    eng = ParallelEngine(workers=workers, threshold=0)
     registry().reset()
-    answers = sum(1 for _ in enumerate_answers(q, db, engine=eng))
+    answers = sum(1 for _ in enumerate_answers(q, db, engine="columnar"))
     assert answers > 0
     snap = registry().snapshot()
     assert snap["counters"]["enum.answers"] == answers
     assert snap["sketches"]["enum.delay_ns"]["count"] == answers
-
-
-def test_worker_phase_sketches_merged_into_driver():
-    from repro.engine.parallel import ParallelEngine
-
-    q = parse_query(FULL_QUERY)
-    db = _demo_db(n=600, seed=4)
-    eng = ParallelEngine(workers=2, threshold=0)
-    registry().reset()
-    sum(1 for _ in enumerate_answers(q, db, engine=eng))
-    names = set(registry().snapshot()["sketches"])
-    # worker-side phases only exist in worker processes; their sketches
-    # must have crossed the wave round-trips into the driver registry
-    assert any(n.startswith("phase.parallel.") for n in names), names
-
-
-def test_adopted_worker_spans_carry_pid_in_chrome_export():
-    from repro.engine.parallel import ParallelEngine
-    from repro.obs.export import chrome_trace_events
-
-    q = parse_query(FULL_QUERY)
-    db = _demo_db(n=600, seed=5)
-    eng = ParallelEngine(workers=2, threshold=0)
-    with obs.capture() as tr:
-        sum(1 for _ in enumerate_answers(q, db, engine=eng))
-    events = chrome_trace_events(tr)
-    me = os.getpid()
-    worker_events = [e for e in events
-                     if e["ph"] == "X" and e["pid"] != me]
-    assert worker_events, "no adopted worker spans in the export"
-    assert all("tid" in e for e in worker_events)
-    names = [e for e in events if e["ph"] == "M"
-             and e["name"] == "process_name"]
-    labels = {e["args"]["name"] for e in names}
-    assert "repro driver" in labels and "repro worker" in labels

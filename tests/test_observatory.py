@@ -225,7 +225,7 @@ def test_run_suites_picks_sweeps_and_stamps_one_provenance(monkeypatch):
         return [dict(case="c", metric="m", points=[{"n": 1, "value": 1.0}],
                      extra=sweep, **engine)]
 
-    monkeypatch.setitem(SUITES, "x", Suite(partial(fake, engine="parallel"),
+    monkeypatch.setitem(SUITES, "x", Suite(partial(fake, engine="columnar"),
                                            "full", quick="small"))
     monkeypatch.setitem(SUITES, "y", Suite(fake, "full"))
     records = run_suites(["x", "y"], TS, quick=True, repeats=1, seed=3)
@@ -235,7 +235,7 @@ def test_run_suites_picks_sweeps_and_stamps_one_provenance(monkeypatch):
     # a case's pinned engine lands in provenance, not on the record
     assert all("engine" not in r for r in records)
     x_prov, y_prov = (r["provenance"] for r in records)
-    assert x_prov["engine"] == "parallel"
+    assert x_prov["engine"] == "columnar"
     assert y_prov["engine"] == collect_provenance(TS)["engine"]
     assert {k: v for k, v in x_prov.items() if k != "engine"} == \
         {k: v for k, v in y_prov.items() if k != "engine"}

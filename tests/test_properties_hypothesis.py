@@ -143,7 +143,7 @@ def test_free_connex_iff_star_size_le_one(qdb):
 # ----------------------------------------------------------- enumeration
 
 
-ENGINES = ("tuple", "columnar", "parallel")
+ENGINES = ("tuple", "columnar")
 
 
 @given(st.one_of(acyclic_queries_with_dbs(),

@@ -40,7 +40,7 @@ from repro.logic.terms import Constant, Variable
 from repro.obs.fitting import expected_verdict
 from repro.obs.registry import registry
 
-ENGINES = ("tuple", "columnar", "parallel")
+ENGINES = ("tuple", "columnar")
 
 DOMAIN = st.integers(min_value=0, max_value=4)
 
