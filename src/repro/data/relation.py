@@ -13,7 +13,6 @@ order on the encoding that the RAM model of the paper assumes (Section
 from __future__ import annotations
 
 import itertools
-import os
 from collections import deque
 from typing import (Any, Dict, Iterable, Iterator, List, NoReturn, Optional,
                     Sequence, Tuple)
@@ -22,25 +21,8 @@ from repro.errors import MalformedQueryError
 
 Tup = Tuple[Any, ...]
 
-DELTA_LOG_ENV_VAR = "REPRO_DELTA_LOG"
+# Per-relation delta-log bound, read when each log is built.
 DEFAULT_DELTA_LOG_CAPACITY = 4096
-
-
-def delta_log_capacity() -> int:
-    """Per-relation delta-log bound (``REPRO_DELTA_LOG``, default 4096).
-
-    Zero (or a negative value) disables delta retention entirely: every
-    version gap then reads as an overflow and consumers fall back to
-    cold recomputation, which is the pre-incremental behaviour.
-    """
-    env = os.environ.get(DELTA_LOG_ENV_VAR, "").strip()
-    if not env:
-        return DEFAULT_DELTA_LOG_CAPACITY
-    try:
-        return max(0, int(env))
-    except ValueError:
-        raise ValueError(
-            f"{DELTA_LOG_ENV_VAR} must be an integer, got {env!r}") from None
 
 
 class DeltaLog:
@@ -53,13 +35,14 @@ class DeltaLog:
     version gap of up to ``capacity`` mutations and returns ``None``
     beyond that — the overflow signal that sends plan-cache consumers
     down the cold-invalidation path instead of a wrong incremental one.
+    A zero capacity retains nothing, so every version gap overflows.
     """
 
     __slots__ = ("capacity", "_ops")
 
     def __init__(self, capacity: Optional[int] = None):
-        self.capacity = delta_log_capacity() if capacity is None \
-            else max(0, int(capacity))
+        self.capacity = max(0, int(
+            DEFAULT_DELTA_LOG_CAPACITY if capacity is None else capacity))
         self._ops: "deque[Tuple[str, Tup]]" = deque(maxlen=self.capacity)
 
     def __len__(self) -> int:
@@ -121,8 +104,8 @@ class Relation:
         # bumped on every effective add/discard; (id, version, len) is the
         # plan-cache invalidation fingerprint (repro.core.plancache)
         self._version = 0
-        # effective mutations since (up to) `delta_log_capacity()` versions
-        # ago, for incremental plan refresh (repro.core.plancache)
+        # effective mutations since (up to) `DEFAULT_DELTA_LOG_CAPACITY`
+        # versions ago, for incremental plan refresh (repro.core.plancache)
         self._deltalog = DeltaLog()
         if tuples is not None:
             self._tuples = dict.fromkeys(map(tuple, tuples))

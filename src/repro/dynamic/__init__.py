@@ -9,14 +9,18 @@ evaluation under updates.
   base tuples; per-tuple *support counters* along the free-connex join
   tree keep track of which tuples still extend downward ("alive"), and
   the projections of the root's subtrees onto their free variables are
-  maintained as multiplicity-counted relations, so satisfiability,
-  answer counts and answer enumeration never reread the base data.
+  kept with multiplicities, so satisfiability, answer counts and answer
+  enumeration never reread the base data.
 * :class:`~repro.dynamic.delta.DeltaReducer` /
   :class:`~repro.dynamic.delta.DeltaCounter` — the delta-propagation
   backend of the plan cache's incremental refresh path
   (``REPRO_INCREMENTAL``): cached full-reducer and Theorem 4.21
   counting plans caught up with per-relation
   :class:`~repro.data.relation.DeltaLog` ops instead of rebuilt.
+
+The view and ``DeltaReducer`` share one support-counter engine,
+:class:`~repro.dynamic.delta.SupportCounters`: the base rows and the
+bottom-up wave that marks the rows with a match under every child.
 """
 
 from repro.dynamic.delta import DeltaCounter, DeltaReducer

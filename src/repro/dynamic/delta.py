@@ -1,32 +1,38 @@
-"""Delta propagation through cached Yannakakis and counting plans.
+"""Delta propagation through join-tree plans.
 
-The plan cache (:mod:`repro.core.plancache`) keys entries on database
-fingerprints, so any base-relation mutation used to cold-invalidate the
-whole preprocessing investment.  This module holds the *warm* path: two
-stateful plan artefacts that are built once and then caught up with the
-per-relation :class:`~repro.data.relation.DeltaLog` ops a stale
-fingerprint implies, in time proportional to the delta's footprint
-rather than to ``||D||``.
+Every structure here stores the materialised atom rows of one join tree
+and catches up with per-relation ``('+' | '-', tuple)`` ops — the
+:class:`~repro.data.relation.DeltaLog` entries a stale plan-cache
+fingerprint implies, or single updates of a dynamic view — in time
+proportional to the delta's footprint rather than to ``||D||``.
 
-* :class:`DeltaReducer` maintains the full-reducer fixpoint.  Per
-  join-tree node it stores the materialised atom rows with two boolean
-  marks — ``up`` (survives the bottom-up semijoin pass) and ``down``
-  (survives the top-down pass, i.e. belongs to the reduced output) —
-  plus the counter machinery of :mod:`repro.dynamic.view`'s
-  ``_CountedRelation`` generalised to both passes: per-key counts of
-  up/down rows, so one mark flip touches matching neighbour rows only
-  when a key's support actually crosses zero.
+* :class:`SupportCounters` owns the base-op pass and the bottom-up
+  semijoin wave.  Per node it keeps the rows, grouped by the key they
+  share with the parent and by each child's key; an ``up`` mark on every
+  row that has an up row under each of its child keys; and ``up_count``,
+  the number of up rows per parent key.  A row is rechecked only when it
+  is new or one of its child keys' counts crossed zero.  On the tree of
+  :func:`~repro.hypergraph.freeconnex.free_connex_join_tree` the atoms
+  below the virtual free edge are roots keyed on their free variables,
+  and each root's ``up_count`` is the projection P_c (with
+  multiplicities) that :class:`~repro.dynamic.view.DynamicFreeConnexView`
+  joins into answers.
+* :class:`DeltaReducer` extends it to the full-reducer fixpoint: a
+  top-down wave maintains ``down`` marks (the row survives both semijoin
+  passes, i.e. belongs to the reduced output) with per-child-key counts
+  of down rows, and columnar tiers keep physically-appended code columns
+  so the reduced relations are emitted by one boolean gather.
 * :class:`DeltaCounter` maintains the Theorem 4.21 counting DP: per node
   row it stores the contribution (product of child message factors) and
   per node the message (per-key contribution sums); a delta subtracts
   and re-adds exactly the contributions it touches, and value changes
   ripple to the parent only for the keys whose sums moved.
 
-Both refreshers mutate in place and return ``None`` *before* touching
-state when a delta shape is unsupported, matching the contract of
-:func:`repro.core.plancache.cached_plan`; an unexpected mid-refresh
-failure marks the state broken so the cache falls back to cold builds
-instead of serving a corrupt plan.
+The two plan-cache refreshers mutate in place and return ``None``
+*before* touching state when a delta shape is unsupported, matching the
+contract of :func:`repro.core.plancache.cached_plan`; an unexpected
+mid-refresh failure marks the state broken so the cache falls back to
+cold builds instead of serving a corrupt plan.
 
 Honest non-guarantee (mirroring :mod:`repro.dynamic.view`): the refresh
 makes *preprocessing* incremental; enumeration delay after an update is
@@ -35,7 +41,7 @@ measured by the dynamic bench suite, not assumed constant.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -82,7 +88,7 @@ class _AtomMap:
 
 
 class _Node:
-    """Join-tree node skeleton shared by both delta structures."""
+    """Join-tree node skeleton shared by every delta structure."""
 
     __slots__ = ("index", "name", "variables", "positions", "atom_map",
                  "parent", "children", "slot", "share", "share_pos",
@@ -129,16 +135,22 @@ class _Node:
 
 def _build_skeleton(cq: ConjunctiveQuery, tree: JoinTree,
                     node_cls) -> List["_Node"]:
+    """One node per atom.  A node's key ``share`` is its variables that
+    occur in its tree parent's edge; a parent that is no atom (the
+    virtual free edge of a free-connex tree) makes the node a root."""
     nodes = [node_cls(i, atom) for i, atom in enumerate(cq.atoms)]
     for i, node in enumerate(nodes):
-        node.parent = tree.parent[i]
         node.children = list(tree.children[i])
         node.cgroup = [{} for _ in node.children]
-        if node.parent is not None:
-            parent_vars = set(nodes[node.parent].variables)
-            node.share = tuple(v for v in node.variables if v in parent_vars)
-            node.share_pos = [node.positions[v] for v in node.share]
-            node.slot = tree.children[node.parent].index(i)
+        parent = tree.parent[i]
+        if parent is None:
+            continue
+        edge = tree.edge_of(parent)
+        node.share = tuple(v for v in node.variables if v in edge)
+        node.share_pos = [node.positions[v] for v in node.share]
+        if parent < len(nodes):
+            node.parent = parent
+            node.slot = tree.children[parent].index(i)
     for node in nodes:
         node.child_key_pos = [
             [node.positions[v] for v in nodes[c].share]
@@ -146,51 +158,192 @@ def _build_skeleton(cq: ConjunctiveQuery, tree: JoinTree,
     return nodes
 
 
-def _atoms_by_relation(nodes: Sequence[_Node]) -> Dict[str, List[int]]:
-    by_rel: Dict[str, List[int]] = {}
-    for node in nodes:
-        by_rel.setdefault(node.name, []).append(node.index)
-    return by_rel
+def _bump(counter: Dict[Tup, int], key: Tup, delta: int) -> bool:
+    """Adjust a support counter; True when it crossed zero."""
+    old = counter.get(key, 0)
+    new = old + delta
+    if new > 0:
+        counter[key] = new
+    else:
+        counter.pop(key, None)
+    return (old > 0) != (new > 0)
+
+
+class _DeltaPlan:
+    """A skeleton of ``_node_cls`` nodes over a join tree, seeded cold and
+    then caught up with delta batches by the subclass's ``_apply``."""
+
+    _node_cls = _Node
+
+    def __init__(self, cq: ConjunctiveQuery, tree: JoinTree):
+        self.cq = cq
+        self.tree = tree
+        self.nodes = _build_skeleton(cq, tree, self._node_cls)
+        self._by_relation: Dict[str, List[int]] = {}
+        for node in self.nodes:
+            self._by_relation.setdefault(node.name, []).append(node.index)
+        self._broken = False
+
+    def _seed(self, db: Database, span: str):
+        """Load the query's relations of ``db`` as one insert batch."""
+        with obs.span(span, nodes=len(self.nodes)):
+            return self._apply({name: [("+", t) for t in db.relation(name)]
+                                for name in self.cq.relation_names()})
+
+    def refreshed(self, deltas: Dict[str, Ops]) -> Optional["_DeltaPlan"]:
+        """Catch the plan up; None (cold fallback) when broken."""
+        if self._broken:
+            return None
+        try:
+            self._apply(deltas)
+        except Exception as exc:  # defensive: never serve a half-refreshed plan
+            self._broken = True
+            obs.count("delta.refresh_broken")
+            obs.event("delta.refresh_broken", plan=type(self).__name__,
+                      error=repr(exc))
+            return None
+        return self
+
+
+# ------------------------------------------------------------- up wave
+
+
+class _UpNode(_Node):
+    """Adds the up marks and the per-parent-key count of up rows."""
+
+    __slots__ = ("up", "up_count")
+
+    def __init__(self, index: int, atom):
+        super().__init__(index, atom)
+        self.up: Set[Tup] = set()
+        self.up_count: Dict[Tup, int] = {}
+
+
+class SupportCounters(_DeltaPlan):
+    """Base rows and the bottom-up semijoin wave of one join tree.
+
+    A row is *up* when every child has an up row under the row's key for
+    that child, so the up rows of a node are its subtree's semijoin
+    reduct.  ``_apply`` runs one batch of ops and returns, per node, the
+    parent keys whose ``up_count`` crossed zero (in either direction).
+    """
+
+    _node_cls = _UpNode
+
+    def __init__(self, cq: ConjunctiveQuery, tree: JoinTree):
+        super().__init__(cq, tree)
+        self._bottom_up = [i for i in tree.bottom_up()
+                           if i < len(self.nodes)]
+
+    def _apply(self, deltas: Dict[str, Ops]) -> Dict[int, Set[Tup]]:
+        recheck: Dict[int, Set[Tup]] = {}
+        crossed: Dict[int, Set[Tup]] = {}
+        self._base_ops(deltas, recheck, crossed)
+        self._up_wave(recheck, crossed)
+        return crossed
+
+    def _base_ops(self, deltas: Dict[str, Ops],
+                  recheck: Dict[int, Set[Tup]],
+                  crossed: Dict[int, Set[Tup]]) -> int:
+        """Inserts queue an up recheck; deletes drop their up support
+        now.  Returns the number of ops that matched an atom."""
+        nodes = self.nodes
+        n_ops = 0
+        for name, ops in deltas.items():
+            for idx in self._by_relation.get(name, ()):
+                node = nodes[idx]
+                for op, t in ops:
+                    row = node.atom_map.row_of(t)
+                    if row is None:
+                        continue
+                    n_ops += 1
+                    if op == "+":
+                        if row in node.rows:
+                            continue
+                        node.rows[row] = None
+                        node.group_add(row)
+                        recheck.setdefault(idx, set()).add(row)
+                        self._inserted(node, row)
+                    elif row in node.rows:
+                        self._removing(node, row)
+                        if row in node.up:
+                            node.up.discard(row)
+                            key = node.pkey(row)
+                            if _bump(node.up_count, key, -1):
+                                crossed.setdefault(idx, set()).add(key)
+                        del node.rows[row]
+                        node.group_remove(row)
+        return n_ops
+
+    def _inserted(self, node: _UpNode, row: Tup) -> None:
+        """Hook: ``row`` was just added to ``node``."""
+
+    def _removing(self, node: _UpNode, row: Tup) -> None:
+        """Hook: ``row`` is about to leave ``node``."""
+
+    def _up_wave(self, recheck: Dict[int, Set[Tup]],
+                 crossed: Dict[int, Set[Tup]]
+                 ) -> Tuple[int, Dict[int, List[Tup]]]:
+        """Recheck the up marks children first, so a node sees its
+        children's final counts.  Returns the number of rows rechecked
+        and, per node, the rows whose mark flipped."""
+        nodes = self.nodes
+        flipped: Dict[int, List[Tup]] = {}
+        rechecked = 0
+        for idx in self._bottom_up:
+            node = nodes[idx]
+            pending = recheck.get(idx, set())
+            for slot, child_idx in enumerate(node.children):
+                for key in crossed.get(child_idx, ()):
+                    pending |= node.cgroup[slot].get(key, set())
+            for row in pending:
+                if row not in node.rows:
+                    continue
+                rechecked += 1
+                new_up = True
+                for slot, child_idx in enumerate(node.children):
+                    if node.ckey(slot, row) not in nodes[child_idx].up_count:
+                        new_up = False
+                        break
+                if new_up == (row in node.up):
+                    continue
+                if new_up:
+                    node.up.add(row)
+                else:
+                    node.up.discard(row)
+                key = node.pkey(row)
+                if _bump(node.up_count, key, 1 if new_up else -1):
+                    crossed.setdefault(idx, set()).add(key)
+                flipped.setdefault(idx, []).append(row)
+        return rechecked, flipped
 
 
 # ------------------------------------------------------------------ reducer
 
 
-class _ReducerNode(_Node):
-    """Adds the up/down marks, their per-key support counters, and (in
+class _ReducerNode(_UpNode):
+    """Adds the down marks, their per-child-key support counters, and (in
     columnar mode) physically-appended code columns with a down mask, so
     the reduced relation is emitted by one boolean gather."""
 
-    __slots__ = ("up", "down", "up_count", "down_count",
-                 "cols", "size", "down_mask",
+    __slots__ = ("down", "down_count", "cols", "size", "down_mask",
                  "emitted", "dirty", "added_rows", "append_only")
 
     def __init__(self, index: int, atom):
         super().__init__(index, atom)
-        self.up: Set[Tup] = set()
         self.down: Set[Tup] = set()
-        self.up_count: Dict[Tup, int] = {}
         self.down_count: List[Dict[Tup, int]] = []
         self.cols: Optional[List[np.ndarray]] = None
         self.size = 0
         self.down_mask: Optional[np.ndarray] = None
         self.emitted = None
         self.dirty = True
-        self.added_rows: List[Tup] = []
+        # rows added since the last emission, in insertion order
+        self.added_rows: Dict[Tup, None] = {}
         self.append_only = True
 
-    def bump(self, counter: Dict[Tup, int], key: Tup, delta: int) -> bool:
-        """Adjust a support counter; True when it crossed zero."""
-        old = counter.get(key, 0)
-        new = old + delta
-        if new > 0:
-            counter[key] = new
-        else:
-            counter.pop(key, None)
-        return (old > 0) != (new > 0)
 
-
-class DeltaReducer:
+class DeltaReducer(SupportCounters):
     """An incrementally maintained full-reducer plan.
 
     ``build`` runs the characterisation cold (every row inserted and
@@ -200,18 +353,19 @@ class DeltaReducer:
     updated database with the same engine family.
     """
 
+    _node_cls = _ReducerNode
+
     def __init__(self, cq: ConjunctiveQuery, tree: JoinTree, engine):
-        self.cq = cq
-        self.tree = tree
-        self.nodes: List[_ReducerNode] = _build_skeleton(
-            cq, tree, _ReducerNode)
+        super().__init__(cq, tree)
         for node in self.nodes:
             node.down_count = [{} for _ in node.children]
-        self._by_relation = _atoms_by_relation(self.nodes)
         self._columnar = isinstance(engine, ColumnarEngine)
         self._dict = engine.dictionary if self._columnar else None
         self._relcls = type(engine.relation(()))
-        self._broken = False
+        # per batch: the rows appended to each node, in insertion order,
+        # and the child keys whose down count crossed zero per (node, slot)
+        self._appended: Dict[int, Dict[Tup, None]] = {}
+        self._down_crossed: Dict[Tuple[int, int], Set[Tup]] = {}
 
     # ----------------------------------------------------------- lifecycle
 
@@ -236,115 +390,80 @@ class DeltaReducer:
     @classmethod
     def build(cls, cq: ConjunctiveQuery, db: Database,
               engine) -> "DeltaReducer":
-        tree = cached_join_tree(cq.hypergraph())
-        state = cls(cq, tree, engine)
-        seed = {name: [("+", t) for t in db.relation(name)]
-                for name in cq.relation_names()}
-        with obs.span("delta.reducer_build", nodes=len(state.nodes)):
-            state._apply(seed)
+        state = cls(cq, cached_join_tree(cq.hypergraph()), engine)
+        state._seed(db, "delta.reducer_build")
         return state
-
-    def refreshed(self, deltas: Dict[str, Ops]) -> Optional["DeltaReducer"]:
-        """Catch the plan up; None (cold fallback) when broken."""
-        if self._broken:
-            return None
-        try:
-            self._apply(deltas)
-        except Exception as exc:  # defensive: never serve a half-refreshed plan
-            self._broken = True
-            obs.count("delta.refresh_broken")
-            obs.event("delta.refresh_broken", plan=type(self).__name__,
-                      error=repr(exc))
-            return None
-        return self
 
     # ----------------------------------------------------------- the waves
 
-    def _apply(self, deltas: Dict[str, Ops]) -> None:
+    def _apply(self, deltas: Dict[str, Ops]) -> Dict[int, Set[Tup]]:
         nodes = self.nodes
-        recheck_up: Dict[int, Set[Tup]] = {}
-        up_changed_keys: Dict[int, Set[Tup]] = {}
-        down_changed_keys: Dict[Tuple[int, int], Set[Tup]] = {}
-        up_flipped: Dict[int, Set[Tup]] = {}
-        appended: Dict[int, List[Tup]] = {}
-        n_ops = 0
-
-        # phase A: base ops (deletes adjust counters now, inserts queue)
-        for name, ops in deltas.items():
-            for idx in self._by_relation.get(name, ()):
-                node = nodes[idx]
-                for op, t in ops:
-                    row = node.atom_map.row_of(t)
-                    if row is None:
-                        continue
-                    n_ops += 1
-                    if op == "+":
-                        if row in node.rows:
-                            continue
-                        node.rows[row] = None  # phys index assigned below
-                        node.group_add(row)
-                        appended.setdefault(idx, []).append(row)
-                        recheck_up.setdefault(idx, set()).add(row)
-                        node.added_rows.append(row)
-                        node.dirty = True
-                    else:
-                        self._remove_row(node, row, appended.get(idx),
-                                         up_changed_keys, down_changed_keys)
-        obs.count("delta.ops_applied", n_ops)
-
+        self._appended, self._down_crossed = {}, {}
+        recheck: Dict[int, Set[Tup]] = {}
+        crossed: Dict[int, Set[Tup]] = {}
+        obs.count("delta.ops_applied",
+                  self._base_ops(deltas, recheck, crossed))
         if self._columnar:
-            for idx, new_rows in appended.items():
-                self._append_codes(nodes[idx], new_rows)
+            for idx, new_rows in self._appended.items():
+                self._append_codes(nodes[idx], list(new_rows))
+        rechecked, flipped = self._up_wave(recheck, crossed)
+        for idx, rows in flipped.items():
+            node = nodes[idx]
+            node.dirty = True
+            added_here = self._appended.get(idx, {})
+            if any(row not in added_here for row in rows):
+                node.append_only = False
+        rechecked += self._down_wave(flipped)
+        obs.count("delta.rows_rechecked", rechecked)
+        if self._columnar:
+            for node in nodes:
+                self._maybe_compact(node)
+        return crossed
 
-        # phase B: bottom-up recheck of the up marks (children first, so
-        # a node sees its children's final up supports)
+    def _inserted(self, node: _ReducerNode, row: Tup) -> None:
+        # its physical index is assigned when the batch is encoded
+        self._appended.setdefault(node.index, {})[row] = None
+        node.added_rows[row] = None
+        node.dirty = True
+
+    def _removing(self, node: _ReducerNode, row: Tup) -> None:
+        node.dirty = True
+        phys = node.rows[row]
+        if self._columnar and phys is None:
+            # added earlier in this very batch, not yet encoded: cancel
+            # the pending append instead of tombstoning anything
+            del self._appended[node.index][row]
+        else:
+            node.append_only = False
+        if row in node.down:
+            node.down.discard(row)
+            for slot in range(len(node.children)):
+                key = node.ckey(slot, row)
+                if _bump(node.down_count[slot], key, -1):
+                    self._down_crossed.setdefault((node.index, slot),
+                                                  set()).add(key)
+        if self._columnar and phys is not None:
+            node.down_mask[phys] = False
+        node.added_rows.pop(row, None)
+
+    def _down_wave(self, flipped: Dict[int, List[Tup]]) -> int:
+        """Recheck the down marks parents first, so a node sees its
+        parent's final down counts.  Returns the rows rechecked."""
+        nodes = self.nodes
+        down_crossed = self._down_crossed
+        recheck: Dict[int, Set[Tup]] = {}
+        for idx, rows in flipped.items():
+            recheck.setdefault(idx, set()).update(rows)
+        for idx, new_rows in self._appended.items():
+            recheck.setdefault(idx, set()).update(new_rows)
         rechecked = 0
-        for idx in self.tree.bottom_up():
+        for idx in reversed(self._bottom_up):
             node = nodes[idx]
-            pending = recheck_up.get(idx, set())
-            for slot, child_idx in enumerate(node.children):
-                for key in up_changed_keys.get(child_idx, ()):
-                    pending |= node.cgroup[slot].get(key, set())
-            added_here = set(appended.get(idx, ()))
-            for row in pending:
-                if row not in node.rows:
-                    continue
-                rechecked += 1
-                new_up = True
-                for slot, child_idx in enumerate(node.children):
-                    if nodes[child_idx].up_count.get(
-                            node.ckey(slot, row), 0) <= 0:
-                        new_up = False
-                        break
-                if new_up == (row in node.up):
-                    continue
-                if new_up:
-                    node.up.add(row)
-                else:
-                    node.up.discard(row)
-                if node.bump(node.up_count, node.pkey(row),
-                             1 if new_up else -1) and node.parent is not None:
-                    up_changed_keys.setdefault(idx, set()).add(node.pkey(row))
-                up_flipped.setdefault(idx, set()).add(row)
-                if row not in added_here:
-                    node.append_only = False
-                node.dirty = True
-
-        # phase C: top-down recheck of the down marks (parents first, so
-        # a node sees its parent's final down supports)
-        recheck_down: Dict[int, Set[Tup]] = {}
-        for idx, flipped in up_flipped.items():
-            recheck_down.setdefault(idx, set()).update(flipped)
-        for idx, new_rows in appended.items():
-            recheck_down.setdefault(idx, set()).update(new_rows)
-        for idx in self.tree.top_down():
-            node = nodes[idx]
-            pending = recheck_down.get(idx, set())
+            pending = recheck.get(idx, set())
             if node.parent is not None:
-                for key in down_changed_keys.get((node.parent, node.slot),
-                                                 ()):
+                for key in down_crossed.get((node.parent, node.slot), ()):
                     pending |= node.pgroup.get(key, set())
-            added_here = set(appended.get(idx, ()))
+            added_here = self._appended.get(idx, {})
             for row in pending:
                 if row not in node.rows:
                     continue
@@ -362,61 +481,15 @@ class DeltaReducer:
                     node.down.discard(row)
                 if self._columnar:
                     node.down_mask[node.rows[row]] = new_down
-                for slot, child_idx in enumerate(node.children):
+                for slot in range(len(node.children)):
                     key = node.ckey(slot, row)
-                    if node.bump(node.down_count[slot], key,
-                                 1 if new_down else -1):
-                        down_changed_keys.setdefault((idx, slot),
-                                                     set()).add(key)
+                    if _bump(node.down_count[slot], key,
+                             1 if new_down else -1):
+                        down_crossed.setdefault((idx, slot), set()).add(key)
                 if row not in added_here:
                     node.append_only = False
                 node.dirty = True
-        obs.count("delta.rows_rechecked", rechecked)
-
-        if self._columnar:
-            for node in nodes:
-                self._maybe_compact(node)
-
-    def _remove_row(self, node: _ReducerNode, row: Tup,
-                    batch: Optional[List[Tup]],
-                    up_changed_keys: Dict[int, Set[Tup]],
-                    down_changed_keys: Dict[Tuple[int, int], Set[Tup]]
-                    ) -> None:
-        if row not in node.rows:
-            return
-        node.dirty = True
-        if self._columnar and node.rows[row] is None:
-            # added earlier in this very batch, not yet encoded: cancel
-            # the pending append instead of tombstoning anything
-            if batch is not None:
-                try:
-                    batch.remove(row)
-                except ValueError:  # pragma: no cover - batch mirrors rows
-                    pass
-        else:
-            node.append_only = False
-        if row in node.up:
-            node.up.discard(row)
-            if node.bump(node.up_count, node.pkey(row), -1) \
-                    and node.parent is not None:
-                up_changed_keys.setdefault(node.index,
-                                           set()).add(node.pkey(row))
-        if row in node.down:
-            node.down.discard(row)
-            for slot in range(len(node.children)):
-                key = node.ckey(slot, row)
-                if node.bump(node.down_count[slot], key, -1):
-                    down_changed_keys.setdefault((node.index, slot),
-                                                 set()).add(key)
-        phys = node.rows[row]
-        if self._columnar and phys is not None:
-            node.down_mask[phys] = False
-        del node.rows[row]
-        node.group_remove(row)
-        try:
-            node.added_rows.remove(row)
-        except ValueError:
-            pass
+        return rechecked
 
     # --------------------------------------------------------- columnar io
 
@@ -489,7 +562,7 @@ class DeltaReducer:
                     len(node.down), self._dict)
         node.emitted = rel
         node.dirty = False
-        node.added_rows = []
+        node.added_rows = {}
         node.append_only = True
         return rel
 
@@ -513,7 +586,7 @@ class _CounterNode(_Node):
         self.msg: Dict[Tup, int] = {}
 
 
-class DeltaCounter:
+class DeltaCounter(_DeltaPlan):
     """An incrementally maintained Theorem 4.21 counting DP.
 
     Engine-independent (rows and keys are plain value tuples) and exact:
@@ -522,13 +595,7 @@ class DeltaCounter:
     order-sensitive, so weighted counting stays cold.
     """
 
-    def __init__(self, cq: ConjunctiveQuery, tree: JoinTree):
-        self.cq = cq
-        self.tree = tree
-        self.nodes: List[_CounterNode] = _build_skeleton(
-            cq, tree, _CounterNode)
-        self._by_relation = _atoms_by_relation(self.nodes)
-        self._broken = False
+    _node_cls = _CounterNode
 
     @staticmethod
     def supports(cq: ConjunctiveQuery) -> bool:
@@ -540,26 +607,9 @@ class DeltaCounter:
 
     @classmethod
     def build(cls, cq: ConjunctiveQuery, db: Database) -> "DeltaCounter":
-        tree = cached_join_tree(cq.hypergraph())
-        state = cls(cq, tree)
-        seed = {name: [("+", t) for t in db.relation(name)]
-                for name in cq.relation_names()}
-        with obs.span("delta.counter_build", nodes=len(state.nodes)):
-            state._apply(seed)
+        state = cls(cq, cached_join_tree(cq.hypergraph()))
+        state._seed(db, "delta.counter_build")
         return state
-
-    def refreshed(self, deltas: Dict[str, Ops]) -> Optional["DeltaCounter"]:
-        if self._broken:
-            return None
-        try:
-            self._apply(deltas)
-        except Exception as exc:  # defensive: never serve a half-refreshed plan
-            self._broken = True
-            obs.count("delta.refresh_broken")
-            obs.event("delta.refresh_broken", plan=type(self).__name__,
-                      error=repr(exc))
-            return None
-        return self
 
     def _adjust(self, node: _CounterNode, key: Tup, delta: int,
                 changed: Dict[int, Set[Tup]]) -> None:
@@ -632,4 +682,4 @@ class DeltaCounter:
         return self.nodes[self.tree.root].msg.get((), 0)
 
 
-__all__ = ["DeltaCounter", "DeltaReducer"]
+__all__ = ["DeltaCounter", "DeltaReducer", "SupportCounters"]

@@ -10,10 +10,10 @@ the root), so the answers are exactly the star join
     P_c     =  pi_{F_c}(alive tuples of c),   F_c = vars(c) /\\ free
 
 where a tuple is *alive* when it is present and every child of its node
-has at least one alive matching tuple.  The view maintains, per node
-tuple, one support counter per child; an update walks only the affected
-counters upward, and the P_c projections carry multiplicities so that
-deletes never rescan base data.
+has at least one alive matching tuple.  The maintenance is the up wave
+of :class:`~repro.dynamic.delta.SupportCounters` run on that tree: a
+tuple is alive when it is ``up``, and root c's ``up_count`` is P_c with
+multiplicities, so deletes never rescan base data.
 
 Guarantees (and honest non-guarantees):
 
@@ -32,76 +32,13 @@ from __future__ import annotations
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.data.database import Database
+from repro.dynamic.delta import SupportCounters
 from repro.errors import NotFreeConnexError, SchemaMismatchError, UnsupportedQueryError
 from repro.eval.join import VarRelation
 from repro.hypergraph.freeconnex import free_connex_join_tree
 from repro.logic.cq import ConjunctiveQuery
-from repro.logic.terms import Variable
 
 Tup = Tuple[Any, ...]
-
-
-class _CountedRelation:
-    """A multiset of tuples with per-key indexes (the P_c projections)."""
-
-    def __init__(self, variables: Tuple[Variable, ...]):
-        self.variables = variables
-        self.multiplicity: Dict[Tup, int] = {}
-
-    def add(self, tup: Tup) -> bool:
-        """Returns True when the distinct set changed (0 -> 1)."""
-        m = self.multiplicity.get(tup, 0)
-        self.multiplicity[tup] = m + 1
-        return m == 0
-
-    def remove(self, tup: Tup) -> bool:
-        """Returns True when the distinct set changed (1 -> 0)."""
-        m = self.multiplicity.get(tup, 0) - 1
-        if m <= 0:
-            self.multiplicity.pop(tup, None)
-            return True
-        self.multiplicity[tup] = m
-        return False
-
-    def contains(self, tup: Tup) -> bool:
-        return tup in self.multiplicity
-
-    def distinct(self) -> List[Tup]:
-        return list(self.multiplicity)
-
-    def as_varrelation(self) -> VarRelation:
-        return VarRelation(self.variables, self.multiplicity.keys())
-
-    def __len__(self) -> int:
-        return len(self.multiplicity)
-
-
-class _Node:
-    """One atom node of the free-connex tree."""
-
-    __slots__ = ("index", "atom", "variables", "parent", "children",
-                 "probe_vars", "tuples", "supports", "alive",
-                 "alive_index", "positions", "child_indexes")
-
-    def __init__(self, index: int, atom, variables: Tuple[Variable, ...]):
-        self.index = index
-        self.atom = atom
-        self.variables = variables
-        self.positions = {v: i for i, v in enumerate(variables)}
-        self.parent: Optional["_Node"] = None
-        self.children: List["_Node"] = []
-        self.probe_vars: Tuple[Variable, ...] = ()
-        self.tuples: Set[Tup] = set()
-        self.supports: Dict[Tup, List[int]] = {}
-        self.alive: Set[Tup] = set()
-        # probe-key -> set of alive tuples (key on probe_vars)
-        self.alive_index: Dict[Tup, Set[Tup]] = {}
-        # per child slot: child-key -> set of OWN tuples (for O(affected)
-        # support propagation instead of full scans)
-        self.child_indexes: List[Dict[Tup, Set[Tup]]] = []
-
-    def key_of(self, tup: Tup) -> Tup:
-        return tuple(tup[self.positions[v]] for v in self.probe_vars)
 
 
 class DynamicFreeConnexView:
@@ -128,203 +65,109 @@ class DynamicFreeConnexView:
         # databases (and repeated view construction) share one entry
         from repro.core.plancache import cached_plan
 
-        tree, virtual = cached_plan(
+        tree, _virtual = cached_plan(
             "free_connex_tree", cq, None, "-",
             lambda: free_connex_join_tree(cq))
-        self._nodes: List[_Node] = []
-        for i, atom in enumerate(cq.atoms):
-            self._nodes.append(_Node(i, atom, atom.variables()))
-        free_set = set(self.free)
-        self._roots: List[_Node] = []
-        for i, atom in enumerate(cq.atoms):
-            node = self._nodes[i]
-            parent_index = tree.parent[i]
-            if parent_index == virtual or parent_index is None:
-                node.parent = None
-                node.probe_vars = tuple(
-                    v for v in node.variables if v in free_set)
-                self._roots.append(node)
-            else:
-                node.parent = self._nodes[parent_index]
-                node.parent.children.append(node)
-                parent_vars = set(self._nodes[parent_index].variables)
-                node.probe_vars = tuple(
-                    v for v in node.variables if v in parent_vars)
-        # projections P_c, one per root subtree
-        self._projections: Dict[int, _CountedRelation] = {
-            node.index: _CountedRelation(node.probe_vars)
-            for node in self._roots
-        }
-        # atom nodes grouped by relation name
-        self._by_relation: Dict[str, List[_Node]] = {}
-        for node in self._nodes:
-            self._by_relation.setdefault(node.atom.relation, []).append(node)
-
-        self._materialize = materialize
+        self._support = SupportCounters(cq, tree)
+        self._roots = [n for n in self._support.nodes if n.parent is None]
+        self._arities = cq.relation_arities()
+        # positions of each projection's variables within the head
+        head_index = {v: i for i, v in enumerate(self.free)}
+        self._head_pos: Dict[int, List[int]] = {
+            n.index: [head_index[v] for v in n.share] for n in self._roots}
         self._answers: Optional[Set[Tup]] = set() if materialize else None
         # net answer deltas since the last pop_changes: tup -> +1 / -1
         self._delta: Dict[Tup, int] = {}
-        # positions of each projection's variables within the head
-        self._head_pos: Dict[int, List[int]] = {}
-        head_index = {v: i for i, v in enumerate(self.free)}
-        for node in self._roots:
-            self._head_pos[node.index] = [head_index[v]
-                                          for v in node.probe_vars]
-
         if db is not None:
-            for name in cq.relation_names():
-                for tup in db.relation(name):
-                    self.insert(name, tup)
+            crossed = self._support._seed(db, "delta.view_build")
+            if self._answers is not None:
+                self._record(crossed, adding=True)
 
     # ------------------------------------------------------------- updates
 
     def insert(self, relation: str, tup: Sequence[Any]) -> None:
         """Insert one tuple into a base relation."""
-        tup = tuple(tup)
-        for node in self._by_relation.get(relation, []):
-            if not node.atom.matches(tup):
-                continue
-            binding = node.atom.bind(tup)
-            row = tuple(binding[v] for v in node.variables)
-            if row in node.tuples:
-                continue
-            node.tuples.add(row)
-            while len(node.child_indexes) < len(node.children):
-                node.child_indexes.append({})
-            supports = []
-            for slot, child in enumerate(node.children):
-                key = self._child_key(node, row, child)
-                supports.append(self._alive_count(child, key))
-                node.child_indexes[slot].setdefault(key, set()).add(row)
-            node.supports[row] = supports
-            if all(s > 0 for s in supports):
-                self._set_alive(node, row, True)
+        self._update("+", relation, tup)
 
     def delete(self, relation: str, tup: Sequence[Any]) -> None:
         """Delete one tuple from a base relation."""
-        tup = tuple(tup)
-        for node in self._by_relation.get(relation, []):
-            if not node.atom.matches(tup):
-                continue
-            binding = node.atom.bind(tup)
-            row = tuple(binding[v] for v in node.variables)
-            if row not in node.tuples:
-                continue
-            if row in node.alive:
-                self._set_alive(node, row, False)
-            node.tuples.discard(row)
-            node.supports.pop(row, None)
-            for slot, child in enumerate(node.children):
-                key = self._child_key(node, row, child)
-                bucket = node.child_indexes[slot].get(key)
-                if bucket is not None:
-                    bucket.discard(row)
-                    if not bucket:
-                        del node.child_indexes[slot][key]
+        self._update("-", relation, tup)
 
-    # -------------------------------------------------------- maintenance
-
-    def _child_key(self, node: _Node, row: Tup, child: _Node) -> Tup:
-        return tuple(row[node.positions[v]] for v in child.probe_vars)
-
-    def _alive_count(self, node: _Node, key: Tup) -> int:
-        return len(node.alive_index.get(key, ()))
-
-    def _set_alive(self, node: _Node, row: Tup, alive: bool) -> None:
-        if alive:
-            node.alive.add(row)
-            key = node.key_of(row)
-            node.alive_index.setdefault(key, set()).add(row)
-        else:
-            node.alive.discard(row)
-            key = node.key_of(row)
-            bucket = node.alive_index.get(key)
-            if bucket is not None:
-                bucket.discard(row)
-                if not bucket:
-                    del node.alive_index[key]
-        if node.parent is None:
-            projection = self._projections[node.index]
-            if alive:
-                changed = projection.add(key)
-            else:
-                changed = projection.remove(key)
-            if changed and self._materialize:
-                self._apply_projection_delta(node, key, alive)
+    def _update(self, op: str, relation: str, tup: Sequence[Any]) -> None:
+        arity = self._arities.get(relation)
+        if arity is None:
             return
-        # adjust the support counters of matching parent tuples
-        parent = node.parent
-        delta = 1 if alive else -1
-        child_slot = parent.children.index(node)
-        while len(parent.child_indexes) < len(parent.children):
-            parent.child_indexes.append({})
-        affected = parent.child_indexes[child_slot].get(key, set())
-        for parent_row in list(affected):
-            supports = parent.supports[parent_row]
-            was_alive = parent_row in parent.alive
-            supports[child_slot] += delta
-            now_alive = all(s > 0 for s in supports)
-            if now_alive != was_alive:
-                self._set_alive(parent, parent_row, now_alive)
+        tup = tuple(tup)
+        if len(tup) != arity:
+            raise SchemaMismatchError(
+                f"relation {relation!r} has arity {arity}, "
+                f"got the {len(tup)}-tuple {tup!r}")
+        crossed = self._support._apply({relation: [(op, tup)]})
+        if crossed and self._answers is not None:
+            self._record(crossed, adding=op == "+")
 
     # ---------------------------------------------------- materialisation
 
-    def _apply_projection_delta(self, node: _Node, tup: Tup,
-                                added: bool) -> None:
-        """One distinct-set change of a projection: join the changed tuple
-        against the other projections to update the stored answer set and
-        the delta stream."""
-        assert self._answers is not None
-        others = [n for n in self._roots if n is not node]
-        if not self.free:
-            # Boolean view: the answer is () iff all projections non-empty
-            present = all(len(self._projections[n.index]) > 0
-                          for n in self._roots)
-            if present and () not in self._answers:
-                self._answers.add(())
-                self._bump((), +1)
-            elif not present and () in self._answers:
-                self._answers.discard(())
-                self._bump((), -1)
-            return
+    def _record(self, crossed: Dict[int, Set[Tup]], adding: bool) -> None:
+        """Fold one batch's projection changes (the roots' entries of
+        ``crossed``) into the stored answers.
+
+        A batch of inserts only adds projection keys and a batch of
+        deletes only removes them, so the answers it adds (removes) are
+        those with some component among the added (removed) keys.  Each
+        changed key is joined against the other projections as they
+        stand after an insert batch, and as they stood before a delete
+        batch (after, plus the keys it removed): one op can change two
+        projections at once in a self-join.  A Boolean view needs no
+        special case: its projections hold at most the key ``()``.
+        """
+        answers = self._answers
+        assert answers is not None
+        removed = {} if adding else crossed
+        for root in self._roots:
+            for key in crossed.get(root.index, ()):
+                for answer in self._join(root, key, removed):
+                    if (answer in answers) == adding:
+                        continue
+                    if adding:
+                        answers.add(answer)
+                    else:
+                        answers.discard(answer)
+                    self._bump(answer, 1 if adding else -1)
+
+    def _join(self, root, key: Tup,
+              removed: Dict[int, Set[Tup]]) -> Iterator[Tup]:
+        """The answers extending ``key`` of ``root`` by one key of each
+        other root's projection or of its ``removed`` keys."""
         template: List[Any] = [None] * len(self.free)
-        for pos, value in zip(self._head_pos[node.index], tup):
+        for pos, value in zip(self._head_pos[root.index], key):
             template[pos] = value
+        others = [(self._head_pos[n.index],
+                   (n.up_count, removed.get(n.index, ())))
+                  for n in self._roots if n is not root]
 
         def expand(i: int) -> Iterator[Tup]:
             if i == len(others):
                 yield tuple(template)
                 return
-            other = others[i]
-            positions = self._head_pos[other.index]
-            bound = [(slot, p) for slot, p in enumerate(positions)
-                     if template[p] is not None]
-            for cand in self._projections[other.index].multiplicity:
-                if any(cand[slot] != template[p] for slot, p in bound):
-                    continue
-                touched = []
-                ok = True
-                for slot, p in enumerate(positions):
-                    if template[p] is None:
-                        template[p] = cand[slot]
-                        touched.append(p)
-                    elif template[p] != cand[slot]:
-                        ok = False
-                        break
-                if ok:
-                    yield from expand(i + 1)
-                for p in touched:
-                    template[p] = None
+            positions, pools = others[i]
+            for pool in pools:
+                for cand in pool:
+                    touched = []
+                    ok = True
+                    for slot, p in enumerate(positions):
+                        if template[p] is None:
+                            template[p] = cand[slot]
+                            touched.append(p)
+                        elif template[p] != cand[slot]:
+                            ok = False
+                            break
+                    if ok:
+                        yield from expand(i + 1)
+                    for p in touched:
+                        template[p] = None
 
-        for answer in expand(0):
-            if added:
-                if answer not in self._answers:
-                    self._answers.add(answer)
-                    self._bump(answer, +1)
-            else:
-                if answer in self._answers:
-                    self._answers.discard(answer)
-                    self._bump(answer, -1)
+        return expand(0)
 
     def _bump(self, answer: Tup, sign: int) -> None:
         net = self._delta.get(answer, 0) + sign
@@ -337,7 +180,7 @@ class DynamicFreeConnexView:
         """(added, removed) answer tuples since the last call
         (``materialize=True`` views only).  Net changes: an answer that
         came and went within the window appears in neither list."""
-        if not self._materialize:
+        if self._answers is None:
             raise UnsupportedQueryError(
                 "pop_changes needs DynamicFreeConnexView(materialize=True)")
         added = [a for a, net in self._delta.items() if net > 0]
@@ -346,6 +189,14 @@ class DynamicFreeConnexView:
         return added, removed
 
     # --------------------------------------------------------------- reads
+
+    def _projections(self) -> Optional[List[VarRelation]]:
+        """The projections P_c over at least one variable, or None when
+        some P_c is empty (then there is no answer)."""
+        if not all(n.up_count for n in self._roots):
+            return None
+        return [VarRelation(n.share, n.up_count.keys())
+                for n in self._roots if n.share]
 
     def is_satisfiable(self) -> bool:
         """Is phi(D) non-empty right now?"""
@@ -361,28 +212,15 @@ class DynamicFreeConnexView:
         if self._answers is not None:
             yield from list(self._answers)
             return
+        relations = self._projections()
+        if relations is None:
+            return
         if not self.free:
-            # Boolean: satisfiable iff every root subtree is non-empty and
-            # (there being no shared variables) that suffices
-            if all(len(self._projections[n.index]) > 0 for n in self._roots):
-                yield ()
-            return
-        relations = [self._projections[n.index].as_varrelation()
-                     for n in self._roots]
-        relations = [r for r in relations if len(r.variables) > 0]
-        zero_ary = [self._projections[n.index] for n in self._roots
-                    if not n.probe_vars]
-        if any(len(p) == 0 for p in zero_ary):
-            return
-        if any(len(r) == 0 for r in relations):
+            yield ()
             return
         from repro.enumeration.full_acyclic import FullJoinEnumerator
 
-        covered = {v for r in relations for v in r.variables}
-        if covered != set(self.free):  # pragma: no cover - defensive
-            raise AssertionError("projections do not cover the head")
-        enum = FullJoinEnumerator(relations, self.free, reduce=True)
-        yield from enum
+        yield from FullJoinEnumerator(relations, self.free, reduce=True)
 
     def answers(self) -> Set[Tup]:
         return set(self.enumerate())
@@ -392,26 +230,22 @@ class DynamicFreeConnexView:
         the star join; cost proportional to the projections' sizes)."""
         if self._answers is not None:
             return len(self._answers)
+        relations = self._projections()
+        if relations is None:
+            return 0
         if not self.free:
-            return 1 if self.is_satisfiable() else 0
+            return 1
         from repro.counting.acq_count import count_full_acyclic_join
 
-        relations = [self._projections[n.index].as_varrelation()
-                     for n in self._roots]
-        for n, rel in zip(self._roots, relations):
-            if not n.probe_vars and len(self._projections[n.index]) == 0:
-                return 0
-        relations = [r for r in relations if len(r.variables) > 0]
-        if any(len(r) == 0 for r in relations):
-            return 0
         # the star join can repeat F_c sets across subtrees: full-reduce
         # then count
         return count_full_acyclic_join(relations)
 
     def stats(self) -> Dict[str, int]:
         """Maintenance counters, for tests and benchmarks."""
+        nodes = self._support.nodes
         return {
-            "stored_tuples": sum(len(n.tuples) for n in self._nodes),
-            "alive_tuples": sum(len(n.alive) for n in self._nodes),
-            "projection_size": sum(len(p) for p in self._projections.values()),
+            "stored_tuples": sum(len(n.rows) for n in nodes),
+            "alive_tuples": sum(len(n.up) for n in nodes),
+            "projection_size": sum(len(n.up_count) for n in self._roots),
         }

@@ -9,7 +9,8 @@ from repro.data import generators
 from repro.data.database import Database
 from repro.data.relation import Relation
 from repro.dynamic import DynamicFreeConnexView
-from repro.errors import NotFreeConnexError, UnsupportedQueryError
+from repro.errors import (NotFreeConnexError, SchemaMismatchError,
+                          UnsupportedQueryError)
 from repro.eval.naive import evaluate_cq_naive
 from repro.logic.parser import parse_cq
 
@@ -218,3 +219,57 @@ def test_pop_changes_requires_materialize():
     view = DynamicFreeConnexView(q)
     with pytest.raises(UnsupportedQueryError):
         view.pop_changes()
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_materialized_self_join_matches_truth_after_every_op(seed):
+    """One R op can change both projections of a self-join at once; the
+    answer stream must still match recomputation after every op."""
+    q = parse_cq("Q(x, y) :- R(x, w), R(y, u)")
+    view = DynamicFreeConnexView(q, materialize=True)
+    rng = random.Random(seed)
+    rel = Relation("R", 2)
+    prev = set()
+    for step in range(120):
+        if len(rel) and rng.random() < 0.45:
+            t = rng.choice(sorted(rel))
+            rel.discard(t)
+            view.delete("R", t)
+        else:
+            t = (rng.randrange(4), rng.randrange(4))
+            rel.add(t)
+            view.insert("R", t)
+        truth = evaluate_cq_naive(q, Database([rel.copy()], domain=range(4)))
+        added, removed = view.pop_changes()
+        assert set(added) == truth - prev, (seed, step)
+        assert set(removed) == prev - truth, (seed, step)
+        assert view.answers() == truth, (seed, step)
+        assert view.count_answers() == len(truth), (seed, step)
+        prev = truth
+
+
+def test_materialized_initial_load_reports_every_answer_as_added():
+    q = parse_cq("Q(x, y) :- R(x, w), S(y, u), B(u)")
+    db = generators.random_database({"R": 2, "S": 2, "B": 1}, 5, 12, seed=2)
+    truth = evaluate_cq_naive(q, db)
+    assert truth
+    view = DynamicFreeConnexView(q, db, materialize=True)
+    added, removed = view.pop_changes()
+    assert sorted(added) == sorted(truth)
+    assert removed == []
+    assert view.count_answers() == len(truth)
+
+
+def test_wrong_arity_tuples_are_rejected():
+    q = parse_cq("Q(x) :- R(x, z), S(z, y)")
+    view = DynamicFreeConnexView(q)
+    for bad in [(1, 2, 3), (1,)]:
+        with pytest.raises(SchemaMismatchError):
+            view.insert("R", bad)
+        with pytest.raises(SchemaMismatchError):
+            view.delete("S", bad)
+    assert view.stats()["stored_tuples"] == 0
+    # a relation the query does not mention stays a no-op
+    view.insert("T", (1, 2, 3))
+    view.delete("T", (1,))
+    assert view.stats()["stored_tuples"] == 0

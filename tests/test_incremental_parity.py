@@ -27,10 +27,8 @@ from repro.core.plancache import (
 from repro.counting.acq_count import count_acq
 from repro.counting.weighted import WeightFunction
 from repro.data.database import Database
-from repro.data.relation import (
-    DELTA_LOG_ENV_VAR,
-    Relation,
-)
+from repro.data import relation as relation_module
+from repro.data.relation import Relation
 from repro.enumeration.free_connex import FreeConnexEnumerator
 from repro.eval.yannakakis import full_reducer
 from repro.logic.parser import parse_cq
@@ -144,7 +142,7 @@ def test_interleaved_stream_parity(engine, stream):
 def test_overflow_boundary_parity(engine, monkeypatch):
     """Updates past the delta-log capacity must fall back to a cold
     rebuild — silently and correctly (graceful degradation)."""
-    monkeypatch.setenv(DELTA_LOG_ENV_VAR, "4")
+    monkeypatch.setattr(relation_module, "DEFAULT_DELTA_LOG_CAPACITY", 4)
     cq = parse_cq(PATH_QUERY)
     db = _db([("R", (i, i % 3)) for i in range(8)]
              + [("S", (i % 3, i)) for i in range(8)]

@@ -13,57 +13,65 @@ from repro.dynamic import DynamicFreeConnexView
 from repro.eval.naive import evaluate_cq_naive
 from repro.logic.parser import parse_cq
 
-QUERY = parse_cq("Q(x, y) :- R(x, w), S(y, u), B(u)")
-ARITIES = QUERY.relation_arities()
 VALUES = st.integers(0, 3)
 
 
-class DynamicViewMachine(RuleBasedStateMachine):
-    def __init__(self):
-        super().__init__()
-        self.view = DynamicFreeConnexView(QUERY, materialize=True)
-        self.shadow = {name: set() for name in ARITIES}
-        self.prev_answers = set()
+def view_machine(text):
+    """The state machine's test case for one query (relations of arity
+    at most 2)."""
+    query = parse_cq(text)
+    arities = query.relation_arities()
 
-    def _tuple(self, name, values):
-        return tuple(values[: ARITIES[name]])
+    class DynamicViewMachine(RuleBasedStateMachine):
+        def __init__(self):
+            super().__init__()
+            self.view = DynamicFreeConnexView(query, materialize=True)
+            self.shadow = {name: set() for name in arities}
+            self.prev_answers = set()
 
-    @rule(name=st.sampled_from(sorted(ARITIES)),
-          values=st.tuples(VALUES, VALUES))
-    def insert(self, name, values):
-        tup = self._tuple(name, values)
-        self.shadow[name].add(tup)
-        self.view.insert(name, tup)
+        def _tuple(self, name, values):
+            return tuple(values[: arities[name]])
 
-    @rule(name=st.sampled_from(sorted(ARITIES)),
-          values=st.tuples(VALUES, VALUES))
-    def delete(self, name, values):
-        tup = self._tuple(name, values)
-        self.shadow[name].discard(tup)
-        self.view.delete(name, tup)
+        @rule(name=st.sampled_from(sorted(arities)),
+              values=st.tuples(VALUES, VALUES))
+        def insert(self, name, values):
+            tup = self._tuple(name, values)
+            self.shadow[name].add(tup)
+            self.view.insert(name, tup)
 
-    def _truth(self):
-        rels = []
-        for name, arity in ARITIES.items():
-            rels.append(Relation(name, arity, self.shadow[name]))
-        db = Database(rels, domain=range(4))
-        return evaluate_cq_naive(QUERY, db)
+        @rule(name=st.sampled_from(sorted(arities)),
+              values=st.tuples(VALUES, VALUES))
+        def delete(self, name, values):
+            tup = self._tuple(name, values)
+            self.shadow[name].discard(tup)
+            self.view.delete(name, tup)
 
-    @rule()
-    def check_deltas(self):
-        truth = self._truth()
-        added, removed = self.view.pop_changes()
-        assert set(added) == truth - self.prev_answers
-        assert set(removed) == self.prev_answers - truth
-        self.prev_answers = truth
+        def _truth(self):
+            rels = []
+            for name, arity in arities.items():
+                rels.append(Relation(name, arity, self.shadow[name]))
+            db = Database(rels, domain=range(4))
+            return evaluate_cq_naive(query, db)
 
-    @invariant()
-    def answers_match_recomputation(self):
-        truth = self._truth()
-        assert self.view.answers() == truth
-        assert self.view.count_answers() == len(truth)
+        @rule()
+        def check_deltas(self):
+            truth = self._truth()
+            added, removed = self.view.pop_changes()
+            assert set(added) == truth - self.prev_answers
+            assert set(removed) == self.prev_answers - truth
+            self.prev_answers = truth
+
+        @invariant()
+        def answers_match_recomputation(self):
+            truth = self._truth()
+            assert self.view.answers() == truth
+            assert self.view.count_answers() == len(truth)
+
+    DynamicViewMachine.TestCase.settings = settings(
+        max_examples=25, stateful_step_count=30, deadline=None)
+    return DynamicViewMachine.TestCase
 
 
-DynamicViewMachine.TestCase.settings = settings(
-    max_examples=25, stateful_step_count=30, deadline=None)
-TestDynamicView = DynamicViewMachine.TestCase
+TestDynamicView = view_machine("Q(x, y) :- R(x, w), S(y, u), B(u)")
+TestDynamicViewSelfJoin = view_machine("Q(x, y) :- R(x, w), R(y, u)")
+TestDynamicViewChain = view_machine("Q(x) :- R(x, z), S(z, w), T(w, y)")
