@@ -19,7 +19,7 @@ from __future__ import annotations
 import datetime
 import os
 import time
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -73,6 +73,20 @@ def timed(fn: Callable[[], object]) -> float:
     start = time.perf_counter()
     fn()
     return time.perf_counter() - start
+
+
+def best_cold(build: Callable[[], object], fn: Callable[[object], object],
+              repeats: int = 2) -> Tuple[float, object]:
+    """Best time of ``fn(db)`` over ``repeats`` fresh databases from
+    ``build()``, and the last result.  The plan cache is keyed on the
+    database, so no repeat is served from the cache."""
+    best, result = float("inf"), None
+    for _ in range(repeats):
+        db = build()
+        start = time.perf_counter()
+        result = fn(db)
+        best = min(best, time.perf_counter() - start)
+    return best, result
 
 
 def format_rows(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:

@@ -9,29 +9,30 @@ Three levels, matching the paper's tractability ladder:
   the theorem quotes).
 * :func:`count_quantifier_free_acyclic` — the same on a query + database.
 * :func:`count_acq` — general ACQs via the quantified-star-size
-  decomposition of Theorem 4.28: S-components are collapsed to relations
-  over their free variables (candidate generation over a covering set of
-  s = star-size atoms, then per-candidate satisfiability filtering), and
-  the resulting quantifier-free acyclic query is counted by the DP.
-  Total time ||D||^{O(s)}.
+  decomposition of Theorem 4.28: each S-component is collapsed to its
+  projection onto its free variables, computed by the bottom-up
+  join-project of Yannakakis' algorithm along the component's own join
+  tree (:func:`repro.eval.yannakakis.join_project`), and the resulting
+  quantifier-free acyclic query is counted by the DP.  Total time
+  ||D||^{O(s)}.
 
 Cross-validation baseline: :func:`count_cq_naive`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro import obs
 from repro.data.database import Database
 from repro.counting.weighted import WeightFunction
 from repro.errors import NotAcyclicError, UnsupportedQueryError
 from repro.eval.join import VarRelation
-from repro.eval.naive import cq_is_satisfiable_naive, evaluate_cq_naive
-from repro.eval.yannakakis import full_reducer, yannakakis_boolean
-from repro.hypergraph.components import free_cover_atoms, s_components
+from repro.eval.naive import evaluate_cq_naive
+from repro.eval.yannakakis import full_reducer, join_project
+from repro.hypergraph.components import s_components
 from repro.hypergraph.hypergraph import Hypergraph
-from repro.hypergraph.jointree import build_join_tree, cached_join_tree
+from repro.hypergraph.jointree import cached_join_tree
 from repro.logic.cq import ConjunctiveQuery
 from repro.logic.terms import Variable
 
@@ -210,10 +211,11 @@ def derive_counting_join(cq: ConjunctiveQuery, db: Database, engine=None
     """The star-size decomposition behind Theorem 4.28.
 
     Returns derived relations over free variables whose join *is* phi(D),
-    or None when the query is unsatisfiable.  Cost ||D||^{O(s)}, s the
-    quantified star size: per component, candidates come from joining the
-    s covering atoms' (reduced) relations and each candidate is verified
-    by one Boolean satisfiability check of the component.
+    or None when the query is unsatisfiable: the reduced relations of the
+    atoms over free variables only, plus one relation pi_F(phi(D)) per
+    S-component with free vertices F.  Cost ||D||^{O(s)}, s the
+    quantified star size: each component's join-project keeps at most
+    ||D|| rows per row of its projection, which has at most ||D||^s.
 
     The decomposition (the expensive, per-database part) is served from
     the plan cache on repeats; returned relations are shallow copies.
@@ -234,7 +236,7 @@ def _derive_counting_join(cq: ConjunctiveQuery, db: Database, engine
                           ) -> Optional[List[VarRelation]]:
     free = cq.free_variables()
     h = cq.hypergraph()
-    tree, reduced = full_reducer(cq, db, engine=engine)
+    _tree, reduced = full_reducer(cq, db, engine=engine)
     if any(len(r) == 0 for r in reduced):
         return None
 
@@ -243,74 +245,23 @@ def _derive_counting_join(cq: ConjunctiveQuery, db: Database, engine
         if atom.variable_set() <= free:
             derived.append(reduced[i])
 
+    # full reduction made the relations globally consistent, so each
+    # projection below is exactly pi_F(phi(D)): no row needs a check
     for comp in s_components(h, free):
         f_vars = tuple(sorted(comp.s_vertices, key=lambda v: v.name))
         if not f_vars:
             continue  # satisfiability already enforced by the full reducer
-        cover = free_cover_atoms(h, comp)
-        # fast path: a single covering atom (star size 1 locally) — its
-        # reduced relation projects exactly onto pi_{F_i}(phi(D))
-        if len(cover) == 1:
-            derived.append(reduced[cover[0]].project(f_vars))
+        # one atom holding all of F: project its reduced relation
+        holder = next((j for j in comp.edge_indexes
+                       if comp.s_vertices <= h.edges[j]), None)
+        if holder is not None:
+            derived.append(reduced[holder].project(f_vars))
             continue
-        # candidates: join of the covering atoms' reduced relations
-        candidate_rel = reduced[cover[0]]
-        for j in cover[1:]:
-            candidate_rel = candidate_rel.join(reduced[j])
-        candidates = candidate_rel.project(f_vars)
-        obs.count("count.candidates", len(candidates))
-        # verify each candidate against the whole component, probing the
-        # already-reduced relations (no re-materialisation per candidate)
-        comp_relations = [reduced[j] for j in comp.edge_indexes]
-        from repro.engine import resolve_engine
-
-        verified = resolve_engine(engine).relation(f_vars)
-        for t in candidates:
-            if _component_satisfiable(comp_relations, dict(zip(f_vars, t))):
-                verified.add(t)
-        derived.append(verified)
+        rel = join_project(cached_join_tree(comp.subhypergraph(h)),
+                           [reduced[j] for j in comp.edge_indexes], f_vars)
+        derived.append(rel if rel.variables == f_vars
+                       else rel.project(f_vars))
     return derived
-
-
-def _component_satisfiable(relations: List[VarRelation],
-                           assignment: Dict[Variable, Any]) -> bool:
-    """Does the candidate assignment of the component's free variables
-    extend to all component atoms?  Backtracking over the (reduced)
-    relations with hash probes — most-bound-first order."""
-    remaining = list(relations)
-    order: List[VarRelation] = []
-    bound = set(assignment)
-    while remaining:
-        best = max(remaining,
-                   key=lambda r: sum(1 for v in r.variables if v in bound))
-        remaining.remove(best)
-        order.append(best)
-        bound.update(best.variables)
-
-    def backtrack(i: int, env: Dict[Variable, Any]) -> bool:
-        if i == len(order):
-            return True
-        rel = order[i]
-        for t in rel.probe_assignment(env):
-            added = []
-            ok = True
-            for v, val in zip(rel.variables, t):
-                if v in env:
-                    if env[v] != val:
-                        ok = False
-                        break
-                else:
-                    env[v] = val
-                    added.append(v)
-            if ok and backtrack(i + 1, env):
-                for v in added:
-                    del env[v]
-                return True
-            for v in added:
-                del env[v]
-        return False
-
-    return backtrack(0, dict(assignment))
 
 
 def count_acq(cq: ConjunctiveQuery, db: Database,
@@ -318,6 +269,11 @@ def count_acq(cq: ConjunctiveQuery, db: Database,
               engine=None) -> Any:
     """#ACQ via quantified star size (Theorem 4.28): weighted count of the
     *answers* (distinct head tuples) of an acyclic CQ.
+
+    :func:`derive_counting_join` replaces each S-component by its
+    projection onto its free vertices; the join of the derived relations
+    is phi(D), a quantifier-free acyclic join counted by the Theorem 4.21
+    DP.  A quantifier-free query skips the decomposition.
 
     Weights apply to the free variables (answers are tuples over the
     head), matching the #F-CQ definition of Section 4.4.

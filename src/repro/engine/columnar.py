@@ -507,11 +507,6 @@ class ColumnarRelation:
               key: Sequence[Any]) -> List[Tup]:
         return self.index_on(tuple(variables)).get(tuple(key), [])
 
-    def probe_assignment(self, assignment: Dict[Variable, Any]) -> List[Tup]:
-        bound = tuple(v for v in self.variables if v in assignment)
-        key = tuple(assignment[v] for v in bound)
-        return self.probe(bound, key)
-
     # -------------------------------------------------------------- operators
 
     def project(self, variables: Sequence[Variable]) -> "ColumnarRelation":

@@ -90,12 +90,6 @@ class VarRelation:
         """Tuples agreeing with ``key`` on ``variables`` — O(1) + output."""
         return self.index_on(tuple(variables)).get(tuple(key), [])
 
-    def probe_assignment(self, assignment: Dict[Variable, Any]) -> List[Tup]:
-        """Tuples consistent with the bound part of ``assignment``."""
-        bound = tuple(v for v in self.variables if v in assignment)
-        key = tuple(assignment[v] for v in bound)
-        return self.probe(bound, key)
-
     # -------------------------------------------------------------- operators
 
     def project(self, variables: Sequence[Variable]) -> "VarRelation":

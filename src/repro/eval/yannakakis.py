@@ -10,9 +10,11 @@ Three entry points:
 * :func:`yannakakis_boolean` — Boolean answering: the query is satisfiable
   iff no relation becomes empty during the bottom-up pass.
 * :func:`yannakakis` — full output-sensitive evaluation: after reduction,
-  a bottom-up join keeps, at each node, only the columns that are free or
-  still needed higher up, so intermediate results stay within
-  O(||D|| * ||phi(D)||), giving total time O(||phi|| * ||D|| * ||phi(D)||).
+  :func:`join_project` joins bottom-up and keeps, at each step, only the
+  columns that are free or still needed by an atom not yet joined, so
+  intermediate results stay within O(||D|| * ||phi(D)||), giving total
+  time O(||phi|| * ||D|| * ||phi(D)||).  Star-size counting
+  (:mod:`repro.counting.acq_count`) runs the same pass per S-component.
 
 All entry points accept an ``engine`` (a backend name, an
 :class:`~repro.engine.Engine`, or None for the process-wide selection —
@@ -23,13 +25,13 @@ given, one is built once per hypergraph and memoised
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
+from typing import (AbstractSet, Dict, Iterable, List, Optional, Sequence, Set,
+                    Tuple, Union)
 
 from repro import obs
 from repro.data.database import Database
-from repro.errors import NotAcyclicError
-from repro.eval.join import VarRelation, atom_to_varrelation
-from repro.hypergraph.jointree import JoinTree, build_join_tree, cached_join_tree
+from repro.eval.join import VarRelation
+from repro.hypergraph.jointree import JoinTree, cached_join_tree
 from repro.logic.cq import ConjunctiveQuery
 from repro.logic.terms import Variable
 
@@ -221,44 +223,71 @@ def yannakakis(cq: ConjunctiveQuery, db: Database,
                engine: EngineLike = None) -> VarRelation:
     """Compute phi(D) for an acyclic CQ, output-sensitively (Theorem 4.2).
 
-    After full reduction, join bottom-up; at each node project onto the
-    variables that are free or shared with the not-yet-joined part, which
-    bounds intermediates by ||D|| * ||phi(D)||.
+    Full reduction, then :func:`join_project` onto the free variables;
+    the columns come out in head order.
     """
     tree, relations = full_reducer(cq, db, tree=tree, engine=engine)
-    free = cq.free_variables()
-
-    # variables occurring above each node (in its strict ancestors' atoms)
-    above: Dict[int, FrozenSet[Variable]] = {}
-    order = tree.top_down()
-    for node in order:
-        parent = tree.parent[node]
-        if parent is None:
-            above[node] = frozenset()
-        else:
-            above[node] = above[parent] | tree.hypergraph.edges[parent]
-
-    joined: Dict[int, VarRelation] = {}
-    with obs.span("yannakakis.join_project", nodes=len(order)) as sp:
-        sp.set("rows_in", sum(len(r) for r in relations))
-        for node in tree.bottom_up():
-            acc = relations[node]
-            for child in tree.children[node]:
-                acc = acc.join(joined[child])
-            keep = [
-                v for v in acc.variables
-                if v in free or v in above[node]
-            ]
-            joined[node] = acc.project(keep)
-        sp.set("rows_out", len(joined[tree.root]))
-
-    result = joined[tree.root]
+    result = join_project(tree, relations, cq.free_variables())
     # normalise column order to the head with one projection (head
-    # variables are exactly the free variables, all retained above)
+    # variables are exactly the free variables, all retained)
     head = tuple(cq.head)
     if result.variables == head:
         return result
     return result.project(head)
+
+
+def join_project(tree: JoinTree, relations: Sequence[VarRelation],
+                 output_vars: Iterable[Variable]) -> VarRelation:
+    """The bottom-up join-project pass: pi_output(join of ``relations``).
+
+    ``relations[i]`` holds the rows of ``tree``'s node ``i`` (its
+    variables are the node's edge).  Each node joins its children's
+    results one at a time; before the first join and after each one it
+    keeps only the variables still needed: the output variables, those
+    of the parent's atom and those of the children not yet joined.  By
+    running intersection no other variable of the subtree occurs outside
+    it, so each existential variable goes as soon as its last atom is
+    joined.
+
+    On globally consistent relations (after :func:`full_reducer`) every
+    intermediate row extends to an output row, so an intermediate holds
+    at most ||D|| rows per output row; the output of an S-component of
+    star size s has at most ||D||^s rows.  The span records ``rows_in``,
+    ``rows_out`` and ``rows_max``, the largest intermediate.
+    """
+    output = frozenset(output_vars)
+    edges = tree.hypergraph.edges
+    joined: Dict[int, VarRelation] = {}
+    rows_max = 0
+    with obs.span("yannakakis.join_project", nodes=len(relations)) as sp:
+        sp.set("rows_in", sum(len(r) for r in relations))
+        for node in tree.bottom_up():
+            parent = tree.parent[node]
+            keep = output if parent is None else output | edges[parent]
+            children = tree.children[node]
+            acc = _project_onto(relations[node],
+                                keep.union(*(edges[c] for c in children)))
+            rows_max = max(rows_max, len(acc))
+            for i, child in enumerate(children):
+                acc = acc.join(joined[child])
+                rows_max = max(rows_max, len(acc))
+                acc = _project_onto(
+                    acc, keep.union(*(edges[c] for c in children[i + 1:])))
+            joined[node] = acc
+        result = joined[tree.root]
+        sp.set("rows_out", len(result))
+        sp.set("rows_max", rows_max)
+    return result
+
+
+def _project_onto(rel: VarRelation, needed: AbstractSet[Variable]
+                  ) -> VarRelation:
+    """``rel`` restricted to the columns in ``needed``, in its own
+    column order; ``rel`` itself when every column stays."""
+    keep = [v for v in rel.variables if v in needed]
+    if len(keep) == len(rel.variables):
+        return rel
+    return rel.project(keep)
 
 
 def acyclic_answers(cq: ConjunctiveQuery, db: Database,

@@ -146,7 +146,9 @@ def free_cover_atoms(h: Hypergraph, component: SComponent) -> List[int]:
     By conformality of acyclic hypergraphs, an S-component of star size s
     has its S-vertices covered by s edges (paper, discussion after
     Definition 4.26).  Exact search over edge subsets, smallest first —
-    parameter-sized.
+    parameter-sized.  Counting does not build on a cover: it projects
+    each component's join onto its S-vertices
+    (:func:`repro.counting.acq_count.derive_counting_join`).
     """
     from itertools import combinations
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import obs
 from repro.counting.acq_count import (
     count_acq,
     count_cq_naive,
@@ -63,20 +64,53 @@ def test_quantifier_free_rejects_projection():
         count_quantifier_free_acyclic(parse_cq("Q(x) :- R(x, y)"), db)
 
 
-def test_count_acq_randomized_star_sizes():
+@pytest.mark.parametrize("engine", ["tuple", "columnar"])
+def test_count_acq_randomized_star_sizes(engine):
     queries = [
         "Q(x) :- R(x, z), S(z, y)",                  # star 1
         "Q(x, y) :- R(x, z), S(z, y)",               # star 2 (Pi)
         "Q(x, y, w) :- R(x, z), S(z, y), T(z, w)",   # star 3
         "Q(x1, x2, x3) :- R(x1, x2), S(x2, x3, y3), R(x1, y1), T2(y3, y4, y5), S2(x2, y2)",
+        # no atom holds all free vertices, and the atoms that hold them
+        # share no variable
+        "Q(x, w) :- R(x, y), S(y, z), T(z, w)",
+        # two atoms hold the free vertices; a third has a private
+        # existential
+        "Q(x, w) :- R(x, y), S(y, w), T(y, u)",
+        # three atoms hold the free vertices, joined by an existential chain
+        "Q(x, y, w) :- R(x, z), S(z, u), T(u, y), S2(u, w)",
     ]
     for text in queries:
         q = parse_cq(text)
+        head = [v.name for v in q.head]
         for seed in range(5):
             db = generators.random_database(
                 {"R": 2, "S": q.relation_arities().get("S", 2), "T": 2,
                  "T2": 3, "S2": 2}, 6, 14, seed=seed)
-            assert count_acq(q, db) == len(evaluate_cq_naive(q, db)), (text, seed)
+            answers = evaluate_cq_naive(q, db)
+            assert count_acq(q, db, engine=engine) == len(answers), (text, seed)
+            # each derived relation is the answers' projection onto it
+            for rel in derive_counting_join(q, db, engine=engine) or []:
+                pos = [head.index(v.name) for v in rel.variables]
+                assert set(rel) == {tuple(a[p] for p in pos)
+                                    for a in answers}, (text, seed, rel)
+
+
+@pytest.mark.parametrize("engine", ["tuple", "columnar"])
+def test_component_projection_stays_within_the_database(engine):
+    """No atom holds both free vertices of ``Q(x, w)``, so the component
+    is joined along its join tree; on a diagonal no intermediate
+    outgrows the database (a cross product of the atoms holding x and w
+    would have 500 * 500 rows)."""
+    diagonal = [(i, i) for i in range(500)]
+    db = Database.from_relations({"R": diagonal, "S": diagonal,
+                                  "T": diagonal})
+    q = parse_cq("Q(x, w) :- R(x, y), S(y, z), T(z, w)")
+    with obs.capture() as tracer:
+        assert count_acq(q, db, engine=engine) == 500
+    spans = [s for s in tracer.spans if s.name == "yannakakis.join_project"]
+    assert spans
+    assert all(s.attrs["rows_max"] <= db.size() for s in spans)
 
 
 def test_count_acq_weighted_matches_reference():

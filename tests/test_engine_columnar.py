@@ -239,7 +239,7 @@ def test_columnar_probe_interface_matches_tuple_backend():
     rows = [(1, 2), (1, 3), (2, 3)]
     cr = ColumnarRelation((x, y), rows)
     vr = VarRelation((x, y), rows)
-    assert sorted(cr.probe_assignment({x: 1})) == sorted(vr.probe_assignment({x: 1}))
+    assert sorted(cr.probe((x,), (1,))) == sorted(vr.probe((x,), (1,)))
     assert sorted(cr.index_on((x,))[(1,)]) == sorted(vr.index_on((x,))[(1,)])
     assert (1, 2) in cr and (9, 9) not in cr
 

@@ -27,7 +27,6 @@ def test_duplicate_schema_rejected():
 def test_probe_by_variables():
     r = VarRelation((x, y), [(1, 2), (1, 3), (2, 3)])
     assert sorted(r.probe((x,), (1,))) == [(1, 2), (1, 3)]
-    assert r.probe_assignment({x: 2, z: 99}) == [(2, 3)]
 
 
 def test_project():

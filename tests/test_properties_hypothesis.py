@@ -4,6 +4,7 @@
   the connectedness condition;
 * beta-acyclicity <=> all edge-subsets alpha-acyclic;
 * free-connex <=> quantified star size <= 1;
+* every S-component of an alpha-acyclic hypergraph is alpha-acyclic;
 * the planner's enumerate (duplicate-free), count, weighted count and
   decide == naive evaluation on every engine, including on self-join
   queries that fold onto an acyclic core;
@@ -58,6 +59,11 @@ def acyclic_queries_with_dbs(draw):
         [("R", ["x", "y"]), ("S", ["y", "z"]), ("B", ["y"])],
         [("T3", ["x", "y", "z"]), ("R", ["x", "u"])],
         [("R", ["x", "y"]), ("S", ["u", "w"])],
+        [("R", ["x", "y"]), ("S", ["y", "z"]), ("T", ["z", "u"]),
+         ("U", ["u", "w"])],
+        # a star around y: each leaf has a private variable, existential
+        # when the head leaves it out
+        [("R", ["x", "y"]), ("S", ["y", "z"]), ("T", ["y", "u"])],
     ]
     layout = draw(st.sampled_from(layouts))
     all_vars = sorted({v for _, vs in layout for v in vs})
@@ -119,6 +125,20 @@ def test_join_tree_exists_iff_acyclic(h):
         except NotAcyclicError:
             return
         raise AssertionError("cyclic hypergraph produced a join tree")
+
+
+@given(hypergraphs(), st.sets(st.sampled_from(VAR_NAMES)))
+@settings(max_examples=80, deadline=None)
+def test_s_components_of_acyclic_hypergraphs_are_acyclic(h, s):
+    """Star-size counting joins each S-component along its own join
+    tree, so every S-component of an alpha-acyclic hypergraph must be
+    alpha-acyclic."""
+    from repro.hypergraph.components import s_components
+    from repro.hypergraph.jointree import is_alpha_acyclic
+
+    if is_alpha_acyclic(h):
+        for comp in s_components(h, s):
+            assert is_alpha_acyclic(comp.subhypergraph(h)), (h, s, comp)
 
 
 @given(hypergraphs())
