@@ -46,7 +46,7 @@ Commands
     The suites are ``bench`` (free-connex delay and preprocessing,
     acyclic total time, Algorithm 2 delay, the triangle lower bound),
     ``dynamic`` (delta refresh vs cold rebuild) and ``selfjoin``
-    (shared vs per-atom work).
+    (self-join queries on the per-symbol workspace).
     ``--gate fail`` turns a regression of a case just run against its
     rolling baseline into a nonzero exit code (default: warn only).
 
@@ -89,7 +89,7 @@ from typing import Any, List, Optional, Sequence
 
 from repro.data.database import Database
 from repro.data.relation import Relation
-from repro.errors import MalformedQueryError, ReproError
+from repro.errors import ConfigurationError, MalformedQueryError, ReproError
 
 
 def _parse_value(text: str) -> Any:
@@ -104,10 +104,18 @@ def load_csv_database(directory: str) -> Database:
     """Load every ``*.csv`` in ``directory`` as one relation each.
 
     A row whose width differs from the file's first row raises
-    :class:`~repro.errors.MalformedQueryError` naming the file and line.
+    :class:`~repro.errors.MalformedQueryError` naming the file and line;
+    a directory that cannot be listed raises
+    :class:`~repro.errors.ConfigurationError`.
     """
+    try:
+        names = sorted(os.listdir(directory))
+    except OSError as exc:
+        raise ConfigurationError(
+            f"cannot read data directory {directory!r}: "
+            f"{exc.strerror}") from None
     db = Database()
-    for name in sorted(os.listdir(directory)):
+    for name in names:
         if not name.endswith(".csv"):
             continue
         path = os.path.join(directory, name)
@@ -429,11 +437,9 @@ def _doctor_caches() -> None:
     """Cache-health lines from the always-on registry: per-symbol
     workspaces, watchdog."""
     from repro import obs
-    from repro.engine.symbols import sharing_enabled
 
     reg = obs.registry()
     print(f"symbol workspace: "
-          f"{'on' if sharing_enabled() else 'OFF (REPRO_SYMBOL_SHARING=0)'}; "
           f"{reg.counter('engine.symbol_workspace_hits')} hits, "
           f"{reg.counter('engine.symbol_workspace_misses')} misses, "
           f"{reg.counter('engine.symbol_workspace_patches')} patches, "

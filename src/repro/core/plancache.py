@@ -87,7 +87,6 @@ class PlanCache:
         self.refresh_fallbacks = 0
 
     def stats(self) -> dict:
-        from repro.engine.symbols import sharing_enabled
         from repro.obs.registry import registry
 
         reg = registry()
@@ -100,7 +99,6 @@ class PlanCache:
                 # per-symbol work sharing rides the same repeated-query
                 # motivation as the plan cache, so its counters surface
                 # here (and in doctor/top) alongside the plan hit rates
-                "symbol_sharing": sharing_enabled(),
                 "symbol_workspace_hits":
                     reg.counter("engine.symbol_workspace_hits"),
                 "symbol_workspace_misses":
@@ -277,8 +275,7 @@ def cached_plan(kind: str, query: Hashable, db, engine_name: str,
 
     ``builder`` runs (and its result is cached, with ``db`` pinned) only
     on a miss or when caching is disabled.  ``extra`` distinguishes
-    same-query plans with different knobs — block size, and the engine's
-    :meth:`~repro.engine.base.Engine.plan_key` (the symbol-sharing mode).
+    same-query plans with different knobs (the enumeration block size).
 
     ``refresher`` opts the plan kind into delta propagation: when a
     lookup misses only because the database fingerprint moved, and

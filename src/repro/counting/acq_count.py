@@ -10,9 +10,10 @@ Three levels, matching the paper's tractability ladder:
 * :func:`count_quantifier_free_acyclic` — the same on a query + database.
 * :func:`count_acq` — general ACQs via the quantified-star-size
   decomposition of Theorem 4.28: each S-component is collapsed to its
-  projection onto its free variables, computed by the bottom-up
-  join-project of Yannakakis' algorithm along the component's own join
-  tree (:func:`repro.eval.yannakakis.join_project`), and the resulting
+  projection onto its free variables (:func:`repro.eval.yannakakis.
+  free_join`, which free-connex enumeration shares: one atom's
+  projection, or the bottom-up join-project of Yannakakis' algorithm
+  along the component's own join tree), and the resulting
   quantifier-free acyclic query is counted by the DP.  Total time
   ||D||^{O(s)}.
 
@@ -29,8 +30,7 @@ from repro.counting.weighted import WeightFunction
 from repro.errors import NotAcyclicError, UnsupportedQueryError
 from repro.eval.join import VarRelation
 from repro.eval.naive import evaluate_cq_naive
-from repro.eval.yannakakis import full_reducer, join_project
-from repro.hypergraph.components import s_components
+from repro.eval.yannakakis import free_join, full_reducer
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.hypergraph.jointree import cached_join_tree
 from repro.logic.cq import ConjunctiveQuery
@@ -213,7 +213,8 @@ def derive_counting_join(cq: ConjunctiveQuery, db: Database, engine=None
     Returns derived relations over free variables whose join *is* phi(D),
     or None when the query is unsatisfiable: the reduced relations of the
     atoms over free variables only, plus one relation pi_F(phi(D)) per
-    S-component with free vertices F.  Cost ||D||^{O(s)}, s the
+    S-component with free vertices F
+    (:func:`repro.eval.yannakakis.free_join`).  Cost ||D||^{O(s)}, s the
     quantified star size: each component's join-project keeps at most
     ||D|| rows per row of its projection, which has at most ||D||^s.
 
@@ -224,44 +225,12 @@ def derive_counting_join(cq: ConjunctiveQuery, db: Database, engine=None
     from repro.engine import resolve_engine
 
     eng = resolve_engine(engine)
-    derived = cached_plan("counting_join", cq, db, eng.name,
-                          lambda: _derive_counting_join(cq, db, eng),
-                          extra=eng.plan_key())
+    derived = cached_plan(
+        "counting_join", cq, db, eng.name,
+        lambda: free_join(cq, full_reducer(cq, db, engine=eng)[1]))
     if derived is None:
         return None
     return [r.copy() for r in derived]
-
-
-def _derive_counting_join(cq: ConjunctiveQuery, db: Database, engine
-                          ) -> Optional[List[VarRelation]]:
-    free = cq.free_variables()
-    h = cq.hypergraph()
-    _tree, reduced = full_reducer(cq, db, engine=engine)
-    if any(len(r) == 0 for r in reduced):
-        return None
-
-    derived: List[VarRelation] = []
-    for i, atom in enumerate(cq.atoms):
-        if atom.variable_set() <= free:
-            derived.append(reduced[i])
-
-    # full reduction made the relations globally consistent, so each
-    # projection below is exactly pi_F(phi(D)): no row needs a check
-    for comp in s_components(h, free):
-        f_vars = tuple(sorted(comp.s_vertices, key=lambda v: v.name))
-        if not f_vars:
-            continue  # satisfiability already enforced by the full reducer
-        # one atom holding all of F: project its reduced relation
-        holder = next((j for j in comp.edge_indexes
-                       if comp.s_vertices <= h.edges[j]), None)
-        if holder is not None:
-            derived.append(reduced[holder].project(f_vars))
-            continue
-        rel = join_project(cached_join_tree(comp.subhypergraph(h)),
-                           [reduced[j] for j in comp.edge_indexes], f_vars)
-        derived.append(rel if rel.variables == f_vars
-                       else rel.project(f_vars))
-    return derived
 
 
 def count_acq(cq: ConjunctiveQuery, db: Database,
@@ -300,10 +269,7 @@ def count_acq(cq: ConjunctiveQuery, db: Database,
         derived = derive_counting_join(cq, db, engine=engine)
         if derived is None:
             return 0
-        if cq.is_boolean():
-            return 1  # satisfiable (derived is not None), the only answer is ()
-        if any(len(r) == 0 for r in derived):
-            return 0
+        # a satisfiable Boolean query derives nothing to join: one answer
         return count_full_acyclic_join(derived, weights)
 
 

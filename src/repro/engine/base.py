@@ -38,25 +38,14 @@ class Engine:
 
     def materialise_atom(self, db: Database, atom: Atom):
         """Materialise one atom against the database (constants and
-        repeated variables resolved)."""
+        repeated variables resolved), sharing the per-symbol work through
+        the engine's :class:`~repro.engine.symbols.SymbolWorkspace`."""
         raise NotImplementedError
 
     def from_relation(self, rel):
         """Convert a relation of any backend into this backend
         (no copy when it already belongs here)."""
         raise NotImplementedError
-
-    def plan_key(self) -> Tuple[Any, ...]:
-        """Extra plan-cache key material beyond the engine name.
-
-        Every backend folds the symbol-sharing mode in: a plan whose
-        relations carry shared per-symbol probe caches must not serve a
-        run with ``REPRO_SYMBOL_SHARING=0`` (and vice versa — the two
-        modes are deliberately comparable arms, never interchangeable
-        artefacts)."""
-        from repro.engine.symbols import sharing_enabled
-
-        return ("symsharing", 1 if sharing_enabled() else 0)
 
     def to_varrelation(self, rel):
         """Convert a relation of this backend into a tuple-backed
@@ -94,11 +83,11 @@ class TupleEngine(Engine):
         so a self-join pair like ``E(x, x), E(y, y)`` pays the selection
         scan once (the per-relation hash structures stay per-atom — they
         key on variable names and are mutated by consumers)."""
-        from repro.engine.symbols import atom_signature, sharing_enabled
+        from repro.engine.symbols import atom_signature
         from repro.eval.join import VarRelation, atom_to_varrelation
 
         sig = atom_signature(atom)
-        if sig is None or not sharing_enabled():
+        if sig is None:
             return atom_to_varrelation(db, atom)
         rel = db.relation(atom.relation)
         entry = self.workspace.entry(atom.relation, rel)

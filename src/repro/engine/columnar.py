@@ -656,17 +656,9 @@ def encoded_relation_columns(rel, dictionary: ValueDictionary
     relation after a 1% delta costs O(delta) encoding plus one O(n)
     gather instead of a full per-value re-encode.
 
-    The cache is the symbol-level share of the encode work, so the
-    ``REPRO_SYMBOL_SHARING=0`` kill-switch bypasses it: every atom (and
-    every run) then pays its own per-occurrence encode, which is the
-    measured baseline of ``repro bench --suite selfjoin``.
+    The cache is the symbol-level share of the encode work: every atom
+    over the relation, in every run, reads the same encoded columns.
     """
-    from repro.engine.symbols import sharing_enabled
-
-    if not sharing_enabled():
-        obs.count("kernel.encode_cache_bypasses")
-        rows = rel.tuples()
-        return _encode_rows(rows, rel.arity, dictionary), len(rows)
     cache = getattr(rel, "_colcache", None)
     version = getattr(rel, "version", None)
     if cache is not None and len(cache) == 4 and cache[0] is dictionary:
@@ -778,17 +770,16 @@ def materialise_atom_columnar(db, atom,
     """Vectorized counterpart of :func:`repro.eval.join.atom_to_varrelation`:
     constants and repeated variables become boolean column masks.
 
-    With a :class:`~repro.engine.symbols.SymbolWorkspace` (and sharing
-    on), the result rides the per-symbol entry: all-distinct-variable
-    atoms share the entry's base probe cache (one sorted build per
-    (symbol, positions, version) across every atom of the symbol), and
-    masked atoms share one column set + probe cache per
-    constant/dup-variable signature — ``R(x, x)`` and ``R(u, u)`` are
-    materialised once.  The selected and projected columns depend only
-    on the signature, never on variable names, which is what makes the
-    share sound.
+    With a :class:`~repro.engine.symbols.SymbolWorkspace`, the result
+    rides the per-symbol entry: all-distinct-variable atoms share the
+    entry's base probe cache (one sorted build per (symbol, positions,
+    version) across every atom of the symbol), and masked atoms share
+    one column set + probe cache per constant/dup-variable signature —
+    ``R(x, x)`` and ``R(u, u)`` are materialised once.  The selected and
+    projected columns depend only on the signature, never on variable
+    names, which is what makes the share sound.
     """
-    from repro.engine.symbols import atom_signature, sharing_enabled
+    from repro.engine.symbols import atom_signature
 
     # None check, not truthiness: an empty ValueDictionary is falsy but
     # still the dictionary the caller asked to encode into
@@ -804,9 +795,8 @@ def materialise_atom_columnar(db, atom,
     cols, nrows = encoded_relation_columns(rel, dictionary)
     obs.gauge("dictionary.size", len(dictionary))
     sig = atom_signature(atom)
-    shared = workspace is not None and sharing_enabled()
     entry = workspace.entry(atom.relation, rel, dictionary) \
-        if shared else None
+        if workspace is not None else None
     if sig is None:
         # base layout: the stored columns in term order, no copy; every
         # such atom of the symbol shares the entry's probe cache

@@ -25,13 +25,6 @@ Because shared materialisations reuse the *same ndarray objects*, the
 semijoin coalescing in :mod:`repro.eval.yannakakis` can prove two
 reduction passes identical by comparing column identities.
 
-``REPRO_SYMBOL_SHARING=0`` (or :func:`sharing_scope`) force-disables
-every layer of the sharing — per-atom encodes, private probe caches, no
-coalescing — which is both the parity-test baseline and the measured
-"per-atom" arm of ``repro bench --suite selfjoin``.  The flag folds
-into every engine's ``plan_key`` so plans built under one mode never
-serve the other.
-
 Counters: ``engine.symbol_workspace_{hits,misses,patches}`` aggregate
 across backends, and ``engine.symbol_workspace_variant_{hits,misses}``
 track the masked-atom variants.
@@ -39,40 +32,13 @@ track the masked-atom variants.
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
-from contextlib import contextmanager
 from typing import Any, Dict, Optional, Tuple
 
 from repro import obs
 
-#: kill-switch: set to "0" to disable all symbol-level work sharing
-SHARING_ENV_VAR = "REPRO_SYMBOL_SHARING"
-
 #: stored-relation versions whose shared artefacts stay alive (LRU)
 SYMBOL_WORKSPACE_LIMIT = 64
-
-_SHARING_OVERRIDE: Optional[bool] = None
-
-
-def sharing_enabled() -> bool:
-    """Is per-symbol work sharing on? (env kill-switch + scoped override)"""
-    if _SHARING_OVERRIDE is not None:
-        return _SHARING_OVERRIDE
-    return os.environ.get(SHARING_ENV_VAR, "1") != "0"
-
-
-@contextmanager
-def sharing_scope(enabled: bool):
-    """Force sharing on/off for a ``with`` block (bench baselines, parity
-    tests); nests, and restores the previous override on exit."""
-    global _SHARING_OVERRIDE
-    previous = _SHARING_OVERRIDE
-    _SHARING_OVERRIDE = bool(enabled)
-    try:
-        yield
-    finally:
-        _SHARING_OVERRIDE = previous
 
 
 def atom_signature(atom) -> Optional[Tuple]:
@@ -223,10 +189,7 @@ class SymbolWorkspace:
 
 
 __all__ = [
-    "SHARING_ENV_VAR",
     "SYMBOL_WORKSPACE_LIMIT",
     "SymbolWorkspace",
     "atom_signature",
-    "sharing_enabled",
-    "sharing_scope",
 ]

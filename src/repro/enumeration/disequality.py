@@ -34,7 +34,7 @@ deduplication), which realises the paper's weaker
 
 from __future__ import annotations
 
-from typing import Any, Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.data.database import Database
 from repro.enumeration.base import Answer, Enumerator
@@ -42,11 +42,10 @@ from repro.enumeration.full_acyclic import FullJoinEnumerator
 from repro.errors import NotFreeConnexError, UnsupportedQueryError
 from repro.eval.join import VarRelation, atom_to_varrelation
 from repro.eval.naive import satisfying_assignments
-from repro.eval.yannakakis import full_reducer
-from repro.hypergraph.components import s_components
+from repro.eval.yannakakis import free_join, full_reducer
 from repro.logic.atoms import Atom, Comparison
 from repro.logic.cq import ConjunctiveQuery
-from repro.logic.terms import Constant, Variable
+from repro.logic.terms import Variable
 
 
 class _WitnessConstraint:
@@ -200,13 +199,16 @@ class DisequalityEnumerator(Enumerator):
 
         # the core query with the constrained variables projected out
         core = self._projected_core(drop_vars)
-        derived = _derive_free_join_from(core, relations, free)
+        if not core.is_free_connex():
+            raise NotFreeConnexError(
+                f"{core!r} is not free-connex after rewriting")
+        _tree, reduced = full_reducer(core, None, relations=relations)
+        derived = free_join(core, reduced)
+        if derived is None:
+            return
         if core.is_boolean():
-            self._boolean_true = all(len(r) > 0 for r in derived) and not self._constraints \
-                and not self._free_checks
-            if self._constraints or self._free_checks:
-                # need a witness check even for Boolean output
-                self._boolean_true = self._boolean_exists(derived)
+            # nothing is left to join; the checks still apply
+            self._boolean_true = self._passes({})
             return
         self._inner = FullJoinEnumerator(derived, self.cq.head, reduce=True)
         self._inner.preprocess()
@@ -223,20 +225,6 @@ class DisequalityEnumerator(Enumerator):
             else:
                 new_atoms.append(atom)
         return ConjunctiveQuery(self.cq.head, new_atoms, (), name=self.cq.name)
-
-    def _boolean_exists(self, derived: List[VarRelation]) -> bool:
-        if not derived:
-            return self._passes({})
-        if any(len(r) == 0 for r in derived):
-            return False
-        enum = FullJoinEnumerator(derived,
-                                  tuple({v for r in derived for v in r.variables}),
-                                  reduce=True)
-        for tup in enum:
-            assignment = dict(zip(enum._head, tup))
-            if self._passes(assignment):
-                return True
-        return False
 
     def _passes(self, assignment: Dict[Variable, Any]) -> bool:
         for comp in self._free_checks:
@@ -261,36 +249,6 @@ class DisequalityEnumerator(Enumerator):
             assignment = dict(zip(head, tup))
             if self._passes(assignment):
                 yield tup
-
-
-def _derive_free_join_from(core: ConjunctiveQuery, relations: List[VarRelation],
-                           free: FrozenSet[Variable]) -> List[VarRelation]:
-    """derive_free_join, but starting from pre-materialised (and possibly
-    pre-filtered / projected) relations."""
-    _tree, reduced = full_reducer(core, None, relations=relations)
-    h = core.hypergraph()
-    derived: List[VarRelation] = []
-    for i, atom in enumerate(core.atoms):
-        if atom.variable_set() <= free:
-            derived.append(reduced[i])
-    for comp in s_components(h, free):
-        f_vars = tuple(sorted(comp.s_vertices, key=lambda v: v.name))
-        if not f_vars:
-            if any(len(reduced[i]) == 0 for i in comp.edge_indexes):
-                derived.append(VarRelation(()))
-            continue
-        carrier = None
-        for i, atom in enumerate(core.atoms):
-            if frozenset(f_vars) <= atom.variable_set():
-                carrier = i
-                break
-        if carrier is None:
-            raise NotFreeConnexError(
-                f"free variables {[v.name for v in f_vars]} not covered by a "
-                f"single atom after rewriting: {core!r} is not free-connex"
-            )
-        derived.append(reduced[carrier].project(f_vars))
-    return derived
 
 
 class FallbackDisequalityEnumerator(Enumerator):

@@ -5,13 +5,14 @@ Preprocessing (all linear in ||D|| for a fixed query):
 1. check free-connexity (quantified star size <= 1, Definition 4.26);
 2. run the full reducer over a join tree of the query — afterwards every
    remaining tuple of every atom participates in a full answer;
-3. decompose the hypergraph into S-components (S = free variables); for
-   each component with free part F_i, star size 1 plus conformality of
-   acyclic hypergraphs guarantees some atom's variable set contains F_i —
-   project that atom's reduced relation onto F_i, obtaining
-   P_i = pi_{F_i}(phi(D));
-4. atoms entirely over free variables contribute their reduced relations
-   directly (the psi_0 part of Section 4.4).
+3. derive the join over the free variables
+   (:func:`repro.eval.yannakakis.free_join`, which star-size counting
+   shares): atoms entirely over free variables keep their reduced
+   relations (the psi_0 part of Section 4.4), and each S-component with
+   free part F_i — S = free variables — contributes
+   P_i = pi_{F_i}(phi(D)).  Star size 1 plus conformality of acyclic
+   hypergraphs guarantees some atom's variable set contains F_i, so P_i
+   is that atom's reduced relation projected onto F_i.
 
 Because quantified variables never cross S-components,
 
@@ -25,7 +26,7 @@ delay independent of ||D||.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional
 
 from repro import obs
 from repro.data.database import Database
@@ -33,59 +34,26 @@ from repro.enumeration.base import Answer, Enumerator
 from repro.enumeration.full_acyclic import FullJoinEnumerator
 from repro.errors import NotFreeConnexError, UnsupportedQueryError
 from repro.eval.join import VarRelation
-from repro.eval.yannakakis import full_reducer
-from repro.hypergraph.components import s_components
+from repro.eval.yannakakis import free_join, full_reducer
 from repro.logic.cq import ConjunctiveQuery
-from repro.logic.terms import Variable
 
 
 def derive_free_join(cq: ConjunctiveQuery, db: Database,
-                     engine=None) -> List[VarRelation]:
-    """The derived quantifier-free join: relations over free variables whose
-    natural join equals phi(D).  Raises NotFreeConnexError if the query's
-    star size exceeds 1.
+                     engine=None) -> Optional[List[VarRelation]]:
+    """The derived quantifier-free join: relations over free variables
+    whose natural join equals phi(D), or None when phi(D) is empty
+    (:func:`repro.eval.yannakakis.free_join`).  Raises
+    NotFreeConnexError if the query is not free-connex.
 
     The preprocessing bulk work (materialisation, full reduction,
     projections) runs on the selected backend; the returned relations
     keep that representation (both satisfy the enumerator's probe
-    interface)."""
-    free = cq.free_variables()
+    interface).  An empty list is possible for satisfiable Boolean
+    queries: there is nothing left to join and the query is true."""
+    if not cq.is_free_connex():
+        raise NotFreeConnexError(f"query {cq!r} is not free-connex")
     _tree, reduced = full_reducer(cq, db, engine=engine)
-    h = cq.hypergraph()
-
-    derived: List[VarRelation] = []
-    # psi_0: atoms entirely over free variables keep their reduced relation
-    for i, atom in enumerate(cq.atoms):
-        if atom.variable_set() <= free:
-            derived.append(reduced[i])
-
-    components = s_components(h, free)
-    obs.count("free_connex.s_components", len(components))
-    # one projected relation per S-component
-    for comp in components:
-        f_vars = tuple(sorted(comp.s_vertices, key=lambda v: v.name))
-        if not f_vars:
-            # a fully quantified component: contributes satisfiability only,
-            # already enforced by the full reducer (empty relations)
-            if any(len(reduced[i]) == 0 for i in comp.edge_indexes):
-                derived.append(VarRelation(()))  # empty -> no answers
-            continue
-        carrier = None
-        for i, atom in enumerate(cq.atoms):
-            if frozenset(f_vars) <= atom.variable_set():
-                carrier = i
-                break
-        if carrier is None:
-            raise NotFreeConnexError(
-                f"component free variables {[v.name for v in f_vars]} are not "
-                f"covered by a single atom: query {cq!r} is not free-connex"
-            )
-        derived.append(reduced[carrier].project(f_vars))
-
-    # an empty list is possible for satisfiable Boolean queries: every
-    # component was fully quantified and non-empty, so there is nothing
-    # left to join and the query is simply true
-    return derived
+    return free_join(cq, reduced)
 
 
 class FreeConnexEnumerator(Enumerator):
@@ -122,7 +90,7 @@ class FreeConnexEnumerator(Enumerator):
         block = resolve_block_size(self.block_size)
         kind, payload = cached_plan("free_connex", self.cq, self.db,
                                     eng.name, self._build_plan,
-                                    extra=(block,) + eng.plan_key())
+                                    extra=(block,))
         if kind == "bool":
             self._boolean_true = payload
         else:
@@ -133,16 +101,9 @@ class FreeConnexEnumerator(Enumerator):
         with obs.span("free_connex.derive_join"):
             derived = derive_free_join(cq, db, engine=self.engine)
         if cq.is_boolean():
-            # satisfiable iff no derived relation is empty (full reduction
-            # has already propagated emptiness everywhere)
-            return ("bool", all(len(r) > 0 for r in derived))
-        # zero-ary relations are Boolean verdicts of fully quantified
-        # S-components: an empty one falsifies the whole query, a
-        # non-empty one is vacuous — either way they leave the join
-        zero_ary = [r for r in derived if len(r.variables) == 0]
-        if any(len(r) == 0 for r in zero_ary):
+            return ("bool", derived is not None)
+        if derived is None:
             return ("enum", None)
-        derived = [r for r in derived if len(r.variables) > 0]
         inner = FullJoinEnumerator(derived, self.cq.head, reduce=True,
                                    block_size=self.block_size)
         inner.preprocess()

@@ -89,22 +89,17 @@ class RandomAccessEnumerator:
     # ------------------------------------------------------------ building
 
     def _prepare(self) -> None:
-        derived = [r for r in derive_free_join(self.cq, self.db)
-                   if len(r.variables) > 0]
+        derived = derive_free_join(self.cq, self.db)
         if self.cq.is_boolean():
             # zero or one answer: the empty tuple
-            from repro.enumeration.free_connex import FreeConnexEnumerator
-
-            sat = bool(list(FreeConnexEnumerator(self.cq, self.db)))
-            self._boolean_count = 1 if sat else 0
+            self._boolean_count = 0 if derived is None else 1
             self._relations: List[VarRelation] = []
             return
         self._boolean_count = None
-        if any(len(r) == 0 for r in derived):
+        if derived is None:
             self._relations = []
             self._total = 0
             return
-        self._relations = derived
         h = Hypergraph(
             {v for r in derived for v in r.variables},
             [frozenset(r.variables) for r in derived],

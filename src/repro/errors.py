@@ -53,7 +53,8 @@ class EnumerationError(ReproError):
 
 
 class ConfigurationError(ReproError, ValueError):
-    """Raised when an engine setting is invalid: an unknown engine name
-    (``--engine``, ``REPRO_ENGINE``) or a non-integer
-    ``REPRO_BLOCK_SIZE``.  Also a :class:`ValueError`, so callers that
-    catch ``ValueError`` for a bad setting keep working."""
+    """Raised when a setting is invalid: an unknown engine name
+    (``--engine``, ``REPRO_ENGINE``), a non-integer
+    ``REPRO_BLOCK_SIZE`` or an unreadable ``--data`` directory.  Also a
+    :class:`ValueError`, so callers that catch ``ValueError`` for a bad
+    setting keep working."""

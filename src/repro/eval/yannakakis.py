@@ -13,8 +13,12 @@ Three entry points:
   :func:`join_project` joins bottom-up and keeps, at each step, only the
   columns that are free or still needed by an atom not yet joined, so
   intermediate results stay within O(||D|| * ||phi(D)||), giving total
-  time O(||phi|| * ||D|| * ||phi(D)||).  Star-size counting
-  (:mod:`repro.counting.acq_count`) runs the same pass per S-component.
+  time O(||phi|| * ||D|| * ||phi(D)||).
+
+:func:`free_join` turns reduced relations into the join over free
+variables that free-connex enumeration and star-size counting consume,
+running :func:`join_project` per S-component where no atom holds the
+component's free variables.
 
 All entry points accept an ``engine`` (a backend name, an
 :class:`~repro.engine.Engine`, or None for the process-wide selection —
@@ -31,6 +35,7 @@ from typing import (AbstractSet, Dict, Iterable, List, Optional, Sequence, Set,
 from repro import obs
 from repro.data.database import Database
 from repro.eval.join import VarRelation
+from repro.hypergraph.components import s_components
 from repro.hypergraph.jointree import JoinTree, cached_join_tree
 from repro.logic.cq import ConjunctiveQuery
 from repro.logic.terms import Variable
@@ -113,17 +118,8 @@ def full_reducer(cq: ConjunctiveQuery, db: Database,
     if tree is None and relations is None:
         from repro.core.plancache import (cached_plan, incremental_enabled,
                                           plan_cache_enabled)
-        from repro.logic.selfjoin import selfjoin_signature
 
         eng = _engine(engine)
-        # fold the self-join structure into the key material: a plan for
-        # a repeated-symbol query carries cross-atom shared artefacts
-        # (aliased columns, coalesced passes), and the explicit signature
-        # keeps that visible in cache introspection
-        extra = eng.plan_key()
-        sj = selfjoin_signature(cq)
-        if sj:
-            extra = extra + (("selfjoin", sj),)
         if incremental_enabled() and plan_cache_enabled():
             from repro.dynamic.delta import DeltaReducer
 
@@ -138,15 +134,13 @@ def full_reducer(cq: ConjunctiveQuery, db: Database,
                 state = cached_plan(
                     "full_reducer_inc", cq, db, eng.name,
                     lambda: DeltaReducer.build(cq, db, eng),
-                    extra=extra,
                     refresher=lambda st, deltas: st.refreshed(deltas))
                 tree, reduced = state.result()
                 return tree, [r.copy() for r in reduced]
         tree, reduced = cached_plan(
             "full_reducer", cq, db, eng.name,
             lambda: _full_reduce(cached_join_tree(cq.hypergraph()),
-                                 materialise_atoms(cq, db, eng)),
-            extra=extra)
+                                 materialise_atoms(cq, db, eng)))
         return tree, [r.copy() for r in reduced]
     if tree is None:
         tree = cached_join_tree(cq.hypergraph())
@@ -158,29 +152,23 @@ def full_reducer(cq: ConjunctiveQuery, db: Database,
 def _full_reduce(tree: JoinTree, relations: List[VarRelation]
                  ) -> Tuple[JoinTree, List[VarRelation]]:
     relations = list(relations)
-    from repro.engine.symbols import sharing_enabled
-
     # coalesce provably-identical passes: once a target was reduced by a
     # source with these exact shared-column identities, repeating the
     # pass is a no-op — semijoins only remove rows, and membership of
     # the surviving rows in the (unchanged) source is already
     # established.  Skipping keeps the same relation object, so contents
-    # and row order are untouched.  Disabled with the sharing
-    # kill-switch: this is a symbol-sharing payoff (distinct atoms only
-    # alias columns when materialisation shared them) and the per-atom
-    # bench arm must pay every pass.
-    coalesce = sharing_enabled()
+    # and row order are untouched.  Distinct atoms alias columns when
+    # per-symbol materialisation shared them.
     applied: Dict[int, set] = {}
 
     def _reduce_step(target: int, source: int, phase: str) -> None:
-        if coalesce:
-            sig = _semijoin_signature(relations[target], relations[source])
-            if sig is not None:
-                seen = applied.setdefault(target, set())
-                if sig in seen:
-                    obs.count("yannakakis.coalesced_semijoins")
-                    return
-                seen.add(sig)
+        sig = _semijoin_signature(relations[target], relations[source])
+        if sig is not None:
+            seen = applied.setdefault(target, set())
+            if sig in seen:
+                obs.count("yannakakis.coalesced_semijoins")
+                return
+            seen.add(sig)
         relations[target] = _traced_semijoin(
             relations[target], relations[source], phase, target)
 
@@ -288,6 +276,47 @@ def _project_onto(rel: VarRelation, needed: AbstractSet[Variable]
     if len(keep) == len(rel.variables):
         return rel
     return rel.project(keep)
+
+
+def free_join(cq: ConjunctiveQuery, reduced: Sequence[VarRelation]
+              ) -> Optional[List[VarRelation]]:
+    """Relations over free variables whose natural join is phi(D), or
+    None when phi(D) is empty.
+
+    ``reduced`` holds ``cq``'s fully reduced atom relations
+    (:func:`full_reducer`), indexed like ``cq.atoms``.  The result is
+    psi_0, the relations of the atoms whose variables are all free, then
+    one relation pi_F(phi(D)) per S-component with free vertices F
+    (Sections 4.3 and 4.4).  A component projects the first atom of the
+    query holding all of F; by global consistency that projection is
+    exactly pi_F(phi(D)).  Free-connex queries always have such an atom
+    (star size 1).  Otherwise :func:`join_project` runs along the
+    component's join tree, keeping at most ||D|| rows per row of a
+    projection that has at most ||D||^s, s the star size.  Atoms
+    without variables and fully quantified components contribute
+    nothing: their satisfiability is already in ``reduced``, which full
+    reduction leaves empty everywhere or nowhere.
+    """
+    if any(len(r) == 0 for r in reduced):
+        return None
+    free = cq.free_variables()
+    h = cq.hypergraph()
+    derived = [reduced[i] for i, edge in enumerate(h.edges)
+               if edge and edge <= free]
+    for comp in s_components(h, free):
+        if not comp.s_vertices:
+            continue
+        f_vars = tuple(sorted(comp.s_vertices, key=lambda v: v.name))
+        holder = next((i for i, edge in enumerate(h.edges)
+                       if comp.s_vertices <= edge), None)
+        if holder is not None:
+            derived.append(reduced[holder].project(f_vars))
+            continue
+        rel = join_project(cached_join_tree(comp.subhypergraph(h)),
+                           [reduced[i] for i in comp.edge_indexes], f_vars)
+        derived.append(rel if rel.variables == f_vars
+                       else rel.project(f_vars))
+    return derived
 
 
 def acyclic_answers(cq: ConjunctiveQuery, db: Database,

@@ -31,6 +31,7 @@ analyze`` subcommand), and an HTML panel
 
 from __future__ import annotations
 
+import gc
 import time
 from typing import Any, Dict, List, Optional
 
@@ -99,6 +100,11 @@ def _run_instrumented(query: Any, db: Any,
 
     registry.add_delay_listener(listener)
     try:
+        # collect first, so a collection owed by earlier allocations
+        # never lands inside this run's phase timings (a full pass over
+        # a large heap can take tens of ms, and the scale checks compare
+        # single runs)
+        gc.collect()
         start = time.perf_counter_ns()
         with obs.capture() as tracer:
             answers = 0
@@ -265,8 +271,7 @@ def analyze(query: Any, db: Any = None, *, size: int = 4000,
         row("symbol_share", "one build per symbol per version",
             f"{ws_hits} hits / {ws_misses} misses, "
             f"{coalesced} coalesced semijoins",
-            INFO, "shared per-symbol workspace "
-            "(disable with REPRO_SYMBOL_SHARING=0)")
+            INFO, "shared per-symbol workspace")
 
     # preprocessing: the full reduce
     key = "yannakakis.full_reduce"

@@ -8,7 +8,7 @@ assigned.  The observatory fixes all three:
 
 * **one schema** (:data:`SCHEMA`): a *record* is one benchmark case —
   a size sweep of one metric — with the full delay statistics
-  (p50/p95/p99/p99.9, histogram), preprocessing times, throughput, and
+  (p50/p95/p99/p99.9), preprocessing times, throughput, and
   provenance (git sha, runner-supplied timestamp, python/numpy versions,
   machine fingerprint, engine, block size, timer overhead).  The
   recorder *rejects* payloads that do not validate, so ad-hoc dicts can
@@ -24,10 +24,10 @@ assigned.  The observatory fixes all three:
   numbers;
 * **regression gate**: :meth:`Observatory.regressions` compares each
   case's latest headline measurement against a rolling baseline
-  (median of the last N prior runs, with a noise band widened by the
-  baseline's own dispersion) and flags regressions; ``repro bench`` /
-  ``repro report`` surface the flags and can turn them into a nonzero
-  exit code.
+  (median of the last N prior runs on the same machine, with a noise
+  band widened by the baseline's own dispersion) and flags
+  regressions; ``repro bench`` / ``repro report`` surface the flags and
+  can turn them into a nonzero exit code.
 """
 
 from __future__ import annotations
@@ -127,9 +127,9 @@ def make_record(suite: str, case: str, metric: str,
     ``points`` is the size sweep: each point needs a numeric ``n`` (the
     instance size, typically ``||D||``) and ``value`` (the primary
     metric named by ``metric``); any further per-point statistics
-    (delay percentiles, histogram, preprocessing, throughput) ride
-    along.  The log-log fit and verdict are computed here so every
-    stored record is self-interpreting.
+    (delay percentiles, preprocessing, throughput) ride along.  The
+    log-log fit and verdict are computed here so every stored record is
+    self-interpreting.
 
     Pass ``fit=False`` when ``n`` is *not* an instance size (e.g. the
     dynamic suite's delta sizes): a log-log slope over such an axis
@@ -308,10 +308,11 @@ class Observatory:
         """Latest run vs rolling baseline, per case.
 
         Baseline: median of the up-to-``baseline_n`` runs preceding the
-        latest.  Noise band: ``max(min_band, 3 * MAD/median)`` — the
-        baseline's own dispersion widens the band, so a machine that
-        jitters 40% between runs does not page anyone at +35%, while a
-        stable series is still gated at ``min_band``.
+        latest that measured the same metric on the same ``machine``
+        (provenance fingerprint).  Noise band: ``max(min_band, 3 *
+        MAD/median)`` — the baseline's own dispersion widens the band,
+        so a machine that jitters 40% between runs does not page anyone
+        at +35%, while a stable series is still gated at ``min_band``.
         """
         out: List[Regression] = []
         for (suite_name, case), runs in sorted(self.cases(suite).items()):
@@ -321,8 +322,12 @@ class Observatory:
             # starts a fresh series instead of comparing apples to
             # oranges
             metric = runs[-1]["metric"]
+            # ... and from the same host: timings from a machine with a
+            # different fingerprint are not a baseline for this one
+            machine = runs[-1]["provenance"]["machine"]
             prior = [headline(r) for r in runs[:-1]
-                     if r["metric"] == metric][-baseline_n:]
+                     if r["metric"] == metric
+                     and r["provenance"]["machine"] == machine][-baseline_n:]
             if not prior:
                 out.append(Regression(suite_name, case,
                                       runs[-1]["metric"], latest,
@@ -595,16 +600,12 @@ def run_selfjoin_suite(sizes: Sequence[int], repeats: int = 2,
                        seed: int = 7) -> List[Dict[str, Any]]:
     """Engine-wide per-symbol work sharing on self-join queries.
 
-    Every case runs two arms on identical columnar instances: **shared**
-    (the default — one dictionary encode, one probe build, one
-    materialised column set per (symbol, db version), semijoin passes
-    coalesced) and **per-atom** (:func:`repro.engine.symbols.
-    sharing_scope` forced off, which also bypasses the relation-level
-    encode cache — each atom occurrence pays its own build, the
-    historical behaviour).  Points use ``n`` = ||D|| and ``value`` =
-    shared-arm wall seconds with the per-atom arm riding along as
-    ``disabled_seconds`` and the ratio as ``speedup_x``; the headline
-    ``best_speedup_x`` is what CI gates on (warn-only).  Cases:
+    Every case runs on columnar instances, where each (symbol, db
+    version) gets one dictionary encode, one probe build and one
+    materialised column set, and semijoin passes over the same columns
+    coalesce.  Points use ``n`` = ||D|| and ``value`` = the best wall
+    seconds of ``repeats`` runs, each after
+    :func:`~repro.core.plancache.clear_plan_cache`.  Cases:
 
     * ``selfjoin/path_count_wall`` — counting the 3-atom same-symbol
       path join Q(x,y,z,w) :- R(x,y), R(y,z), R(z,w) (free-connex since
@@ -629,7 +630,6 @@ def run_selfjoin_suite(sizes: Sequence[int], repeats: int = 2,
     from repro.core.planner import count
     from repro.data import generators
     from repro.engine.base import ColumnarEngine
-    from repro.engine.symbols import sharing_scope
     from repro.enumeration.free_connex import FreeConnexEnumerator
     from repro.eval.yannakakis import full_reducer, materialise_atoms
     from repro.logic.parser import parse_cq
@@ -666,22 +666,18 @@ def run_selfjoin_suite(sizes: Sequence[int], repeats: int = 2,
         with obs.capture() as tracer:
             materialise_atoms(path_query, db, engine=ColumnarEngine())
         for name, (_query, fn) in cases.items():
-            shared = best_of(fn, repeats, setup=clear_plan_cache)
-            with sharing_scope(False):
-                disabled = best_of(fn, repeats, setup=clear_plan_cache)
             points[name].append({
-                "n": db.size(), "value": shared,
-                "disabled_seconds": disabled,
-                "speedup_x": disabled / shared,
+                "n": db.size(),
+                "value": best_of(fn, repeats, setup=clear_plan_cache),
                 "symbol_cache_hits": tracer.counters.get(
                     "engine.symbol_workspace_hits", 0),
                 "symbol_cache_misses": tracer.counters.get(
                     "engine.symbol_workspace_misses", 0),
             })
     return [dict(case=f"selfjoin/{name}_wall", metric="wall_seconds",
-                 engine=engine, points=points[name], expectation=(expected_verdict(query, "total")
-                              if query is not None else None),
-                 best_speedup_x=max(p["speedup_x"] for p in points[name]))
+                 engine=engine, points=points[name],
+                 expectation=(expected_verdict(query, "total")
+                              if query is not None else None))
             for name, (query, _fn) in cases.items()]
 
 

@@ -29,19 +29,6 @@ from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, \
 
 _NS = 1e-9
 
-#: fixed histogram bucket upper bounds, in seconds (a half-decade grid
-#: from 100ns to 100ms plus an overflow bucket).  The buckets are the
-#: same for every profile so histograms are comparable across runs and
-#: machines — the observatory's constant-delay verdict consults them
-#: because block-batched enumeration hides tail spikes in medians.
-DELAY_BUCKET_BOUNDS_S = (
-    1e-7, 3.16e-7, 1e-6, 3.16e-6, 1e-5, 3.16e-5,
-    1e-4, 3.16e-4, 1e-3, 1e-2, 1e-1,
-)
-
-DELAY_BUCKET_LABELS = tuple(
-    f"<={bound:g}s" for bound in DELAY_BUCKET_BOUNDS_S) + (">1e-01s",)
-
 # measured cost, in ns, of one perf_counter_ns() call pair (the gap two
 # back-to-back calls report when nothing happens between them); None
 # until first calibration.  The lock serialises calibration so threads
@@ -113,20 +100,6 @@ class DelayProfile:
         can hide per-block spikes from the median entirely)."""
         return self.percentile(0.999)
 
-    def histogram(self) -> Dict[str, int]:
-        """Delay counts over the fixed bucket grid
-        (:data:`DELAY_BUCKET_BOUNDS_S`); every bucket is present, so
-        histograms from different runs line up column-for-column."""
-        counts = [0] * (len(DELAY_BUCKET_BOUNDS_S) + 1)
-        for delay in self.delays_seconds:
-            for i, bound in enumerate(DELAY_BUCKET_BOUNDS_S):
-                if delay <= bound:
-                    counts[i] += 1
-                    break
-            else:
-                counts[-1] += 1
-        return dict(zip(DELAY_BUCKET_LABELS, counts))
-
     @property
     def total_seconds(self) -> float:
         return self.preprocessing_seconds + sum(self.delays_seconds)
@@ -146,8 +119,7 @@ class DelayProfile:
     def summary(self) -> Dict[str, Any]:
         """The canonical per-run statistics block of the observatory
         schema (:mod:`repro.obs.observatory`): delay percentiles up to
-        p99.9, the fixed-bucket histogram, preprocessing time and
-        throughput.  All values JSON-able; an unmeasurable throughput
+        p99.9, preprocessing time and throughput.  All values JSON-able; an unmeasurable throughput
         (every delay rounded to zero) becomes ``None`` rather than
         ``inf``."""
         throughput = self.throughput
@@ -162,7 +134,6 @@ class DelayProfile:
             "delay_max_seconds": self.max_delay,
             "throughput_per_s": (throughput if math.isfinite(throughput)
                                  else None),
-            "delay_histogram": self.histogram(),
         }
 
     def __repr__(self) -> str:

@@ -42,6 +42,16 @@ def test_run_ragged_csv_prints_one_error_line(tmp_path, capsys):
     assert err[0].startswith("repro: error: ") and "line 2" in err[0]
 
 
+def test_run_missing_data_dir_prints_one_error_line(tmp_path, capsys):
+    missing = str(tmp_path / "absent")
+    assert main(["run", "Q(x, y) :- R(x, y)", "--data", missing]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("repro: error: ") and missing in err[0]
+
+
 def test_run_bad_query_prints_one_error_line(tables, capsys):
     assert main(["run", "Q(x :- R(x, y)", "--data", tables]) == 2
     err = capsys.readouterr().err.splitlines()
@@ -292,7 +302,14 @@ def test_bench_runs_every_suite(tmp_path, capsys, small_suites):
     assert len(selfjoin) == 4
     for record in dynamic + selfjoin:
         assert record["provenance"]["engine"] == "columnar"
+    for record in dynamic:
         assert record["best_speedup_x"] > 0
+    # one workspace build per symbol per version: the 3-atom self-join
+    # path misses once and hits twice at every size
+    for record in selfjoin:
+        for point in record["points"]:
+            assert point["symbol_cache_misses"] == 1
+            assert point["symbol_cache_hits"] == 2
     assert not (tmp_path / "BENCH_bench.json").exists()
 
 

@@ -120,12 +120,12 @@ def test_history_skips_corrupt_lines(tmp_path):
     assert len(obs.load()) == 1
 
 
-def _seed_history(obs, values, case="fc/delay"):
+def _seed_history(obs, values, case="fc/delay", provenance=PROVENANCE):
     for value in values:
         points = [{"n": 100, "value": value / 10},
                   {"n": 10000, "value": value}]
         obs.append(make_record("t", case, "delay_p50_seconds", points,
-                               provenance=PROVENANCE))
+                               provenance=provenance))
 
 
 def test_regression_gate_flags_slowed_entry(tmp_path):
@@ -181,6 +181,22 @@ def test_regression_baseline_ignores_other_metrics(tmp_path):
     reg = obs.regressions()[0]
     assert reg.metric == "throughput_per_s"
     assert reg.baseline is None and not reg.flagged
+
+
+def test_regression_baseline_ignores_other_machines(tmp_path):
+    """Timings from a host with another ``machine`` fingerprint are no
+    baseline: a slowed run on the same host still flags, while the
+    first run on a new host reports no baseline at all."""
+    obs = Observatory(str(tmp_path))
+    _seed_history(obs, [1.0, 1.02, 0.98, 1.01, 0.99])
+    _seed_history(obs, [10.0])
+    flagged = obs.regressions()[0]
+    assert flagged.flagged
+    assert flagged.baseline == pytest.approx(1.0, rel=0.05)
+    _seed_history(obs, [10.0], provenance=PROVENANCE | {"machine": "other"})
+    reg = obs.regressions()[0]
+    assert reg.baseline is None and not reg.flagged
+    assert "no baseline" in reg.describe()
 
 
 def test_headline_is_value_at_largest_n():

@@ -43,21 +43,6 @@ def test_delay_profile_p999_tail():
     assert p.p999 == 5e-3
 
 
-def test_delay_profile_histogram_fixed_buckets():
-    from repro.perf.delay import DELAY_BUCKET_LABELS
-
-    p = DelayProfile(preprocessing_seconds=0.0,
-                     delays_seconds=[5e-8, 2e-7, 2e-7, 5e-4, 2.0],
-                     n_outputs=5)
-    hist = p.histogram()
-    assert tuple(hist) == DELAY_BUCKET_LABELS  # every bucket, in order
-    assert hist["<=1e-07s"] == 1
-    assert hist["<=3.16e-07s"] == 2
-    assert hist["<=0.001s"] == 1
-    assert hist[">1e-01s"] == 1
-    assert sum(hist.values()) == 5
-
-
 def test_delay_profile_summary_json_able():
     import json
 
@@ -70,7 +55,6 @@ def test_delay_profile_summary_json_able():
     assert s["delay_p999_seconds"] == 3e-6
     assert s["preprocessing_seconds"] == 0.01
     assert s["throughput_per_s"] == pytest.approx(3 / 6e-6)
-    assert sum(s["delay_histogram"].values()) == 3
 
 
 def test_delay_profile_summary_infinite_throughput_is_none():

@@ -56,7 +56,6 @@ def test_hit_miss_accounting():
     stats = cache.stats()
     assert {k: stats[k] for k in expected} == expected
     # sharing telemetry (process-global counters) rides along
-    assert isinstance(stats["symbol_sharing"], bool)
     assert stats["symbol_workspace_hits"] >= 0
     assert stats["coalesced_semijoins"] >= 0
     cache.clear()

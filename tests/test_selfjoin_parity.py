@@ -4,13 +4,14 @@ Self-join queries name one stored relation through several atoms, and
 the :class:`repro.engine.symbols.SymbolWorkspace` shares one build (one
 dictionary encode, one probe structure, one masked column set) per
 (symbol, database version) across all of them.  Sharing must be
-invisible: every backend, with sharing on or off
-(``REPRO_SYMBOL_SHARING``), must return exactly the answers of the
-naive evaluator — including duplicate-variable atoms ``R(x, x)``,
-constant atoms ``R(3, y)``, and interleaved updates that invalidate the
-workspace mid-stream.  The classifier half pins the Carmeli–Segoufin
-self-join analysis: core-based verdicts are decisive, not hedged with
-the old "lower bound stated for self-join-free queries" caveat.
+invisible: every backend must return exactly the answers of the naive
+evaluator — including duplicate-variable atoms ``R(x, x)``, constant
+atoms ``R(3, y)``, and interleaved updates that invalidate the
+workspace mid-stream — and must enumerate in the same order whether
+the workspace is built or serves the run.  The classifier half pins the
+Carmeli–Segoufin self-join analysis: core-based verdicts are decisive,
+not hedged with the old "lower bound stated for self-join-free queries"
+caveat.
 """
 
 from hypothesis import given, settings
@@ -22,14 +23,8 @@ from repro.counting.acq_count import count_acq
 from repro.data.database import Database
 from repro.data.relation import Relation
 from repro import obs
-from repro.engine import get_engine
-from repro.engine.base import ColumnarEngine
-from repro.engine.symbols import (
-    SymbolWorkspace,
-    atom_signature,
-    sharing_enabled,
-    sharing_scope,
-)
+from repro.engine.base import ColumnarEngine, TupleEngine
+from repro.engine.symbols import SymbolWorkspace, atom_signature
 from repro.enumeration.free_connex import FreeConnexEnumerator
 from repro.eval.naive import cq_is_satisfiable_naive, evaluate_cq_naive
 from repro.eval.yannakakis import full_reducer, yannakakis, yannakakis_boolean
@@ -88,20 +83,15 @@ def selfjoin_instance(draw):
 @given(selfjoin_instance())
 def test_selfjoin_answer_parity(instance):
     cq, db = instance
+    clear_plan_cache()
     if cq.is_boolean():
         expect = cq_is_satisfiable_naive(cq, db)
-        for enabled in (True, False):
-            with sharing_scope(enabled):
-                clear_plan_cache()
-                for engine in ENGINES:
-                    assert yannakakis_boolean(cq, db, engine=engine) == expect
+        for engine in ENGINES:
+            assert yannakakis_boolean(cq, db, engine=engine) == expect
         return
     expect = evaluate_cq_naive(cq, db)
-    for enabled in (True, False):
-        with sharing_scope(enabled):
-            clear_plan_cache()
-            for engine in ENGINES:
-                assert set(yannakakis(cq, db, engine=engine)) == expect
+    for engine in ENGINES:
+        assert set(yannakakis(cq, db, engine=engine)) == expect
 
 
 @settings(max_examples=40, deadline=None)
@@ -110,11 +100,9 @@ def test_selfjoin_count_parity(instance):
     cq, db = instance
     expect = (1 if cq_is_satisfiable_naive(cq, db) else 0) \
         if cq.is_boolean() else len(evaluate_cq_naive(cq, db))
-    for enabled in (True, False):
-        with sharing_scope(enabled):
-            clear_plan_cache()
-            for engine in ENGINES:
-                assert count_acq(cq, db, engine=engine) == expect
+    clear_plan_cache()
+    for engine in ENGINES:
+        assert count_acq(cq, db, engine=engine) == expect
 
 
 @settings(max_examples=30, deadline=None)
@@ -123,45 +111,39 @@ def test_selfjoin_enumeration_parity(instance):
     """Quantifier-free variant (all variables in the head): free-connex
     by construction, so every backend must enumerate the same answer
     set, and the *order* within one backend must not depend on whether
-    the workspace served shared artefacts."""
+    the run built the workspace (a fresh engine) or was served by it
+    (the same engine again, with the plan cache cleared)."""
     cq, db = instance
     all_vars = sorted(cq.variables(), key=lambda v: v.name)
     qf = ConjunctiveQuery(all_vars, cq.atoms)
     expect = evaluate_cq_naive(qf, db)
-    for engine in ENGINES:
-        with sharing_scope(True):
-            clear_plan_cache()
-            shared = list(FreeConnexEnumerator(qf, db, engine=engine))
-        with sharing_scope(False):
-            clear_plan_cache()
-            unshared = list(FreeConnexEnumerator(qf, db, engine=engine))
-        assert set(shared) == expect
-        assert shared == unshared
+    for eng in (TupleEngine(), ColumnarEngine()):
+        clear_plan_cache()
+        built = list(FreeConnexEnumerator(qf, db, engine=eng))
+        clear_plan_cache()
+        served = list(FreeConnexEnumerator(qf, db, engine=eng))
+        assert set(built) == expect
+        assert served == built
 
 
 def test_interleaved_updates_invalidate_workspace():
     """Mutations bump the stored relation's version; the next query must
-    see the new data on every backend, with sharing on and off (a stale
-    shared materialisation would be silently wrong).  With sharing on,
-    workspace misses account for the invalidation; with it off, the
-    workspace is bypassed altogether."""
+    see the new data on every backend (a stale shared materialisation
+    would be silently wrong), and workspace misses account for the
+    invalidation."""
     q = parse_cq("Q(x, y, z) :- R(x, y), R(y, z)")
     reg = registry()
-    for enabled in (True, False):
-        db = Database([Relation("R", 2, [(i, i + 1) for i in range(20)])])
-        with sharing_scope(enabled):
-            for step in range(4):
-                expect = evaluate_cq_naive(q, db)
-                misses_before = reg.counter("engine.symbol_workspace_misses")
-                for engine in ENGINES:
-                    assert set(yannakakis(q, db, engine=engine)) == expect
-                if step % 2 == 0:
-                    db.relation("R").add((100 + step, 0))   # append-only
-                else:
-                    db.relation("R").discard((step, step + 1))  # delete
-                if enabled:
-                    assert reg.counter("engine.symbol_workspace_misses") \
-                        > misses_before
+    db = Database([Relation("R", 2, [(i, i + 1) for i in range(20)])])
+    for step in range(4):
+        expect = evaluate_cq_naive(q, db)
+        misses_before = reg.counter("engine.symbol_workspace_misses")
+        for engine in ENGINES:
+            assert set(yannakakis(q, db, engine=engine)) == expect
+        if step % 2 == 0:
+            db.relation("R").add((100 + step, 0))   # append-only
+        else:
+            db.relation("R").discard((step, step + 1))  # delete
+        assert reg.counter("engine.symbol_workspace_misses") > misses_before
 
 
 # ------------------------------------------------------- workspace internals
@@ -176,7 +158,7 @@ def test_same_symbol_atoms_share_one_probe_cache():
                                      for i in range(800)])])
     x, y, z = Variable("x"), Variable("y"), Variable("z")
     eng = ColumnarEngine()
-    with sharing_scope(True), obs.capture() as tracer:
+    with obs.capture() as tracer:
         r1 = eng.materialise_atom(db, Atom("E", (x, y)))
         r2 = eng.materialise_atom(db, Atom("E", (y, z)))
     assert tracer.counters.get("engine.symbol_workspace_misses") == 1
@@ -189,14 +171,13 @@ def test_version_bump_gives_a_fresh_probe_cache():
     db = Database([Relation("E", 2, [(1, 2), (2, 3)])])
     atom = Atom("E", (Variable("x"), Variable("y")))
     eng = ColumnarEngine()
-    with sharing_scope(True):
-        r1 = eng.materialise_atom(db, atom)
-        before = r1._probecache
-        r1.batch_probe((r1.variables[0],))
-        assert len(before) > 0
-        db.relation("E").add((3, 4))  # version bump
-        with obs.capture() as tracer:
-            r2 = eng.materialise_atom(db, atom)
+    r1 = eng.materialise_atom(db, atom)
+    before = r1._probecache
+    r1.batch_probe((r1.variables[0],))
+    assert len(before) > 0
+    db.relation("E").add((3, 4))  # version bump
+    with obs.capture() as tracer:
+        r2 = eng.materialise_atom(db, atom)
     assert tracer.counters.get("engine.symbol_workspace_misses") == 1
     assert r2._probecache is not before
     assert len(r2) == 3
@@ -209,13 +190,12 @@ def test_masked_atoms_share_variants_by_signature():
     db = Database([Relation("E", 2, [(1, 1), (1, 2), (2, 2)])])
     x, u = Variable("x"), Variable("u")
     eng = ColumnarEngine()
-    with sharing_scope(True):
-        dup = eng.materialise_atom(db, Atom("E", (x, x)))
-        plain = eng.materialise_atom(db, Atom("E", (x, Variable("y"))))
-        const = eng.materialise_atom(db, Atom("E", (x, Constant(2))))
-        dup2 = eng.materialise_atom(db, Atom("E", (u, u)))
-        const2 = eng.materialise_atom(db, Atom("E", (u, Constant(2))))
-        other = eng.materialise_atom(db, Atom("E", (x, Constant(1))))
+    dup = eng.materialise_atom(db, Atom("E", (x, x)))
+    plain = eng.materialise_atom(db, Atom("E", (x, Variable("y"))))
+    const = eng.materialise_atom(db, Atom("E", (x, Constant(2))))
+    dup2 = eng.materialise_atom(db, Atom("E", (u, u)))
+    const2 = eng.materialise_atom(db, Atom("E", (u, Constant(2))))
+    other = eng.materialise_atom(db, Atom("E", (x, Constant(1))))
     assert dup._probecache is not plain._probecache
     assert const._probecache is not plain._probecache
     assert set(dup) == {(1,), (2,)}       # rows with t[0] == t[1]
@@ -277,30 +257,14 @@ def test_workspace_lru_eviction():
     assert ws.stats()["entries"] == 2              # oldest evicted
 
 
-def test_sharing_scope_and_plan_key():
-    """The kill-switch folds into every backend's plan key, so a plan
-    built with sharing on can never serve a run with sharing off."""
-    assert sharing_enabled() in (True, False)
-    for engine in ENGINES:
-        eng = get_engine(engine)
-        with sharing_scope(True):
-            on = eng.plan_key()
-        with sharing_scope(False):
-            off = eng.plan_key()
-        assert on != off
-    with sharing_scope(False):
-        assert not sharing_enabled()
-        with sharing_scope(True):
-            assert sharing_enabled()
-        assert not sharing_enabled()
-
-
 def test_semijoin_coalescing_counted_and_sound():
     """When one tree node is reduced by two sources whose shared columns
     are the *same arrays* (per-symbol sharing aliases them), the second
     pass is provably a no-op and gets coalesced — without changing the
-    reduction.  A star-shaped join tree (root with two same-symbol
-    children) forces the situation deterministically."""
+    reduction, which must equal the tuple engine's (tuple relations
+    expose no column arrays, so nothing coalesces there).  A
+    star-shaped join tree (root with two same-symbol children) forces
+    the situation deterministically."""
     from repro.eval.yannakakis import materialise_atoms
     from repro.hypergraph.jointree import JoinTree
 
@@ -309,23 +273,18 @@ def test_semijoin_coalescing_counted_and_sound():
     star = JoinTree(q.hypergraph(), 0, {0: None, 1: 0, 2: 0})
     assert star.is_valid()
     reg = registry()
-    with sharing_scope(True):
-        clear_plan_cache()
+    reduced, coalesced = {}, {}
+    for engine in ENGINES:
         before = reg.counter("yannakakis.coalesced_semijoins")
-        _, reduced = full_reducer(
+        _, reduced[engine] = full_reducer(
             q, db, tree=star,
-            relations=materialise_atoms(q, db, "columnar"),
-            engine="columnar")
-        assert reg.counter("yannakakis.coalesced_semijoins") > before
-    with sharing_scope(False):
-        clear_plan_cache()
-        base = reg.counter("yannakakis.coalesced_semijoins")
-        _, reduced_off = full_reducer(
-            q, db, tree=star,
-            relations=materialise_atoms(q, db, "columnar"),
-            engine="columnar")
-        assert reg.counter("yannakakis.coalesced_semijoins") == base
-    for a, b in zip(reduced, reduced_off):
+            relations=materialise_atoms(q, db, engine),
+            engine=engine)
+        coalesced[engine] = \
+            reg.counter("yannakakis.coalesced_semijoins") - before
+    assert coalesced["columnar"] > 0
+    assert coalesced["tuple"] == 0
+    for a, b in zip(reduced["columnar"], reduced["tuple"]):
         assert set(a) == set(b)
 
 
