@@ -46,7 +46,8 @@ def _measure_mode(q, db, engine, block_size, max_outputs):
 
     The wall-based throughput (outputs / enumeration wall time) is the
     recorded number: inside a block the per-answer gap can round to zero,
-    which would make the profile's delay-sum throughput infinite.
+    which would make the profile's delay-sum throughput infinite.  It
+    times ``iter(enumerator)``, the stream a request reads.
     """
     clear_plan_cache()
     enum = FreeConnexEnumerator(q, db, engine=engine, block_size=block_size)
@@ -56,7 +57,7 @@ def _measure_mode(q, db, engine, block_size, max_outputs):
         enum2.preprocess()
     start = time.perf_counter()
     n_out = 0
-    for _ in enum2._enumerate():
+    for _ in iter(enum2):
         n_out += 1
         if n_out >= max_outputs:
             break

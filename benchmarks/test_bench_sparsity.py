@@ -20,7 +20,7 @@ from repro.enumeration.low_degree import DegreeProfile, LowDegreeEnumerator
 from repro.logic.atoms import Atom, Comparison
 from repro.logic.terms import Variable
 from repro.obs.fitting import fit_loglog
-from repro.perf.delay import measure_stream
+from repro.perf.delay import measure_enumerator
 
 x, y, z = Variable("x"), Variable("y"), Variable("z")
 
@@ -83,9 +83,8 @@ def test_t32_constant_delay_enumeration(benchmark):
     p95s, sizes = [], []
     for n in SIZES:
         db = generators.random_bounded_degree_graph(n, 4, seed=3)
-        profile = measure_stream(
-            lambda: iter(BoundedDegreeEnumerator(PATTERN, db)),
-            max_outputs=1500)
+        profile = measure_enumerator(BoundedDegreeEnumerator(PATTERN, db),
+                                     max_outputs=1500)
         rows.append((n, db.size(), profile.n_outputs,
                      profile.median_delay * 1e6,
                      profile.percentile(0.95) * 1e6))
@@ -115,8 +114,8 @@ def test_t39_t310_low_degree(benchmark):
         profile = DegreeProfile.of(db)
         elapsed = min(timed(lambda: model_check_pattern(two_hop, db))
                       for _ in range(3))
-        delay = measure_stream(
-            lambda: iter(LowDegreeEnumerator(two_hop, db)), max_outputs=500)
+        delay = measure_enumerator(LowDegreeEnumerator(two_hop, db),
+                                   max_outputs=500)
         rows.append((k, profile.size, profile.degree,
                      round(profile.epsilon_witness, 3), elapsed * 1e3,
                      delay.median_delay * 1e6))

@@ -28,7 +28,7 @@ from repro.mso.courcelle import count_solutions, optimise
 from repro.mso.enumeration import enumerate_solutions, two_cluster_example
 from repro.mso.properties import DominatingSetProperty, IndependentSetProperty
 from repro.mso.treedecomp import adjacency_from_database, tree_decomposition
-from repro.perf.delay import measure_stream
+from repro.perf.delay import measure_enumerator
 
 
 def banner(text: str) -> None:
@@ -53,9 +53,8 @@ def main() -> None:
     for n in (1000, 4000, 16000):
         db = generators.random_bounded_degree_graph(n, 4, seed=1)
         total = count_pattern(pattern, db)
-        profile = measure_stream(
-            lambda: iter(BoundedDegreeEnumerator(pattern, db)),
-            max_outputs=2000)
+        profile = measure_enumerator(BoundedDegreeEnumerator(pattern, db),
+                                     max_outputs=2000)
         print(f"{n:>9} {total:>8} {profile.median_delay*1e6:>19.2f} "
               f"{profile.percentile(0.95)*1e6:>9.2f}")
     print("-> counting is one linear pass; the delay columns stay flat")

@@ -18,7 +18,8 @@ core runs), so ``repro explain`` shows which plan ran.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, Set, Tuple, Union
+import itertools
+from typing import Any, Dict, Iterator, List, Set, Tuple, Union
 
 from repro import obs
 from repro.core.classify import plan_for
@@ -56,25 +57,36 @@ def enumerate_answers(query: QueryLike, db: Database, engine=None,
     and ``block_size`` the batched pipeline's amortisation block for the
     engines that support it; both default to the process-wide selection.
 
+    The answers come out of the chosen enumerator's blocks
+    (:meth:`repro.enumeration.base.Enumerator.blocks`) at one C-level
+    step each.  Nothing runs before the first ``next()``: errors surface
+    there, and taking one answer builds at most one block.
+
     When the delay-guarantee watchdog is installed
     (:func:`repro.obs.watchdog.install` / ``REPRO_WATCHDOG=1``), the
-    answer stream is wrapped so delay observations recorded while it
+    block stream is wrapped so delay observations recorded while it
     runs are attributed to this query's plan label and checked against
     its classifier-derived expectation.
     """
     from repro.obs.watchdog import maybe_watch
 
-    inner = maybe_watch(query, _enumerate_answers(query, db, engine=engine,
-                                                  block_size=block_size))
+    blocks = _answer_blocks(query, db, engine, block_size)
+    return itertools.chain.from_iterable(maybe_watch(query, blocks))
+
+
+def _answer_blocks(query: QueryLike, db: Database, engine, block_size
+                   ) -> Iterator[List[Tuple[Any, ...]]]:
     if not obs.enabled():
-        yield from inner
+        yield from _route_blocks(query, db, engine, block_size)
         return
     with obs.span("planner.enumerate", **_span_attrs(query)):
-        yield from inner
+        yield from _route_blocks(query, db, engine, block_size)
 
 
-def _enumerate_answers(query: QueryLike, db: Database, engine=None,
-                       block_size=None) -> Iterator[Tuple[Any, ...]]:
+def _route_blocks(query: QueryLike, db: Database, engine, block_size
+                  ) -> Iterator[List[Tuple[Any, ...]]]:
+    """The answer blocks of the route the query's plan picks; a route
+    that materialises its answers hands them out as one block."""
     if isinstance(query, ConjunctiveQuery):
         plan = plan_for(query)
         q = plan.query
@@ -82,40 +94,40 @@ def _enumerate_answers(query: QueryLike, db: Database, engine=None,
             from repro.enumeration.free_connex import FreeConnexEnumerator
 
             yield from FreeConnexEnumerator(q, db, engine=engine,
-                                            block_size=block_size)
+                                            block_size=block_size).blocks()
         elif plan.route == "acyclic":
             from repro.enumeration.acq_linear import LinearDelayACQEnumerator
 
-            yield from LinearDelayACQEnumerator(q, db, engine=engine)
+            yield from LinearDelayACQEnumerator(q, db, engine=engine).blocks()
         elif plan.route == "cyclic":
             from repro.eval.naive import evaluate_cq_naive
 
-            yield from sorted(evaluate_cq_naive(q, db), key=repr)
+            yield sorted(evaluate_cq_naive(q, db), key=repr)
         elif plan.route == "disequalities":
             from repro.enumeration.disequality import enumerate_acq_disequalities
             from repro.errors import NotFreeConnexError
 
             try:
-                yield from enumerate_acq_disequalities(q, db)
+                yield from enumerate_acq_disequalities(q, db).blocks()
             except NotFreeConnexError:
                 from repro.enumeration.disequality import FallbackDisequalityEnumerator
 
-                yield from FallbackDisequalityEnumerator(q, db)
+                yield from FallbackDisequalityEnumerator(q, db).blocks()
         else:
             from repro.enumeration.disequality import FallbackDisequalityEnumerator
 
-            yield from FallbackDisequalityEnumerator(q, db)
+            yield from FallbackDisequalityEnumerator(q, db).blocks()
         return
     if isinstance(query, UnionOfConjunctiveQueries):
         from repro.enumeration.ucq_union import enumerate_ucq
 
         yield from enumerate_ucq(query, db, engine=engine,
-                                 block_size=block_size)
+                                 block_size=block_size).blocks()
         return
     if isinstance(query, NegativeConjunctiveQuery):
         from repro.csp.ncq_solver import ncq_answers
 
-        yield from sorted(ncq_answers(query, db), key=repr)
+        yield sorted(ncq_answers(query, db), key=repr)
         return
     if isinstance(query, Formula):
         from repro.eval.naive import fo_answers
@@ -125,7 +137,7 @@ def _enumerate_answers(query: QueryLike, db: Database, engine=None,
                 "free second-order variables: use "
                 "repro.enumeration.gray.Sigma0SOEnumerator"
             )
-        yield from sorted(fo_answers(query, db), key=repr)
+        yield sorted(fo_answers(query, db), key=repr)
         return
     raise UnsupportedQueryError(f"cannot enumerate {type(query).__name__}")
 

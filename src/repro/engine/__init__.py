@@ -37,7 +37,6 @@ from repro.engine.enumerate import (
     DEFAULT_BLOCK_SIZE,
     BlockIterator,
     batchable,
-    block_enumerate,
     resolve_block_size,
 )
 from repro.errors import ConfigurationError
@@ -127,7 +126,6 @@ __all__ = [
     "ENV_VAR",
     "BlockIterator",
     "batchable",
-    "block_enumerate",
     "resolve_block_size",
     "DEFAULT_BLOCK_SIZE",
     "BLOCK_ENV_VAR",

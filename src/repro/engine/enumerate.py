@@ -17,18 +17,25 @@ assignments as dictionary-encoded int64 columns:
   re-densification through a presence bitmap, ``np.unique`` only for
   sparse keys, so intermediates never overflow), then the rows are
   stably argsorted by key — insertion order is preserved inside each key
-  group;
+  group.  Rank tables over each column's sorted uniques and CSR offsets
+  over the packed key make a probe a handful of gathers;
 * **expansion** of one batch against a node is the parent-code gather +
-  group-offset arithmetic of the columnar join kernel: ``searchsorted``
-  the batch keys into the sorted node keys, ``repeat``/``cumsum`` the
-  match runs open, and gather both sides' columns — no per-tuple Python;
+  group-offset arithmetic of the columnar join kernel: gather each
+  batch key's rank and its run of matching rows from the probe's
+  tables, ``repeat``/``cumsum`` the runs open, and gather both sides'
+  columns — O(1) work per key, no per-tuple Python;
 * batches are re-chunked to at most ``block_size`` rows *before* each
   expansion, so the largest array ever materialised is
   ``block_size * max-fanout-per-node`` — memory stays proportional to the
   block size, not to the output;
-* at the leaves the head columns are decoded through the shared
-  :class:`~repro.engine.columnar.ValueDictionary` once per block and
-  emitted as a list of Python tuples.
+* at the leaves the finished batches are cut into blocks of exactly
+  ``block_size`` rows (a batch's short tail carries into the next
+  batch's first block, so only the stream's last block is shorter), and
+  each block's head columns are decoded through the shared
+  :class:`~repro.engine.columnar.ValueDictionary` and emitted as a list
+  of Python tuples.  The dictionary's decode table is brought up to date
+  while preprocessing, so its O(|dom|) rebuild never lands inside a
+  block.
 
 On globally consistent (fully reduced) inputs no probe comes back empty,
 so every expansion makes output progress — the amortised-delay analogue
@@ -93,58 +100,129 @@ def batchable(relations: Sequence[Any]) -> bool:
     return all(r.dictionary is dictionary for r in relations)
 
 
+def _dense(entries: int, length: int) -> bool:
+    """May a gather structure of ``entries`` slots index an array of
+    ``length`` items?  Only within a constant factor (plus slack for
+    small arrays), so its memory stays linear in the relation."""
+    return entries <= 4 * length + 4096
+
+
+def _rank_table(uniq: np.ndarray) -> Optional[np.ndarray]:
+    """``table[v]``: the rank of ``v`` in the sorted-unique ``uniq``, or
+    -1 when ``v`` is absent; ``None`` when ``uniq`` is empty or too
+    sparse.
+
+    The last slot lies past ``uniq``'s largest value, so it is always
+    -1: :func:`_ranks` clamps larger values onto it."""
+    if len(uniq) == 0:
+        return None
+    entries = int(uniq[-1]) + 2
+    if not _dense(entries, len(uniq)):
+        return None
+    table = np.full(entries, -1, dtype=np.int64)
+    table[uniq] = np.arange(len(uniq), dtype=np.int64)
+    return table
+
+
+def _ranks(uniq: np.ndarray, table: Optional[np.ndarray],
+           values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(rank, hit)`` of non-negative ``values`` in the non-empty
+    sorted-unique ``uniq``: ``hit`` marks the values that occur, and
+    every rank is clamped into ``[0, len(uniq))``, so it can index."""
+    if table is not None:
+        rank = table[np.minimum(values, len(table) - 1)]
+        hit = rank >= 0
+        np.maximum(rank, 0, out=rank)
+        return rank, hit
+    rank = np.searchsorted(uniq, values)
+    np.minimum(rank, len(uniq) - 1, out=rank)
+    return rank, uniq[rank] == values
+
+
+def _offsets(sorted_keys: np.ndarray, space: int) -> Optional[np.ndarray]:
+    """CSR offsets over packed keys in ``[0, space)``: the rows with key
+    ``k`` sit at sorted positions ``off[k]:off[k + 1]``.  ``None`` when
+    the key space is too sparse for the row count."""
+    if not _dense(space + 1, len(sorted_keys)):
+        return None
+    off = np.zeros(space + 1, dtype=np.int64)
+    np.cumsum(np.bincount(sorted_keys, minlength=space), out=off[1:])
+    return off
+
+
 class _BatchProbe:
     """Sorted-key probe structure of one join-tree node.
 
     Folds the node's probe columns into a single dense int64 key per row
-    and argsorts the rows by key, so a batch of probe keys resolves to
-    (start, count) runs with two ``searchsorted`` calls per key column.
+    and argsorts the rows by key.  A batch of probe keys resolves to
+    (start, count) runs by gathers: one per key column through the
+    rank table of the column's sorted uniques, and one more through the
+    rank table of the packed prefix's uniques from the second column on;
+    then ``lo = off[k]`` and ``count = off[k + 1] - lo`` through CSR
+    offsets over the packed key.  A structure too sparse to build
+    (:func:`_dense`) falls back to ``searchsorted``, which costs a log
+    factor per key and finds the same runs.
     """
 
-    __slots__ = ("steps", "order", "sorted_keys", "nrows")
+    __slots__ = ("steps", "order", "sorted_keys", "offsets", "nrows")
 
     def __init__(self, key_columns: Sequence[np.ndarray], nrows: int):
         self.nrows = nrows
-        # per column: (sorted unique packed-so-far, sorted unique column)
-        self.steps: List[Tuple[np.ndarray, np.ndarray]] = []
+        # per key column: (sorted uniques of the packed prefix and their
+        # rank table, both None for the first column; sorted uniques of
+        # the column and their rank table)
+        self.steps: List[Tuple[Any, Any, np.ndarray, Any]] = []
         packed = np.zeros(nrows, dtype=np.int64)
         for col in key_columns:
             cu, col_dense = _unique_inverse(col)
+            if not self.steps:
+                self.steps.append((None, None, cu, _rank_table(cu)))
+                packed = col_dense
+                continue
             su, dense = _unique_inverse(packed)
-            packed = dense * max(len(cu), 1) + col_dense
-            self.steps.append((su, cu))
+            self.steps.append((su, _rank_table(su), cu, _rank_table(cu)))
+            packed = dense * len(cu) + col_dense
         self.order = np.argsort(packed, kind="stable")
         self.sorted_keys = packed[self.order]
+        self.offsets = _offsets(self.sorted_keys, self._key_space())
+
+    def _key_space(self) -> int:
+        """Packed keys lie in ``[0, space)``."""
+        if not self.steps or self.nrows == 0:
+            return 1
+        su, _st, cu, _ct = self.steps[-1]
+        return len(cu) * (len(su) if su is not None else 1)
 
     def extended(self, new_key_columns: Sequence[np.ndarray], count: int
                  ) -> Optional["_BatchProbe"]:
         """A probe over this structure's rows plus ``count`` appended
         rows, built by merging instead of re-sorting.
 
-        The packing steps are reusable only when every appended value
-        (and every intermediate packed key) already occurs in the
-        structure's sorted-unique tables — otherwise the densification
-        would assign codes the existing ``sorted_keys`` never saw, and
-        we return ``None`` so the caller falls back to a full rebuild.
-        Appended rows are merged after all equal existing keys
-        (``side='right'``), which is exactly where a stable argsort of
-        the extended columns would put them, so lookups on the patched
-        probe are indistinguishable from a cold build.
+        The packing steps (and their rank tables) are reusable only when
+        every appended value (and every intermediate packed key) already
+        occurs in the structure's sorted-unique tables — otherwise the
+        densification would assign codes the existing ``sorted_keys``
+        never saw, and we return ``None`` so the caller falls back to a
+        full rebuild.  Appended rows are merged after all equal existing
+        keys (``side='right'``), which is exactly where a stable argsort
+        of the extended columns would put them, and the offsets are
+        rebuilt over the merged keys, so lookups on the patched probe are
+        indistinguishable from a cold build.
         """
+        if self.steps and self.nrows == 0:
+            return None
         packed = np.zeros(count, dtype=np.int64)
-        for (su, cu), col in zip(self.steps, new_key_columns):
+        for (su, st, cu, ct), col in zip(self.steps, new_key_columns):
             col = np.ascontiguousarray(col, dtype=np.int64)
-            if len(cu) == 0 or len(su) == 0:
+            rank, hit = _ranks(cu, ct, col)
+            if not hit.all():
                 return None
-            ci = np.searchsorted(cu, col)
-            np.clip(ci, 0, len(cu) - 1, out=ci)
-            if not (cu[ci] == col).all():
-                return None
-            si = np.searchsorted(su, packed)
-            np.clip(si, 0, len(su) - 1, out=si)
-            if not (su[si] == packed).all():
-                return None
-            packed = si * len(cu) + ci
+            if su is not None:
+                srank, shit = _ranks(su, st, packed)
+                if not shit.all():
+                    return None
+                rank += srank * len(cu)
+            packed = rank
         pos = np.searchsorted(self.sorted_keys, packed, side="right")
         patched = _BatchProbe.__new__(_BatchProbe)
         patched.nrows = self.nrows + count
@@ -153,32 +231,39 @@ class _BatchProbe:
             self.order, pos,
             np.arange(self.nrows, self.nrows + count, dtype=np.int64))
         patched.sorted_keys = np.insert(self.sorted_keys, pos, packed)
+        patched.offsets = _offsets(patched.sorted_keys, self._key_space())
         return patched
 
     def lookup(self, key_columns: Sequence[np.ndarray], k: int
                ) -> Tuple[np.ndarray, np.ndarray]:
         """Resolve a batch of ``k`` probe keys to ``(lo, counts)``:
-        ``counts[i]`` matching rows starting at sorted position ``lo[i]``."""
+        ``counts[i]`` matching rows starting at sorted position ``lo[i]``.
+        Keys the node never saw (including codes interned after this
+        probe was built) get a count of 0."""
         if self.nrows == 0:
             zeros = np.zeros(k, dtype=np.int64)
             return zeros, zeros
         packed = np.zeros(k, dtype=np.int64)
-        valid = np.ones(k, dtype=bool)
-        for (su, cu), col in zip(self.steps, key_columns):
-            if len(cu) == 0:  # pragma: no cover - nrows == 0 handled above
-                return np.zeros(k, dtype=np.int64), np.zeros(k, dtype=np.int64)
-            ci = np.searchsorted(cu, col)
-            np.clip(ci, 0, len(cu) - 1, out=ci)
-            valid &= cu[ci] == col
-            si = np.searchsorted(su, packed)
-            np.clip(si, 0, len(su) - 1, out=si)
-            valid &= su[si] == packed
-            packed = si * len(cu) + ci
-        lo = np.searchsorted(self.sorted_keys, packed, side="left")
-        counts = np.searchsorted(self.sorted_keys, packed, side="right") - lo
-        counts[~valid] = 0
-        return lo.astype(np.int64, copy=False), counts.astype(np.int64,
-                                                              copy=False)
+        valid: Optional[np.ndarray] = None
+        for (su, st, cu, ct), col in zip(self.steps, key_columns):
+            rank, hit = _ranks(cu, ct, col)
+            if su is not None:
+                srank, shit = _ranks(su, st, packed)
+                hit &= shit
+                hit &= valid
+                rank += srank * len(cu)
+            packed, valid = rank, hit
+        off = self.offsets
+        if off is not None:
+            lo = off[packed]
+            counts = off[packed + 1] - lo
+        else:
+            lo = np.searchsorted(self.sorted_keys, packed, side="left")
+            counts = np.searchsorted(self.sorted_keys, packed,
+                                     side="right") - lo
+        if valid is not None:
+            counts *= valid
+        return lo, counts
 
 
 def build_probe(rel: ColumnarRelation, probe_vars: Sequence[Variable]):
@@ -217,10 +302,10 @@ class BlockIterator:
         Run the full reducer first (True unless the caller guarantees
         global consistency).
 
-    Iterating the instance yields single answers; :meth:`blocks` yields
-    lists of up to ``block_size`` answers.  Both are restartable — all
-    state below is immutable after construction, so one ``BlockIterator``
-    can be shared (e.g. through the plan cache) by many consumers.
+    :meth:`blocks` yields lists of up to ``block_size`` answers.  It is
+    restartable — all state below is immutable after construction, so
+    one ``BlockIterator`` can be shared (e.g. through the plan cache) by
+    many consumers.
     """
 
     def __init__(self, relations: Sequence[ColumnarRelation],
@@ -276,6 +361,15 @@ class BlockIterator:
                 f"head variables {[v.name for v in missing]} do not occur "
                 "in any relation"
             )
+        self.warm_decode_table()
+
+    def warm_decode_table(self) -> None:
+        """Bring the dictionary's decode table up to date.
+
+        A stale table is rebuilt in O(|dom|) on first use; preprocessing
+        (and a plan-cache hit, whose dictionary may have grown since)
+        pays that here, so no block does."""
+        self._dict.decode_table()
 
     # ------------------------------------------------------------- pipeline
 
@@ -290,8 +384,6 @@ class BlockIterator:
         if not obs.enabled():
             return self._expand_raw(level, batch, nrows)
         with obs.span("block.expand", level=level, rows_in=nrows) as sp:
-            obs.count("enum.batch_probes")
-            obs.count("enum.rows_probed", nrows)
             out, total = self._expand_raw(level, batch, nrows)
             sp.set("rows_out", total)
             if total == 0:
@@ -322,12 +414,14 @@ class BlockIterator:
         return out, total
 
     def _walk(self, level: int, batch: Dict[Variable, np.ndarray],
-              nrows: int) -> Iterator[List[Tup]]:
-        """Depth-first block expansion: chunk to B rows, expand, recurse."""
+              nrows: int) -> Iterator[Tuple[List[np.ndarray], int]]:
+        """Depth-first block expansion: chunk to B rows, expand, recurse.
+        Yields each finished batch as its head code columns and row
+        count."""
         if nrows == 0:
             return
         if level == len(self._order):
-            yield from self._emit(batch, nrows)
+            yield [batch[v] for v in self._head], nrows
             return
         block = self.block_size
         for start in range(0, nrows, block):
@@ -336,55 +430,57 @@ class BlockIterator:
             expanded, total = self._expand(level, chunk, stop - start)
             yield from self._walk(level + 1, expanded, total)
 
-    def _emit(self, batch: Dict[Variable, np.ndarray], nrows: int
-              ) -> Iterator[List[Tup]]:
-        """Decode the head columns of a finished batch, block by block."""
-        table = self._dict.decode_table()
-        code_cols = [batch[v] for v in self._head]
+    def _full_pieces(self, finished: Iterator[Tuple[List[np.ndarray], int]]
+                     ) -> Iterator[Tuple[List[np.ndarray], int]]:
+        """Cut the finished batches into pieces of exactly B rows; only
+        the stream's last piece may be shorter.  A batch's short tail is
+        carried into the next batch's first piece, so no block is cut
+        short at a batch boundary."""
         block = self.block_size
-        if not code_cols:  # zero-ary head: nrows copies of ()
-            for start in range(0, nrows, block):
-                size = min(start + block, nrows) - start
-                obs.count("enum.blocks")
-                obs.count("enum.answers", size)
-                yield [()] * size
-            return
-        for start in range(0, nrows, block):
-            stop = min(start + block, nrows)
-            decoded = [table[c[start:stop]].tolist() for c in code_cols]
-            obs.count("enum.blocks")
-            obs.count("enum.answers", stop - start)
-            yield list(zip(*decoded))
+        carry: List[np.ndarray] = []
+        have = 0
+        for cols, nrows in finished:
+            start = 0
+            if have:
+                start = min(block - have, nrows)
+                carry = [np.concatenate((c0, c[:start]))
+                         for c0, c in zip(carry, cols)]
+                have += start
+                if have < block:
+                    continue
+                yield carry, have
+            stop = start + (nrows - start) // block * block
+            for s in range(start, stop, block):
+                yield [c[s:s + block] for c in cols], block
+            carry = [c[stop:] for c in cols]
+            have = nrows - stop
+        if have:
+            yield carry, have
 
     # -------------------------------------------------------------- iteration
 
     def blocks(self) -> Iterator[List[Tup]]:
-        """Yield answer blocks (lists of head tuples) of size <= B.
+        """Yield answer blocks (lists of head tuples) of exactly B
+        answers; only the last block may be shorter.
 
-        Each block's production gap (consumer time excluded: the clock
-        restarts after the yield returns) feeds the always-on registry's
-        amortised per-answer delay sketch — one ``obs.delay`` per block,
-        weight = answers, so the per-answer hot path stays untouched."""
+        The head columns are decoded once per block.  Each block's
+        production gap (consumer time excluded: the clock restarts after
+        the yield returns) feeds the always-on registry's amortised
+        per-answer delay sketch and the ``enum.blocks`` /
+        ``enum.answers`` counters — one ``obs.delay`` per block, weight =
+        answers, so the per-answer hot path stays untouched."""
         if self._empty:
             return
         root = self._relations[self._order[0]]
         batch = {v: root.column(v) for v in root.variables}
+        table = self._dict.decode_table()
         clock = time.perf_counter_ns
         last = clock()
-        for block in self._walk(1, batch, len(root)):
-            obs.delay(clock() - last, len(block))
+        for cols, n in self._full_pieces(self._walk(1, batch, len(root))):
+            if cols:
+                block = list(zip(*[table[c].tolist() for c in cols]))
+            else:  # zero-ary head: n copies of ()
+                block = [()] * n
+            obs.delay(clock() - last, n)
             yield block
             last = clock()
-
-    def __iter__(self) -> Iterator[Tup]:
-        for block in self.blocks():
-            yield from block
-
-
-def block_enumerate(relations: Sequence[ColumnarRelation],
-                    head: Sequence[Variable],
-                    block_size: Optional[int] = None,
-                    reduce: bool = True) -> Iterator[Tup]:
-    """Convenience wrapper: flat answer stream over :class:`BlockIterator`."""
-    return iter(BlockIterator(relations, head, block_size=block_size,
-                              reduce=reduce))

@@ -6,20 +6,31 @@ database, builds indexes, finds the first solution) from *enumeration*
 complexity claims — Constant-Delay_lin means linear preprocessing and a
 delay depending on the query only — so it is explicit in the API and is
 what :mod:`repro.perf.delay` measures.
+
+Answers leave an enumerator in *blocks*: :meth:`Enumerator.blocks` is
+the one answer stream, and iterating an enumerator walks its blocks at
+one C-level step per answer.  Segoufin's habilitation (arXiv 2309.17042)
+treats delay as an amortised budget, which is what licenses a block of B
+answers for B constant delays.  The per-answer stream ``_enumerate``
+stays for the consumers that interleave or time single answers.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Optional, Tuple
+import itertools
+from typing import Any, Iterator, List, Optional, Tuple
 
 from repro import obs
+from repro.engine.enumerate import resolve_block_size
 from repro.errors import EnumerationError
 
 Answer = Tuple[Any, ...]
 
 
 class Enumerator:
-    """Base class: subclasses implement ``_preprocess`` and ``_enumerate``.
+    """Base class: :meth:`blocks` is the answer stream, and iterating
+    walks it.  Subclasses implement ``_preprocess`` and ``_enumerate``,
+    and override ``_blocks`` when they produce answers in blocks natively.
 
     Usage::
 
@@ -40,6 +51,10 @@ class Enumerator:
     split directly.  With tracing disabled both phases run unwrapped.
     """
 
+    #: the largest block :meth:`_blocks` chunks the per-answer stream
+    #: into; ``None`` consults ``REPRO_BLOCK_SIZE`` (default 1024)
+    block_size: Optional[int] = None
+
     def __init__(self) -> None:
         self._preprocessed = False
 
@@ -54,20 +69,30 @@ class Enumerator:
             self._preprocessed = True
 
     def __iter__(self) -> Iterator[Answer]:
+        return itertools.chain.from_iterable(self.blocks())
+
+    def blocks(self) -> Iterator[List[Answer]]:
+        """The answers as a stream of non-empty lists (preprocesses
+        first if needed).
+
+        With tracing live the stream runs under the ``<Class>.enumerate``
+        span, whose ``answers`` attribute is brought up to date once per
+        block."""
         self.preprocess()
         if obs.enabled():
-            return self._traced_enumerate()
-        return self._enumerate()
+            return self._traced_blocks()
+        return self._blocks()
 
-    def _traced_enumerate(self) -> Iterator[Answer]:
-        """Enumeration wrapped in a span; the span closes when the
+    def _traced_blocks(self) -> Iterator[List[Answer]]:
+        """The block stream wrapped in a span; the span closes when the
         stream is exhausted or the consumer abandons the generator."""
         with obs.span(type(self).__name__ + ".enumerate") as sp:
             n = 0
-            for answer in self._enumerate():
-                n += 1
-                yield answer
             sp.set("answers", n)
+            for block in self._blocks():
+                n += len(block)
+                sp.set("answers", n)
+                yield block
 
     # -- to implement ---------------------------------------------------------
 
@@ -76,6 +101,26 @@ class Enumerator:
 
     def _enumerate(self) -> Iterator[Answer]:
         raise NotImplementedError
+
+    def _blocks(self) -> Iterator[List[Answer]]:
+        """Chunk :meth:`_enumerate` into blocks.
+
+        The first block holds one answer and each next one twice as many,
+        up to :attr:`block_size` B: the first answer costs one step of
+        the per-answer stream, taking k answers runs it fewer than 2k
+        steps (k + B once blocks are full), and a long scan pays one
+        block step per B answers."""
+        limit = max(1, resolve_block_size(self.block_size))
+        size = 1
+        block: List[Answer] = []
+        for answer in self._enumerate():
+            block.append(answer)
+            if len(block) >= size:
+                yield block
+                block = []
+                size = min(2 * size, limit)
+        if block:
+            yield block
 
     # -- helpers ---------------------------------------------------------------
 

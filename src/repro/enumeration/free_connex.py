@@ -95,6 +95,9 @@ class FreeConnexEnumerator(Enumerator):
             self._boolean_true = payload
         else:
             self._inner = payload
+            if payload is not None:
+                # a cached plan may predate values interned since
+                payload.warm_decode_table()
 
     def _build_plan(self):
         cq, db = self.cq, self.db
@@ -108,6 +111,13 @@ class FreeConnexEnumerator(Enumerator):
                                    block_size=self.block_size)
         inner.preprocess()
         return ("enum", inner)
+
+    def _blocks(self) -> Iterator[List[Answer]]:
+        """The inner join's blocks: the batched pipeline's own on the
+        columnar engine, the chunked probe join on the tuple engine."""
+        if self._inner is None:  # a Boolean query, or no answers
+            return super()._blocks()
+        return self._inner._blocks()
 
     def _enumerate(self) -> Iterator[Answer]:
         if self.cq.is_boolean():

@@ -76,7 +76,8 @@ class FullJoinEnumerator(Enumerator):
         (:class:`repro.engine.enumerate.BlockIterator`).  Used only when
         every relation is a ColumnarRelation over one shared dictionary;
         ``None`` consults ``REPRO_BLOCK_SIZE`` (default 1024), and a
-        value <= 0 forces the tuple-at-a-time path.
+        value <= 0 forces the tuple-at-a-time path.  The tuple path's
+        stream is chunked into blocks of at most this size (at least 1).
     """
 
     def __init__(self, relations: Sequence[VarRelation],
@@ -86,7 +87,7 @@ class FullJoinEnumerator(Enumerator):
         self._relations = list(relations)
         self._head = tuple(head)
         self._reduce = reduce
-        self._block_size = resolve_block_size(block_size)
+        self.block_size = resolve_block_size(block_size)
         self._block_iter: Optional[BlockIterator] = None
         all_vars: Dict[Variable, None] = {}
         for r in self._relations:
@@ -116,11 +117,11 @@ class FullJoinEnumerator(Enumerator):
         if any(len(r) == 0 for r in self._relations):
             self._empty = True
             return
-        if self._block_size > 0 and batchable(self._relations):
+        if self.block_size > 0 and batchable(self._relations):
             # batched columnar pipeline: probe structures replace the
             # decoded hash indexes entirely
             self._block_iter = BlockIterator(
-                self._relations, self._head, block_size=self._block_size,
+                self._relations, self._head, block_size=self.block_size,
                 tree=self._tree, reduce=False)
             return
         # DFS preorder; for each node, the probe variables (shared with parent)
@@ -142,32 +143,26 @@ class FullJoinEnumerator(Enumerator):
 
     # ------------------------------------------------------------- enumerate
 
-    def blocks(self) -> Iterator[List[Answer]]:
-        """Answer blocks of size <= block_size (preprocesses if needed).
-
-        On the batched path these are the kernel's native blocks; on the
-        tuple path the per-tuple stream is chunked, so consumers can be
-        written block-at-a-time against either backend.
-        """
-        self.preprocess()
+    def warm_decode_table(self) -> None:
+        """Bring the batched pipeline's decode table up to date (see
+        :meth:`repro.engine.enumerate.BlockIterator.warm_decode_table`);
+        the tuple path decodes nothing."""
         if self._block_iter is not None:
-            yield from self._block_iter.blocks()
-            return
-        block_size = max(1, self._block_size)
-        block: List[Answer] = []
-        for tup in self._enumerate():
-            block.append(tup)
-            if len(block) >= block_size:
-                yield block
-                block = []
-        if block:
-            yield block
+            self._block_iter.warm_decode_table()
+
+    def _blocks(self) -> Iterator[List[Answer]]:
+        """The batched pipeline's native blocks; the tuple path chunks
+        its per-tuple stream (:meth:`Enumerator._blocks`)."""
+        if self._block_iter is not None:
+            return self._block_iter.blocks()
+        return super()._blocks()
 
     def _enumerate(self) -> Iterator[Answer]:
         if self._empty:
             return
         if self._block_iter is not None:
-            yield from self._block_iter
+            for block in self._block_iter.blocks():
+                yield from block
             return
         if obs.registry().enabled:
             yield from self._enumerate_recorded()
@@ -180,9 +175,10 @@ class FullJoinEnumerator(Enumerator):
         The batched pipeline records one ``obs.delay`` per kernel block
         (see :meth:`repro.engine.enumerate.BlockIterator.blocks`); the
         tuple path has no native blocks, so production gaps are summed
-        across ``_DELAY_STRIDE`` answers before one registry call.
-        Clock reads bracket each yield, so consumer time between
-        answers never inflates the delay sketch."""
+        across ``_DELAY_STRIDE`` answers before one ``obs.delay``, which
+        also counts them as one block.  Clock reads bracket each yield,
+        so consumer time between answers never inflates the delay
+        sketch."""
         import time
 
         clock = time.perf_counter_ns
@@ -195,12 +191,10 @@ class FullJoinEnumerator(Enumerator):
             yield tup
             last = clock()
             if produced >= _DELAY_STRIDE:
-                obs.count("enum.answers", produced)
                 obs.delay(gap_acc, produced)
                 produced = 0
                 gap_acc = 0
         if produced:
-            obs.count("enum.answers", produced)
             obs.delay(gap_acc, produced)
 
     def _probe_join(self) -> Iterator[Answer]:

@@ -123,10 +123,17 @@ def gauge(name: str, value: Any) -> None:
 
 
 def delay(gap_ns: int, answers: int = 1) -> None:
-    """Record an enumeration gap covering ``answers`` answers into the
-    registry's ``enum.delay_ns`` sketch (amortised: the sketch stores
-    the per-answer share with weight = answers) and notify any delay
-    listeners (the guarantee watchdog)."""
+    """Record one block of ``answers`` answers produced in ``gap_ns``.
+
+    One call per block does all of the block's bookkeeping: the
+    registry's ``enum.delay_ns`` sketch gets the gap (amortised: the
+    per-answer share with weight = answers), the ``enum.blocks`` and
+    ``enum.answers`` counters grow — on the scoped tracer too when one
+    is active — and any delay listeners (the guarantee watchdog) are
+    notified."""
+    t = _TRACER
+    if t.enabled:
+        t.count_many({"enum.blocks": 1, "enum.answers": answers})
     _REGISTRY.record_delay(gap_ns, answers)
 
 

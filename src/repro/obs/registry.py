@@ -111,25 +111,30 @@ class MetricsRegistry:
                 sketch = self._sketches[name] = QuantileSketch()
             sketch.add(value, weight, trace_id=trace_id)
 
-    def record_delay(self, gap_ns: int, answers: int = 1,
-                     name: str = "enum.delay_ns") -> None:
+    def record_delay(self, gap_ns: int, answers: int = 1) -> None:
         """Record an enumeration gap covering ``answers`` answers.
 
-        Block-batched producers call this once per block: the sketch
-        gets the amortised per-answer delay with weight=answers, so
-        quantiles are still per-answer while the hot loop pays one
-        clock read per block.  When the calling thread carries a
-        sampled trace context, its trace_id rides along as the bucket
-        exemplar — the tail-to-trace link.  Installed delay listeners
-        (the guarantee watchdog) see the raw (gap, answers) pair."""
+        Block-batched producers call this once per block: the
+        ``enum.delay_ns`` sketch gets the amortised per-answer delay
+        with weight=answers, so quantiles are still per-answer while the
+        hot loop pays one clock read per block, and the ``enum.blocks``
+        and ``enum.answers`` counters grow under the same lock.  When
+        the calling thread carries a sampled trace context, its trace_id
+        rides along as the bucket exemplar — the tail-to-trace link.
+        Installed delay listeners (the guarantee watchdog) see the raw
+        (gap, answers) pair."""
         if not self.enabled or answers <= 0:
             return
         per_answer = gap_ns // answers
         trace_id = current_trace_id()
         with self._lock:
-            sketch = self._sketches.get(name)
+            counters = self._counters
+            counters["enum.blocks"] = counters.get("enum.blocks", 0) + 1
+            counters["enum.answers"] = (counters.get("enum.answers", 0)
+                                        + answers)
+            sketch = self._sketches.get("enum.delay_ns")
             if sketch is None:
-                sketch = self._sketches[name] = QuantileSketch()
+                sketch = self._sketches["enum.delay_ns"] = QuantileSketch()
             sketch.add(per_answer, answers, trace_id=trace_id)
         for listener in self._delay_listeners:
             listener(gap_ns, answers)

@@ -277,6 +277,14 @@ class Tracer:
             self.counters[name] = self.counters.get(name, 0) + n
             self.events += 1
 
+    def count_many(self, deltas: Dict[str, Any]) -> None:
+        """Accumulate several counters in one instrumentation event."""
+        with self._lock:
+            counters = self.counters
+            for name, n in deltas.items():
+                counters[name] = counters.get(name, 0) + n
+            self.events += 1
+
     def gauge(self, name: str, value: Any) -> None:
         """Record the latest value of the named gauge."""
         with self._lock:

@@ -19,6 +19,7 @@ clamped at 0.
 
 from __future__ import annotations
 
+import gc
 import math
 import statistics
 import threading
@@ -147,8 +148,13 @@ class DelayProfile:
 
 def measure_enumerator(enumerator, max_outputs: Optional[int] = None) -> DelayProfile:
     """Time an object following the two-phase protocol of
-    :class:`repro.enumeration.base.Enumerator`."""
+    :class:`repro.enumeration.base.Enumerator`.
+
+    Garbage is collected first, so a collection owed by the caller's
+    earlier allocations (building a large database, say) never lands
+    inside the measured phases."""
     timer_overhead_ns()  # calibrate outside the timed region
+    gc.collect()
     start = time.perf_counter_ns()
     enumerator.preprocess()
     pre = (time.perf_counter_ns() - start) * _NS
@@ -158,8 +164,10 @@ def measure_enumerator(enumerator, max_outputs: Optional[int] = None) -> DelayPr
 def measure_stream(make_iterator: Callable[[], Iterator[Any]],
                    max_outputs: Optional[int] = None) -> DelayProfile:
     """Time a bare iterator factory: the factory call is the
-    preprocessing phase, iteration gaps are the delays."""
+    preprocessing phase, iteration gaps are the delays.  Garbage is
+    collected first, as in :func:`measure_enumerator`."""
     timer_overhead_ns()
+    gc.collect()
     start = time.perf_counter_ns()
     iterator = make_iterator()
     pre = (time.perf_counter_ns() - start) * _NS
