@@ -56,20 +56,6 @@ Commands
 
         python -m repro report -o report.html [--gate fail]
 
-``metrics-serve``
-    Serve the process-wide always-on metrics registry as an OpenMetrics
-    endpoint (``/metrics``), optionally flushing the exposition text to
-    a file on a timer and writing discrete events to a rotating NDJSON
-    log::
-
-        python -m repro metrics-serve --port 9464 \\
-            [--metrics-out metrics.prom --interval 10] [--events ev.ndjson]
-
-``top``
-    Live terminal view of the registry: per-plan delay quantiles,
-    phase latencies, counter rates, recent events — either in-process
-    or scraped from a ``metrics-serve`` endpoint via ``--url``.
-
 ``run``, ``explain`` and the benchmarks accept ``--trace FILE`` (Chrome
 trace-event JSON for chrome://tracing / Perfetto) and ``--metrics``
 (flat JSON counters/gauges on stderr); the ``REPRO_TRACE`` environment
@@ -434,8 +420,8 @@ def _doctor_environment() -> None:
 
 
 def _doctor_caches() -> None:
-    """Cache-health lines from the always-on registry: per-symbol
-    workspaces, watchdog."""
+    """Cache-health line from the always-on registry: the per-symbol
+    workspaces."""
     from repro import obs
 
     reg = obs.registry()
@@ -446,17 +432,6 @@ def _doctor_caches() -> None:
           f"{reg.counter('engine.symbol_workspace_variant_hits')} variant "
           f"hits; {reg.counter('yannakakis.coalesced_semijoins')} "
           f"coalesced semijoins")
-    from repro.obs.watchdog import watchdog as _watchdog
-
-    wd = _watchdog()
-    if wd.active:
-        print(f"delay watchdog: on — "
-              f"{reg.counter('watchdog.checks')} windows checked, "
-              f"{reg.counter('watchdog.violations')} violations, "
-              f"{reg.counter('watchdog.tail_retained')} tail traces kept")
-    else:
-        print("delay watchdog: off (set REPRO_WATCHDOG=1 to check live "
-              "delay quantiles against the classifier's guarantees)")
 
 
 def cmd_doctor(args: argparse.Namespace) -> int:
@@ -615,209 +590,6 @@ def cmd_report(args: argparse.Namespace) -> int:
     return _print_regressions(regressions, args.gate)
 
 
-def _demo_workload(stop) -> None:
-    """Small synthetic enumeration loop feeding the registry, so a
-    standalone ``metrics-serve --demo`` endpoint has live data to show
-    (per-plan delay sketches, phase latencies, plan-cache hit rates)."""
-    from repro.core.planner import enumerate_answers
-    from repro.data import generators
-    from repro.logic.parser import parse_query
-
-    query = parse_query("Q(x, z, y) :- R(x, z), S(z, y)")
-    db = generators.random_database({"R": 2, "S": 2}, 250, 1000, seed=7)
-    import time as _time
-
-    while not stop.is_set():
-        for _row in enumerate_answers(query, db):
-            pass
-        _time.sleep(0.05)
-
-
-def cmd_metrics_serve(args: argparse.Namespace) -> int:
-    """Serve the always-on registry as an OpenMetrics endpoint, with an
-    optional periodic file flusher and NDJSON event log."""
-    import threading
-    import time as _time
-
-    from repro.obs.expose import (MetricsFlusher, configure_event_log,
-                                  start_metrics_server)
-
-    if args.events:
-        configure_event_log(args.events)
-        print(f"event log: {args.events}", file=sys.stderr)
-    server = start_metrics_server(args.host, args.port)
-    host, port = server.server_address[:2]
-    print(f"serving OpenMetrics on http://{host}:{port}/metrics")
-    flusher = None
-    if args.metrics_out:
-        flusher = MetricsFlusher(args.metrics_out,
-                                 interval=args.interval).start()
-        print(f"flushing exposition + JSON snapshot to {args.metrics_out} "
-              f"every {args.interval:g}s", file=sys.stderr)
-    stop = threading.Event()
-    demo = None
-    if args.demo:
-        # The demo showcases the full telemetry surface, so install the
-        # watchdog: it attributes delay observations to per-plan
-        # sketches (delay.plan.<label> summaries on the endpoint).
-        from repro.obs.watchdog import install as _install_watchdog
-
-        _install_watchdog()
-        demo = threading.Thread(target=_demo_workload, args=(stop,),
-                                name="repro-metrics-demo", daemon=True)
-        demo.start()
-    deadline = None if args.duration is None \
-        else _time.monotonic() + args.duration
-    try:
-        while deadline is None or _time.monotonic() < deadline:
-            _time.sleep(0.2)
-    except KeyboardInterrupt:
-        pass
-    finally:
-        stop.set()
-        if flusher is not None:
-            flusher.stop()
-        server.shutdown()
-        server.server_close()
-    return 0
-
-
-def _top_snapshot(url: Optional[str]) -> dict:
-    """One frame of data for ``repro top``: counters, gauges, summary
-    sketches and recent events — from a remote ``metrics-serve``
-    endpoint when ``url`` is given, else the in-process registry."""
-    if url:
-        import urllib.request
-
-        from repro.obs.expose import parse_openmetrics
-
-        with urllib.request.urlopen(url, timeout=5) as resp:
-            parsed = parse_openmetrics(resp.read().decode())
-        for s in parsed["summaries"].values():
-            exs = s.get("exemplars") or {}
-            ex = exs.get(0.99) or exs.get("0.99")
-            s["exemplar"] = (ex or {}).get("labels", {}).get("trace_id")
-        return {"counters": parsed["counters"], "gauges": parsed["gauges"],
-                "summaries": parsed["summaries"], "events": []}
-    from repro import obs
-    from repro.obs.expose import event_log
-
-    reg = obs.registry()
-    snap = reg.snapshot()
-    sketches = reg.sketches()
-    summaries = {}
-    for name, s in snap["sketches"].items():
-        ex = sketches[name].exemplar(0.99) if name in sketches else None
-        summaries[name] = {
-            "quantiles": {0.5: s["p50"], 0.95: s["p95"],
-                          0.99: s["p99"], 0.999: s["p999"]},
-            "count": s["count"], "sum": s["sum"],
-            "exemplar": ex[1] if ex is not None else None,
-        }
-    return {"counters": snap["counters"], "gauges": snap["gauges"],
-            "summaries": summaries,
-            "events": event_log().recent(limit=5)}
-
-
-def _fmt_ns(ns: float) -> str:
-    """Human-readable duration from nanoseconds."""
-    if ns < 1_000:
-        return f"{ns:.0f}ns"
-    if ns < 1_000_000:
-        return f"{ns / 1e3:.1f}us"
-    if ns < 1_000_000_000:
-        return f"{ns / 1e6:.2f}ms"
-    return f"{ns / 1e9:.2f}s"
-
-
-def _render_top(data: dict, prev_counters: dict,
-                dt: Optional[float], clear: bool) -> None:
-    """Print one ``repro top`` frame (delay/phase quantiles, hottest
-    counters with rates, recent events)."""
-    import datetime as _dt
-
-    if clear:
-        print("\x1b[2J\x1b[H", end="")
-    stamp = _dt.datetime.now().strftime("%H:%M:%S")
-    print(f"repro top — {stamp} — {len(data['counters'])} counters, "
-          f"{len(data['summaries'])} sketches")
-    ctr = data["counters"]
-    print(f"symbol sharing: "
-          f"{ctr.get('engine.symbol_workspace_hits', 0)} workspace hits / "
-          f"{ctr.get('engine.symbol_workspace_misses', 0)} misses, "
-          f"{ctr.get('engine.symbol_workspace_variant_hits', 0)} variant "
-          f"hits, {ctr.get('yannakakis.coalesced_semijoins', 0)} coalesced "
-          f"semijoins")
-    delays = {n: s for n, s in data["summaries"].items() if "delay" in n}
-    phases = {n: s for n, s in data["summaries"].items() if n not in delays}
-    if delays:
-        print(f"\n{'delay sketch':<44} {'count':>10} {'p50':>9} "
-              f"{'p95':>9} {'p99':>9} {'p99.9':>9}  {'p99 exemplar'}")
-        for name in sorted(delays):
-            s = delays[name]
-            q = s["quantiles"]
-            print(f"{name[:44]:<44} {int(s.get('count', 0)):>10} "
-                  f"{_fmt_ns(q.get(0.5, 0)):>9} {_fmt_ns(q.get(0.95, 0)):>9} "
-                  f"{_fmt_ns(q.get(0.99, 0)):>9} "
-                  f"{_fmt_ns(q.get(0.999, 0)):>9}  "
-                  f"{s.get('exemplar') or '—'}")
-    if phases:
-        print(f"\n{'phase sketch':<44} {'count':>10} {'p50':>9} "
-              f"{'p99':>9} {'total':>9}")
-        for name in sorted(phases):
-            s = phases[name]
-            q = s["quantiles"]
-            print(f"{name[:44]:<44} {int(s.get('count', 0)):>10} "
-                  f"{_fmt_ns(q.get(0.5, 0)):>9} {_fmt_ns(q.get(0.99, 0)):>9} "
-                  f"{_fmt_ns(s.get('sum', 0)):>9}")
-    if data["counters"]:
-        print(f"\n{'counter':<44} {'total':>12} {'rate/s':>10}")
-        hottest = sorted(data["counters"].items(),
-                         key=lambda kv: -kv[1])[:12]
-        for name, value in hottest:
-            # no rate on the first frame, and none on sub-millisecond
-            # intervals (dividing by ~0 turns one scrape's worth of
-            # counts into a nonsense rate); a registry reset between
-            # frames makes the delta negative — clamp to 0, not print
-            # a negative rate
-            if dt is not None and dt > 1e-3:
-                rate = max(0.0, (value - prev_counters.get(name, 0)) / dt)
-                rate_s = f"{rate:,.1f}"
-            else:
-                rate_s = "—"
-            print(f"{name[:44]:<44} {int(value):>12,} {rate_s:>10}")
-    if data["events"]:
-        print("\nrecent events:")
-        for ev in data["events"]:
-            extra = {k: v for k, v in ev.items()
-                     if k not in ("ts", "event", "pid")}
-            print(f"  {ev['event']}: {extra}")
-
-
-def cmd_top(args: argparse.Namespace) -> int:
-    """Live terminal view of the metrics registry (local or scraped)."""
-    import time as _time
-
-    iterations = 1 if args.once else args.iterations
-    prev_counters: dict = {}
-    prev_t = None
-    frame = 0
-    while True:
-        data = _top_snapshot(args.url)
-        now = _time.monotonic()
-        dt = None if prev_t is None else now - prev_t
-        _render_top(data, prev_counters, dt, clear=not args.once)
-        prev_counters = dict(data["counters"])
-        prev_t = now
-        frame += 1
-        if iterations is not None and frame >= iterations:
-            return 0
-        try:
-            _time.sleep(args.interval)
-        except KeyboardInterrupt:
-            return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The argparse command tree for `python -m repro`."""
     parser = argparse.ArgumentParser(
@@ -946,46 +718,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default="warn",
                    help="exit policy when a case regressed")
     p.set_defaults(fn=cmd_report)
-
-    p = sub.add_parser("metrics-serve",
-                       help="serve the always-on metrics registry as an "
-                            "OpenMetrics endpoint (plus optional file "
-                            "flusher and NDJSON event log)")
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=9464,
-                   help="TCP port (0 picks an ephemeral one)")
-    p.add_argument("--metrics-out", default=None, metavar="FILE",
-                   help="also flush the exposition text (and FILE.json "
-                        "snapshot) to disk on a timer")
-    p.add_argument("--interval", type=float, default=10.0,
-                   help="flush period in seconds for --metrics-out")
-    p.add_argument("--events", default=None, metavar="FILE",
-                   help="write discrete events (delta-log overflows, "
-                        "guarantee violations, ...) to this NDJSON file, "
-                        "rotated at 4MiB")
-    p.add_argument("--duration", type=float, default=None,
-                   help="serve for N seconds then exit (default: until "
-                        "interrupted)")
-    p.add_argument("--demo", action="store_true",
-                   help="run a small synthetic enumeration loop so the "
-                        "endpoint has live data")
-    p.set_defaults(fn=cmd_metrics_serve)
-
-    p = sub.add_parser("top",
-                       help="live terminal view of the metrics registry "
-                            "(delay/phase quantiles, counter rates, "
-                            "recent events)")
-    p.add_argument("--url", default=None,
-                   help="scrape a metrics-serve endpoint (e.g. "
-                        "http://127.0.0.1:9464/metrics) instead of the "
-                        "in-process registry")
-    p.add_argument("--interval", type=float, default=2.0,
-                   help="refresh period in seconds")
-    p.add_argument("--iterations", type=int, default=None,
-                   help="stop after N frames (default: until interrupted)")
-    p.add_argument("--once", action="store_true",
-                   help="print one frame without clearing the screen")
-    p.set_defaults(fn=cmd_top)
 
     return parser
 

@@ -305,8 +305,6 @@ def cached_plan(kind: str, query: Hashable, db, engine_name: str,
             if deltas is None:
                 cache.refresh_overflows += 1
                 obs.count("plancache.delta_overflow")
-                obs.event("plancache.delta_overflow", kind=kind,
-                          engine=engine_name)
             else:
                 n_ops = sum(len(ops) for ops in deltas.values())
                 with obs.span("plan.refresh", kind=kind, ops=n_ops):
@@ -314,8 +312,6 @@ def cached_plan(kind: str, query: Hashable, db, engine_name: str,
                 if value is None:
                     cache.refresh_fallbacks += 1
                     obs.count("plancache.refresh_fallback")
-                    obs.event("plancache.refresh_fallback", kind=kind,
-                              engine=engine_name, ops=n_ops)
                 else:
                     obs.count("plancache.refresh")
                     obs.count("plancache.delta_applied", n_ops)

@@ -61,17 +61,9 @@ def enumerate_answers(query: QueryLike, db: Database, engine=None,
     (:meth:`repro.enumeration.base.Enumerator.blocks`) at one C-level
     step each.  Nothing runs before the first ``next()``: errors surface
     there, and taking one answer builds at most one block.
-
-    When the delay-guarantee watchdog is installed
-    (:func:`repro.obs.watchdog.install` / ``REPRO_WATCHDOG=1``), the
-    block stream is wrapped so delay observations recorded while it
-    runs are attributed to this query's plan label and checked against
-    its classifier-derived expectation.
     """
-    from repro.obs.watchdog import maybe_watch
-
-    blocks = _answer_blocks(query, db, engine, block_size)
-    return itertools.chain.from_iterable(maybe_watch(query, blocks))
+    return itertools.chain.from_iterable(
+        _answer_blocks(query, db, engine, block_size))
 
 
 def _answer_blocks(query: QueryLike, db: Database, engine, block_size

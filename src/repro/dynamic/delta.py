@@ -196,11 +196,9 @@ class _DeltaPlan:
             return None
         try:
             self._apply(deltas)
-        except Exception as exc:  # defensive: never serve a half-refreshed plan
+        except Exception:  # defensive: never serve a half-refreshed plan
             self._broken = True
             obs.count("delta.refresh_broken")
-            obs.event("delta.refresh_broken", plan=type(self).__name__,
-                      error=repr(exc))
             return None
         return self
 

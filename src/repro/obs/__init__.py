@@ -20,7 +20,7 @@ Usage::
 Library code calls the module-level :func:`span`, :func:`count` and
 :func:`gauge`, which route to the process-wide tracer.  By default that
 is the :data:`~repro.obs.trace.NULL_TRACER` no-op singleton — one
-attribute check per instrumentation site, benchmarked under 5% on the
+attribute check per instrumentation site, benchmarked under 2% on the
 100k-tuple enumeration benchmark (``benchmarks/test_bench_obs_overhead
 .py``) — so instrumentation stays on permanently.
 
@@ -34,10 +34,8 @@ interpreter exit.
 Independently of the scoped tracer, every :func:`count`/:func:`gauge`
 call and every :func:`span` duration also feeds the process-wide
 always-on :mod:`~repro.obs.registry` (counters, gauges, log-bucketed
-quantile sketches), which is what ``repro metrics-serve`` / ``repro
-top`` expose and the :mod:`~repro.obs.watchdog` monitors.  Disable it
-with ``REPRO_METRICS=0``; enable the delay-guarantee watchdog at
-import with ``REPRO_WATCHDOG=1``.
+quantile sketches), which ``repro doctor`` reads and :func:`metrics`
+dumps.
 """
 
 from __future__ import annotations
@@ -65,15 +63,10 @@ from repro.obs.trace import (
     Span,
     TraceContext,
     Tracer,
-    activate_context,
-    current_context,
-    current_trace_id,
     sample_rate,
-    scoped_context,
 )
 
 ENV_VAR = "REPRO_TRACE"
-WATCHDOG_ENV_VAR = "REPRO_WATCHDOG"
 
 _TRACER: Union[Tracer, NullTracer] = NULL_TRACER
 _REGISTRY: MetricsRegistry = registry()
@@ -129,28 +122,18 @@ def delay(gap_ns: int, answers: int = 1) -> None:
     registry's ``enum.delay_ns`` sketch gets the gap (amortised: the
     per-answer share with weight = answers), the ``enum.blocks`` and
     ``enum.answers`` counters grow — on the scoped tracer too when one
-    is active — and any delay listeners (the guarantee watchdog) are
-    notified."""
+    is active — and any delay listeners (``repro analyze``'s private
+    delay sketch) are notified."""
     t = _TRACER
     if t.enabled:
         t.count_many({"enum.blocks": 1, "enum.answers": answers})
     _REGISTRY.record_delay(gap_ns, answers)
 
 
-def event(name: str, **fields: Any) -> Dict[str, Any]:
-    """Emit a discrete structured event (NDJSON log + in-memory ring +
-    an ``event.<name>`` registry counter)."""
-    from repro.obs.expose import emit_event
-
-    return emit_event(name, **fields)
-
-
 def enable(t: Optional[Tracer] = None) -> Tracer:
-    """Install ``t`` (or a fresh :class:`Tracer`) as the active tracer
-    and activate its trace context on the calling thread."""
+    """Install ``t`` (or a fresh :class:`Tracer`) as the active tracer."""
     global _TRACER
     _TRACER = t if t is not None else Tracer()
-    activate_context(_TRACER.context)
     return _TRACER
 
 
@@ -159,7 +142,6 @@ def disable() -> Union[Tracer, NullTracer]:
     global _TRACER
     previous = _TRACER
     _TRACER = NULL_TRACER
-    activate_context(None)
     return previous
 
 
@@ -174,12 +156,10 @@ def capture(t: Optional[Tracer] = None) -> Iterator[Tracer]:
     global _TRACER
     previous = _TRACER
     _TRACER = t if t is not None else Tracer()
-    prev_ctx = activate_context(_TRACER.context)
     try:
         yield _TRACER
     finally:
         _TRACER = previous
-        activate_context(prev_ctx)
 
 
 def metrics(t: Optional[Union[Tracer, NullTracer]] = None) -> Dict[str, Any]:
@@ -211,8 +191,7 @@ def _atexit_dump(path: str) -> str:
 def _init_from_environment() -> None:
     """Honour ``REPRO_TRACE`` at import: enable tracing, and when the
     value names a file, dump the Chrome trace + metrics there at
-    process exit.  ``REPRO_WATCHDOG`` installs the delay-guarantee
-    watchdog process-wide."""
+    process exit."""
     value = os.environ.get(ENV_VAR, "").strip()
     if value and value.lower() not in ("0", "false", "off", "no"):
         enable()
@@ -220,16 +199,6 @@ def _init_from_environment() -> None:
             import atexit
 
             atexit.register(lambda: _atexit_dump(value))
-    wd = os.environ.get(WATCHDOG_ENV_VAR, "").strip()
-    if wd and wd.lower() not in ("0", "false", "off", "no"):
-        from repro.obs.watchdog import install as _install_watchdog
-
-        watchdog = _install_watchdog()
-        if wd.lower() not in ("1", "true", "yes", "on"):
-            # a path value also turns on tail-based trace retention,
-            # writing breaching requests' traces under that directory
-            watchdog.tail_tracing = True
-            watchdog.tail_dir = wd
 
 
 _init_from_environment()
@@ -237,7 +206,6 @@ _init_from_environment()
 __all__ = [
     "ENV_VAR",
     "SAMPLE_ENV_VAR",
-    "WATCHDOG_ENV_VAR",
     "NULL_SPAN",
     "NULL_TRACER",
     "MetricsRegistry",
@@ -245,25 +213,20 @@ __all__ = [
     "Span",
     "TraceContext",
     "Tracer",
-    "activate_context",
     "capture",
     "chrome_trace",
     "chrome_trace_events",
     "count",
-    "current_context",
-    "current_trace_id",
     "delay",
     "disable",
     "enable",
     "enabled",
-    "event",
     "gauge",
     "metrics",
     "metrics_dump",
     "registry",
     "render_explain",
     "sample_rate",
-    "scoped_context",
     "span",
     "tracer",
     "write_chrome_trace",

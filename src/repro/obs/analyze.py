@@ -18,8 +18,7 @@ operator by operator:
   every probe makes progress (the no-dead-end argument), so
   ``rows_out >= rows_in`` and ``enum.dead_ends`` must stay zero;
 * **enumerate** — the delay class: a constant-delay plan's p99 must
-  not move when ``||D||`` doubles, and recent ``guarantee.violation``
-  events for this plan are surfaced against the offending operator.
+  not move when ``||D||`` doubles.
 
 Synthetic runs execute twice (``size`` and ``2 * size``) so the scale
 checks have two points; with a user-supplied database only the
@@ -37,7 +36,6 @@ from typing import Any, Dict, List, Optional
 
 from repro import obs
 from repro.obs.sketch import QuantileSketch
-from repro.obs.watchdog import plan_label
 
 #: per-answer delays below this (ns) are scheduler/clock jitter — growth
 #: factors computed on them say nothing about the plan
@@ -215,11 +213,6 @@ def analyze(query: Any, db: Any = None, *, size: int = 4000,
     run2 = _run_instrumented(query, db2, engine=engine) if db2 is not None \
         else None
 
-    label = plan_label(query)
-    from repro.obs.expose import event_log
-    violations = [e for e in event_log().recent("guarantee.violation")
-                  if e.get("plan") == label]
-
     rows: List[Dict[str, Any]] = []
 
     def row(operator: str, expected: str, actual: str, status: str,
@@ -326,15 +319,10 @@ def analyze(query: Any, db: Any = None, *, size: int = 4000,
             status, note = INFO, (
                 f"p99 {p99_1 / 1e3:.1f} -> {p99_2 / 1e3:.1f} us "
                 f"(no constant-delay claim)")
-    if violations:
-        status = FLAG
-        note = (f"{len(violations)} guarantee.violation event(s) for "
-                f"this plan" + (f"; {note}" if note else ""))
     row("enumerate", f"delay: {expected}", actual, status, note)
 
     return {
         "query": str(query),
-        "plan": label,
         "query_class": report.query_class,
         "facts": facts,
         "expected": {"delay": expected_delay,
@@ -346,7 +334,6 @@ def analyze(query: Any, db: Any = None, *, size: int = 4000,
             [run2["wall_ns"]] if run2 is not None else []),
         "trace_ids": [t for t in (
             run1["trace_id"], run2["trace_id"] if run2 else None) if t],
-        "violations": violations,
         "rows": rows,
         "flagged": [r["operator"] for r in rows if r["status"] == FLAG],
     }

@@ -203,8 +203,7 @@ def expected_verdict(query, metric_kind: str) -> Optional[str]:
     ``total`` (full evaluation wall time), ``preprocessing``
     (Section 2.3.3 phase one).  For a CQ the answer is the memoised
     plan's expected class (:func:`repro.core.classify.plan_for`), so the
-    planner, the watchdog, ``analyze`` and the observatory share one
-    source; other queries map their report's facts through the same
+    planner, ``analyze`` and the observatory share one source; other queries map their report's facts through the same
     :func:`repro.core.classify.expected_classes`:
 
     * free-connex ACQ + ``delay``  -> ``constant-delay`` (Theorem 4.6);

@@ -1,10 +1,10 @@
 """Process-wide, always-on metrics registry.
 
-The scoped ``Tracer`` (PR 3) answers "what happened inside this one
-request" — it is explicitly enabled, captures every span, and is torn
-down with the request.  The serving tier needs the opposite: a metric
-store that is *always* on, cheap enough that nobody ever turns it off,
-and covers the whole process lifetime.  That is this registry:
+The scoped ``Tracer`` answers "what happened inside this one request"
+— it is explicitly enabled, captures every span, and is torn down with
+the request.  This registry is the complement: a metric store that is
+*always* on, cheap enough that nobody ever turns it off, and covers the
+whole process lifetime:
 
 * **counters** — monotone event totals (``plancache.hits``,
   ``enum.answers``, ...),
@@ -18,27 +18,18 @@ Everything lives in one flat dotted namespace, fed through the
 existing ``obs.count``/``obs.gauge``/``obs.span`` call sites — library
 code does not know the registry exists.
 
-Gating: ``REPRO_METRICS=0`` (or ``off``/``false``/``no``) disables
-collection process-wide; anything else — including unset — leaves it
-on.  Always-on is the point: the <2% overhead guard in
-``benchmarks/test_bench_obs_overhead.py`` keeps that honest.
+Always-on is the point: the <2% overhead guard in
+``benchmarks/test_bench_obs_overhead.py`` keeps that honest, measuring
+against the :class:`suspended` baseline.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 import time
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 from .sketch import QuantileSketch
-from .trace import current_trace_id
-
-_FALSY = {"0", "off", "false", "no"}
-
-
-def _env_enabled() -> bool:
-    return os.environ.get("REPRO_METRICS", "").strip().lower() not in _FALSY
 
 
 class _Timed:
@@ -81,7 +72,7 @@ class MetricsRegistry:
         self._gauges: Dict[str, Any] = {}
         self._sketches: Dict[str, QuantileSketch] = {}
         self._delay_listeners: List[Callable[[int, int], None]] = []
-        self.enabled = _env_enabled()
+        self.enabled = True
 
     # ------------------------------------------------------------- writing
 
@@ -97,19 +88,15 @@ class MetricsRegistry:
         with self._lock:
             self._gauges[name] = value
 
-    def observe(self, name: str, value: int, weight: int = 1,
-                trace_id: Optional[str] = None) -> None:
-        """Add an observation to the named sketch (created on first use).
-
-        With a ``trace_id`` the observation doubles as the sketch
-        bucket's exemplar (see :mod:`repro.obs.sketch`)."""
+    def observe(self, name: str, value: int, weight: int = 1) -> None:
+        """Add an observation to the named sketch (created on first use)."""
         if not self.enabled:
             return
         with self._lock:
             sketch = self._sketches.get(name)
             if sketch is None:
                 sketch = self._sketches[name] = QuantileSketch()
-            sketch.add(value, weight, trace_id=trace_id)
+            sketch.add(value, weight)
 
     def record_delay(self, gap_ns: int, answers: int = 1) -> None:
         """Record an enumeration gap covering ``answers`` answers.
@@ -118,15 +105,12 @@ class MetricsRegistry:
         ``enum.delay_ns`` sketch gets the amortised per-answer delay
         with weight=answers, so quantiles are still per-answer while the
         hot loop pays one clock read per block, and the ``enum.blocks``
-        and ``enum.answers`` counters grow under the same lock.  When
-        the calling thread carries a sampled trace context, its trace_id
-        rides along as the bucket exemplar — the tail-to-trace link.
-        Installed delay listeners (the guarantee watchdog) see the raw
-        (gap, answers) pair."""
+        and ``enum.answers`` counters grow under the same lock.
+        Installed delay listeners (``repro analyze``'s private delay
+        sketch) see the raw (gap, answers) pair."""
         if not self.enabled or answers <= 0:
             return
         per_answer = gap_ns // answers
-        trace_id = current_trace_id()
         with self._lock:
             counters = self._counters
             counters["enum.blocks"] = counters.get("enum.blocks", 0) + 1
@@ -135,7 +119,7 @@ class MetricsRegistry:
             sketch = self._sketches.get("enum.delay_ns")
             if sketch is None:
                 sketch = self._sketches["enum.delay_ns"] = QuantileSketch()
-            sketch.add(per_answer, answers, trace_id=trace_id)
+            sketch.add(per_answer, answers)
         for listener in self._delay_listeners:
             listener(gap_ns, answers)
 
@@ -180,12 +164,6 @@ class MetricsRegistry:
             "gauges": gauges,
             "sketches": {k: v.summary() for k, v in sketches.items()},
         }
-
-    def sketches(self) -> Dict[str, QuantileSketch]:
-        """Point-in-time copies of all sketches (for exposition code
-        that needs arbitrary quantiles, not just the summary set)."""
-        with self._lock:
-            return {k: v.copy() for k, v in self._sketches.items()}
 
     def reset(self) -> None:
         """Drop all accumulated state (tests; listeners survive)."""

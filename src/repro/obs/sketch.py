@@ -22,17 +22,11 @@ sketch is cheap enough to sit on always-on paths.
 
 from __future__ import annotations
 
-import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 #: sub-buckets per power-of-two octave (2^3 = 8): worst-case relative
 #: bucket width 1/8, so a midpoint estimate is within ~6% of the value
 SUB_BITS = 3
-
-#: exemplars are retained only on the highest-index (largest-value)
-#: buckets — the p99/p99.9 region a tail investigation starts from; a
-#: bounded set keeps the per-add cost O(1)
-EXEMPLAR_BUCKETS = 8
 
 _SUB = 1 << SUB_BITS  # 8
 
@@ -70,7 +64,7 @@ class QuantileSketch:
     quantiles are bucketed), and exact ``min``/``max``.
     """
 
-    __slots__ = ("buckets", "count", "total", "min", "max", "exemplars")
+    __slots__ = ("buckets", "count", "total", "min", "max")
 
     def __init__(self) -> None:
         self.buckets: Dict[int, int] = {}
@@ -78,19 +72,9 @@ class QuantileSketch:
         self.total = 0
         self.min: Optional[int] = None
         self.max: Optional[int] = None
-        # bucket index -> (unix ts, trace_id, value): the most recent
-        # traced observation that landed in that bucket, kept only for
-        # the EXEMPLAR_BUCKETS highest buckets (the tail)
-        self.exemplars: Dict[int, Tuple[float, str, int]] = {}
 
-    def add(self, value: Any, weight: int = 1,
-            trace_id: Optional[str] = None,
-            ts: Optional[float] = None) -> None:
-        """Record ``weight`` observations of ``value`` (clamped at 0).
-
-        With a ``trace_id``, the observation also becomes the bucket's
-        exemplar (newest wins), linking a tail quantile back to the
-        request that produced it."""
+    def add(self, value: Any, weight: int = 1) -> None:
+        """Record ``weight`` observations of ``value`` (clamped at 0)."""
         if weight <= 0:
             return
         v = int(value)
@@ -105,42 +89,6 @@ class QuantileSketch:
             self.min = v
         if self.max is None or v > self.max:
             self.max = v
-        if trace_id is not None:
-            self._note_exemplar(idx, (ts if ts is not None else time.time(),
-                                      trace_id, v))
-
-    def _note_exemplar(self, idx: int,
-                       entry: Tuple[float, str, int]) -> None:
-        """Install ``entry`` as bucket ``idx``'s exemplar if it is newer
-        than the current one (tuple order: timestamp first, so the
-        surviving exemplars do not depend on the order of the adds),
-        then trim to the tail buckets."""
-        current = self.exemplars.get(idx)
-        if current is None or entry > current:
-            self.exemplars[idx] = entry
-            if len(self.exemplars) > EXEMPLAR_BUCKETS:
-                del self.exemplars[min(self.exemplars)]
-
-    def exemplar(self, q: float) -> Optional[Tuple[float, str, int]]:
-        """The ``(ts, trace_id, value)`` exemplar for the bucket holding
-        quantile ``q``, or the nearest retained bucket at or above it —
-        exemplars live only on the tail, so a p99 lookup resolves even
-        when the p99 bucket itself saw no traced observation."""
-        if not self.exemplars:
-            return None
-        if self.count:
-            rank = min(self.count, max(1, int(q * self.count) + 1))
-            seen = 0
-            target = max(self.buckets) if self.buckets else 0
-            for idx in sorted(self.buckets):
-                seen += self.buckets[idx]
-                if seen >= rank:
-                    target = idx
-                    break
-            above = [i for i in self.exemplars if i >= target]
-            if above:
-                return self.exemplars[min(above)]
-        return self.exemplars[max(self.exemplars)]
 
     # ------------------------------------------------------------- reading
 
@@ -174,7 +122,8 @@ class QuantileSketch:
 
     def summary(self) -> Dict[str, Any]:
         """JSON-able digest: count/sum/min/max plus the canonical
-        p50/p95/p99/p99.9 the watchdog and dashboards consume."""
+        p50/p95/p99/p99.9 that metrics dumps and ``repro analyze``
+        read."""
         return {
             "count": self.count,
             "sum": self.total,
@@ -194,7 +143,6 @@ class QuantileSketch:
         fresh.total = self.total
         fresh.min = self.min
         fresh.max = self.max
-        fresh.exemplars = dict(self.exemplars)
         return fresh
 
     def clear(self) -> None:
@@ -203,7 +151,6 @@ class QuantileSketch:
         self.total = 0
         self.min = None
         self.max = None
-        self.exemplars.clear()
 
     def __len__(self) -> int:
         return len(self.buckets)

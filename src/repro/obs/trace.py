@@ -31,11 +31,10 @@ import os
 import random
 import threading
 import time
-from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, List, Optional
 
 #: head-sampling knob: fraction of new trace contexts that are sampled
-#: (stamped onto spans, exported as exemplars).  Applied once at context
+#: (their ids stamped onto spans).  Applied once at context
 #: creation — a request is either fully traced or fully unsampled, so a
 #: sampled trace is never missing interior spans.
 SAMPLE_ENV_VAR = "REPRO_TRACE_SAMPLE"
@@ -84,47 +83,6 @@ class TraceContext:
     def __repr__(self) -> str:
         return (f"TraceContext({self.trace_id}, span={self.span_id}, "
                 f"sampled={self.sampled})")
-
-
-# Ambient (thread-local) context: lets code far from the tracer — the
-# registry recording a delay exemplar, the watchdog naming a violation —
-# find the current request's trace_id without threading it through every
-# call signature.
-_AMBIENT = threading.local()
-
-
-def current_context() -> Optional[TraceContext]:
-    """The thread's active trace context, or ``None`` outside a request."""
-    return getattr(_AMBIENT, "ctx", None)
-
-
-def current_trace_id() -> Optional[str]:
-    """The active *sampled* trace id — ``None`` when there is no context
-    or head sampling dropped it (unsampled requests must not leak ids
-    into exemplars that cannot resolve to a retained trace)."""
-    ctx = getattr(_AMBIENT, "ctx", None)
-    if ctx is None or not ctx.sampled:
-        return None
-    return ctx.trace_id
-
-
-def activate_context(ctx: Optional[TraceContext]) -> Optional[TraceContext]:
-    """Install ``ctx`` as the thread's ambient context; returns the
-    previous one so callers can restore it."""
-    prev = getattr(_AMBIENT, "ctx", None)
-    _AMBIENT.ctx = ctx
-    return prev
-
-
-@contextmanager
-def scoped_context(ctx: Optional[TraceContext]) -> Iterator[
-        Optional[TraceContext]]:
-    """Activate ``ctx`` for the duration of the block, then restore."""
-    prev = activate_context(ctx)
-    try:
-        yield ctx
-    finally:
-        activate_context(prev)
 
 
 class Span:

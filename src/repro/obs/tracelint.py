@@ -91,9 +91,9 @@ def lint_chrome_trace(doc: Dict[str, Any]) -> List[str]:
         if stack:
             problems.append(
                 f"track {key}: {len(stack)} unclosed B event(s): {stack}")
-    # an event-less trace (e.g. a watchdog-retained request that did
-    # all its work outside span scopes) is not a leak — only flag when
-    # events exist and none of them carries the document's identity
+    # an event-less trace (a request that did all its work outside span
+    # scopes) is not a leak — only flag when events exist and none of
+    # them carries the document's identity
     if doc_trace_id is not None and events and not saw_trace_id:
         problems.append(
             f"document trace_id {doc_trace_id!r} appears on no event")

@@ -159,6 +159,16 @@ def test_doctor_prints_plan_cache_stats(capsys):
     assert "plan cache:" in out and "evictions" in out
 
 
+def test_cli_doctor_mentions_cache_counters(capsys):
+    rc = main(["doctor"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "symbol workspace:" in out
+    assert "compiled symbol cache:" not in out
+    assert "arena cache:" not in out
+    assert "pool lifecycle:" not in out
+
+
 def test_explain_command(capsys):
     assert main(["explain", "Q(x) :- R(x, z), S(z, y)",
                  "--size", "200"]) == 0

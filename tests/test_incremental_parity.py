@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.core.plancache import (
     clear_plan_cache,
     incremental_scope,
@@ -24,12 +25,15 @@ from repro.core.plancache import (
     set_incremental_enabled,
     set_plan_cache_enabled,
 )
+from repro.core.planner import count, enumerate_answers
 from repro.counting.acq_count import count_acq
 from repro.counting.weighted import WeightFunction
 from repro.data.database import Database
 from repro.data import relation as relation_module
 from repro.data.relation import Relation
+from repro.dynamic.delta import DeltaCounter, DeltaReducer
 from repro.enumeration.free_connex import FreeConnexEnumerator
+from repro.eval.naive import evaluate_cq_naive
 from repro.eval.yannakakis import full_reducer
 from repro.logic.parser import parse_cq
 
@@ -173,6 +177,55 @@ def test_unsupported_plan_degrades_to_cold():
     db.relation("E").add((7, 7))
     db.relation("F").discard((0, 10))
     _assert_parity(cq, db, "tuple")
+
+
+# -------------------------------------------- refresher-error fallback
+
+
+def _count(cq, db, engine):
+    return count(cq, db, engine=engine)
+
+
+def _answers(cq, db, engine):
+    return sorted(enumerate_answers(cq, db, engine=engine))
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("run, naive, plan_cls", [
+    (_count, lambda cq, db: len(evaluate_cq_naive(cq, db)), DeltaCounter),
+    (_answers, lambda cq, db: sorted(evaluate_cq_naive(cq, db)),
+     DeltaReducer),
+], ids=["count", "enumerate"])
+def test_refresher_error_falls_back_to_cold(engine, run, naive, plan_cls,
+                                            monkeypatch):
+    """A refresher that raises mid-update marks its plan broken, and the
+    lookup rebuilds cold: the answer is still the naive one, and the
+    fallback is counted once on the tracer and in the cache stats."""
+    cq = parse_cq(PATH_QUERY)
+    db = _db([("R", (i, i % 7)) for i in range(20)]
+             + [("S", (i % 7, i % 5)) for i in range(20)]
+             + [("T", (i % 5,)) for i in range(20)])
+    with incremental_scope(True):
+        run(cq, db, engine)                 # cold build primes the cache
+        db.relation("S").add((3, 4))
+        db.relation("T").discard((0,))
+        apply = plan_cls._apply
+        calls = []
+
+        def apply_failing_once(self, deltas):
+            calls.append(deltas)
+            if len(calls) == 1:
+                raise RuntimeError("injected refresh failure")
+            return apply(self, deltas)
+
+        monkeypatch.setattr(plan_cls, "_apply", apply_failing_once)
+        with obs.capture() as tr:
+            result = run(cq, db, engine)
+    assert len(calls) == 2                  # the failed refresh, the cold seed
+    assert result == naive(cq, db)
+    assert tr.counters.get("delta.refresh_broken") == 1
+    assert tr.counters.get("plancache.refresh_fallback") == 1
+    assert plan_cache().stats()["refresh_fallbacks"] == 1
 
 
 # ------------------------------------------------- satellite: no-op ops

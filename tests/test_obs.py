@@ -250,6 +250,23 @@ def test_global_cache_eviction_in_stats():
     assert "evictions" in st
 
 
+def test_atexit_dump_writes_metrics_next_to_trace(tmp_path):
+    obs.registry().reset()
+    obs.registry().count("dump.check", 9)
+    path = str(tmp_path / "run.trace.json")
+    tracer = obs.enable()
+    with obs.span("dump.span"):
+        pass
+    metrics_path = obs._atexit_dump(path)
+    obs.disable()
+    assert metrics_path == path + ".metrics.json"
+    trace = json.load(open(path))
+    assert "traceEvents" in trace
+    dump = json.load(open(metrics_path))
+    assert dump["registry"]["counters"]["dump.check"] == 9
+    assert tracer is not None
+
+
 def test_render_explain_mentions_phases():
     with obs.capture() as t:
         list(enumerate_answers(parse_cq(FULL_QUERY), _demo_db()))

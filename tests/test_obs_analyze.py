@@ -1,16 +1,12 @@
-"""``repro analyze`` — estimated-vs-actual introspection (ISSUE 9).
+"""``repro analyze`` — estimated-vs-actual introspection.
 
 Covers the analysis backend (per-operator rows, scale checks, flag
-semantics), the text/HTML renderings, the CLI subcommand, and the
-acceptance scenario tying the whole PR together: a watchdog violation's
-trace_id surfaces as the p99 exemplar on the plan's delay sketch,
-resolves to a retained trace file on disk, and ``analyze`` flags the
-offending operator.
+semantics), the text/HTML renderings and the CLI subcommand.  The flag
+tests break the constant-delay check on purpose (a zero growth slack),
+so any measured p99 counts as growth.
 """
 
 from __future__ import annotations
-
-import os
 
 import pytest
 
@@ -18,13 +14,10 @@ from repro import obs
 from repro.core.plancache import clear_plan_cache
 from repro.data.generators import random_database
 from repro.logic.parser import parse_query
-from repro.obs import watchdog as wdmod
+from repro.obs import analyze as analyze_mod
 from repro.obs.analyze import FLAG, INFO, OK, analyze, render_text
-from repro.obs.expose import emit_event, event_log
 from repro.obs.registry import registry, set_enabled
 from repro.obs.report import render_analyze_html
-from repro.obs.tracelint import lint_chrome_trace_file
-from repro.obs.watchdog import GuaranteeWatchdog, plan_label
 
 FREE_CONNEX = "Q(x) :- R(x, z), S(z, y)"
 ACYCLIC_ONLY = "Q(x, y) :- R(x, z), S(z, y)"
@@ -38,17 +31,19 @@ CORE_TWO_ATOMS = "Q(x, z) :- R(x, z), S(z, y), R(x, w), S(w, y)"
 def _fresh_state():
     clear_plan_cache()
     registry().reset()
-    event_log().clear()
     prev = set_enabled(True)
-    wdmod.uninstall()
     yield
-    wdmod.uninstall()
-    wdmod.watchdog().reset()
     set_enabled(prev)
     registry().reset()
-    event_log().clear()
     clear_plan_cache()
     obs.disable()
+
+
+@pytest.fixture
+def no_delay_slack(monkeypatch):
+    """Any p99 on the doubled instance now breaks the constant-delay
+    contract, so a healthy free-connex run is flagged."""
+    monkeypatch.setattr(analyze_mod, "DELAY_SLACK", 0)
 
 
 # ------------------------------------------------------------- the backend
@@ -115,27 +110,13 @@ def test_semijoin_invariant_rows_report_filtering():
         assert "in " in row["actual"] and "out" in row["actual"]
 
 
-def test_recent_violation_for_this_plan_flags_enumerate():
+def test_delay_growth_flags_enumerate(no_delay_slack):
     q = parse_query(FREE_CONNEX)
-    emit_event("guarantee.violation", plan=plan_label(q),
-               expected="constant-delay", p99_ns=10 ** 6,
-               budget_ns=10 ** 3, trace_id="feedbeeffeedbeef")
-    db = random_database({"R": 2, "S": 2}, 30, 200, seed=1)
-    analysis = analyze(q, db)
+    analysis = analyze(q, size=600, seed=2)
     row = next(r for r in analysis["rows"] if r["operator"] == "enumerate")
     assert row["status"] == FLAG
-    assert "guarantee.violation" in row["note"]
+    assert "constant-delay contract broken" in row["note"]
     assert "enumerate" in analysis["flagged"]
-    assert analysis["violations"]
-
-
-def test_violation_for_a_different_plan_does_not_flag():
-    q = parse_query(FREE_CONNEX)
-    emit_event("guarantee.violation", plan="some other plan",
-               expected="constant-delay", p99_ns=10 ** 6, budget_ns=10 ** 3)
-    db = random_database({"R": 2, "S": 2}, 30, 200, seed=1)
-    analysis = analyze(q, db)
-    assert "enumerate" not in analysis["flagged"]
 
 
 # ------------------------------------------------------------- renderings
@@ -151,12 +132,9 @@ def test_render_text_is_a_complete_table():
     assert "all operators within their predicted class" in text
 
 
-def test_render_text_names_the_flagged_operators():
+def test_render_text_names_the_flagged_operators(no_delay_slack):
     q = parse_query(FREE_CONNEX)
-    emit_event("guarantee.violation", plan=plan_label(q),
-               expected="constant-delay", p99_ns=10 ** 6, budget_ns=10 ** 3)
-    db = random_database({"R": 2, "S": 2}, 30, 200, seed=1)
-    text = render_text(analyze(q, db))
+    text = render_text(analyze(q, size=600, seed=2))
     assert "FLAGGED: enumerate" in text
 
 
@@ -185,72 +163,9 @@ def test_cli_analyze_prints_table_and_writes_html(tmp_path, capsys):
     assert out.exists() and "<!DOCTYPE html>" in out.read_text()
 
 
-def test_cli_analyze_strict_fails_on_flag(tmp_path, capsys):
+def test_cli_analyze_strict_fails_on_flag(no_delay_slack, capsys):
     from repro.cli import main
 
-    q = parse_query(FREE_CONNEX)
-    emit_event("guarantee.violation", plan=plan_label(q),
-               expected="constant-delay", p99_ns=10 ** 6, budget_ns=10 ** 3)
-    data = tmp_path / "data"
-    data.mkdir()
-    db = random_database({"R": 2, "S": 2}, 20, 80, seed=1)
-    for rel in db.relations():
-        with open(data / f"{rel.name}.csv", "w") as fh:
-            for row in rel:
-                fh.write(",".join(str(v) for v in row) + "\n")
-    rc = main(["analyze", FREE_CONNEX, "--data", str(data), "--strict"])
+    rc = main(["analyze", FREE_CONNEX, "--size", "600", "--strict"])
     assert rc == 1
     assert "FLAGGED: enumerate" in capsys.readouterr().out
-
-
-# ------------------------------------------------------------- acceptance
-
-
-def test_acceptance_violation_exemplar_resolves_to_retained_trace(tmp_path):
-    """The PR's end-to-end story: force a superlinear path on a
-    constant-delay plan under the watchdog with tail retention on.  The
-    fired ``guarantee.violation`` carries the request's trace_id; that
-    same trace_id is the p99 exemplar on the plan's delay sketch,
-    resolves through the watchdog to a retained (and lint-clean) trace
-    file, and ``analyze`` flags the offending operator."""
-    q = parse_query(FREE_CONNEX)
-    label = plan_label(q)
-    wd = GuaranteeWatchdog(factor=4.0, baseline_samples=64,
-                           window_samples=64, min_budget_ns=10,
-                           tail_dir=str(tmp_path))
-    wd.tail_tracing = True
-
-    with wd.tail_capture(label) as tr:
-        # compliant baseline, then a quadratically degrading tail —
-        # the forced superlinear path of a constant-delay plan
-        with obs.span("enumerate.block", plan=label):
-            for _ in range(64):
-                wd.observe(label, 100, 1, "constant-delay")
-            for i in range(64 * 2):
-                wd.observe(label, 100 * (1 + i * i), 1, "constant-delay")
-    trace_id = tr.context.trace_id
-    assert trace_id
-
-    events = event_log().recent(name="guarantee.violation")
-    assert events and events[-1]["plan"] == label
-    assert events[-1]["trace_id"] == trace_id
-
-    # the violation's trace_id is the p99 exemplar on the delay sketch
-    sketch = registry().sketch("delay.plan." + label)
-    assert sketch is not None
-    exemplar = sketch.exemplar(0.99)
-    assert exemplar is not None and exemplar[1] == trace_id
-
-    # ... and resolves to a retained, schema-clean trace file
-    path = wd.retained_trace_path(trace_id)
-    assert path is not None and os.path.exists(path)
-    assert path == str(tmp_path / f"trace-{trace_id}.json")
-    assert lint_chrome_trace_file(path) == []
-
-    # ... and analyze flags the operator that broke its contract
-    db = random_database({"R": 2, "S": 2}, 30, 200, seed=1)
-    analysis = analyze(q, db)
-    assert "enumerate" in analysis["flagged"]
-    flagged_row = next(r for r in analysis["rows"]
-                       if r["operator"] == "enumerate")
-    assert "guarantee.violation" in flagged_row["note"]

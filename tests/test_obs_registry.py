@@ -66,15 +66,14 @@ def test_sketch_quantiles_accurate_on_random_data():
 
 
 def _sketch_state(sk):
-    return (dict(sk.buckets), sk.count, sk.total, sk.min, sk.max,
-            dict(sk.exemplars))
+    return (dict(sk.buckets), sk.count, sk.total, sk.min, sk.max)
 
 
 def test_sketch_copy_and_weights():
     sk = QuantileSketch()
     sk.add(1_000, weight=10)
     sk.add(2_000, weight=5)
-    sk.add(90_000_000, trace_id="cafe", ts=9.5)
+    sk.add(90_000_000)
     assert sk.count == 16
     assert sk.total == 1_000 * 10 + 2_000 * 5 + 90_000_000
     source = _sketch_state(sk)
@@ -83,7 +82,7 @@ def test_sketch_copy_and_weights():
     assert clone.summary() == sk.summary()
     # the copy owns its state: later adds to the source leave it alone
     sk.add(5, weight=3)
-    sk.add(90_000_001, trace_id="beef", ts=10.0)
+    sk.add(90_000_001)
     assert _sketch_state(sk) != source
     assert _sketch_state(clone) == source
 
@@ -167,16 +166,6 @@ def test_span_feeds_tracer_when_enabled_registry_otherwise():
     with obs.span("only.in.registry"):
         pass
     assert registry().sketch("phase.only.in.registry") is not None
-
-
-def test_metrics_env_var_disables(monkeypatch):
-    monkeypatch.setenv("REPRO_METRICS", "off")
-    reg = MetricsRegistry()
-    assert not reg.enabled
-    monkeypatch.setenv("REPRO_METRICS", "1")
-    assert MetricsRegistry().enabled
-    monkeypatch.delenv("REPRO_METRICS")
-    assert MetricsRegistry().enabled
 
 
 # ------------------------------------------------------- counter exactness

@@ -85,8 +85,8 @@ def test_document_trace_id_on_no_event_reported():
 
 
 def test_event_less_trace_with_identity_is_clean():
-    # a watchdog-retained request may have done all its work outside
-    # span scopes; identity without events is not a leak
+    # a request may have done all its work outside span scopes;
+    # identity without events is not a leak
     doc = {"traceEvents": [], "otherData": {"trace_id": "abcd"}}
     assert lint_chrome_trace(doc) == []
 
