@@ -428,7 +428,6 @@ def _doctor_caches() -> None:
     print(f"symbol workspace: "
           f"{reg.counter('engine.symbol_workspace_hits')} hits, "
           f"{reg.counter('engine.symbol_workspace_misses')} misses, "
-          f"{reg.counter('engine.symbol_workspace_patches')} patches, "
           f"{reg.counter('engine.symbol_workspace_variant_hits')} variant "
           f"hits; {reg.counter('yannakakis.coalesced_semijoins')} "
           f"coalesced semijoins")

@@ -13,15 +13,13 @@ preprocessing phase is pure recomputation.  This module caches it.
     (kind, query, engine name, extra, database fingerprint)
 
 where the fingerprint (:meth:`repro.data.database.Database.fingerprint`)
-combines each stored relation's identity (``id``), its mutation
+combines each stored relation's process-unique ``serial``, its mutation
 ``version`` counter, and its cardinality, plus the number of explicit
 domain additions — so any ``add``/``discard`` on any relation
-invalidates every plan derived from that database.  Because ``id()``
-values are only unique among *live* objects, every cache entry keeps
-strong references to the database and its relations; an entry
-therefore can never refer to a dead (and potentially recycled) id, at
-the price of keeping cached databases alive until eviction.
-``maxsize`` bounds that retention.
+invalidates every plan derived from that database, and a key never
+matches another relation.  The cache holds relations only weakly: an
+entry lives as long as every relation its key cites, and the first
+cache call after one of them dies purges it.
 
 Cached values are returned as-is: callers that hand mutable relations to
 consumers must copy them first (see ``full_reducer``).  Enumerator-level
@@ -37,9 +35,11 @@ from __future__ import annotations
 import os
 from collections import OrderedDict
 from contextlib import contextmanager
-from typing import Any, Callable, Dict, Hashable, Iterator, List, Optional, Tuple
+from typing import (Any, Callable, Dict, Hashable, Iterator, List, Optional,
+                    Set, Tuple)
 
 from repro import obs
+from repro.data.relation import DeathWatch
 
 ENV_VAR = "REPRO_PLAN_CACHE"
 INCREMENTAL_ENV_VAR = "REPRO_INCREMENTAL"
@@ -49,21 +49,19 @@ _MISS = object()
 
 
 class PlanCache:
-    """An LRU mapping plan keys to preprocessing artefacts.
-
-    Entries pin the database objects they were computed from (strong
-    references stored next to the value), which makes the ``id``-based
-    fingerprint sound: an id can only be reused after the object dies,
-    and pinned objects stay alive for the entry's lifetime.
-    """
+    """An LRU mapping plan keys to preprocessing artefacts."""
 
     def __init__(self, maxsize: int = DEFAULT_MAXSIZE):
         self.maxsize = int(maxsize)
-        self._entries: "OrderedDict[Hashable, Tuple[Any, Any]]" = OrderedDict()
+        self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
         # (kind, query, engine, extra) -> most recent full key, so a miss
         # caused purely by a fingerprint change can find its predecessor
         # entry and refresh it instead of rebuilding from scratch
         self._latest: Dict[Hashable, Hashable] = {}
+        # relation serial -> keys of the live entries citing it, so a
+        # relation's death purges just its own entries
+        self._citing: Dict[int, Set[Hashable]] = {}
+        self._deaths = DeathWatch()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -74,11 +72,14 @@ class PlanCache:
     # ------------------------------------------------------------------ state
 
     def __len__(self) -> int:
+        self._purge()
         return len(self._entries)
 
     def clear(self) -> None:
         self._entries.clear()
         self._latest.clear()
+        self._citing.clear()
+        self._deaths.clear()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -89,6 +90,7 @@ class PlanCache:
     def stats(self) -> dict:
         from repro.obs.registry import registry
 
+        self._purge()
         reg = registry()
         return {"hits": self.hits, "misses": self.misses,
                 "evictions": self.evictions,
@@ -98,13 +100,47 @@ class PlanCache:
                 "entries": len(self._entries), "maxsize": self.maxsize,
                 # per-symbol work sharing rides the same repeated-query
                 # motivation as the plan cache, so its counters surface
-                # here (and in doctor/top) alongside the plan hit rates
+                # here (and in doctor) alongside the plan hit rates
                 "symbol_workspace_hits":
                     reg.counter("engine.symbol_workspace_hits"),
                 "symbol_workspace_misses":
                     reg.counter("engine.symbol_workspace_misses"),
                 "coalesced_semijoins":
                     reg.counter("yannakakis.coalesced_semijoins")}
+
+    # --------------------------------------------------------------- lifetime
+
+    def watch(self, db) -> None:
+        """Hold ``db``'s relations weakly: once one dies, the next cache
+        call purges every entry whose key cites its serial."""
+        for rel in db:
+            self._deaths.watch(rel)
+
+    @staticmethod
+    def _serials(key: Hashable) -> Tuple[int, ...]:
+        """The relation serials a :meth:`key_for` key cites."""
+        if isinstance(key, tuple) and len(key) == 5 and key[4] is not None:
+            return tuple(serial for _name, serial, _version, _len
+                         in key[4][1])
+        return ()
+
+    def _drop(self, key: Hashable) -> None:
+        """Remove ``key``'s entry, its refresh slot and its index rows."""
+        del self._entries[key]
+        if isinstance(key, tuple) and len(key) == 5 \
+                and self._latest.get(key[:4]) == key:
+            del self._latest[key[:4]]
+        for serial in self._serials(key):
+            keys = self._citing[serial]
+            keys.discard(key)
+            if not keys:
+                del self._citing[serial]
+
+    def _purge(self) -> None:
+        """Drop every entry whose key cites a relation that died."""
+        for serial in self._deaths.drain():
+            for key in list(self._citing.get(serial, ())):
+                self._drop(key)
 
     # ----------------------------------------------------------------- lookup
 
@@ -118,26 +154,26 @@ class PlanCache:
     def get(self, key: Hashable) -> Any:
         """The cached value for ``key``, or the module-private miss
         sentinel (so ``None`` is a cacheable value)."""
-        entry = self._entries.get(key, _MISS)
-        if entry is _MISS:
+        self._purge()
+        value = self._entries.get(key, _MISS)
+        if value is _MISS:
             self.misses += 1
             return _MISS
         self._entries.move_to_end(key)
         self.hits += 1
-        return entry[0]
+        return value
 
-    def put(self, key: Hashable, value: Any, pins: Any = None) -> Any:
-        """Insert ``value``, pinning ``pins`` (typically the database)
-        for the entry's lifetime; evicts the LRU entry beyond maxsize."""
-        self._entries[key] = (value, pins)
+    def put(self, key: Hashable, value: Any) -> Any:
+        """Insert ``value``; evicts the LRU entry beyond maxsize."""
+        self._purge()
+        self._entries[key] = value
         self._entries.move_to_end(key)
+        for serial in self._serials(key):
+            self._citing.setdefault(serial, set()).add(key)
         if isinstance(key, tuple) and len(key) == 5:
             self._latest[key[:4]] = key
         while len(self._entries) > self.maxsize:
-            evicted, _ = self._entries.popitem(last=False)
-            if isinstance(evicted, tuple) and len(evicted) == 5 \
-                    and self._latest.get(evicted[:4]) == evicted:
-                del self._latest[evicted[:4]]
+            self._drop(next(iter(self._entries)))
             self.evictions += 1
             obs.count("plancache.evictions")
         return value
@@ -148,22 +184,24 @@ class PlanCache:
         """The live entry cached for ``key``'s (kind, query, engine,
         extra) under an *older* fingerprint: ``(prev_key, value)``, or
         ``(None, _MISS)`` when there is none to refresh from."""
+        self._purge()
         if not (isinstance(key, tuple) and len(key) == 5):
             return None, _MISS
         prev_key = self._latest.get(key[:4])
         if prev_key is None or prev_key == key:
             return None, _MISS
-        entry = self._entries.get(prev_key, _MISS)
-        if entry is _MISS:
+        value = self._entries.get(prev_key, _MISS)
+        if value is _MISS:
             return None, _MISS
-        return prev_key, entry[0]
+        return prev_key, value
 
-    def replace(self, prev_key: Hashable, key: Hashable, value: Any,
-                pins: Any = None) -> Any:
+    def replace(self, prev_key: Hashable, key: Hashable, value: Any) -> Any:
         """Move a refreshed plan from its stale key to the current one."""
-        self._entries.pop(prev_key, None)
+        self._purge()
+        if prev_key in self._entries:
+            self._drop(prev_key)
         self.refreshes += 1
-        return self.put(key, value, pins=pins)
+        return self.put(key, value)
 
 
 _GLOBAL = PlanCache()
@@ -254,9 +292,9 @@ def _collect_deltas(db, old_fp, new_fp
     if len(old_rels) != len(new_rels):
         return None
     deltas: Dict[str, List[Tuple[str, Tuple]]] = {}
-    for (oname, oid, over, _olen), (nname, nid, nver, _nlen) in zip(
+    for (oname, oserial, over, _olen), (nname, nserial, nver, _nlen) in zip(
             old_rels, new_rels):
-        if oname != nname or oid != nid:
+        if oname != nname or oserial != nserial:
             return None
         if over == nver:
             continue
@@ -273,9 +311,10 @@ def cached_plan(kind: str, query: Hashable, db, engine_name: str,
                 = None) -> Any:
     """Fetch-or-build helper used by the preprocessing entry points.
 
-    ``builder`` runs (and its result is cached, with ``db`` pinned) only
-    on a miss or when caching is disabled.  ``extra`` distinguishes
-    same-query plans with different knobs (the enumeration block size).
+    ``builder`` runs (and its result is cached, holding ``db``'s
+    relations weakly) only on a miss or when caching is disabled.
+    ``extra`` distinguishes same-query plans with different knobs (the
+    enumeration block size).
 
     ``refresher`` opts the plan kind into delta propagation: when a
     lookup misses only because the database fingerprint moved, and
@@ -298,6 +337,8 @@ def cached_plan(kind: str, query: Hashable, db, engine_name: str,
         obs.count("plancache.hits")
         return value
     obs.count("plancache.misses")
+    if db is not None:
+        cache.watch(db)
     if refresher is not None and db is not None and incremental_enabled():
         prev_key, stale = cache.predecessor(key)
         if stale is not _MISS:
@@ -315,7 +356,7 @@ def cached_plan(kind: str, query: Hashable, db, engine_name: str,
                 else:
                     obs.count("plancache.refresh")
                     obs.count("plancache.delta_applied", n_ops)
-                    return cache.replace(prev_key, key, value, pins=db)
+                    return cache.replace(prev_key, key, value)
     with obs.span("plan.build", kind=kind, cache="miss"):
         value = builder()
-    return cache.put(key, value, pins=db)
+    return cache.put(key, value)

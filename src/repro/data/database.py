@@ -103,6 +103,17 @@ class Database:
         except KeyError:
             raise SchemaMismatchError(f"database has no relation named {name!r}") from None
 
+    def relation_for(self, atom) -> Relation:
+        """The relation ``atom`` names, checked against the atom's arity
+        (a mismatch raises :class:`SchemaMismatchError`)."""
+        rel = self.relation(atom.relation)
+        if rel.arity != atom.arity:
+            raise SchemaMismatchError(
+                f"atom {atom!r} has arity {atom.arity} but relation "
+                f"{atom.relation!r} has arity {rel.arity}"
+            )
+        return rel
+
     def has_relation(self, name: str) -> bool:
         return name in self._relations
 
@@ -171,18 +182,17 @@ class Database:
     def fingerprint(self) -> Tuple:
         """A hashable snapshot identity for plan caching.
 
-        Combines, per relation, its object identity with its mutation
-        ``version`` and cardinality, plus the number of explicit domain
-        additions — equal fingerprints mean "the same relation objects in
-        the same state".  Values that reach the domain through relations
-        are covered by the versions, so taking a fingerprint never syncs
-        the lazy domain.  Only sound while the relation objects are alive
-        (``id`` reuse); :mod:`repro.core.plancache` pins them for exactly
-        that reason.
+        Combines, per relation, its process-unique ``serial`` with its
+        mutation ``version`` and cardinality, plus the number of explicit
+        domain additions — equal fingerprints mean "the same relation
+        objects in the same state".  A serial is never reused, so a
+        fingerprint never matches another relation, dead or alive.
+        Values that reach the domain through relations are covered by the
+        versions, so taking a fingerprint never syncs the lazy domain.
         """
         return (
             self._explicit,
-            tuple((name, id(rel), rel.version, len(rel))
+            tuple((name, rel.serial, rel.version, len(rel))
                   for name, rel in self._relations.items()),
         )
 

@@ -13,6 +13,7 @@ order on the encoding that the RAM model of the paper assumes (Section
 from __future__ import annotations
 
 import itertools
+import weakref
 from collections import deque
 from typing import (Any, Dict, Iterable, Iterator, List, NoReturn, Optional,
                     Sequence, Tuple)
@@ -23,6 +24,9 @@ Tup = Tuple[Any, ...]
 
 # Per-relation delta-log bound, read when each log is built.
 DEFAULT_DELTA_LOG_CAPACITY = 4096
+
+# process-unique relation serials: never reused, unlike ``id()``
+_SERIALS = itertools.count()
 
 
 class DeltaLog:
@@ -85,13 +89,17 @@ class Relation:
     """
 
     __slots__ = ("name", "arity", "_tuples", "_indexes", "_colcache",
-                 "_version", "_deltalog")
+                 "_version", "_deltalog", "serial", "__weakref__")
 
     def __init__(self, name: str, arity: int, tuples: Optional[Iterable[Sequence[Any]]] = None):
         if arity < 0:
             raise MalformedQueryError(f"relation {name!r}: arity must be >= 0, got {arity}")
         self.name = name
         self.arity = arity
+        #: process-unique identity: (serial, version, len) is the
+        #: plan-cache fingerprint (repro.core.plancache), and caches hold
+        #: relations only weakly, so an entry dies with its relation
+        self.serial = next(_SERIALS)
         # dict used as an insertion-ordered set
         self._tuples: Dict[Tup, None] = {}
         # (columns) -> {key tuple -> list of full tuples}
@@ -101,8 +109,7 @@ class Relation:
         # carries the version it was built at, so mutations keep it in
         # place for delta patching instead of throwing it away
         self._colcache = None
-        # bumped on every effective add/discard; (id, version, len) is the
-        # plan-cache invalidation fingerprint (repro.core.plancache)
+        # bumped on every effective add/discard
         self._version = 0
         # effective mutations since (up to) `DEFAULT_DELTA_LOG_CAPACITY`
         # versions ago, for incremental plan refresh (repro.core.plancache)
@@ -186,6 +193,12 @@ class Relation:
 
     def __repr__(self) -> str:
         return f"Relation({self.name!r}, arity={self.arity}, size={len(self)})"
+
+    def __reduce__(self):
+        # pickle, copy.copy and copy.deepcopy rebuild through the
+        # constructor: a copy is a new relation with its own serial and
+        # tuple set, never an alias of the original's
+        return (type(self), (self.name, self.arity, list(self._tuples)))
 
     @property
     def version(self) -> int:
@@ -277,3 +290,41 @@ class Relation:
     def size_contribution(self) -> int:
         """Contribution of this relation to ||D|| (|R| * ar(R))."""
         return len(self._tuples) * self.arity
+
+
+class DeathWatch:
+    """Serials of watched relations that died since the last :meth:`drain`.
+
+    Caches keyed on relation serials hold each relation through one
+    weak reference, so an entry keeps nothing alive.  The reference's
+    callback only records the serial: it can run inside any allocation
+    (a cyclic garbage-collection pass), including while its owner
+    iterates its own tables, so the owner purges later, at the start of
+    its next call.
+    """
+
+    __slots__ = ("_refs", "_dead")
+
+    def __init__(self):
+        self._refs: Dict[int, "weakref.ref[Relation]"] = {}
+        self._dead: List[int] = []
+
+    def watch(self, rel: Relation) -> None:
+        """Hold ``rel`` weakly; :meth:`drain` reports its death."""
+        if rel.serial not in self._refs:
+            dead = self._dead
+            self._refs[rel.serial] = weakref.ref(
+                rel, lambda _ref, serial=rel.serial: dead.append(serial))
+
+    def drain(self) -> List[int]:
+        """The serials recorded since the last call, now forgotten."""
+        drained: List[int] = []
+        while self._dead:
+            serial = self._dead.pop()
+            self._refs.pop(serial, None)
+            drained.append(serial)
+        return drained
+
+    def clear(self) -> None:
+        self._refs.clear()
+        self._dead.clear()

@@ -186,9 +186,10 @@ class _DeltaPlan:
 
     def _seed(self, db: Database, span: str):
         """Load the query's relations of ``db`` as one insert batch."""
+        rels = {atom.relation: db.relation_for(atom) for atom in self.cq.atoms}
         with obs.span(span, nodes=len(self.nodes)):
-            return self._apply({name: [("+", t) for t in db.relation(name)]
-                                for name in self.cq.relation_names()})
+            return self._apply({name: [("+", t) for t in rel]
+                                for name, rel in rels.items()})
 
     def refreshed(self, deltas: Dict[str, Ops]) -> Optional["_DeltaPlan"]:
         """Catch the plan up; None (cold fallback) when broken."""

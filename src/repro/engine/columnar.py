@@ -53,7 +53,6 @@ from typing import (
 import numpy as np
 
 from repro import obs
-from repro.errors import SchemaMismatchError
 from repro.logic.terms import Constant, Variable
 
 Tup = Tuple[Any, ...]
@@ -452,36 +451,14 @@ class ColumnarRelation:
     def extended_with(self, new_cols: Sequence[np.ndarray], count: int
                       ) -> "ColumnarRelation":
         """A new relation holding this one's rows plus ``count``
-        appended pre-encoded rows, with every patchable sorted-probe
-        cache entry migrated by merge instead of rebuilt.
-
-        This is the append-only fast path of incremental maintenance:
-        the caller guarantees the appended rows are not already present
-        (so no dedupe pass), and each ``_BatchProbe`` whose packing
-        tables still cover the new values is extended in
-        O(count + log n) per entry (see
-        :meth:`repro.engine.enumerate._BatchProbe.extended`) rather
-        than re-argsorted in O(n log n).
-        """
+        appended pre-encoded rows: the append-only fast path of
+        incremental maintenance.  The caller guarantees the appended
+        rows are not already present, so there is no dedupe pass."""
         self._flush()
-        new_cols = [np.ascontiguousarray(c, dtype=np.int64)
-                    for c in new_cols]
         cols = [np.concatenate([old, new])
                 for old, new in zip(self._columns, new_cols)]
-        out = type(self).from_codes(
+        return type(self).from_codes(
             self.variables, cols, self._nrows + count, self._dict)
-        for key, probe in self._probecache.items():
-            if not (isinstance(key, tuple) and key
-                    and key[0] == "batch_probe"):
-                continue
-            extend = getattr(probe, "extended", None)
-            if extend is None:
-                continue
-            patched = extend([new_cols[p] for p in key[1]], count)
-            if patched is not None:
-                obs.count("kernel.probe_cache_patches")
-                out._probecache[key] = patched
-        return out
 
     def to_varrelation(self):
         """Materialise as a tuple-backed VarRelation."""
@@ -784,18 +761,13 @@ def materialise_atom_columnar(db, atom,
     # None check, not truthiness: an empty ValueDictionary is falsy but
     # still the dictionary the caller asked to encode into
     dictionary = dictionary if dictionary is not None else default_dictionary()
-    rel = db.relation(atom.relation)
-    if rel.arity != atom.arity:
-        raise SchemaMismatchError(
-            f"atom {atom!r} has arity {atom.arity} but relation "
-            f"{atom.relation!r} has arity {rel.arity}"
-        )
+    rel = db.relation_for(atom)
     variables = atom.variables()
     obs.count("kernel.materialise_atom")
     cols, nrows = encoded_relation_columns(rel, dictionary)
     obs.gauge("dictionary.size", len(dictionary))
     sig = atom_signature(atom)
-    entry = workspace.entry(atom.relation, rel, dictionary) \
+    entry = workspace.entry(atom.relation, rel) \
         if workspace is not None else None
     if sig is None:
         # base layout: the stored columns in term order, no copy; every

@@ -193,47 +193,6 @@ class _BatchProbe:
         su, _st, cu, _ct = self.steps[-1]
         return len(cu) * (len(su) if su is not None else 1)
 
-    def extended(self, new_key_columns: Sequence[np.ndarray], count: int
-                 ) -> Optional["_BatchProbe"]:
-        """A probe over this structure's rows plus ``count`` appended
-        rows, built by merging instead of re-sorting.
-
-        The packing steps (and their rank tables) are reusable only when
-        every appended value (and every intermediate packed key) already
-        occurs in the structure's sorted-unique tables — otherwise the
-        densification would assign codes the existing ``sorted_keys``
-        never saw, and we return ``None`` so the caller falls back to a
-        full rebuild.  Appended rows are merged after all equal existing
-        keys (``side='right'``), which is exactly where a stable argsort
-        of the extended columns would put them, and the offsets are
-        rebuilt over the merged keys, so lookups on the patched probe are
-        indistinguishable from a cold build.
-        """
-        if self.steps and self.nrows == 0:
-            return None
-        packed = np.zeros(count, dtype=np.int64)
-        for (su, st, cu, ct), col in zip(self.steps, new_key_columns):
-            col = np.ascontiguousarray(col, dtype=np.int64)
-            rank, hit = _ranks(cu, ct, col)
-            if not hit.all():
-                return None
-            if su is not None:
-                srank, shit = _ranks(su, st, packed)
-                if not shit.all():
-                    return None
-                rank += srank * len(cu)
-            packed = rank
-        pos = np.searchsorted(self.sorted_keys, packed, side="right")
-        patched = _BatchProbe.__new__(_BatchProbe)
-        patched.nrows = self.nrows + count
-        patched.steps = self.steps
-        patched.order = np.insert(
-            self.order, pos,
-            np.arange(self.nrows, self.nrows + count, dtype=np.int64))
-        patched.sorted_keys = np.insert(self.sorted_keys, pos, packed)
-        patched.offsets = _offsets(patched.sorted_keys, self._key_space())
-        return patched
-
     def lookup(self, key_columns: Sequence[np.ndarray], k: int
                ) -> Tuple[np.ndarray, np.ndarray]:
         """Resolve a batch of ``k`` probe keys to ``(lo, counts)``:

@@ -9,9 +9,9 @@ the variable names the atom happens to use.  This module lets both
 backends (tuple and columnar) share one build per (symbol, database
 version):
 
-* one **entry** per (symbol, stored-relation identity, version), LRU'd
-  and pinned exactly like :mod:`repro.core.plancache` (an id can only be
-  reused after the pinned object dies, so the key is sound);
+* one **entry** per (symbol, stored-relation serial, version), LRU'd;
+  like :mod:`repro.core.plancache`, the workspace holds each relation
+  only weakly, and its entries go on the first call after it dies;
 * per entry, one shared position-keyed **probe cache** served to every
   all-distinct-variable atom over the symbol (``_BatchProbe`` keys on
   column positions, so ``R(x, y)`` and ``R(u, v)`` probing column 0
@@ -25,9 +25,9 @@ Because shared materialisations reuse the *same ndarray objects*, the
 semijoin coalescing in :mod:`repro.eval.yannakakis` can prove two
 reduction passes identical by comparing column identities.
 
-Counters: ``engine.symbol_workspace_{hits,misses,patches}`` aggregate
-across backends, and ``engine.symbol_workspace_variant_{hits,misses}``
-track the masked-atom variants.
+Counters: ``engine.symbol_workspace_{hits,misses}`` aggregate across
+backends, and ``engine.symbol_workspace_variant_{hits,misses}`` track
+the masked-atom variants.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from collections import OrderedDict
 from typing import Any, Dict, Optional, Tuple
 
 from repro import obs
+from repro.data.relation import DeathWatch
 
 #: stored-relation versions whose shared artefacts stay alive (LRU)
 SYMBOL_WORKSPACE_LIMIT = 64
@@ -69,13 +70,12 @@ def atom_signature(atom) -> Optional[Tuple]:
 class _SymbolEntry:
     """Shared artefacts of one (symbol, stored relation, version)."""
 
-    __slots__ = ("rel", "probes", "variants")
+    __slots__ = ("probes", "variants")
 
-    def __init__(self, rel: Any, probes: Optional[Dict[Any, Any]] = None):
-        self.rel = rel  # pin: keeps id(rel) from being reused while cached
+    def __init__(self):
         #: position-keyed probe cache for the base (all-distinct) layout;
         #: installed as the materialised relations' ``_probecache``
-        self.probes: Dict[Any, Any] = probes if probes is not None else {}
+        self.probes: Dict[Any, Any] = {}
         #: signature -> backend-specific payload (masked column sets,
         #: projected row lists, ...) plus their own shared probe caches
         self.variants: Dict[Any, Any] = {}
@@ -95,88 +95,46 @@ class _SymbolEntry:
 class SymbolWorkspace:
     """Per-engine registry of shared per-symbol artefacts.
 
-    Keys are (symbol, id(stored relation), version); a mutation bumps the
-    stored relation's version, making the stale entry unreachable (it
-    ages out by LRU, or migrates its patchable probes forward on an
-    append-only delta, mirroring the plan cache's refresh path).
+    Keys are (symbol, stored relation's serial, version); a mutation
+    bumps the stored relation's version, and the next lookup drops the
+    stale entry.  Entries whose relation died go on the next call.
     """
 
     def __init__(self, limit: int = SYMBOL_WORKSPACE_LIMIT):
         self.limit = int(limit)
         self._entries: "OrderedDict[Tuple[str, int, int], _SymbolEntry]" = \
             OrderedDict()
+        self._deaths = DeathWatch()
 
-    def entry(self, name: str, rel: Any,
-              dictionary: Any = None) -> _SymbolEntry:
+    def _purge(self) -> None:
+        dead = self._deaths.drain()
+        if dead:
+            for key in [k for k in self._entries if k[1] in dead]:
+                del self._entries[key]
+
+    def entry(self, name: str, rel: Any) -> _SymbolEntry:
         """The live entry for ``rel``'s current version (hit), or a fresh
-        one seeded from its stale predecessor where sound (miss)."""
-        key = (name, id(rel), rel.version)
+        one replacing its stale versions (miss)."""
+        self._purge()
+        key = (name, rel.serial, rel.version)
         found = self._entries.get(key)
         if found is not None:
             self._entries.move_to_end(key)
             obs.count("engine.symbol_workspace_hits")
             return found
         obs.count("engine.symbol_workspace_misses")
-        stale = [k for k in self._entries
-                 if k[0] == name and k[1] == id(rel)]
-        probes: Dict[Any, Any] = {}
-        if stale and dictionary is not None:
-            probes = self._migrated_probes(
-                rel, max(stale, key=lambda k: k[2]), dictionary)
-        for k in stale:
+        for k in [k for k in self._entries if k[:2] == key[:2]]:
             del self._entries[k]
-        made = _SymbolEntry(rel, probes)
+        self._deaths.watch(rel)
+        made = _SymbolEntry()
         self._entries[key] = made
         while len(self._entries) > self.limit:
             self._entries.popitem(last=False)
         return made
 
-    def _migrated_probes(self, rel: Any, stale_key: Tuple,
-                         dictionary: Any) -> Dict[Any, Any]:
-        """Seed a fresh base probe cache from its stale predecessor.
-
-        Only on an *append-only* delta (every effective op since the
-        stale version is an insert, so the new column layout is exactly
-        the old rows plus the appended ones at the end): each
-        position-keyed probe entry with a merge path (sorted
-        ``_BatchProbe``'s ``extended``) is carried forward in
-        O(delta + log n).  Deletes or delta-log overflow migrate
-        nothing — a cold rebuild is always sound.  Masked variants are
-        never migrated: appended rows change their selections
-        unpredictably.
-        """
-        from repro.core.plancache import incremental_enabled
-
-        if not incremental_enabled():
-            return {}
-        ops = rel.deltas_since(stale_key[2])
-        if not ops or any(op != "+" for op, _t in ops):
-            return {}
-        old_probes = self._entries[stale_key].probes
-        added = [t for _op, t in ops]
-        columns: Dict[int, Any] = {}
-        migrated: Dict[Any, Any] = {}
-        for pkey, probe in old_probes.items():
-            extend = getattr(probe, "extended", None)
-            if extend is None or not (
-                    isinstance(pkey, tuple) and pkey
-                    and pkey[0] == "batch_probe"):
-                continue
-            cols = []
-            for p in pkey[1]:
-                col = columns.get(p)
-                if col is None:
-                    col = dictionary.encode_values([t[p] for t in added])
-                    columns[p] = col
-                cols.append(col)
-            patched = extend(cols, len(added))
-            if patched is not None:
-                migrated[pkey] = patched
-                obs.count("engine.symbol_workspace_patches")
-        return migrated
-
     def stats(self) -> Dict[str, int]:
         """Introspection for tests/doctor: live workspace inventory."""
+        self._purge()
         return {
             "entries": len(self._entries),
             "probes": sum(len(e.probes) for e in self._entries.values()),
@@ -186,6 +144,7 @@ class SymbolWorkspace:
 
     def clear(self) -> None:
         self._entries.clear()
+        self._deaths.clear()
 
 
 __all__ = [

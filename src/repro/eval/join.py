@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.data.database import Database
-from repro.errors import SchemaMismatchError
 from repro.logic.atoms import Atom
 from repro.logic.terms import Variable
 
@@ -171,12 +170,7 @@ def atom_to_varrelation(db: Database, atom: Atom) -> VarRelation:
     """
     from repro.logic.terms import Constant
 
-    rel = db.relation(atom.relation)
-    if rel.arity != atom.arity:
-        raise SchemaMismatchError(
-            f"atom {atom!r} has arity {atom.arity} but relation "
-            f"{atom.relation!r} has arity {rel.arity}"
-        )
+    rel = db.relation_for(atom)
     variables = atom.variables()
     first_pos: Dict[Variable, int] = {}
     const_positions: List[int] = []

@@ -22,7 +22,7 @@ sketch is cheap enough to sit on always-on paths.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 #: sub-buckets per power-of-two octave (2^3 = 8): worst-case relative
 #: bucket width 1/8, so a midpoint estimate is within ~6% of the value
@@ -113,9 +113,6 @@ class QuantileSketch:
                 return min(max(mid, lo_clamp), hi_clamp)
         return float(self.max or 0)  # pragma: no cover - rank <= count
 
-    def quantiles(self, qs: Sequence[float]) -> List[float]:
-        return [self.quantile(q) for q in qs]
-
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
@@ -151,9 +148,6 @@ class QuantileSketch:
         self.total = 0
         self.min = None
         self.max = None
-
-    def __len__(self) -> int:
-        return len(self.buckets)
 
     def __repr__(self) -> str:
         return (f"QuantileSketch(count={self.count}, "

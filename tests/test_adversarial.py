@@ -4,9 +4,11 @@ or fail loudly with the library's own exceptions."""
 
 import pytest
 
+from repro.core.plancache import incremental_scope
 from repro.core.planner import answer, count, decide, enumerate_answers
 from repro.data.database import Database
 from repro.data.relation import Relation
+from repro.engine import use_engine
 from repro.errors import ReproError, SchemaMismatchError
 from repro.eval.naive import evaluate_cq_naive
 from repro.logic.parser import parse_cq, parse_query
@@ -58,6 +60,25 @@ def test_arity_mismatch_raises():
     q = parse_cq("Q(x) :- R(x, y, z)")
     with pytest.raises(ReproError):
         answer(q, db)
+
+
+@pytest.mark.parametrize("engine", ["tuple", "columnar"])
+@pytest.mark.parametrize("incremental", [False, True])
+@pytest.mark.parametrize("terms", ["x", "x, y, z"],
+                         ids=["too-few", "too-many"])
+@pytest.mark.parametrize("task", ["answer", "count", "decide", "enumerate"])
+def test_arity_mismatch_raises_on_every_path(engine, incremental, terms,
+                                             task):
+    """Too few or too many terms is a schema error on every task, also
+    when incremental refresh seeds its plans from the relations."""
+    db = Database.from_relations({"R": [(1, 2), (3, 4)]})
+    head = "" if task == "decide" else "x"
+    q = parse_cq(f"Q({head}) :- R({terms})")
+    run = {"answer": answer, "count": count, "decide": decide,
+           "enumerate": lambda q, db: list(enumerate_answers(q, db))}[task]
+    with use_engine(engine), incremental_scope(incremental):
+        with pytest.raises(SchemaMismatchError):
+            run(q, db)
 
 
 def test_singleton_domain():

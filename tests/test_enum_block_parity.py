@@ -391,28 +391,3 @@ def test_probe_codes_past_the_table_count_zero():
             [np.asarray(k, dtype=np.int64) for k in keys], len(keys[0]))
         assert counts.tolist()[1:] == [0] * (len(keys[0]) - 1)
         assert counts[0] > 0
-
-
-@pytest.mark.parametrize("width", [1, 2])
-def test_extended_probe_looks_up_like_a_cold_build(width):
-    rng = np.random.default_rng(5)
-    n, m = 400, 60
-    cols = [rng.integers(0, 40, n + m).astype(np.int64)
-            for _ in range(width)]
-    # appended keys repeat old ones, so the packing tables still cover them
-    pick = rng.integers(0, n, m)
-    for c in cols:
-        c[n:] = c[pick]
-    base = _BatchProbe([c[:n] for c in cols], n)
-    patched = base.extended([c[n:] for c in cols], m)
-    assert patched is not None
-    cold = _BatchProbe(cols, n + m)
-    assert patched.order.tolist() == cold.order.tolist()
-    assert patched.sorted_keys.tolist() == cold.sorted_keys.tolist()
-    assert (patched.offsets is None) == (cold.offsets is None)
-    keys = [np.arange(45, dtype=np.int64) for _ in range(width)]
-    got = patched.lookup(keys, 45)
-    want = cold.lookup(keys, 45)
-    assert got[1].tolist() == want[1].tolist()
-    assert got[0][got[1] > 0].tolist() == want[0][want[1] > 0].tolist()
-    _assert_lookups_agree(patched, cols, [k.tolist() for k in keys])

@@ -1,6 +1,11 @@
 """Unit tests for the cross-query plan/preprocessing cache
 (repro.core.plancache) and its database-fingerprint invalidation."""
 
+import copy
+import gc
+import pickle
+import weakref
+
 import pytest
 
 from repro.core.plancache import (
@@ -9,13 +14,16 @@ from repro.core.plancache import (
     PlanCache,
     cached_plan,
     clear_plan_cache,
+    incremental_scope,
     plan_cache,
     plan_cache_disabled,
     plan_cache_enabled,
     set_plan_cache_enabled,
 )
+from repro.core.planner import count, decide, enumerate_answers
 from repro.data.database import Database
 from repro.data.relation import Relation
+from repro.engine import resolve_engine, use_engine
 from repro.enumeration.free_connex import FreeConnexEnumerator
 from repro.eval.naive import evaluate_cq_naive
 from repro.eval.yannakakis import full_reducer
@@ -126,7 +134,7 @@ def test_keys_distinguish_kind_engine_extra_and_db():
         PlanCache.key_for("b", q, db1, "tuple"),
         PlanCache.key_for("a", q, db1, "columnar"),
         PlanCache.key_for("a", q, db1, "tuple", extra=7),
-        PlanCache.key_for("a", q, db2, "tuple"),  # distinct id() per db
+        PlanCache.key_for("a", q, db2, "tuple"),  # distinct serials per db
     }
     assert len(keys) == 5
 
@@ -212,3 +220,138 @@ def test_warm_enumeration_matches_cold(engine):
     after = set(FreeConnexEnumerator(q, db, engine=engine))
     assert after == evaluate_cq_naive(q, db)
     assert (42,) in after
+
+
+# ------------------------------------------------------------- lifetimes
+
+ENGINES = pytest.mark.parametrize("engine", ["tuple", "columnar"])
+INCREMENTAL = pytest.mark.parametrize("incremental", [False, True],
+                                      ids=["cold", "incremental"])
+# a free-connex query, one whose masked atom R(x, x) rides the symbol
+# workspace on both engines, and a full one (incremental counts keep a
+# DeltaCounter for it)
+QUERIES = ["Q(x) :- R(x, z), S(z, y)", "Q(x) :- R(x, x), S(x, y)",
+           "Q(x, z, y) :- R(x, z), S(z, y)"]
+
+
+def _run_all_tasks(db, engine):
+    with use_engine(engine):
+        for text in QUERIES:
+            q = parse_cq(text)
+            count(q, db)
+            decide(parse_cq("Q() :-" + text.split(":-")[1]), db)
+            list(enumerate_answers(q, db))
+
+
+def _keys_citing(serials):
+    return [key for key in plan_cache()._entries
+            if set(PlanCache._serials(key)) & serials]
+
+
+@ENGINES
+@INCREMENTAL
+@pytest.mark.parametrize("cyclic", [False, True], ids=["refcount", "cycle"])
+def test_dropped_database_leaves_both_caches(engine, incremental, cyclic):
+    workspace = resolve_engine(engine).workspace
+    workspace.clear()
+    db = _db()
+    db.relation("R").add((5, 5))        # a row the masked atom keeps
+    with incremental_scope(incremental):
+        _run_all_tasks(db, engine)
+        db.relation("R").add((7, 7))
+        _run_all_tasks(db, engine)
+    serials = {rel.serial for rel in db}
+    assert _keys_citing(serials)
+    assert workspace.stats()["entries"] > 0
+    alive = weakref.ref(db.relation("R"))
+    gc.disable()
+    try:
+        if cyclic:
+            holder = [db]
+            holder.append(holder)
+            del holder
+        del db
+        assert (alive() is not None) == cyclic
+    finally:
+        gc.enable()
+    gc.collect()
+    assert alive() is None              # no cache entry kept it alive
+    len(plan_cache())                   # one cache call purges
+    assert _keys_citing(serials) == []
+    assert workspace.stats()["entries"] == 0
+
+
+@ENGINES
+@INCREMENTAL
+def test_new_relation_never_matches_a_dead_one(engine, incremental):
+    q = parse_cq(QUERIES[0])
+    expected = evaluate_cq_naive(q, _db())
+    cache = plan_cache()
+    serials = []
+    with incremental_scope(incremental):
+        for _ in range(200):
+            db = _db()
+            serials.extend(rel.serial for rel in db)
+            hits = cache.hits
+            assert set(FreeConnexEnumerator(q, db, engine=engine)) \
+                == expected
+            assert cache.hits == hits   # every lookup on a new db missed
+            del db
+    assert len(set(serials)) == len(serials)
+    len(cache)                          # one cache call purges
+    assert _keys_citing(set(serials)) == []
+
+
+COPIES = {
+    "Relation.copy": lambda db: Database([rel.copy() for rel in db]),
+    "copy.copy": lambda db: Database([copy.copy(rel) for rel in db]),
+    "copy.deepcopy": copy.deepcopy,
+    "pickle": lambda db: pickle.loads(pickle.dumps(db)),
+    "Database.copy": lambda db: db.copy(),
+}
+
+
+@ENGINES
+@INCREMENTAL
+@pytest.mark.parametrize("how", sorted(COPIES))
+def test_copies_get_fresh_serials(engine, incremental, how):
+    q = parse_cq("Q(x, y) :- R(x, z), S(z, y)")
+    original = _db()
+    with incremental_scope(incremental):
+        assert set(enumerate_answers(q, original, engine=engine)) \
+            == evaluate_cq_naive(q, original)
+        dup = COPIES[how](original)
+        assert {rel.serial for rel in dup}.isdisjoint(
+            rel.serial for rel in original)
+        # the same version and length, but different tuples
+        r1, r2 = original.relation("R"), dup.relation("R")
+        r1.add((100, 0))
+        r2.add((200, 1))
+        for lagging, leading in ((r1, r2), (r2, r1)):
+            while lagging.version < leading.version:
+                lagging.add((-1, -1))
+                lagging.discard((-1, -1))
+        assert (r1.version, len(r1)) == (r2.version, len(r2))
+        for db in (original, dup):
+            assert set(enumerate_answers(q, db, engine=engine)) \
+                == evaluate_cq_naive(q, db)
+            assert count(q, db, engine=engine) == len(evaluate_cq_naive(q, db))
+
+
+@ENGINES
+def test_serial_index_holds_only_live_keys(engine):
+    """Refreshes move a long-lived relation's entries from key to key,
+    and fingerprint misses fill the LRU until it evicts; the serial ->
+    keys index must forget both."""
+    q = parse_cq("Q(x) :- R(x, z), S(z, y)")
+    db = _db()
+    cache = plan_cache()
+    with incremental_scope(True):
+        for i in range(500):
+            db.relation("R").add((1000 + i, i % 3))
+            count(q, db, engine=engine)
+    assert cache.refreshes > 0 and cache.evictions > 0
+    indexed = set().union(*cache._citing.values())
+    assert indexed == {key for key in cache._entries
+                       if PlanCache._serials(key)}
+
