@@ -1,11 +1,10 @@
-"""Observability overhead guards (ISSUE 3 disabled tracer, ISSUE 8
-always-on registry, ISSUE 9 head-sampled tracing).
+"""Observability overhead guards: the disabled tracer and head-sampled
+tracing.
 
 The instrumentation in the pipeline is compiled in permanently; with the
 null tracer installed each site costs one attribute check (plus a no-op
 context manager on span sites).  The acceptance bars: tracing off stays
-under 2% of the 100k-tuple enumeration benchmark's wall time, the
-always-on registry (which the tracer-off path feeds) under 2%, and
+under 2% of the 100k-tuple enumeration benchmark's wall time, and
 head-sampled tracing (``REPRO_TRACE_SAMPLE`` at 10%, so one request in
 ten pays the live-span price) under 5% amortised.
 
@@ -14,17 +13,14 @@ the code), so the guards are computed from measurables:
 
 * ``wall`` — enumeration wall time with the tracer disabled;
 * ``events`` — how many instrumentation events the same run fires,
-  counted by an enabled tracer on an identical workload;
+  counted by an enabled tracer on an identical workload (``Tracer.events``
+  counts each span begin, counter, gauge and delay write once);
 * ``null_cost`` — the measured per-call cost of a disabled
   ``obs.span``/``obs.count``, microbenchmarked directly.
 
 ``events * null_cost`` bounds the disabled-path spend inside ``wall``;
-the guard asserts it is below 5%.  The registry guard mirrors the
-model: registry API invocations of the identical workload (counted by
-shimming the singleton) times the microbenchmarked per-op registry cost,
-bounded at <2% of the registry-suspended wall time — the amortised
-block recording (one ``obs.delay``/``obs.count`` per kernel block, not
-per answer) is what keeps the call count small.  Results are recorded
+the amortised block recording (one ``obs.delay`` per kernel block, not
+per answer) is what keeps the event count small.  Results are recorded
 as canonical observatory cases (suite ``obs``) via
 :func:`_util.record_case`, landing in ``benchmarks/history/obs.jsonl``
 and ``BENCH_obs.json``.
@@ -39,12 +35,10 @@ from repro.core.plancache import clear_plan_cache
 from repro.data import generators
 from repro.enumeration.free_connex import FreeConnexEnumerator
 from repro.logic.parser import parse_cq
-from repro.obs.registry import registry, suspended
 
 FULL_QUERY = "Q(x, z, y) :- R(x, z), S(z, y)"
 N_BIG = 100_000
 MAX_OVERHEAD = 0.02
-MAX_REGISTRY_OVERHEAD = 0.02
 #: head-sampling rate modelled by the sampled-tracing guard: one
 #: request in ten runs with a live tracer, the rest on the null path
 SAMPLE_RATE = 0.1
@@ -98,7 +92,7 @@ def test_disabled_tracer_overhead_under_2pct(benchmark):
         traced_answers = sum(
             1 for _ in FreeConnexEnumerator(q, db, engine="columnar"))
         traced_wall = time.perf_counter() - traced_start
-        events = t.events + len(t.spans)  # counters/gauges + span begins
+        events = t.events
     assert traced_answers == answers
 
     null_cost = _null_call_cost()
@@ -162,7 +156,7 @@ def test_sampled_tracing_overhead_under_5pct(benchmark):
     with obs.capture() as t:
         traced_answers = sum(
             1 for _ in FreeConnexEnumerator(q, db, engine="columnar"))
-        events = t.events + len(t.spans)
+        events = t.events
     assert traced_answers == answers
 
     live_cost = _live_call_cost()
@@ -193,80 +187,3 @@ def test_sampled_tracing_overhead_under_5pct(benchmark):
     assert fraction < MAX_SAMPLED_OVERHEAD, rows
     benchmark(_live_call_cost)
 
-
-def _count_registry_ops(q, db):
-    """Registry API invocations of one full cold evaluation, counted by
-    shimming the singleton's write methods."""
-    reg = registry()
-    calls = {"n": 0}
-    originals = {}
-    for name in ("count", "gauge", "observe", "record_delay"):
-        originals[name] = getattr(reg, name)
-
-        def shim(*args, _orig=originals[name], **kw):
-            calls["n"] += 1
-            return _orig(*args, **kw)
-
-        setattr(reg, name, shim)
-    try:
-        clear_plan_cache()
-        answers = sum(1 for _ in FreeConnexEnumerator(q, db,
-                                                      engine="columnar"))
-    finally:
-        for name in originals:
-            delattr(reg, name)  # drop the instance shims
-    return calls["n"], answers
-
-
-def _registry_op_cost():
-    """Per-op seconds of the hottest registry writes (count and
-    record_delay, averaged over 200k reps, worst of the two)."""
-    reg = registry()
-    reps = 200_000
-    start = time.perf_counter()
-    for _ in range(reps):
-        reg.count("bench.op")
-    count_cost = (time.perf_counter() - start) / reps
-    start = time.perf_counter()
-    for _ in range(reps):
-        reg.record_delay(1_000, 1)
-    delay_cost = (time.perf_counter() - start) / reps
-    reg.reset()
-    return max(count_cost, delay_cost)
-
-
-def test_registry_overhead_under_2pct(benchmark):
-    """registry ops x per-op cost < 2% of the 100k enumeration wall
-    time with the registry suspended."""
-    q = parse_cq(FULL_QUERY)
-    db = make_db(N_BIG)
-    obs.disable()
-    registry().reset()
-
-    with suspended():
-        wall, answers = min(_timed_enumeration(q, db) for _ in range(3))
-
-    ops, counted_answers = _count_registry_ops(q, db)
-    assert counted_answers == answers
-
-    op_cost = _registry_op_cost()
-    overhead = ops * op_cost
-    fraction = overhead / max(wall, 1e-9)
-
-    rows = [
-        ("suspended wall s", f"{wall:.4f}"),
-        ("answers", answers),
-        ("registry ops", ops),
-        ("registry op cost ns", f"{op_cost * 1e9:.1f}"),
-        ("bounded overhead s", f"{overhead:.6f}"),
-        ("overhead fraction", f"{fraction:.4%}"),
-    ]
-    record("obs_registry_overhead",
-           "Always-on registry overhead bound on the 100k enumeration "
-           "workload\n" + format_rows(["quantity", "value"], rows))
-    record_case("obs", "overhead/registry", "overhead_fraction",
-                [{"n": N_BIG, "value": fraction, "wall_seconds": wall,
-                  "answers": answers, "registry_ops": ops,
-                  "op_cost_ns": op_cost * 1e9}])
-    assert fraction < MAX_REGISTRY_OVERHEAD, rows
-    benchmark(_registry_op_cost)

@@ -9,6 +9,7 @@ import importlib
 import inspect
 import os
 import pkgutil
+import re
 import sys
 
 import repro
@@ -61,6 +62,9 @@ def main() -> None:
                 signature = str(inspect.signature(obj))
             except (TypeError, ValueError):
                 signature = "(...)"
+            # an object default's repr names its address, which changes
+            # from run to run; drop it so the file regenerates identically
+            signature = re.sub(r" at 0x[0-9a-f]+>", ">", signature)
             lines.append(f"### `{kind} {name}{signature}`")
             lines.append("")
             doc = first_paragraph(obj.__doc__ or "*(undocumented)*")

@@ -420,17 +420,14 @@ def _doctor_environment() -> None:
 
 
 def _doctor_caches() -> None:
-    """Cache-health line from the always-on registry: the per-symbol
+    """Cache-health line from :meth:`PlanCache.stats`: the per-symbol
     workspaces."""
-    from repro import obs
+    from repro.core.plancache import plan_cache
 
-    reg = obs.registry()
-    print(f"symbol workspace: "
-          f"{reg.counter('engine.symbol_workspace_hits')} hits, "
-          f"{reg.counter('engine.symbol_workspace_misses')} misses, "
-          f"{reg.counter('engine.symbol_workspace_variant_hits')} variant "
-          f"hits; {reg.counter('yannakakis.coalesced_semijoins')} "
-          f"coalesced semijoins")
+    st = plan_cache().stats()
+    print(f"symbol workspace: {st['symbol_workspace_hits']} hits, "
+          f"{st['symbol_workspace_misses']} misses, "
+          f"{st['symbol_workspace_variant_hits']} variant hits")
 
 
 def cmd_doctor(args: argparse.Namespace) -> int:

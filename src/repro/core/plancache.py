@@ -88,25 +88,28 @@ class PlanCache:
         self.refresh_fallbacks = 0
 
     def stats(self) -> dict:
-        from repro.obs.registry import registry
+        """This cache's counters and size, plus the hits, misses and
+        variant hits of every registered engine's
+        :class:`~repro.engine.symbols.SymbolWorkspace`, summed: per-symbol
+        work sharing rides the same repeated-query motivation as the
+        plan cache, so its counters surface here (and in doctor)
+        alongside the plan hit rates."""
+        from repro.engine import available_engines, get_engine
 
         self._purge()
-        reg = registry()
+        workspaces = [get_engine(name).workspace
+                      for name in available_engines()]
         return {"hits": self.hits, "misses": self.misses,
                 "evictions": self.evictions,
                 "refreshes": self.refreshes,
                 "refresh_overflows": self.refresh_overflows,
                 "refresh_fallbacks": self.refresh_fallbacks,
                 "entries": len(self._entries), "maxsize": self.maxsize,
-                # per-symbol work sharing rides the same repeated-query
-                # motivation as the plan cache, so its counters surface
-                # here (and in doctor) alongside the plan hit rates
-                "symbol_workspace_hits":
-                    reg.counter("engine.symbol_workspace_hits"),
+                "symbol_workspace_hits": sum(ws.hits for ws in workspaces),
                 "symbol_workspace_misses":
-                    reg.counter("engine.symbol_workspace_misses"),
-                "coalesced_semijoins":
-                    reg.counter("yannakakis.coalesced_semijoins")}
+                    sum(ws.misses for ws in workspaces),
+                "symbol_workspace_variant_hits":
+                    sum(ws.variant_hits for ws in workspaces)}
 
     # --------------------------------------------------------------- lifetime
 

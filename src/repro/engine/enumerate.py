@@ -424,10 +424,10 @@ class BlockIterator:
 
         The head columns are decoded once per block.  Each block's
         production gap (consumer time excluded: the clock restarts after
-        the yield returns) feeds the always-on registry's amortised
-        per-answer delay sketch and the ``enum.blocks`` /
-        ``enum.answers`` counters — one ``obs.delay`` per block, weight =
-        answers, so the per-answer hot path stays untouched."""
+        the yield returns) goes to the active tracer with its answer
+        count — one ``obs.delay`` per block, which also grows the
+        ``enum.blocks`` / ``enum.answers`` counters, so the per-answer
+        hot path stays untouched."""
         if self._empty:
             return
         root = self._relations[self._order[0]]

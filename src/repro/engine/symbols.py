@@ -25,9 +25,12 @@ Because shared materialisations reuse the *same ndarray objects*, the
 semijoin coalescing in :mod:`repro.eval.yannakakis` can prove two
 reduction passes identical by comparing column identities.
 
-Counters: ``engine.symbol_workspace_{hits,misses}`` aggregate across
-backends, and ``engine.symbol_workspace_variant_{hits,misses}`` track
-the masked-atom variants.
+Counters: each workspace counts its own ``hits``, ``misses`` and
+``variant_hits`` in plain ints, which
+:meth:`repro.core.plancache.PlanCache.stats` sums over the engines; the
+same events reach the active tracer as
+``engine.symbol_workspace_{hits,misses}`` and
+``engine.symbol_workspace_variant_{hits,misses}``.
 """
 
 from __future__ import annotations
@@ -70,9 +73,11 @@ def atom_signature(atom) -> Optional[Tuple]:
 class _SymbolEntry:
     """Shared artefacts of one (symbol, stored relation, version)."""
 
-    __slots__ = ("probes", "variants")
+    __slots__ = ("workspace", "probes", "variants")
 
-    def __init__(self):
+    def __init__(self, workspace: "SymbolWorkspace"):
+        #: the workspace that counts this entry's variant hits
+        self.workspace = workspace
         #: position-keyed probe cache for the base (all-distinct) layout;
         #: installed as the materialised relations' ``_probecache``
         self.probes: Dict[Any, Any] = {}
@@ -88,6 +93,7 @@ class _SymbolEntry:
             payload = builder()
             self.variants[key] = payload
         else:
+            self.workspace.variant_hits += 1
             obs.count("engine.symbol_workspace_variant_hits")
         return payload
 
@@ -105,6 +111,9 @@ class SymbolWorkspace:
         self._entries: "OrderedDict[Tuple[str, int, int], _SymbolEntry]" = \
             OrderedDict()
         self._deaths = DeathWatch()
+        self.hits = 0
+        self.misses = 0
+        self.variant_hits = 0
 
     def _purge(self) -> None:
         dead = self._deaths.drain()
@@ -120,13 +129,15 @@ class SymbolWorkspace:
         found = self._entries.get(key)
         if found is not None:
             self._entries.move_to_end(key)
+            self.hits += 1
             obs.count("engine.symbol_workspace_hits")
             return found
+        self.misses += 1
         obs.count("engine.symbol_workspace_misses")
         for k in [k for k in self._entries if k[:2] == key[:2]]:
             del self._entries[k]
         self._deaths.watch(rel)
-        made = _SymbolEntry()
+        made = _SymbolEntry(self)
         self._entries[key] = made
         while len(self._entries) > self.limit:
             self._entries.popitem(last=False)
@@ -145,6 +156,9 @@ class SymbolWorkspace:
     def clear(self) -> None:
         self._entries.clear()
         self._deaths.clear()
+        self.hits = 0
+        self.misses = 0
+        self.variant_hits = 0
 
 
 __all__ = [

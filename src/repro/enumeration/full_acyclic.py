@@ -34,8 +34,8 @@ from repro.hypergraph.jointree import JoinTree, build_join_tree
 from repro.logic.terms import Variable
 
 
-#: answers amortised into one registry call on the tuple-path probe
-#: join (mirrors the batched pipeline's per-block recording)
+#: answers amortised into one ``obs.delay`` on the traced tuple-path
+#: probe join (mirrors the batched pipeline's per-block recording)
 _DELAY_STRIDE = 256
 
 
@@ -164,21 +164,22 @@ class FullJoinEnumerator(Enumerator):
             for block in self._block_iter.blocks():
                 yield from block
             return
-        if obs.registry().enabled:
+        if obs.enabled():
             yield from self._enumerate_recorded()
             return
         yield from self._probe_join()
 
     def _enumerate_recorded(self) -> Iterator[Answer]:
-        """The tuple-path probe join with amortised delay recording.
+        """The tuple-path probe join with amortised delay recording,
+        run only while tracing is live.
 
         The batched pipeline records one ``obs.delay`` per kernel block
         (see :meth:`repro.engine.enumerate.BlockIterator.blocks`); the
         tuple path has no native blocks, so production gaps are summed
         across ``_DELAY_STRIDE`` answers before one ``obs.delay``, which
         also counts them as one block.  Clock reads bracket each yield,
-        so consumer time between answers never inflates the delay
-        sketch."""
+        so consumer time between answers never inflates the recorded
+        delays."""
         import time
 
         clock = time.perf_counter_ns

@@ -17,12 +17,13 @@ Usage::
     obs.write_chrome_trace("out.json", tr)   # chrome://tracing / Perfetto
     obs.metrics(tr)                    # flat JSON-able counters/gauges
 
-Library code calls the module-level :func:`span`, :func:`count` and
-:func:`gauge`, which route to the process-wide tracer.  By default that
-is the :data:`~repro.obs.trace.NULL_TRACER` no-op singleton — one
-attribute check per instrumentation site, benchmarked under 2% on the
-100k-tuple enumeration benchmark (``benchmarks/test_bench_obs_overhead
-.py``) — so instrumentation stays on permanently.
+Library code calls the module-level :func:`span`, :func:`count`,
+:func:`gauge` and :func:`delay`, which route to the active tracer, the
+one sink.  By default that is the :data:`~repro.obs.trace.NULL_TRACER`
+no-op singleton — one attribute check per instrumentation site,
+benchmarked under 2% on the 100k-tuple enumeration benchmark
+(``benchmarks/test_bench_obs_overhead.py``) — so instrumentation stays
+on permanently.
 
 Activation: :func:`enable` / :func:`capture` / the CLI flags
 (``--trace FILE``, ``--metrics``, ``repro explain``), or the
@@ -30,12 +31,6 @@ Activation: :func:`enable` / :func:`capture` / the CLI flags
 for the process, any other non-empty value is treated as a path and the
 Chrome trace (plus a ``<path>.metrics.json`` dump) is written there at
 interpreter exit.
-
-Independently of the scoped tracer, every :func:`count`/:func:`gauge`
-call and every :func:`span` duration also feeds the process-wide
-always-on :mod:`~repro.obs.registry` (counters, gauges, log-bucketed
-quantile sketches), which ``repro doctor`` reads and :func:`metrics`
-dumps.
 """
 
 from __future__ import annotations
@@ -51,10 +46,6 @@ from repro.obs.export import (
     render_explain,
     write_chrome_trace as _write_chrome_trace,
 )
-from repro.obs.registry import (
-    MetricsRegistry,
-    registry,
-)
 from repro.obs.trace import (
     NULL_SPAN,
     NULL_TRACER,
@@ -69,7 +60,6 @@ from repro.obs.trace import (
 ENV_VAR = "REPRO_TRACE"
 
 _TRACER: Union[Tracer, NullTracer] = NULL_TRACER
-_REGISTRY: MetricsRegistry = registry()
 
 
 def tracer() -> Union[Tracer, NullTracer]:
@@ -83,51 +73,37 @@ def enabled() -> bool:
 
 
 def span(name: str, **attrs: Any):
-    """Context manager timing one named region.
-
-    With a tracer active it records a full span (tree position,
-    attributes); otherwise, with the always-on registry enabled, the
-    duration still lands in the registry's ``phase.<name>`` latency
-    sketch; with both off it is the usual no-op null context."""
-    t = _TRACER
-    if t.enabled:
-        return t.span(name, **attrs)
-    r = _REGISTRY
-    if r.enabled:
-        return r.timed(name)
-    return t.span(name, **attrs)
+    """Context manager timing one named region: a recorded span (tree
+    position, attributes) on the active tracer, the shared no-op null
+    context when tracing is off."""
+    return _TRACER.span(name, **attrs)
 
 
 def count(name: str, n: Any = 1) -> None:
-    """Accumulate onto a named counter: the scoped tracer when one is
-    active, and always the process-wide registry."""
+    """Accumulate onto a named counter of the active tracer."""
     t = _TRACER
     if t.enabled:
         t.count(name, n)
-    _REGISTRY.count(name, n)
 
 
 def gauge(name: str, value: Any) -> None:
-    """Record a named gauge value (tracer when active + registry)."""
+    """Record a named gauge value on the active tracer."""
     t = _TRACER
     if t.enabled:
         t.gauge(name, value)
-    _REGISTRY.gauge(name, value)
 
 
 def delay(gap_ns: int, answers: int = 1) -> None:
     """Record one block of ``answers`` answers produced in ``gap_ns``.
 
-    One call per block does all of the block's bookkeeping: the
-    registry's ``enum.delay_ns`` sketch gets the gap (amortised: the
-    per-answer share with weight = answers), the ``enum.blocks`` and
-    ``enum.answers`` counters grow — on the scoped tracer too when one
-    is active — and any delay listeners (``repro analyze``'s private
-    delay sketch) are notified."""
+    One call per block does all of the block's bookkeeping on the
+    active tracer (:meth:`~repro.obs.trace.Tracer.delay`): the
+    ``enum.blocks`` and ``enum.answers`` counters grow, and the
+    ``(gap_ns, answers)`` pair joins the tracer's ``delays`` list, from
+    which ``repro analyze`` takes exact per-answer percentiles."""
     t = _TRACER
     if t.enabled:
-        t.count_many({"enum.blocks": 1, "enum.answers": answers})
-    _REGISTRY.record_delay(gap_ns, answers)
+        t.delay(gap_ns, answers)
 
 
 def enable(t: Optional[Tracer] = None) -> Tracer:
@@ -176,9 +152,9 @@ def write_chrome_trace(path: str,
 
 def _atexit_dump(path: str) -> str:
     """The ``REPRO_TRACE=<path>`` exit hook: Chrome trace at ``path``
-    plus a ``<path>.metrics.json`` metrics dump (counters/gauges/
-    plan-cache/registry) so the flat numbers are not lost unless
-    ``--metrics`` was passed explicitly."""
+    plus a ``<path>.metrics.json`` metrics dump (the tracer's counters
+    and gauges, and the plan-cache stats) so the flat numbers are not
+    lost unless ``--metrics`` was passed explicitly."""
     import json
 
     _write_chrome_trace(path, _TRACER)
@@ -208,7 +184,6 @@ __all__ = [
     "SAMPLE_ENV_VAR",
     "NULL_SPAN",
     "NULL_TRACER",
-    "MetricsRegistry",
     "NullTracer",
     "Span",
     "TraceContext",
@@ -224,7 +199,6 @@ __all__ = [
     "gauge",
     "metrics",
     "metrics_dump",
-    "registry",
     "render_explain",
     "sample_rate",
     "span",

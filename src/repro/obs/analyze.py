@@ -4,9 +4,9 @@
 ACQs enumerate with constant delay (Theorem 4.6), acyclic queries
 preprocess in linear time (Theorem 4.2) — and the instrumented pipeline
 records what actually happened: per-operator cardinalities and timings
-on span attributes, per-answer delay in the registry sketch.  This
-module runs a query under full instrumentation and lines the two up,
-operator by operator:
+on span attributes, each block's delay on the tracer.  This module runs
+a query under full instrumentation and lines the two up, operator by
+operator:
 
 * **materialise** — row counts must track ``||D||``; the phase's wall
   time must scale ~linearly when the instance doubles;
@@ -32,10 +32,9 @@ from __future__ import annotations
 
 import gc
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
-from repro.obs.sketch import QuantileSketch
 
 #: per-answer delays below this (ns) are scheduler/clock jitter — growth
 #: factors computed on them say nothing about the plan
@@ -85,41 +84,44 @@ def _synthetic_database(query: Any, size: int, seed: int):
 def _run_instrumented(query: Any, db: Any,
                       engine: Any = None) -> Dict[str, Any]:
     """One fully traced evaluation: span aggregates, answer count, wall
-    time, and a private per-answer delay sketch (listener-fed, so the
-    process-global sketch's history does not blur this run)."""
+    time, and the run's own ``(gap_ns, answers)`` block delays."""
     from repro.core.planner import enumerate_answers
 
-    registry = obs.registry()
-    delays = QuantileSketch()
-
-    def listener(gap_ns: int, answers: int) -> None:
-        if answers > 0:
-            delays.add(gap_ns // answers, answers)
-
-    registry.add_delay_listener(listener)
-    try:
-        # collect first, so a collection owed by earlier allocations
-        # never lands inside this run's phase timings (a full pass over
-        # a large heap can take tens of ms, and the scale checks compare
-        # single runs)
-        gc.collect()
-        start = time.perf_counter_ns()
-        with obs.capture() as tracer:
-            answers = 0
-            for _row in enumerate_answers(query, db, engine=engine):
-                answers += 1
-        wall_ns = time.perf_counter_ns() - start
-    finally:
-        registry.remove_delay_listener(listener)
+    # collect first, so a collection owed by earlier allocations never
+    # lands inside this run's phase timings (a full pass over a large
+    # heap can take tens of ms, and the scale checks compare single runs)
+    gc.collect()
+    start = time.perf_counter_ns()
+    with obs.capture() as tracer:
+        answers = 0
+        for _row in enumerate_answers(query, db, engine=engine):
+            answers += 1
+    wall_ns = time.perf_counter_ns() - start
     context = tracer.context
     return {
         "answers": answers,
         "wall_ns": wall_ns,
-        "delays": delays,
+        "delays": tracer.delays,
         "spans": _aggregate_spans(tracer),
         "counters": dict(tracer.counters),
         "trace_id": context.trace_id if context is not None else None,
     }
+
+
+def delay_percentile(delays: Sequence[Tuple[int, int]], q: float) -> int:
+    """The exact ``q``-quantile (q in [0, 1)) of per-answer delay in ns
+    over ``(gap_ns, answers)`` blocks: each block counts its
+    ``gap_ns // answers`` share ``answers`` times, and the index is
+    :meth:`repro.perf.delay.DelayProfile.percentile`'s.  0 without
+    answers."""
+    shares = sorted((gap // n, n) for gap, n in delays if n > 0)
+    total = sum(n for _share, n in shares)
+    rank = min(total - 1, int(q * total))
+    for share, n in shares:
+        rank -= n
+        if rank < 0:
+            return share
+    return 0
 
 
 def _aggregate_spans(tracer: Any) -> Dict[str, Dict[str, Any]]:
@@ -298,14 +300,13 @@ def analyze(query: Any, db: Any = None, *, size: int = 4000,
             str(dead_ends), FLAG, "Theorem 4.6 invariant violated")
 
     # enumeration delay: the classifier's shape claim
-    delays1: QuantileSketch = run1["delays"]
-    p99_1 = delays1.quantile(0.99)
+    p99_1 = delay_percentile(run1["delays"], 0.99)
     expected = expected_delay or "no claim"
     status, note = INFO, ""
     actual = (f"p99 {p99_1 / 1e3:.1f} us over {run1['answers']} answers"
-              if delays1.count else "no delay samples")
-    if run2 is not None and delays1.count and run2["delays"].count:
-        p99_2 = run2["delays"].quantile(0.99)
+              if run1["delays"] else "no delay samples")
+    if run2 is not None and run1["delays"] and run2["delays"]:
+        p99_2 = delay_percentile(run2["delays"], 0.99)
         if expected_delay == "constant-delay":
             if (p99_2 > DELAY_SLACK * max(p99_1, DELAY_FLOOR_NS)):
                 status = FLAG

@@ -179,7 +179,6 @@ def metrics_dump(tracer: Tracer) -> Dict[str, Any]:
     the tracer itself is the disabled singleton.
     """
     from repro.core.plancache import plan_cache
-    from repro.obs.registry import registry
     from repro.perf.delay import timer_overhead_ns
 
     gauges = {k: _jsonable(v) for k, v in tracer.gauges.items()}
@@ -189,7 +188,4 @@ def metrics_dump(tracer: Tracer) -> Dict[str, Any]:
                      for k in sorted(tracer.counters)},
         "gauges": gauges,
         "plan_cache": plan_cache().stats(),
-        # the always-on registry: whole-process counters and quantile
-        # sketch digests, present even when the scoped tracer is off
-        "registry": registry().snapshot(),
     }

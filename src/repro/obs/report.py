@@ -457,7 +457,7 @@ def render_analyze_html(analysis: Dict[str, Any],
 <h1>{_esc(title)}</h1>
 <p class="sub">estimated vs actual, per operator — expectations from the
 classifier (Theorems 4.2/4.6), actuals from span attributes and the
-per-answer delay sketch</p>
+recorded block delays</p>
 <div class="card">
   <table>{meta}</table>
 </div>

@@ -1,10 +1,11 @@
-"""Structured tracing core: nested spans, counters and gauges.
+"""Structured tracing core: nested spans, counters, gauges and delays.
 
 A :class:`Tracer` records *spans* (named, attributed wall-clock
 intervals, nested by dynamic scope), *counters* (monotonically
 accumulated event tallies — kernel invocations, rows probed, blocks
-emitted, cache hits) and *gauges* (last-written values — dictionary
-sizes, the calibrated timer overhead).  Spans are timed with
+emitted, cache hits), *gauges* (last-written values — dictionary
+sizes, the calibrated timer overhead) and *delays* (one
+``(gap_ns, answers)`` pair per enumerated block).  Spans are timed with
 :func:`time.perf_counter_ns`, the same clock — and therefore the same
 measured floor, see :func:`repro.perf.delay.timer_overhead_ns` — as the
 delay-measurement harness, so a trace and a delay profile of the same
@@ -31,7 +32,7 @@ import os
 import random
 import threading
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 #: head-sampling knob: fraction of new trace contexts that are sampled
 #: (their ids stamped onto spans).  Applied once at context
@@ -142,14 +143,14 @@ class _SpanContext:
 
 
 class Tracer:
-    """A live trace: span tree + counters + gauges.
+    """A live trace: span tree + counters + gauges + block delays.
 
     Thread-safe: each thread keeps its own span stack (nesting is per
     thread, like Chrome's per-``tid`` tracks), while the finished-span
-    list, counters and gauges share one lock.  ``events`` tallies every
-    recorded instrumentation event (span begins, counter and gauge
-    writes) — the overhead benchmark multiplies it by the measured
-    null-call cost to bound the disabled path's tax.
+    list, counters, gauges and delays share one lock.  ``events``
+    tallies every recorded instrumentation event (span begins, counter,
+    gauge and delay writes) — the overhead benchmark multiplies it by
+    the measured null-call cost to bound the disabled path's tax.
     """
 
     enabled = True
@@ -166,6 +167,8 @@ class Tracer:
         self.spans: List[Span] = []  # every span, in begin order
         self.counters: Dict[str, Any] = {}
         self.gauges: Dict[str, Any] = {}
+        #: one ``(gap_ns, answers)`` pair per enumerated block
+        self.delays: List[Tuple[int, int]] = []
         self.events = 0
         if context is Tracer._NEW:
             context = TraceContext.new()
@@ -227,7 +230,7 @@ class Tracer:
                 del stack[i]
                 break
 
-    # -------------------------------------------------------- counters/gauges
+    # ------------------------------------------------- counters/gauges/delays
 
     def count(self, name: str, n: Any = 1) -> None:
         """Accumulate ``n`` onto the named counter."""
@@ -235,12 +238,16 @@ class Tracer:
             self.counters[name] = self.counters.get(name, 0) + n
             self.events += 1
 
-    def count_many(self, deltas: Dict[str, Any]) -> None:
-        """Accumulate several counters in one instrumentation event."""
+    def delay(self, gap_ns: int, answers: int) -> None:
+        """Record one block of ``answers`` answers produced in
+        ``gap_ns``: the ``enum.blocks`` and ``enum.answers`` counters
+        grow and the pair joins :attr:`delays`, in one event."""
         with self._lock:
             counters = self.counters
-            for name, n in deltas.items():
-                counters[name] = counters.get(name, 0) + n
+            counters["enum.blocks"] = counters.get("enum.blocks", 0) + 1
+            counters["enum.answers"] = (counters.get("enum.answers", 0)
+                                        + answers)
+            self.delays.append((gap_ns, answers))
             self.events += 1
 
     def gauge(self, name: str, value: Any) -> None:

@@ -4,9 +4,23 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.plancache import incremental_scope
 from repro.data.database import Database
 from repro.data.relation import Relation
 from repro.logic.parser import parse_cq
+
+
+@pytest.fixture
+def cold_pipeline():
+    """Run the test with incremental refresh off.
+
+    For tests that assert the spans or counters of the cold pipeline
+    (materialise, full reduction, the counting DP, workspace misses).
+    Under ``REPRO_INCREMENTAL=1`` the delta refreshers build and refresh
+    the plans and emit their own spans instead; the answers agree, so
+    only the telemetry these tests check would differ."""
+    with incremental_scope(False):
+        yield
 
 
 @pytest.fixture

@@ -190,6 +190,7 @@ def test_explain_count_mode(capsys):
     assert "route=free-connex" in out
 
 
+@pytest.mark.usefixtures("cold_pipeline")
 def test_explain_count_shows_the_core_route(capsys):
     """The cyclic self-join query counts on its one-atom core: the
     planner span names the route and the core's size, and the

@@ -14,7 +14,7 @@ from repro.data.generators import random_database
 from repro.engine import use_engine
 from repro.logic.parser import parse_cq, parse_query
 from repro.obs.export import chrome_trace, metrics_dump, render_explain
-from repro.obs.trace import NULL_TRACER, Tracer
+from repro.obs.trace import NULL_SPAN_CONTEXT, NULL_TRACER, Tracer
 
 
 @pytest.fixture(autouse=True)
@@ -126,6 +126,7 @@ def test_write_chrome_trace(tmp_path):
 # ------------------------------------------------------- counter accuracy
 
 
+@pytest.mark.usefixtures("cold_pipeline")
 def test_counter_accuracy_two_atom_join():
     """Exact kernel/cache counts for a cold then warm free-connex run of
     a full 2-atom join on the columnar backend."""
@@ -152,6 +153,7 @@ def test_counter_accuracy_two_atom_join():
     assert warm.counters["enum.answers"] == len(warm_answers)
 
 
+@pytest.mark.usefixtures("cold_pipeline")
 def test_semijoin_spans_carry_cardinalities():
     q = parse_cq(FULL_QUERY)
     with obs.capture() as t:
@@ -162,6 +164,66 @@ def test_semijoin_spans_carry_cardinalities():
     assert phases == {"bottom_up", "top_down"}
     for s in semis:
         assert s.attrs["out"] <= max(s.attrs["in_left"], s.attrs["in_right"])
+
+
+# ----------------------------------------------------------------- delays
+
+
+def test_delay_records_raw_pairs_on_the_tracer():
+    """One ``obs.delay`` per block: the tracer keeps the raw
+    ``(gap_ns, answers)`` pair and grows both counters in one event;
+    with tracing off the call is a no-op."""
+    obs.delay(10_000, answers=10)
+    with obs.capture() as t:
+        obs.delay(10_000, answers=10)
+        obs.delay(3_000, answers=1)
+    assert t.delays == [(10_000, 10), (3_000, 1)]
+    assert t.counters == {"enum.blocks": 2, "enum.answers": 11}
+    assert t.events == 2
+
+
+@pytest.mark.parametrize("block_size", [1, 7, 1024])
+@pytest.mark.parametrize("engine", ["tuple", "columnar"])
+def test_delay_pairs_sum_to_the_answer_count(engine, block_size):
+    """``enum.answers`` is the answer count, and the recorded pairs
+    cover every answer once: columnar blocks hold exactly B answers,
+    and the tuple engine's probe join, which has no native blocks,
+    records one pair per 256 answers whatever B is."""
+    q = parse_cq(FULL_QUERY)
+    db = _demo_db(n=600, seed=3)
+    with obs.capture() as t:
+        answers = sum(1 for _ in enumerate_answers(
+            q, db, engine=engine, block_size=block_size))
+    sizes = [n for _gap, n in t.delays]
+    assert answers > 256
+    assert sum(sizes) == answers == t.counters["enum.answers"]
+    assert len(sizes) == t.counters["enum.blocks"]
+    stride = 256 if engine == "tuple" else block_size
+    assert sizes[:-1] == [stride] * (len(sizes) - 1)
+    assert 0 < sizes[-1] <= stride
+    assert all(gap >= 0 for gap, _n in t.delays)
+
+
+def test_tracing_off_tuple_scan_reads_the_clock_less_than_once_per_answer(
+        monkeypatch):
+    """With tracing off the tuple engine's probe join records no
+    delays, so a full scan of N answers reads ``perf_counter_ns`` fewer
+    than N times (the recording stride reads it twice per answer)."""
+    import time
+
+    q = parse_cq(FULL_QUERY)
+    db = _demo_db(n=600, seed=3)
+    reads = {"n": 0}
+    clock = time.perf_counter_ns
+
+    def counting_clock():
+        reads["n"] += 1
+        return clock()
+
+    monkeypatch.setattr(time, "perf_counter_ns", counting_clock)
+    answers = sum(1 for _ in enumerate_answers(q, db, engine="tuple"))
+    assert answers > 256
+    assert reads["n"] < answers
 
 
 def test_count_pipeline_traced():
@@ -219,6 +281,14 @@ def test_null_tracer_is_inert():
     assert NULL_TRACER.events == 0
 
 
+def test_span_feeds_tracer_when_enabled_null_context_otherwise():
+    with obs.capture() as tr:
+        with obs.span("only.in.tracer"):
+            pass
+    assert [s.name for s in tr.spans] == ["only.in.tracer"]
+    assert obs.span("x", a=1) is NULL_SPAN_CONTEXT
+
+
 # -------------------------------------------------------------- metrics
 
 
@@ -251,19 +321,18 @@ def test_global_cache_eviction_in_stats():
 
 
 def test_atexit_dump_writes_metrics_next_to_trace(tmp_path):
-    obs.registry().reset()
-    obs.registry().count("dump.check", 9)
     path = str(tmp_path / "run.trace.json")
     tracer = obs.enable()
     with obs.span("dump.span"):
-        pass
+        obs.count("dump.check", 9)
     metrics_path = obs._atexit_dump(path)
     obs.disable()
     assert metrics_path == path + ".metrics.json"
     trace = json.load(open(path))
     assert "traceEvents" in trace
     dump = json.load(open(metrics_path))
-    assert dump["registry"]["counters"]["dump.check"] == 9
+    assert dump["counters"]["dump.check"] == 9
+    assert "plan_cache" in dump and "registry" not in dump
     assert tracer is not None
 
 

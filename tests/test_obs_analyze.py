@@ -15,8 +15,8 @@ from repro.core.plancache import clear_plan_cache
 from repro.data.generators import random_database
 from repro.logic.parser import parse_query
 from repro.obs import analyze as analyze_mod
-from repro.obs.analyze import FLAG, INFO, OK, analyze, render_text
-from repro.obs.registry import registry, set_enabled
+from repro.obs.analyze import FLAG, INFO, OK, analyze, delay_percentile, \
+    render_text
 from repro.obs.report import render_analyze_html
 
 FREE_CONNEX = "Q(x) :- R(x, z), S(z, y)"
@@ -30,11 +30,7 @@ CORE_TWO_ATOMS = "Q(x, z) :- R(x, z), S(z, y), R(x, w), S(w, y)"
 @pytest.fixture(autouse=True)
 def _fresh_state():
     clear_plan_cache()
-    registry().reset()
-    prev = set_enabled(True)
     yield
-    set_enabled(prev)
-    registry().reset()
     clear_plan_cache()
     obs.disable()
 
@@ -49,6 +45,7 @@ def no_delay_slack(monkeypatch):
 # ------------------------------------------------------------- the backend
 
 
+@pytest.mark.usefixtures("cold_pipeline")
 def test_analyze_free_connex_produces_the_full_row_set():
     q = parse_query(FREE_CONNEX)
     analysis = analyze(q, size=800, seed=3)
@@ -68,6 +65,7 @@ def test_analyze_free_connex_produces_the_full_row_set():
     assert all(r["status"] in (OK, FLAG, INFO) for r in analysis["rows"])
 
 
+@pytest.mark.usefixtures("cold_pipeline")
 @pytest.mark.parametrize("text, core_atoms", [(CORE_ONE_ATOM, 1),
                                               (CORE_TWO_ATOMS, 2)])
 def test_analyze_runs_the_core_of_a_cyclic_selfjoin_query(text, core_atoms):
@@ -89,6 +87,7 @@ def test_analyze_runs_the_core_of_a_cyclic_selfjoin_query(text, core_atoms):
     assert analysis["flagged"] == []
 
 
+@pytest.mark.usefixtures("cold_pipeline")
 def test_analyze_with_explicit_db_skips_the_scale_run():
     q = parse_query(FREE_CONNEX)
     db = random_database({"R": 2, "S": 2}, 30, 200, seed=1)
@@ -100,6 +99,7 @@ def test_analyze_with_explicit_db_skips_the_scale_run():
     assert prep and prep[0]["status"] in (OK, INFO)
 
 
+@pytest.mark.usefixtures("cold_pipeline")
 def test_semijoin_invariant_rows_report_filtering():
     q = parse_query(FREE_CONNEX)
     analysis = analyze(q, size=600, seed=2)
@@ -108,6 +108,17 @@ def test_semijoin_invariant_rows_report_filtering():
                    if r["operator"] == f"semijoin[{phase}]")
         assert row["status"] == OK
         assert "in " in row["actual"] and "out" in row["actual"]
+
+
+def test_delay_percentile_weighs_each_block_by_its_answers():
+    """p99 of the per-answer share ``gap_ns // answers``, each block
+    counted ``answers`` times: one slow single-answer block among 990
+    fast answers stays below p99; at weight 20 it is the p99."""
+    fast = [(10_000, 10)] * 99
+    assert delay_percentile(fast + [(5_000_000, 1)], 0.99) == 1_000
+    assert delay_percentile(fast + [(5_000_000 * 20, 20)], 0.99) \
+        == 5_000_000
+    assert delay_percentile([], 0.99) == 0
 
 
 def test_delay_growth_flags_enumerate(no_delay_slack):

@@ -14,11 +14,12 @@ not hedged with the old "lower bound stated for self-join-free queries"
 caveat.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.classify import classify
-from repro.core.plancache import clear_plan_cache
+from repro.core.plancache import clear_plan_cache, plan_cache
 from repro.counting.acq_count import count_acq
 from repro.data.database import Database
 from repro.data.relation import Relation
@@ -33,7 +34,6 @@ from repro.logic.cq import ConjunctiveQuery
 from repro.logic.parser import parse_cq
 from repro.logic.terms import Constant, Variable
 from repro.obs.fitting import expected_verdict
-from repro.obs.registry import registry
 
 ENGINES = ("tuple", "columnar")
 
@@ -126,24 +126,25 @@ def test_selfjoin_enumeration_parity(instance):
         assert served == built
 
 
+@pytest.mark.usefixtures("cold_pipeline")
 def test_interleaved_updates_invalidate_workspace():
     """Mutations bump the stored relation's version; the next query must
     see the new data on every backend (a stale shared materialisation
     would be silently wrong), and workspace misses account for the
     invalidation."""
     q = parse_cq("Q(x, y, z) :- R(x, y), R(y, z)")
-    reg = registry()
     db = Database([Relation("R", 2, [(i, i + 1) for i in range(20)])])
     for step in range(4):
         expect = evaluate_cq_naive(q, db)
-        misses_before = reg.counter("engine.symbol_workspace_misses")
+        misses_before = plan_cache().stats()["symbol_workspace_misses"]
         for engine in ENGINES:
             assert set(yannakakis(q, db, engine=engine)) == expect
         if step % 2 == 0:
             db.relation("R").add((100 + step, 0))   # append-only
         else:
             db.relation("R").discard((step, step + 1))  # delete
-        assert reg.counter("engine.symbol_workspace_misses") > misses_before
+        assert plan_cache().stats()["symbol_workspace_misses"] \
+            > misses_before
 
 
 # ------------------------------------------------------- workspace internals
@@ -272,16 +273,15 @@ def test_semijoin_coalescing_counted_and_sound():
     db = Database([Relation("R", 2, [(i % 5, i) for i in range(40)])])
     star = JoinTree(q.hypergraph(), 0, {0: None, 1: 0, 2: 0})
     assert star.is_valid()
-    reg = registry()
     reduced, coalesced = {}, {}
     for engine in ENGINES:
-        before = reg.counter("yannakakis.coalesced_semijoins")
-        _, reduced[engine] = full_reducer(
-            q, db, tree=star,
-            relations=materialise_atoms(q, db, engine),
-            engine=engine)
-        coalesced[engine] = \
-            reg.counter("yannakakis.coalesced_semijoins") - before
+        with obs.capture() as t:
+            _, reduced[engine] = full_reducer(
+                q, db, tree=star,
+                relations=materialise_atoms(q, db, engine),
+                engine=engine)
+        coalesced[engine] = t.counters.get("yannakakis.coalesced_semijoins",
+                                           0)
     assert coalesced["columnar"] > 0
     assert coalesced["tuple"] == 0
     for a, b in zip(reduced["columnar"], reduced["tuple"]):
