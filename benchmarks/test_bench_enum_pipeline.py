@@ -20,7 +20,7 @@ import time
 
 from _util import format_rows, record, record_case
 
-from repro.core.plancache import clear_plan_cache, plan_cache_disabled
+from repro.core.plancache import clear_plan_cache
 from repro.data import generators
 from repro.enumeration.free_connex import FreeConnexEnumerator
 from repro.logic.parser import parse_cq
@@ -53,8 +53,8 @@ def _measure_mode(q, db, engine, block_size, max_outputs):
     enum = FreeConnexEnumerator(q, db, engine=engine, block_size=block_size)
     profile = measure_enumerator(enum, max_outputs=max_outputs)
     enum2 = FreeConnexEnumerator(q, db, engine=engine, block_size=block_size)
-    with plan_cache_disabled():
-        enum2.preprocess()
+    clear_plan_cache()
+    enum2.preprocess()
     start = time.perf_counter()
     n_out = 0
     for _ in iter(enum2):
@@ -73,7 +73,7 @@ def test_batched_throughput_speedup(benchmark):
     max_outputs = 200_000
     rows = []
     throughput = {}
-    for mode, engine, block in (("tuple", "tuple", 0),
+    for mode, engine, block in (("tuple", "tuple", 1),
                                 ("columnar-batched", "columnar", None)):
         profile, per_s = _measure_mode(q, db, engine, block, max_outputs)
         throughput[mode] = per_s

@@ -49,6 +49,8 @@ Commands
     (self-join queries on the per-symbol workspace).
     ``--gate fail`` turns a regression of a case just run against its
     rolling baseline into a nonzero exit code (default: warn only).
+    ``--engine`` is its one pipeline flag, and each record's provenance
+    names the engine, so every recorded time says what it ran on.
 
 ``report``
     Render the benchmark history as a self-contained HTML/SVG dashboard
@@ -56,7 +58,7 @@ Commands
 
         python -m repro report -o report.html [--gate fail]
 
-``run``, ``explain`` and the benchmarks accept ``--trace FILE`` (Chrome
+``run`` and ``explain`` accept ``--trace FILE`` (Chrome
 trace-event JSON for chrome://tracing / Perfetto) and ``--metrics``
 (flat JSON counters/gauges on stderr); the ``REPRO_TRACE`` environment
 variable does the same without flags.
@@ -139,11 +141,6 @@ def _select_engine(args: argparse.Namespace) -> None:
         from repro.engine import set_engine
 
         set_engine(name)
-    plan_cache = getattr(args, "plan_cache", None)
-    if plan_cache is not None:
-        from repro.core.plancache import set_plan_cache_enabled
-
-        set_plan_cache_enabled(plan_cache == "on")
     incremental = getattr(args, "incremental", None)
     if incremental is not None:
         from repro.core.plancache import set_incremental_enabled
@@ -151,24 +148,22 @@ def _select_engine(args: argparse.Namespace) -> None:
         set_incremental_enabled(incremental)
 
 
-def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
-    """The shared enumeration-pipeline knobs (--engine and friends)."""
+def _add_engine_flag(p: argparse.ArgumentParser) -> None:
+    """The backend selection (--engine)."""
     p.add_argument("--engine", default=None,
                    help="relational backend: tuple (default) or columnar "
                         "(also via the REPRO_ENGINE environment variable)")
-    p.add_argument("--block-size", type=int, default=None,
-                   help="answers per batched emission block on the columnar "
-                        "backend (default 1024, env REPRO_BLOCK_SIZE; <= 0 "
-                        "forces tuple-at-a-time enumeration)")
-    p.add_argument("--plan-cache", choices=("on", "off"), default=None,
-                   help="toggle the cross-query plan/preprocessing cache "
-                        "(default on, env REPRO_PLAN_CACHE)")
+
+
+def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
+    """The shared pipeline knobs: --engine and --incremental."""
+    _add_engine_flag(p)
     p.add_argument("--incremental", action=argparse.BooleanOptionalAction,
                    default=None,
                    help="delta-propagated plan maintenance: refresh cached "
                         "plans through per-relation delta logs instead of "
                         "rebuilding after updates (default off, env "
-                        "REPRO_INCREMENTAL; needs the plan cache on)")
+                        "REPRO_INCREMENTAL)")
 
 
 def _add_obs_flags(p: argparse.ArgumentParser) -> None:
@@ -230,7 +225,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             print(count(query, db))
             return 0
         emitted = 0
-        for row in enumerate_answers(query, db, block_size=args.block_size):
+        for row in enumerate_answers(query, db):
             print("\t".join(str(v) for v in row))
             emitted += 1
             if args.limit is not None and emitted >= args.limit:
@@ -289,8 +284,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
             outcome = f"count: {result}"
         else:
             emitted = 0
-            for _row in enumerate_answers(query, db,
-                                          block_size=args.block_size):
+            for _row in enumerate_answers(query, db):
                 emitted += 1
                 if args.limit is not None and emitted >= args.limit:
                     break
@@ -345,20 +339,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_plan_cache_stats() -> None:
-    """Two-line plan-cache health summary (doctor, run/count --metrics)."""
-    from repro.core.plancache import plan_cache
-
-    st = plan_cache().stats()
-    print(f"plan cache: {st['hits']} hits, {st['misses']} misses, "
-          f"{st['evictions']} evictions ({st['entries']} entries, "
-          f"maxsize {st['maxsize']})")
-    _print_incremental_stats()
-
-
 def _print_incremental_stats() -> None:
-    """The delta-refresh half of the summary (explain prints the
-    plan-cache line through the render_explain footer already)."""
+    """The delta-refresh line under ``repro explain``'s span tree (its
+    render_explain footer carries the plan-cache line)."""
     from repro.core.plancache import incremental_enabled, plan_cache
 
     st = plan_cache().stats()
@@ -416,18 +399,6 @@ def _doctor_environment() -> None:
               f"WARNING: above {NOISE_CV_THRESHOLD}; this machine (a "
               f"loaded CI container?) is too noisy for trustworthy "
               f"slope fitting, expect inconclusive verdicts")
-    _doctor_caches()
-
-
-def _doctor_caches() -> None:
-    """Cache-health line from :meth:`PlanCache.stats`: the per-symbol
-    workspaces."""
-    from repro.core.plancache import plan_cache
-
-    st = plan_cache().stats()
-    print(f"symbol workspace: {st['symbol_workspace_hits']} hits, "
-          f"{st['symbol_workspace_misses']} misses, "
-          f"{st['symbol_workspace_variant_hits']} variant hits")
 
 
 def cmd_doctor(args: argparse.Namespace) -> int:
@@ -443,13 +414,11 @@ def cmd_doctor(args: argparse.Namespace) -> int:
 
     if args.query is None:
         _doctor_environment()
-        _print_plan_cache_stats()
         return 0
     q = parse_query(args.query)
     if not isinstance(q, ConjunctiveQuery) or q.has_comparisons():
         print(classify(q).render())
         _doctor_environment()
-        _print_plan_cache_stats()
         return 0
     minimal = core(q)
     if not is_minimal(q):
@@ -471,7 +440,6 @@ def cmd_doctor(args: argparse.Namespace) -> int:
                 print(f"doctor's note: adding [{names}] to the head makes the "
                       f"query free-connex (constant delay, Theorem 4.6)")
                 break
-    _print_plan_cache_stats()
     return 0
 
 
@@ -534,13 +502,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
     from repro.obs.observatory import Observatory, run_suites, save_records
 
     _select_engine(args)
-    tracer, previous = _obs_setup(args)
     timestamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    try:
-        records = run_suites(args.suite, timestamp, quick=args.quick,
-                             repeats=args.repeats, seed=args.seed)
-    finally:
-        _obs_finish(args, tracer, previous)
+    records = run_suites(args.suite, timestamp, quick=args.quick,
+                         repeats=args.repeats, seed=args.seed)
     save_records(records, args.history_dir, args.snapshot_dir)
     print(f"{'case':>26} {'n range':>16} {'slope [95% CI]':>22} "
           f"{'verdict':>15} {'expected':>15} {'ok':>3}")
@@ -697,8 +661,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strict", action="store_true",
                    help="exit nonzero when a measured verdict "
                         "contradicts the classifier's expectation")
-    _add_pipeline_flags(p)
-    _add_obs_flags(p)
+    _add_engine_flag(p)
     p.set_defaults(fn=cmd_bench)
 
     p = sub.add_parser("report",

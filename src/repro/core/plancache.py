@@ -21,13 +21,17 @@ matches another relation.  The cache holds relations only weakly: an
 entry lives as long as every relation its key cites, and the first
 cache call after one of them dies purges it.
 
+Versions only grow, so an entry keyed on an older version of its
+relations can never be hit again: :meth:`PlanCache.put` drops the entry
+a new one supersedes (same kind, query, engine, extra and relation
+serials), and the cache holds one entry per plan of each live database.
+
 Cached values are returned as-is: callers that hand mutable relations to
 consumers must copy them first (see ``full_reducer``).  Enumerator-level
 entries (prepared :class:`~repro.engine.enumerate.BlockIterator`
-pipelines) are immutable after preprocessing and safely shared.
-
-The cache is enabled by default; disable with ``REPRO_PLAN_CACHE=0``,
-:func:`set_plan_cache_enabled`, or per-scope with :func:`plan_cache_disabled`.
+pipelines) are immutable after preprocessing and safely shared.  A cold
+run needs a database the cache has not seen (``db.copy()``) or an empty
+cache (:func:`clear_plan_cache`).
 """
 
 from __future__ import annotations
@@ -41,7 +45,6 @@ from typing import (Any, Callable, Dict, Hashable, Iterator, List, Optional,
 from repro import obs
 from repro.data.relation import DeathWatch
 
-ENV_VAR = "REPRO_PLAN_CACHE"
 INCREMENTAL_ENV_VAR = "REPRO_INCREMENTAL"
 DEFAULT_MAXSIZE = 256
 
@@ -54,9 +57,9 @@ class PlanCache:
     def __init__(self, maxsize: int = DEFAULT_MAXSIZE):
         self.maxsize = int(maxsize)
         self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
-        # (kind, query, engine, extra) -> most recent full key, so a miss
-        # caused purely by a fingerprint change can find its predecessor
-        # entry and refresh it instead of rebuilding from scratch
+        # (kind, query, engine, extra, relation serials) -> the live
+        # entry's full key: the entry a newer fingerprint of the same
+        # relations supersedes, and the predecessor a refresh starts from
         self._latest: Dict[Hashable, Hashable] = {}
         # relation serial -> keys of the live entries citing it, so a
         # relation's death purges just its own entries
@@ -127,12 +130,21 @@ class PlanCache:
                          in key[4][1])
         return ()
 
+    @classmethod
+    def _slot(cls, key: Hashable) -> Optional[Hashable]:
+        """``key`` without the versions: (kind, query, engine, extra,
+        relation serials), or ``None`` for a key not from
+        :meth:`key_for`."""
+        if isinstance(key, tuple) and len(key) == 5:
+            return key[:4] + (cls._serials(key),)
+        return None
+
     def _drop(self, key: Hashable) -> None:
         """Remove ``key``'s entry, its refresh slot and its index rows."""
         del self._entries[key]
-        if isinstance(key, tuple) and len(key) == 5 \
-                and self._latest.get(key[:4]) == key:
-            del self._latest[key[:4]]
+        slot = self._slot(key)
+        if slot is not None and self._latest.get(slot) == key:
+            del self._latest[slot]
         for serial in self._serials(key):
             keys = self._citing[serial]
             keys.discard(key)
@@ -167,14 +179,20 @@ class PlanCache:
         return value
 
     def put(self, key: Hashable, value: Any) -> Any:
-        """Insert ``value``; evicts the LRU entry beyond maxsize."""
+        """Insert ``value``, dropping the entry it supersedes (the same
+        slot under older relation versions, which no lookup can hit
+        again); evicts the LRU entry beyond maxsize."""
         self._purge()
+        slot = self._slot(key)
+        if slot is not None:
+            prev_key = self._latest.get(slot)
+            if prev_key is not None and prev_key != key:
+                self._drop(prev_key)
+            self._latest[slot] = key
         self._entries[key] = value
         self._entries.move_to_end(key)
         for serial in self._serials(key):
             self._citing.setdefault(serial, set()).add(key)
-        if isinstance(key, tuple) and len(key) == 5:
-            self._latest[key[:4]] = key
         while len(self._entries) > self.maxsize:
             self._drop(next(iter(self._entries)))
             self.evictions += 1
@@ -184,63 +202,30 @@ class PlanCache:
     # ---------------------------------------------------------------- refresh
 
     def predecessor(self, key: Hashable) -> Tuple[Any, Any]:
-        """The live entry cached for ``key``'s (kind, query, engine,
-        extra) under an *older* fingerprint: ``(prev_key, value)``, or
-        ``(None, _MISS)`` when there is none to refresh from."""
+        """The live entry cached for ``key``'s relations under an *older*
+        fingerprint: ``(prev_key, value)``, or ``(None, _MISS)`` when
+        there is none to refresh from."""
         self._purge()
-        if not (isinstance(key, tuple) and len(key) == 5):
-            return None, _MISS
-        prev_key = self._latest.get(key[:4])
+        slot = self._slot(key)
+        prev_key = self._latest.get(slot) if slot is not None else None
         if prev_key is None or prev_key == key:
             return None, _MISS
-        value = self._entries.get(prev_key, _MISS)
-        if value is _MISS:
-            return None, _MISS
-        return prev_key, value
+        return prev_key, self._entries[prev_key]
 
-    def replace(self, prev_key: Hashable, key: Hashable, value: Any) -> Any:
-        """Move a refreshed plan from its stale key to the current one."""
-        self._purge()
-        if prev_key in self._entries:
-            self._drop(prev_key)
+    def replace(self, key: Hashable, value: Any) -> Any:
+        """Cache a refreshed plan under the current key; :meth:`put`
+        drops the stale entry it was refreshed from."""
         self.refreshes += 1
         return self.put(key, value)
 
 
 _GLOBAL = PlanCache()
-_ENABLED: Optional[bool] = None  # None -> consult the environment
 _INCREMENTAL: Optional[bool] = None  # None -> consult the environment
 
 
 def plan_cache() -> PlanCache:
     """The process-wide cache instance."""
     return _GLOBAL
-
-
-def plan_cache_enabled() -> bool:
-    if _ENABLED is not None:
-        return _ENABLED
-    env = os.environ.get(ENV_VAR, "").strip().lower()
-    return env not in ("0", "false", "off", "no")
-
-
-def set_plan_cache_enabled(enabled: Optional[bool]) -> None:
-    """Force the cache on/off process-wide (None resets to the
-    ``REPRO_PLAN_CACHE`` environment default)."""
-    global _ENABLED
-    _ENABLED = enabled
-
-
-@contextmanager
-def plan_cache_disabled() -> Iterator[None]:
-    """Temporarily bypass the cache (cold-path measurements, tests)."""
-    global _ENABLED
-    previous = _ENABLED
-    _ENABLED = False
-    try:
-        yield
-    finally:
-        _ENABLED = previous
 
 
 def incremental_enabled() -> bool:
@@ -315,9 +300,8 @@ def cached_plan(kind: str, query: Hashable, db, engine_name: str,
     """Fetch-or-build helper used by the preprocessing entry points.
 
     ``builder`` runs (and its result is cached, holding ``db``'s
-    relations weakly) only on a miss or when caching is disabled.
-    ``extra`` distinguishes same-query plans with different knobs (the
-    enumeration block size).
+    relations weakly) only on a miss.  ``extra`` distinguishes
+    same-query plans with different knobs (the enumeration block size).
 
     ``refresher`` opts the plan kind into delta propagation: when a
     lookup misses only because the database fingerprint moved, and
@@ -329,9 +313,6 @@ def cached_plan(kind: str, query: Hashable, db, engine_name: str,
     delta-log overflow — falls back to a cold ``builder`` run.
     Refreshers must validate support *before* mutating their state.
     """
-    if not plan_cache_enabled():
-        with obs.span("plan.build", kind=kind, cache="off"):
-            return builder()
     cache = _GLOBAL
     with obs.span("plan.fingerprint", kind=kind):
         key = PlanCache.key_for(kind, query, db, engine_name, extra)
@@ -359,7 +340,7 @@ def cached_plan(kind: str, query: Hashable, db, engine_name: str,
                 else:
                     obs.count("plancache.refresh")
                     obs.count("plancache.delta_applied", n_ops)
-                    return cache.replace(prev_key, key, value)
+                    return cache.replace(key, value)
     with obs.span("plan.build", kind=kind, cache="miss"):
         value = builder()
     return cache.put(key, value)

@@ -53,9 +53,11 @@ def enumerate_answers(query: QueryLike, db: Database, engine=None,
                       block_size=None) -> Iterator[Tuple[Any, ...]]:
     """Enumerate the answers with the best applicable delay guarantee.
 
-    ``engine`` selects the relational backend (see :mod:`repro.engine`)
-    and ``block_size`` the batched pipeline's amortisation block for the
-    engines that support it; both default to the process-wide selection.
+    ``engine`` selects the relational backend (see :mod:`repro.engine`;
+    default: the process-wide selection) and ``block_size`` the largest
+    answer block (default
+    :data:`~repro.engine.enumerate.DEFAULT_BLOCK_SIZE`; a value below 1
+    raises :class:`~repro.errors.ConfigurationError`).
 
     The answers come out of the chosen enumerator's blocks
     (:meth:`repro.enumeration.base.Enumerator.blocks`) at one C-level
@@ -68,6 +70,9 @@ def enumerate_answers(query: QueryLike, db: Database, engine=None,
 
 def _answer_blocks(query: QueryLike, db: Database, engine, block_size
                    ) -> Iterator[List[Tuple[Any, ...]]]:
+    from repro.engine.enumerate import resolve_block_size
+
+    block_size = resolve_block_size(block_size)
     if not obs.enabled():
         yield from _route_blocks(query, db, engine, block_size)
         return

@@ -183,10 +183,9 @@ def count_quantifier_free_acyclic(cq: ConjunctiveQuery, db: Database,
     unweighted = weights is None or (
         isinstance(weights, WeightFunction) and weights.is_ones())
     if unweighted:
-        from repro.core.plancache import (cached_plan, incremental_enabled,
-                                          plan_cache_enabled)
+        from repro.core.plancache import cached_plan, incremental_enabled
 
-        if incremental_enabled() and plan_cache_enabled():
+        if incremental_enabled():
             from repro.dynamic.delta import DeltaCounter
 
             # delta-propagated DP: the cached artefact is a DeltaCounter
@@ -252,9 +251,9 @@ def count_acq(cq: ConjunctiveQuery, db: Database,
     if not cq.is_acyclic():
         raise NotAcyclicError(f"query {cq!r} is not acyclic; use count_cq_naive")
     if cq.is_quantifier_free():
-        from repro.core.plancache import incremental_enabled, plan_cache_enabled
+        from repro.core.plancache import incremental_enabled
 
-        if incremental_enabled() and plan_cache_enabled():
+        if incremental_enabled():
             from repro.dynamic.delta import DeltaCounter
 
             # quantifier-free answers are exactly the join rows, so the

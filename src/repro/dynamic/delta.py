@@ -48,6 +48,7 @@ import numpy as np
 from repro import obs
 from repro.data.database import Database
 from repro.engine.base import ColumnarEngine
+from repro.engine.columnar import ColumnarRelation
 from repro.hypergraph.jointree import JoinTree, cached_join_tree
 from repro.logic.cq import ConjunctiveQuery
 from repro.logic.terms import Constant, Variable
@@ -360,7 +361,6 @@ class DeltaReducer(SupportCounters):
             node.down_count = [{} for _ in node.children]
         self._columnar = isinstance(engine, ColumnarEngine)
         self._dict = engine.dictionary if self._columnar else None
-        self._relcls = type(engine.relation(()))
         # per batch: the rows appended to each node, in insertion order,
         # and the child keys whose down count crossed zero per (node, slot)
         self._appended: Dict[int, Dict[Tup, None]] = {}
@@ -555,7 +555,7 @@ class DeltaReducer(SupportCounters):
                 mask = (node.down_mask[:node.size]
                         if node.down_mask is not None
                         else np.zeros(0, dtype=bool))
-                rel = self._relcls.from_codes(
+                rel = ColumnarRelation.from_codes(
                     node.variables,
                     [c[:node.size][mask] for c in cols],
                     len(node.down), self._dict)

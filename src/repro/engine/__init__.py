@@ -33,7 +33,6 @@ from typing import Dict, Iterator, List, Optional, Union
 
 from repro.engine.base import ColumnarEngine, Engine, TupleEngine
 from repro.engine.enumerate import (
-    BLOCK_ENV_VAR,
     DEFAULT_BLOCK_SIZE,
     BlockIterator,
     batchable,
@@ -128,5 +127,4 @@ __all__ = [
     "batchable",
     "resolve_block_size",
     "DEFAULT_BLOCK_SIZE",
-    "BLOCK_ENV_VAR",
 ]

@@ -1,13 +1,15 @@
-"""Engine protocol: how algorithms obtain and convert relations.
+"""Engine protocol: how algorithms obtain their relations.
 
-An *engine* is a factory for the relation representation the join-tree
-algorithms operate on.  Both backends produce objects sharing the
-``VarRelation`` duck interface (``variables``, ``position``, ``project``,
-``semijoin``, ``join``, ``index_on``, ``probe``, iteration, ``add``), so
+An *engine* materialises query atoms in the relation representation the
+join-tree algorithms operate on: it is a ``name``, a per-symbol
+``workspace`` and :meth:`Engine.materialise_atom`.  Both backends'
+relations share the ``VarRelation`` duck interface (``variables``,
+``position``, ``project``, ``semijoin``, ``join``, ``index_on``,
+``probe``, iteration, ``add``), so
 :func:`repro.eval.yannakakis.full_reducer`,
 :func:`repro.counting.acq_count.count_acq` and the free-connex
-preprocessing run unmodified on either; only materialisation and
-conversion go through the engine.
+preprocessing run unmodified on either; only materialisation goes
+through the engine.
 
 * :class:`TupleEngine` — the seed behaviour: Python tuples in hash-indexed
   dicts (:class:`repro.eval.join.VarRelation`).
@@ -17,44 +19,20 @@ conversion go through the engine.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Optional, Sequence, Tuple
-
 from repro.data.database import Database
 from repro.logic.atoms import Atom
-from repro.logic.terms import Variable
-
-Tup = Tuple[Any, ...]
 
 
 class Engine:
-    """Abstract backend: relation construction, materialisation, conversion."""
+    """Abstract backend: atom materialisation."""
 
     name: str = "abstract"
-
-    def relation(self, variables: Sequence[Variable],
-                 tuples: Optional[Iterable[Tup]] = None):
-        """A fresh relation over ``variables`` holding ``tuples``."""
-        raise NotImplementedError
 
     def materialise_atom(self, db: Database, atom: Atom):
         """Materialise one atom against the database (constants and
         repeated variables resolved), sharing the per-symbol work through
         the engine's :class:`~repro.engine.symbols.SymbolWorkspace`."""
         raise NotImplementedError
-
-    def from_relation(self, rel):
-        """Convert a relation of any backend into this backend
-        (no copy when it already belongs here)."""
-        raise NotImplementedError
-
-    def to_varrelation(self, rel):
-        """Convert a relation of this backend into a tuple-backed
-        :class:`~repro.eval.join.VarRelation`."""
-        from repro.eval.join import VarRelation
-
-        if isinstance(rel, VarRelation):
-            return rel
-        return VarRelation(rel.variables, iter(rel))
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name!r}>"
@@ -69,12 +47,6 @@ class TupleEngine(Engine):
         from repro.engine.symbols import SymbolWorkspace
 
         self.workspace = SymbolWorkspace()
-
-    def relation(self, variables: Sequence[Variable],
-                 tuples: Optional[Iterable[Tup]] = None):
-        from repro.eval.join import VarRelation
-
-        return VarRelation(variables, tuples)
 
     def materialise_atom(self, db: Database, atom: Atom):
         """Materialise via :func:`repro.eval.join.atom_to_varrelation`;
@@ -96,13 +68,6 @@ class TupleEngine(Engine):
             lambda: atom_to_varrelation(db, atom).tuples())
         return VarRelation(atom.variables(), rows)
 
-    def from_relation(self, rel):
-        from repro.eval.join import VarRelation
-
-        if isinstance(rel, VarRelation):
-            return rel
-        return VarRelation(rel.variables, iter(rel))
-
 
 class ColumnarEngine(Engine):
     """The numpy columnar backend (see :mod:`repro.engine.columnar`)."""
@@ -121,23 +86,8 @@ class ColumnarEngine(Engine):
                            else default_dictionary())
         self.workspace = SymbolWorkspace()
 
-    def relation(self, variables: Sequence[Variable],
-                 tuples: Optional[Iterable[Tup]] = None):
-        from repro.engine.columnar import ColumnarRelation
-
-        return ColumnarRelation(variables, tuples,
-                                dictionary=self.dictionary)
-
     def materialise_atom(self, db: Database, atom: Atom):
         from repro.engine.columnar import materialise_atom_columnar
 
         return materialise_atom_columnar(db, atom, self.dictionary,
                                          workspace=self.workspace)
-
-    def from_relation(self, rel):
-        from repro.engine.columnar import ColumnarRelation
-
-        if isinstance(rel, ColumnarRelation) and rel.dictionary is self.dictionary:
-            return rel
-        return ColumnarRelation(rel.variables, iter(rel),
-                                dictionary=self.dictionary)

@@ -48,7 +48,6 @@ random free-connex queries.
 
 from __future__ import annotations
 
-import os
 import time
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -64,28 +63,17 @@ from repro.logic.terms import Variable
 Tup = Tuple[Any, ...]
 
 DEFAULT_BLOCK_SIZE = 1024
-BLOCK_ENV_VAR = "REPRO_BLOCK_SIZE"
 
 
 def resolve_block_size(block_size: Optional[int] = None) -> int:
-    """Normalise a ``block_size`` argument.
-
-    ``None`` consults the ``REPRO_BLOCK_SIZE`` environment variable and
-    falls back to :data:`DEFAULT_BLOCK_SIZE`; zero or a negative value
-    disables batching (callers then keep the tuple-at-a-time path).  A
-    non-integer variable raises :class:`~repro.errors.ConfigurationError`.
-    """
+    """Normalise a ``block_size`` argument: ``None`` means
+    :data:`DEFAULT_BLOCK_SIZE`, and a value below 1 raises
+    :class:`~repro.errors.ConfigurationError`."""
     if block_size is None:
-        env = os.environ.get(BLOCK_ENV_VAR)
-        if env:
-            try:
-                block_size = int(env)
-            except ValueError:
-                raise ConfigurationError(
-                    f"{BLOCK_ENV_VAR} must be an integer, got {env!r}"
-                ) from None
-        else:
-            block_size = DEFAULT_BLOCK_SIZE
+        return DEFAULT_BLOCK_SIZE
+    if block_size <= 0:
+        raise ConfigurationError(
+            f"block_size must be a positive integer, got {block_size!r}")
     return int(block_size)
 
 
@@ -275,10 +263,10 @@ class BlockIterator:
         if not batchable(relations):
             raise TypeError(
                 "BlockIterator needs ColumnarRelation operands sharing one "
-                "ValueDictionary; convert via an engine first"
+                "ValueDictionary; materialise them on the columnar engine"
             )
         self._head = tuple(head)
-        self.block_size = max(1, resolve_block_size(block_size))
+        self.block_size = resolve_block_size(block_size)
         relations = list(relations)
         if tree is None:
             h = Hypergraph(

@@ -52,7 +52,7 @@ class Enumerator:
     """
 
     #: the largest block :meth:`_blocks` chunks the per-answer stream
-    #: into; ``None`` consults ``REPRO_BLOCK_SIZE`` (default 1024)
+    #: into; ``None`` means ``DEFAULT_BLOCK_SIZE`` (1024)
     block_size: Optional[int] = None
 
     def __init__(self) -> None:
@@ -110,7 +110,7 @@ class Enumerator:
         the per-answer stream, taking k answers runs it fewer than 2k
         steps (k + B once blocks are full), and a long scan pays one
         block step per B answers."""
-        limit = max(1, resolve_block_size(self.block_size))
+        limit = resolve_block_size(self.block_size)
         size = 1
         block: List[Answer] = []
         for answer in self._enumerate():

@@ -30,6 +30,7 @@ from typing import Iterator, List, Optional
 
 from repro import obs
 from repro.data.database import Database
+from repro.engine.enumerate import resolve_block_size
 from repro.enumeration.base import Answer, Enumerator
 from repro.enumeration.full_acyclic import FullJoinEnumerator
 from repro.errors import NotFreeConnexError, UnsupportedQueryError
@@ -72,7 +73,7 @@ class FreeConnexEnumerator(Enumerator):
         self.cq = cq
         self.db = db
         self.engine = engine
-        self.block_size = block_size
+        self.block_size = resolve_block_size(block_size)
         self._inner: Optional[FullJoinEnumerator] = None
         self._boolean_true = False
 
@@ -84,13 +85,11 @@ class FreeConnexEnumerator(Enumerator):
         # projection and probe-structure builds entirely
         from repro.core.plancache import cached_plan
         from repro.engine import resolve_engine
-        from repro.engine.enumerate import resolve_block_size
 
         eng = resolve_engine(self.engine)
-        block = resolve_block_size(self.block_size)
         kind, payload = cached_plan("free_connex", self.cq, self.db,
                                     eng.name, self._build_plan,
-                                    extra=(block,))
+                                    extra=(self.block_size,))
         if kind == "bool":
             self._boolean_true = payload
         else:

@@ -72,12 +72,13 @@ class FullJoinEnumerator(Enumerator):
         global consistency; set False only when the inputs are known
         consistent (saves one linear pass).
     block_size:
-        Amortisation block size for the batched columnar pipeline
-        (:class:`repro.engine.enumerate.BlockIterator`).  Used only when
-        every relation is a ColumnarRelation over one shared dictionary;
-        ``None`` consults ``REPRO_BLOCK_SIZE`` (default 1024), and a
-        value <= 0 forces the tuple-at-a-time path.  The tuple path's
-        stream is chunked into blocks of at most this size (at least 1).
+        The largest answer block (``None``: ``DEFAULT_BLOCK_SIZE``,
+        1024; below 1 raises :class:`~repro.errors.ConfigurationError`).
+        When every relation is a ColumnarRelation over one shared
+        dictionary, the batched pipeline
+        (:class:`repro.engine.enumerate.BlockIterator`) emits blocks of
+        exactly this size; otherwise the probe join's stream is chunked
+        into blocks of at most this size.
     """
 
     def __init__(self, relations: Sequence[VarRelation],
@@ -117,7 +118,7 @@ class FullJoinEnumerator(Enumerator):
         if any(len(r) == 0 for r in self._relations):
             self._empty = True
             return
-        if self.block_size > 0 and batchable(self._relations):
+        if batchable(self._relations):
             # batched columnar pipeline: probe structures replace the
             # decoded hash indexes entirely
             self._block_iter = BlockIterator(

@@ -116,11 +116,10 @@ def full_reducer(cq: ConjunctiveQuery, db: Database,
     without corrupting the cache.
     """
     if tree is None and relations is None:
-        from repro.core.plancache import (cached_plan, incremental_enabled,
-                                          plan_cache_enabled)
+        from repro.core.plancache import cached_plan, incremental_enabled
 
         eng = _engine(engine)
-        if incremental_enabled() and plan_cache_enabled():
+        if incremental_enabled():
             from repro.dynamic.delta import DeltaReducer
 
             # delta-propagated reduction: the cached artefact is a

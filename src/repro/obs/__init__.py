@@ -49,12 +49,9 @@ from repro.obs.export import (
 from repro.obs.trace import (
     NULL_SPAN,
     NULL_TRACER,
-    SAMPLE_ENV_VAR,
     NullTracer,
     Span,
-    TraceContext,
     Tracer,
-    sample_rate,
 )
 
 ENV_VAR = "REPRO_TRACE"
@@ -181,12 +178,10 @@ _init_from_environment()
 
 __all__ = [
     "ENV_VAR",
-    "SAMPLE_ENV_VAR",
     "NULL_SPAN",
     "NULL_TRACER",
     "NullTracer",
     "Span",
-    "TraceContext",
     "Tracer",
     "capture",
     "chrome_trace",
@@ -200,7 +195,6 @@ __all__ = [
     "metrics",
     "metrics_dump",
     "render_explain",
-    "sample_rate",
     "span",
     "tracer",
     "write_chrome_trace",

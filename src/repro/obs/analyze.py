@@ -97,14 +97,12 @@ def _run_instrumented(query: Any, db: Any,
         for _row in enumerate_answers(query, db, engine=engine):
             answers += 1
     wall_ns = time.perf_counter_ns() - start
-    context = tracer.context
     return {
         "answers": answers,
         "wall_ns": wall_ns,
         "delays": tracer.delays,
         "spans": _aggregate_spans(tracer),
         "counters": dict(tracer.counters),
-        "trace_id": context.trace_id if context is not None else None,
     }
 
 
@@ -333,8 +331,6 @@ def analyze(query: Any, db: Any = None, *, size: int = 4000,
             [run2["answers"]] if run2 is not None else []),
         "wall_ns": [run1["wall_ns"]] + (
             [run2["wall_ns"]] if run2 is not None else []),
-        "trace_ids": [t for t in (
-            run1["trace_id"], run2["trace_id"] if run2 else None) if t],
         "rows": rows,
         "flagged": [r["operator"] for r in rows if r["status"] == FLAG],
     }
@@ -351,8 +347,6 @@ def render_text(analysis: Dict[str, Any]) -> str:
              "sizes:  " + " -> ".join(str(s) for s in analysis["sizes"])
              + "   answers: "
              + " -> ".join(str(a) for a in analysis["answers"])]
-    if analysis["trace_ids"]:
-        lines.append("traces: " + ", ".join(analysis["trace_ids"]))
     lines.append("")
     headers = ("operator", "expected", "actual", "status", "note")
     table = [headers] + [

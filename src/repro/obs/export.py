@@ -37,9 +37,7 @@ def chrome_trace_events(tracer: Tracer) -> List[Dict[str, Any]]:
     per counter (timestamped at the trace end).
 
     Events are emitted in ``start_ns`` order, the monotonic-``ts``
-    property trace viewers (and the trace lint) expect.  Sampled spans
-    carry their ``trace_id``/``span_id``/``parent_id`` in ``args``, so
-    one request's events are joinable."""
+    property trace viewers (and the trace lint) expect."""
     epoch = tracer.epoch_ns
     pid = os.getpid()
     events: List[Dict[str, Any]] = []
@@ -48,11 +46,6 @@ def chrome_trace_events(tracer: Tracer) -> List[Dict[str, Any]]:
         end_ns = span.end_ns if span.end_ns is not None else span.start_ns
         last_end = max(last_end, end_ns)
         args = {k: _jsonable(v) for k, v in span.attrs.items()}
-        if span.trace_id is not None:
-            args["trace_id"] = span.trace_id
-            args["span_id"] = span.span_id
-            if span.parent_id is not None:
-                args["parent_id"] = span.parent_id
         events.append({
             "name": span.name,
             "ph": "X",
@@ -79,17 +72,13 @@ def chrome_trace_events(tracer: Tracer) -> List[Dict[str, Any]]:
 
 def chrome_trace(tracer: Tracer) -> Dict[str, Any]:
     """The full trace document (object form, with metadata)."""
-    other: Dict[str, Any] = {
-        "tool": "repro.obs",
-        "gauges": {k: _jsonable(v) for k, v in tracer.gauges.items()},
-    }
-    context = getattr(tracer, "context", None)
-    if context is not None and context.sampled:
-        other["trace_id"] = context.trace_id
     return {
         "traceEvents": chrome_trace_events(tracer),
         "displayTimeUnit": "ms",
-        "otherData": other,
+        "otherData": {
+            "tool": "repro.obs",
+            "gauges": {k: _jsonable(v) for k, v in tracer.gauges.items()},
+        },
     }
 
 

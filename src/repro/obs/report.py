@@ -423,8 +423,6 @@ def render_analyze_html(analysis: Dict[str, Any],
         ("sizes", " → ".join(str(s) for s in analysis["sizes"])),
         ("answers", " → ".join(str(a) for a in analysis["answers"])),
     ]
-    if analysis["trace_ids"]:
-        meta_rows.append(("traces", ", ".join(analysis["trace_ids"])))
     meta = "".join(f"<tr><th>{_esc(k)}</th>"
                    f"<td style='text-align:left'>{_esc(v)}</td></tr>"
                    for k, v in meta_rows)

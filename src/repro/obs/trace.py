@@ -27,71 +27,16 @@ exactly the dynamic-scope semantics the explain tree renders.
 
 from __future__ import annotations
 
-import itertools
-import os
-import random
 import threading
 import time
 from typing import Any, Dict, List, Optional, Tuple
-
-#: head-sampling knob: fraction of new trace contexts that are sampled
-#: (their ids stamped onto spans).  Applied once at context
-#: creation — a request is either fully traced or fully unsampled, so a
-#: sampled trace is never missing interior spans.
-SAMPLE_ENV_VAR = "REPRO_TRACE_SAMPLE"
-
-
-def sample_rate() -> float:
-    """The configured head-sampling rate, clamped into ``[0, 1]``.
-
-    Unset or unparsable values mean 1.0 (sample everything): tracing is
-    opt-in to begin with, so the knob only ever *reduces* volume."""
-    raw = os.environ.get(SAMPLE_ENV_VAR)
-    if not raw:
-        return 1.0
-    try:
-        rate = float(raw)
-    except ValueError:
-        return 1.0
-    return min(1.0, max(0.0, rate))
-
-
-class TraceContext:
-    """Identity of one request's trace: W3C-style ids, explicit sampling.
-
-    ``trace_id`` names the whole request tree; ``span_id``, when a
-    caller hands in a context that has one, is the parent the trace's
-    root spans name.  ``sampled`` is the head-sampling decision, made
-    once in :meth:`new` and never re-rolled, so a request's spans are
-    all-or-nothing."""
-
-    __slots__ = ("trace_id", "span_id", "sampled")
-
-    def __init__(self, trace_id: str, span_id: Optional[str] = None,
-                 sampled: bool = True):
-        self.trace_id = trace_id
-        self.span_id = span_id
-        self.sampled = sampled
-
-    @classmethod
-    def new(cls) -> "TraceContext":
-        """A fresh root context with the head-sampling decision rolled."""
-        trace_id = f"{random.getrandbits(64):016x}"
-        rate = sample_rate()
-        sampled = rate >= 1.0 or random.random() < rate
-        return cls(trace_id, sampled=sampled)
-
-    def __repr__(self) -> str:
-        return (f"TraceContext({self.trace_id}, span={self.span_id}, "
-                f"sampled={self.sampled})")
 
 
 class Span:
     """One timed region: name, ``perf_counter_ns`` bounds, attributes,
     children (spans begun while this one topped the stack)."""
 
-    __slots__ = ("name", "start_ns", "end_ns", "attrs", "children", "tid",
-                 "trace_id", "span_id", "parent_id")
+    __slots__ = ("name", "start_ns", "end_ns", "attrs", "children", "tid")
 
     def __init__(self, name: str, start_ns: int, tid: int):
         self.name = name
@@ -100,11 +45,6 @@ class Span:
         self.attrs: Dict[str, Any] = {}
         self.children: List["Span"] = []
         self.tid = tid
-        # request identity, stamped by the tracer when its context is
-        # sampled; None on unsampled / context-free spans
-        self.trace_id: Optional[str] = None
-        self.span_id: Optional[str] = None
-        self.parent_id: Optional[str] = None
 
     @property
     def duration_ns(self) -> int:
@@ -155,11 +95,7 @@ class Tracer:
 
     enabled = True
 
-    #: sentinel distinguishing "no context argument" (mint a fresh one)
-    #: from an explicit ``context=None`` (trace without request identity)
-    _NEW = object()
-
-    def __init__(self, context: Any = _NEW) -> None:
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._local = threading.local()
         self.epoch_ns = time.perf_counter_ns()
@@ -170,13 +106,6 @@ class Tracer:
         #: one ``(gap_ns, answers)`` pair per enumerated block
         self.delays: List[Tuple[int, int]] = []
         self.events = 0
-        if context is Tracer._NEW:
-            context = TraceContext.new()
-        self.context: Optional[TraceContext] = context
-        # cheap span ids: a counter, behind a pid prefix that keeps them
-        # apart from ids minted by the process a caller's context came from
-        self._id_prefix = f"{os.getpid() & 0xffffff:x}"
-        self._id_seq = itertools.count(1)
 
     # ------------------------------------------------------------------ spans
 
@@ -201,13 +130,6 @@ class Tracer:
             span.attrs.update(attrs)
         stack = self._stack()
         parent = stack[-1] if stack else None
-        ctx = self.context
-        if ctx is not None and ctx.sampled:
-            span.trace_id = ctx.trace_id
-            span.span_id = f"{self._id_prefix}-{next(self._id_seq):x}"
-            # a root span's parent is the context's own span, if any
-            span.parent_id = (parent.span_id if parent is not None
-                              else ctx.span_id)
         with self._lock:
             if parent is None:
                 self.roots.append(span)
@@ -272,7 +194,6 @@ class _NullSpan:
     start_ns = end_ns = 0
     duration_ns = 0
     tid = 0
-    trace_id = span_id = parent_id = None
 
     def set(self, key: str, value: Any) -> None:
         pass
@@ -306,7 +227,6 @@ class NullTracer:
         self.gauges: Dict[str, Any] = {}
         self.events = 0
         self.epoch_ns = 0
-        self.context: Optional[TraceContext] = None
 
     def span(self, name: str, **attrs: Any) -> _NullSpanContext:
         return NULL_SPAN_CONTEXT

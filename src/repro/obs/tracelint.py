@@ -1,12 +1,11 @@
 """Schema lint for exported Chrome trace-event documents.
 
 Trace viewers are forgiving; CI should not be.  A trace that renders in
-Perfetto can still be subtly wrong — duration events out of order,
-unmatched ``B``/``E`` pairs from a span that never closed, or events
-carrying another request's identity.  The CI observability job runs
-:func:`lint_chrome_trace` over every trace the smoke steps export, so a
-regression in the exporter or the trace-context plumbing fails the
-build instead of a future debugging session.
+Perfetto can still be subtly wrong — duration events out of order, or
+unmatched ``B``/``E`` pairs from a span that never closed.  The CI
+observability job runs :func:`lint_chrome_trace` over every trace the
+smoke steps export, so a regression in the exporter fails the build
+instead of a future debugging session.
 
 The checks (each violation is one human-readable string):
 
@@ -15,11 +14,7 @@ The checks (each violation is one human-readable string):
 * ``X`` events — numeric ``ts``/``dur``, both non-negative, and ``ts``
   non-decreasing in list order (the order the exporter promises);
 * ``B``/``E`` events — matched pairs per ``(pid, tid)`` stack, properly
-  nested, nothing left open;
-* trace identity — when ``otherData.trace_id`` is set, at least one
-  event carries a matching ``args.trace_id``, and no event carries a
-  *different* one (a foreign trace_id means contexts leaked between
-  requests).
+  nested, nothing left open.
 """
 
 from __future__ import annotations
@@ -39,8 +34,6 @@ def lint_chrome_trace(doc: Dict[str, Any]) -> List[str]:
         return ["traceEvents missing or not a list"]
     last_ts: float = float("-inf")
     open_stacks: Dict[Any, List[str]] = {}
-    doc_trace_id = (doc.get("otherData") or {}).get("trace_id")
-    saw_trace_id = False
     for i, ev in enumerate(events):
         if not isinstance(ev, dict):
             problems.append(f"event {i}: not an object")
@@ -80,23 +73,10 @@ def lint_chrome_trace(doc: Dict[str, Any]) -> List[str]:
                     problems.append(
                         f"event {i}: E {name!r} closes B {opened!r} on "
                         f"track {key}")
-        arg_tid = (ev.get("args") or {}).get("trace_id")
-        if arg_tid is not None:
-            saw_trace_id = True
-            if doc_trace_id is not None and arg_tid != doc_trace_id:
-                problems.append(
-                    f"event {i} ({ev.get('name')!r}): trace_id "
-                    f"{arg_tid!r} != document trace_id {doc_trace_id!r}")
     for key, stack in open_stacks.items():
         if stack:
             problems.append(
                 f"track {key}: {len(stack)} unclosed B event(s): {stack}")
-    # an event-less trace (a request that did all its work outside span
-    # scopes) is not a leak — only flag when events exist and none of
-    # them carries the document's identity
-    if doc_trace_id is not None and events and not saw_trace_id:
-        problems.append(
-            f"document trace_id {doc_trace_id!r} appears on no event")
     return problems
 
 

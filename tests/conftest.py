@@ -7,7 +7,33 @@ import pytest
 from repro.core.plancache import incremental_scope
 from repro.data.database import Database
 from repro.data.relation import Relation
+from repro.engine import get_engine
 from repro.logic.parser import parse_cq
+
+
+def pytest_generate_tests(metafunc):
+    """On the columnar engine, run every test that uses
+    ``default_block_size`` at the default block size and at 7."""
+    if ("default_block_size" in metafunc.fixturenames
+            and get_engine().name == "columnar"):
+        metafunc.parametrize("default_block_size", [None, 7], indirect=True,
+                             ids=["B=default", "B=7"])
+
+
+@pytest.fixture
+def default_block_size(request, monkeypatch):
+    """The block size enumerators take when the caller passes none:
+    ``DEFAULT_BLOCK_SIZE``, or 7 where :func:`pytest_generate_tests`
+    asks for it.  Seven-answer blocks put block boundaries everywhere
+    in the columnar pipeline: in the chunked answer stream, in the carry
+    between batches and in the gather probes' batches.  On the tuple
+    engine a block only chunks the per-answer stream, so the suite runs
+    there at the default alone."""
+    size = getattr(request, "param", None)
+    if size is not None:
+        monkeypatch.setattr("repro.engine.enumerate.DEFAULT_BLOCK_SIZE",
+                            size)
+    return size
 
 
 @pytest.fixture

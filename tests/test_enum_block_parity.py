@@ -37,7 +37,7 @@ from repro.engine.enumerate import (
 from repro.enumeration.base import Enumerator
 from repro.enumeration.free_connex import FreeConnexEnumerator
 from repro.enumeration.full_acyclic import FullJoinEnumerator
-from repro.errors import UnsupportedQueryError
+from repro.errors import ConfigurationError, UnsupportedQueryError
 from repro.eval.naive import evaluate_cq_naive
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.hypergraph.jointree import JoinTree
@@ -45,6 +45,9 @@ from repro.logic.atoms import Atom
 from repro.logic.cq import ConjunctiveQuery
 from repro.logic.parser import parse_cq
 from repro.logic.terms import Variable
+
+# columnar runs repeat every test at block size 7 (tests/conftest.py)
+pytestmark = pytest.mark.usefixtures("default_block_size")
 
 BLOCK_SIZES = (1, 7, 1024)
 
@@ -97,8 +100,7 @@ def free_connex_instance(draw):
 def test_batched_multiset_parity(instance):
     """Tuple-at-a-time vs batched columnar, block sizes {1, 7, 1024}."""
     cq, db = instance
-    reference = Counter(FreeConnexEnumerator(cq, db, engine="tuple",
-                                             block_size=0))
+    reference = Counter(FreeConnexEnumerator(cq, db, engine="tuple"))
     assert Counter(reference.keys()) == reference  # enumerators emit sets
     assert set(reference) == evaluate_cq_naive(cq, db)
     for block_size in BLOCK_SIZES:
@@ -118,7 +120,7 @@ def test_full_join_enumerator_batched_parity(instance):
     eng = get_engine("columnar")
     relations = [eng.materialise_atom(db, atom) for atom in cq.atoms]
     tuple_rels = [r.to_varrelation() for r in relations]
-    reference = Counter(FullJoinEnumerator(tuple_rels, cq.head, block_size=0))
+    reference = Counter(FullJoinEnumerator(tuple_rels, cq.head))
     for block_size in BLOCK_SIZES:
         enum = FullJoinEnumerator(list(relations), cq.head,
                                   block_size=block_size)
@@ -182,16 +184,31 @@ def test_block_iterator_rejects_uncovered_head():
         BlockIterator(relations, (Variable("nope"),))
 
 
-def test_resolve_block_size_env(monkeypatch):
-    monkeypatch.delenv("REPRO_BLOCK_SIZE", raising=False)
-    assert resolve_block_size(None) == 1024
+def test_resolve_block_size():
+    """``None`` is the module's ``DEFAULT_BLOCK_SIZE`` (read per call, so
+    the block-size fixture can patch it), and a block size below 1
+    raises from every entry point that takes one."""
+    import repro.engine.enumerate as block_module
+
+    assert resolve_block_size(None) == block_module.DEFAULT_BLOCK_SIZE
     assert resolve_block_size(32) == 32
-    assert resolve_block_size(0) == 0
-    monkeypatch.setenv("REPRO_BLOCK_SIZE", "77")
-    assert resolve_block_size(None) == 77
-    monkeypatch.setenv("REPRO_BLOCK_SIZE", "junk")
-    with pytest.raises(ValueError):
-        resolve_block_size(None)
+    relations, head = _columnar_pair(ValueDictionary())
+    q = parse_cq("Q(x) :- R(x, z), S(z, y)")
+    db = Database([Relation("R", 2, [(1, 2)]), Relation("S", 2, [(2, 3)])])
+    for bad in (0, -1):
+        with pytest.raises(ConfigurationError):
+            resolve_block_size(bad)
+        with pytest.raises(ConfigurationError):
+            BlockIterator(relations, head, block_size=bad)
+        with pytest.raises(ConfigurationError):
+            FullJoinEnumerator(relations, head, block_size=bad)
+        with pytest.raises(ConfigurationError):
+            FreeConnexEnumerator(q, db, block_size=bad)
+        # a free-connex query and one whose route batches nothing
+        for text in ("Q(x) :- R(x, z), S(z, y)",
+                     "Q(x, y) :- R(x, z), S(z, y)"):
+            with pytest.raises(ConfigurationError):
+                next(enumerate_answers(parse_cq(text), db, block_size=bad))
 
 
 def test_batchable_predicate():

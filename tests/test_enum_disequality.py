@@ -13,6 +13,9 @@ from repro.errors import NotFreeConnexError, UnsupportedQueryError
 from repro.eval.naive import evaluate_cq_naive
 from repro.logic.parser import parse_cq
 
+# columnar runs repeat every test at block size 7 (tests/conftest.py)
+pytestmark = pytest.mark.usefixtures("default_block_size")
+
 SUPPORTED = [
     "Q(x, y) :- R(x, z), S(y, w), x != y",         # free-free
     "Q(x, y) :- R(x, y), x != y",                  # same-atom

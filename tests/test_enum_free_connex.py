@@ -13,6 +13,9 @@ from repro.errors import NotFreeConnexError, UnsupportedQueryError
 from repro.eval.naive import cq_is_satisfiable_naive, evaluate_cq_naive
 from repro.logic.parser import parse_cq
 
+# columnar runs repeat every test at block size 7 (tests/conftest.py)
+pytestmark = pytest.mark.usefixtures("default_block_size")
+
 FREE_CONNEX_QUERIES = [
     "Q(x) :- R(x, z), S(z, y)",
     "Q(x, y) :- R(x, w), S(y, u), B(u)",          # Example 4.5

@@ -379,56 +379,25 @@ def test_capture_restores_previous_tracer():
         obs.disable()
 
 
-# ------------------------------------------------------- request identity
+# ------------------------------------------------------------- request tree
 
-IDENTITY_QUERY = "Q(x) :- R(x, z), S(z, y)"
-
-
-def test_unsampled_context_ships_no_ids(monkeypatch):
-    """REPRO_TRACE_SAMPLE=0: the request rolls unsampled, so no span gets
-    identity stamped (all-or-nothing head sampling), but evaluation and
-    span *timing* still work."""
-    monkeypatch.setenv("REPRO_TRACE_SAMPLE", "0")
-    with obs.capture() as tracer:
-        answers = list(enumerate_answers(parse_cq(IDENTITY_QUERY),
-                                         _demo_db(400, 3), engine="columnar"))
-    assert answers  # the run itself is unaffected
-    assert tracer.context is not None and not tracer.context.sampled
-    assert tracer.spans
-    assert all(s.trace_id is None and s.span_id is None
-               for s in tracer.spans)
-
-
-def test_explicit_context_wins_over_fresh_mint():
-    """A caller-supplied context is the one every span carries, not a
-    fresh mint."""
-    from repro.obs.trace import TraceContext
-
-    ctx = TraceContext("feedfacefeedface", sampled=True)
-    with obs.capture(Tracer(context=ctx)) as tracer:
-        list(enumerate_answers(parse_cq(IDENTITY_QUERY), _demo_db(400, 5),
-                               engine="columnar"))
-    assert tracer.spans
-    assert all(s.trace_id == "feedfacefeedface" for s in tracer.spans)
+TREE_QUERY = "Q(x) :- R(x, z), S(z, y)"
 
 
 def test_sampled_spans_form_one_request_tree():
-    """Every span of a sampled request carries its trace id and hangs
-    under one root, and the Chrome export names the trace and lints
-    clean."""
+    """Every span a traced request records hangs under one root through
+    ``Span.children``, and the Chrome export lints clean."""
     from repro.obs.tracelint import lint_chrome_trace
 
     with obs.capture() as tracer:
-        list(enumerate_answers(parse_cq(IDENTITY_QUERY), _demo_db(400, 11),
+        list(enumerate_answers(parse_cq(TREE_QUERY), _demo_db(400, 11),
                                engine="columnar"))
-    trace_id = tracer.context.trace_id
     assert tracer.spans
-    assert all(s.trace_id == trace_id for s in tracer.spans)
-    ids = {s.span_id for s in tracer.spans}
-    roots = [s for s in tracer.spans if s.parent_id not in ids]
-    assert roots == [tracer.roots[0]]
-    doc = chrome_trace(tracer)
-    assert doc["otherData"]["trace_id"] == trace_id
-    assert lint_chrome_trace(doc) == []
-    assert {e["args"].get("trace_id") for e in doc["traceEvents"]
-            if e["ph"] == "X"} == {trace_id}
+    assert len(tracer.roots) == 1
+    reached, stack = [], list(tracer.roots)
+    while stack:
+        span = stack.pop()
+        reached.append(span)
+        stack.extend(span.children)
+    assert sorted(map(id, reached)) == sorted(map(id, tracer.spans))
+    assert lint_chrome_trace(chrome_trace(tracer)) == []

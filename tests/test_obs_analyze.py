@@ -58,7 +58,6 @@ def test_analyze_free_connex_produces_the_full_row_set():
     assert analysis["expected"]["preprocessing"] == "linear"
     assert analysis["sizes"] == [800, 1600]
     assert len(analysis["answers"]) == 2
-    assert len(analysis["trace_ids"]) == 2  # both runs sampled
     # a healthy run flags nothing
     assert analysis["flagged"] == []
     # every row's status is one of the three levels

@@ -1,7 +1,7 @@
 """Tests for the Chrome trace schema lint (repro.obs.tracelint):
-document shape, X-event ordering, B/E matching, trace-identity
-consistency, the file/CLI entry points, and the invariant that the
-repo's own exporter always produces lint-clean documents.
+document shape, X-event ordering, B/E matching, the file/CLI entry
+points, and the invariant that the repo's own exporter always produces
+lint-clean documents.
 """
 
 from __future__ import annotations
@@ -14,14 +14,14 @@ from repro.obs.tracelint import (lint_chrome_trace, lint_chrome_trace_file,
                                  main)
 
 
-def _ok_doc(trace_id="abcd"):
+def _ok_doc():
     return {
         "traceEvents": [
             {"ph": "X", "name": "a", "ts": 0, "dur": 10, "pid": 1, "tid": 1,
-             "args": {"trace_id": trace_id}},
+             "args": {"rows": 3}},
             {"ph": "X", "name": "b", "ts": 5, "dur": 2, "pid": 1, "tid": 1},
         ],
-        "otherData": {"trace_id": trace_id},
+        "otherData": {"tool": "repro.obs"},
     }
 
 
@@ -70,24 +70,10 @@ def test_unmatched_b_e_pairs_reported():
     assert any("unclosed B" in p for p in problems)
 
 
-def test_foreign_trace_id_reported():
-    doc = _ok_doc()
-    doc["traceEvents"][1]["args"] = {"trace_id": "ffff"}
-    problems = lint_chrome_trace(doc)
-    assert any("!= document trace_id" in p for p in problems)
-
-
-def test_document_trace_id_on_no_event_reported():
-    doc = _ok_doc()
-    for ev in doc["traceEvents"]:
-        ev.pop("args", None)
-    assert any("appears on no event" in p for p in lint_chrome_trace(doc))
-
-
 def test_event_less_trace_with_identity_is_clean():
-    # a request may have done all its work outside span scopes;
-    # identity without events is not a leak
-    doc = {"traceEvents": [], "otherData": {"trace_id": "abcd"}}
+    # a request may have done all its work outside span scopes: a
+    # document naming its producer but holding no event is clean
+    doc = {"traceEvents": [], "otherData": {"tool": "repro.obs"}}
     assert lint_chrome_trace(doc) == []
 
 

@@ -11,15 +11,11 @@ import pytest
 from repro import obs
 from repro.core.plancache import (
     DEFAULT_MAXSIZE,
-    ENV_VAR,
     PlanCache,
     cached_plan,
     clear_plan_cache,
     incremental_scope,
     plan_cache,
-    plan_cache_disabled,
-    plan_cache_enabled,
-    set_plan_cache_enabled,
 )
 from repro.core.planner import count, decide, enumerate_answers
 from repro.data.database import Database
@@ -30,14 +26,15 @@ from repro.eval.naive import evaluate_cq_naive
 from repro.eval.yannakakis import full_reducer
 from repro.logic.parser import parse_cq
 
+# columnar runs repeat every test at block size 7 (tests/conftest.py)
+pytestmark = pytest.mark.usefixtures("default_block_size")
+
 
 @pytest.fixture(autouse=True)
 def _fresh_cache():
     clear_plan_cache()
-    set_plan_cache_enabled(None)
     yield
     clear_plan_cache()
-    set_plan_cache_enabled(None)
 
 
 def _db():
@@ -157,32 +154,6 @@ def test_cached_plan_builds_once_then_hits():
     db.relation("S").add((50, 51))
     assert cached_plan("t", q, db, "tuple", build) == "artefact"
     assert len(calls) == 2                    # mutation invalidated the key
-
-
-def test_cached_plan_respects_disable_toggles(monkeypatch):
-    db = _db()
-    calls = []
-
-    def build():
-        calls.append(1)
-        return len(calls)
-
-    with plan_cache_disabled():
-        assert not plan_cache_enabled()
-        cached_plan("t", "q", db, "tuple", build)
-        cached_plan("t", "q", db, "tuple", build)
-    assert len(calls) == 2                    # no caching inside the scope
-    assert plan_cache_enabled()               # restored on exit
-
-    set_plan_cache_enabled(False)
-    cached_plan("t", "q", db, "tuple", build)
-    assert len(calls) == 3
-    set_plan_cache_enabled(None)              # back to env default
-
-    monkeypatch.setenv(ENV_VAR, "off")
-    assert not plan_cache_enabled()
-    monkeypatch.setenv(ENV_VAR, "1")
-    assert plan_cache_enabled()
 
 
 def test_global_cache_defaults():
@@ -359,20 +330,70 @@ def test_copies_get_fresh_serials(engine, incremental, how):
             assert count(q, db, engine=engine) == len(evaluate_cq_naive(q, db))
 
 
+def _assert_index_matches_entries(cache):
+    """The serial -> keys index names exactly the live keys, and every
+    refresh slot names a live entry."""
+    indexed = set().union(*cache._citing.values())
+    assert indexed == {key for key in cache._entries
+                       if PlanCache._serials(key)}
+    assert set(cache._latest.values()) <= set(cache._entries)
+
+
 @ENGINES
 def test_serial_index_holds_only_live_keys(engine):
     """Refreshes move a long-lived relation's entries from key to key,
-    and fingerprint misses fill the LRU until it evicts; the serial ->
-    keys index must forget both."""
+    and the entries of other live databases fill the LRU until it
+    evicts; the serial -> keys index must forget both."""
     q = parse_cq("Q(x) :- R(x, z), S(z, y)")
     db = _db()
+    others = []
     cache = plan_cache()
     with incremental_scope(True):
         for i in range(500):
             db.relation("R").add((1000 + i, i % 3))
             count(q, db, engine=engine)
+            others.append(_db())
+            count(q, others[-1], engine=engine)
     assert cache.refreshes > 0 and cache.evictions > 0
-    indexed = set().union(*cache._citing.values())
-    assert indexed == {key for key in cache._entries
-                       if PlanCache._serials(key)}
+    _assert_index_matches_entries(cache)
+
+
+@ENGINES
+@INCREMENTAL
+def test_writes_leave_one_entry_per_plan_kind(engine, incremental):
+    """Versions only grow, so a write strands every entry keyed on the
+    old version; the entry that supersedes it drops it, and 50
+    write-and-query rounds leave one entry per plan kind and query,
+    none of them evicted."""
+    db = _db()
+    cache = plan_cache()
+    with incremental_scope(incremental):
+        for i in range(50):
+            db.relation("R").add((1000 + i, i % 3))
+            _run_all_tasks(db, engine)
+    plans = [key[:2] for key in cache._entries]
+    assert plans and len(plans) == len(set(plans))
+    assert cache.evictions == 0
+    _assert_index_matches_entries(cache)
+
+
+@ENGINES
+def test_two_databases_refresh_every_round(engine):
+    """Each database refreshes from its own predecessor, however their
+    writes and counts interleave."""
+    q = parse_cq("Q(x, z, y) :- R(x, z), S(z, y)")
+    dbs = [_db(), _db()]
+    cache = plan_cache()
+    with incremental_scope(True):
+        for db in dbs:
+            count(q, db, engine=engine)
+        for i in range(20):
+            for db in dbs:
+                db.relation("R").add((1000 + i, i % 3))
+                refreshes = cache.refreshes
+                assert count(q, db, engine=engine) \
+                    == len(evaluate_cq_naive(q, db))
+                assert cache.refreshes == refreshes + 1
+    assert cache.refresh_overflows == 0
+    assert len(cache) == len(dbs)
 
