@@ -1,22 +1,16 @@
 """Dynamic-maintenance benchmarks: warm delta refresh vs cold rebuild.
 
 The acceptance claim of the incremental layer: on a 100k-tuple acyclic
-join, an *update+query cycle* with a 1% delta served by the
-delta-propagated plan refresh (``REPRO_INCREMENTAL``) must be >= 10x
-faster than cold re-preprocessing — while producing byte-identical
-answers.  The sweep also visits 0.1% (small deltas, bigger wins) and
-10% — the latter deliberately overflows the default 4096-entry
-delta log, so the warm path degrades to a ~1x cold fallback: that is
-the documented boundary, reported but never asserted against.
-
-Assertion stance on the 1% point:
-
-* ``dynamic/count_refresh`` (Theorem 4.21 counting cycle) carries the
-  hard >= 10x gate — the maintained DP touches only the delta.
-* ``dynamic/reduce_refresh`` (full-reducer cycle) re-emits reduced
-  *relations*, whose copy-out cost scales with the output, not the
-  delta; it is gated at a conservative >= 3x with the measured value
-  recorded, the same warn-leaning stance the observatory gate takes.
+join, an *update+count cycle* with a 1% delta served by the
+delta-propagated refresh of the Theorem 4.21 counting state
+(``REPRO_INCREMENTAL``) must be >= 10x faster than cold
+re-preprocessing — while producing the same count.  The sweep also
+visits 0.1% (small deltas, bigger wins) and 10%, reported but never
+asserted against: random deletes mostly miss and log nothing, so about
+2,500 writes per relation stay within the 4096-entry delta log, and
+replaying them reads about 1x of a cold rebuild.  The count is the
+only plan incremental refresh maintains; every other plan rebuilds
+cold after a write, so it has no warm cycle to measure.
 
 Measurements are the ``dynamic`` suite, run and recorded through the
 observatory's runner (the same code ``repro bench --suite dynamic``
@@ -30,7 +24,6 @@ from _util import HISTORY_DIR, REPO_ROOT, format_rows, record, run_timestamp
 from repro.core.plancache import clear_plan_cache, incremental_scope
 from repro.core.planner import count
 from repro.data import generators
-from repro.eval.yannakakis import full_reducer
 from repro.logic.parser import parse_cq
 from repro.obs.observatory import SUITES, run_suites, save_records
 
@@ -39,7 +32,7 @@ QUERY = "Q(x, z, y) :- R(x, z), S(z, y)"
 
 
 def test_dynamic_refresh_parity_at_bench_scale():
-    """A 1% delta served warm returns byte-identical results to cold."""
+    """A 1% delta served warm returns the count a cold run returns."""
     q = parse_cq(QUERY)
     db = generators.random_database({"R": 2, "S": 2}, max(4, SIZE // 4),
                                     SIZE, seed=11)
@@ -49,22 +42,15 @@ def test_dynamic_refresh_parity_at_bench_scale():
     domain = max(4, SIZE // 4)
     with incremental_scope(True):
         clear_plan_cache()
-        count(q, db, engine="columnar")                 # prime warm plans
-        full_reducer(q, db, engine="columnar")
+        count(q, db, engine="columnar")                 # prime the warm plan
         for _ in range(SIZE // 100):
             rel = db.relation(rng.choice(["R", "S"]))
             tup = (rng.randrange(domain), rng.randrange(domain))
             rel.add(tup) if rng.random() < 0.5 else rel.discard(tup)
         warm_count = count(q, db, engine="columnar")
-        _t, warm_red = full_reducer(q, db, engine="columnar")
-        warm_rows = [list(r) for r in warm_red]
-    # a copy the cache has never seen: the same database would be served
-    # the warm run's counting_join plan
-    cold_db = db.copy()
+    # a copy the cache has never seen, so no warm plan serves the cold run
     with incremental_scope(False):
-        assert count(q, cold_db, engine="columnar") == warm_count
-        _t, cold_red = full_reducer(q, cold_db, engine="columnar")
-        assert [list(r) for r in cold_red] == warm_rows
+        assert count(q, db.copy(), engine="columnar") == warm_count
 
 
 def test_dynamic_refresh_speedup(benchmark):
@@ -86,8 +72,6 @@ def test_dynamic_refresh_speedup(benchmark):
 
     assert at_1pct["dynamic/count_refresh"] >= 10.0, (
         f"1% count cycle {at_1pct['dynamic/count_refresh']:.2f}x < 10x")
-    assert at_1pct["dynamic/reduce_refresh"] >= 3.0, (
-        f"1% reducer cycle {at_1pct['dynamic/reduce_refresh']:.2f}x < 3x")
 
     # one representative timed op for the pytest-benchmark table: a warm
     # 100-op update+count cycle against the primed plan cache

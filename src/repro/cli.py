@@ -445,7 +445,7 @@ def cmd_doctor(args: argparse.Namespace) -> int:
 
 def cmd_figures(args: argparse.Namespace) -> int:
     """Regenerate the paper's three figures as text."""
-    from repro.figures import figure1_query, figure2_query, figure3_expected
+    from repro.figures import figure1_query, figure2_query
     from repro.hypergraph.components import max_independent_subset, s_components
     from repro.hypergraph.freeconnex import free_connex_join_tree
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import product as iproduct
-from typing import FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence
 
 from repro.data.database import Database
 from repro.data.relation import Relation

@@ -30,7 +30,7 @@ This module makes the connection executable:
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, Dict, List, Sequence
 
 from repro.data.database import Database
 from repro.data.relation import Relation

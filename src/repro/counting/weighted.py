@@ -10,7 +10,7 @@ special case w = 1.
 from __future__ import annotations
 
 import weakref
-from typing import Any, Callable, Dict, Iterable, Mapping, Optional, Union
+from typing import Any, Callable, Iterable, Mapping, Optional, Union
 
 
 class WeightFunction:

@@ -12,7 +12,7 @@ several tuples (one clause per forbidden tuple) and repeated variables.
 from __future__ import annotations
 
 from itertools import product as iproduct
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
 
 from repro.data.database import Database
 from repro.errors import UnsupportedQueryError

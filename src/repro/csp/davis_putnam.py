@@ -19,8 +19,8 @@ benchmarks can watch exactly the quantity the theorem bounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, Optional, Sequence, Set
 
 from repro.csp.cnf import Clause, is_tautology
 

@@ -9,12 +9,11 @@
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterator, Optional, Set, Tuple
 
 from repro.csp.cnf import ncq_to_clauses
 from repro.csp.davis_putnam import DPStats, davis_putnam
 from repro.data.database import Database
-from repro.errors import UnsupportedQueryError
 from repro.hypergraph.acyclicity import nest_point_elimination_order
 from repro.logic.ncq import NegativeConjunctiveQuery
 from repro.logic.terms import Constant, Variable

@@ -11,19 +11,19 @@ evaluation under updates.
   the projections of the root's subtrees onto their free variables are
   kept with multiplicities, so satisfiability, answer counts and answer
   enumeration never reread the base data.
-* :class:`~repro.dynamic.delta.DeltaReducer` /
-  :class:`~repro.dynamic.delta.DeltaCounter` — the delta-propagation
+* :class:`~repro.dynamic.delta.DeltaCounter` — the delta-propagation
   backend of the plan cache's incremental refresh path
-  (``REPRO_INCREMENTAL``): cached full-reducer and Theorem 4.21
-  counting plans caught up with per-relation
-  :class:`~repro.data.relation.DeltaLog` ops instead of rebuilt.
+  (``REPRO_INCREMENTAL``): a cached Theorem 4.21 counting plan caught
+  up with per-relation :class:`~repro.data.relation.DeltaLog` ops
+  instead of rebuilt.  It is the only maintained plan; every other plan
+  rebuilds cold after a write.
 
-The view and ``DeltaReducer`` share one support-counter engine,
-:class:`~repro.dynamic.delta.SupportCounters`: the base rows and the
-bottom-up wave that marks the rows with a match under every child.
+The view runs on :class:`~repro.dynamic.delta.SupportCounters`: the base
+rows and the bottom-up wave that marks the rows with a match under
+every child.
 """
 
-from repro.dynamic.delta import DeltaCounter, DeltaReducer
+from repro.dynamic.delta import DeltaCounter
 from repro.dynamic.view import DynamicFreeConnexView
 
-__all__ = ["DeltaCounter", "DeltaReducer", "DynamicFreeConnexView"]
+__all__ = ["DeltaCounter", "DynamicFreeConnexView"]

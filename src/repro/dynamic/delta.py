@@ -17,38 +17,25 @@ proportional to the delta's footprint rather than to ``||D||``.
   and each root's ``up_count`` is the projection P_c (with
   multiplicities) that :class:`~repro.dynamic.view.DynamicFreeConnexView`
   joins into answers.
-* :class:`DeltaReducer` extends it to the full-reducer fixpoint: a
-  top-down wave maintains ``down`` marks (the row survives both semijoin
-  passes, i.e. belongs to the reduced output) with per-child-key counts
-  of down rows, and columnar tiers keep physically-appended code columns
-  so the reduced relations are emitted by one boolean gather.
 * :class:`DeltaCounter` maintains the Theorem 4.21 counting DP: per node
   row it stores the contribution (product of child message factors) and
   per node the message (per-key contribution sums); a delta subtracts
   and re-adds exactly the contributions it touches, and value changes
-  ripple to the parent only for the keys whose sums moved.
+  ripple to the parent only for the keys whose sums moved.  It is the
+  one plan the plan cache refreshes (``REPRO_INCREMENTAL``); every other
+  plan rebuilds cold after a write.
 
-The two plan-cache refreshers mutate in place and return ``None``
-*before* touching state when a delta shape is unsupported, matching the
-contract of :func:`repro.core.plancache.cached_plan`; an unexpected
-mid-refresh failure marks the state broken so the cache falls back to
-cold builds instead of serving a corrupt plan.
-
-Honest non-guarantee (mirroring :mod:`repro.dynamic.view`): the refresh
-makes *preprocessing* incremental; enumeration delay after an update is
-measured by the dynamic bench suite, not assumed constant.
+The plan-cache refresher mutates in place; an unexpected mid-refresh
+failure marks the state broken so the cache falls back to a cold build
+instead of serving a corrupt plan.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-import numpy as np
-
 from repro import obs
 from repro.data.database import Database
-from repro.engine.base import ColumnarEngine
-from repro.engine.columnar import ColumnarRelation
 from repro.hypergraph.jointree import JoinTree, cached_join_tree
 from repro.logic.cq import ConjunctiveQuery
 from repro.logic.terms import Constant, Variable
@@ -244,11 +231,10 @@ class SupportCounters(_DeltaPlan):
 
     def _base_ops(self, deltas: Dict[str, Ops],
                   recheck: Dict[int, Set[Tup]],
-                  crossed: Dict[int, Set[Tup]]) -> int:
+                  crossed: Dict[int, Set[Tup]]) -> None:
         """Inserts queue an up recheck; deletes drop their up support
-        now.  Returns the number of ops that matched an atom."""
+        now."""
         nodes = self.nodes
-        n_ops = 0
         for name, ops in deltas.items():
             for idx in self._by_relation.get(name, ()):
                 node = nodes[idx]
@@ -256,16 +242,13 @@ class SupportCounters(_DeltaPlan):
                     row = node.atom_map.row_of(t)
                     if row is None:
                         continue
-                    n_ops += 1
                     if op == "+":
                         if row in node.rows:
                             continue
                         node.rows[row] = None
                         node.group_add(row)
                         recheck.setdefault(idx, set()).add(row)
-                        self._inserted(node, row)
                     elif row in node.rows:
-                        self._removing(node, row)
                         if row in node.up:
                             node.up.discard(row)
                             key = node.pkey(row)
@@ -273,23 +256,12 @@ class SupportCounters(_DeltaPlan):
                                 crossed.setdefault(idx, set()).add(key)
                         del node.rows[row]
                         node.group_remove(row)
-        return n_ops
-
-    def _inserted(self, node: _UpNode, row: Tup) -> None:
-        """Hook: ``row`` was just added to ``node``."""
-
-    def _removing(self, node: _UpNode, row: Tup) -> None:
-        """Hook: ``row`` is about to leave ``node``."""
 
     def _up_wave(self, recheck: Dict[int, Set[Tup]],
-                 crossed: Dict[int, Set[Tup]]
-                 ) -> Tuple[int, Dict[int, List[Tup]]]:
+                 crossed: Dict[int, Set[Tup]]) -> None:
         """Recheck the up marks children first, so a node sees its
-        children's final counts.  Returns the number of rows rechecked
-        and, per node, the rows whose mark flipped."""
+        children's final counts."""
         nodes = self.nodes
-        flipped: Dict[int, List[Tup]] = {}
-        rechecked = 0
         for idx in self._bottom_up:
             node = nodes[idx]
             pending = recheck.get(idx, set())
@@ -299,7 +271,6 @@ class SupportCounters(_DeltaPlan):
             for row in pending:
                 if row not in node.rows:
                     continue
-                rechecked += 1
                 new_up = True
                 for slot, child_idx in enumerate(node.children):
                     if node.ckey(slot, row) not in nodes[child_idx].up_count:
@@ -314,260 +285,6 @@ class SupportCounters(_DeltaPlan):
                 key = node.pkey(row)
                 if _bump(node.up_count, key, 1 if new_up else -1):
                     crossed.setdefault(idx, set()).add(key)
-                flipped.setdefault(idx, []).append(row)
-        return rechecked, flipped
-
-
-# ------------------------------------------------------------------ reducer
-
-
-class _ReducerNode(_UpNode):
-    """Adds the down marks, their per-child-key support counters, and (in
-    columnar mode) physically-appended code columns with a down mask, so
-    the reduced relation is emitted by one boolean gather."""
-
-    __slots__ = ("down", "down_count", "cols", "size", "down_mask",
-                 "emitted", "dirty", "added_rows", "append_only")
-
-    def __init__(self, index: int, atom):
-        super().__init__(index, atom)
-        self.down: Set[Tup] = set()
-        self.down_count: List[Dict[Tup, int]] = []
-        self.cols: Optional[List[np.ndarray]] = None
-        self.size = 0
-        self.down_mask: Optional[np.ndarray] = None
-        self.emitted = None
-        self.dirty = True
-        # rows added since the last emission, in insertion order
-        self.added_rows: Dict[Tup, None] = {}
-        self.append_only = True
-
-
-class DeltaReducer(SupportCounters):
-    """An incrementally maintained full-reducer plan.
-
-    ``build`` runs the characterisation cold (every row inserted and
-    rechecked); ``refreshed`` replays a per-relation delta map; and
-    ``result`` emits ``(tree, reduced relations)`` byte-identical —
-    contents *and* row order — to what ``_full_reduce`` computes on the
-    updated database with the same engine family.
-    """
-
-    _node_cls = _ReducerNode
-
-    def __init__(self, cq: ConjunctiveQuery, tree: JoinTree, engine):
-        super().__init__(cq, tree)
-        for node in self.nodes:
-            node.down_count = [{} for _ in node.children]
-        self._columnar = isinstance(engine, ColumnarEngine)
-        self._dict = engine.dictionary if self._columnar else None
-        # per batch: the rows appended to each node, in insertion order,
-        # and the child keys whose down count crossed zero per (node, slot)
-        self._appended: Dict[int, Dict[Tup, None]] = {}
-        self._down_crossed: Dict[Tuple[int, int], Set[Tup]] = {}
-
-    # ----------------------------------------------------------- lifecycle
-
-    @staticmethod
-    def supports(cq: ConjunctiveQuery, engine) -> bool:
-        """Can this query/engine pair be maintained with order parity?
-
-        The columnar family materialises atoms by boolean masks over the
-        base columns, which the replay reproduces exactly.  The tuple
-        backend materialises repeated-variable atoms through diagonal
-        index buckets whose order is not the base insertion order, so
-        those stay on the cold path.
-        """
-        if isinstance(engine, ColumnarEngine):
-            return True
-        for atom in cq.atoms:
-            var_terms = [t for t in atom.terms if isinstance(t, Variable)]
-            if len(set(var_terms)) != len(var_terms):
-                return False
-        return True
-
-    @classmethod
-    def build(cls, cq: ConjunctiveQuery, db: Database,
-              engine) -> "DeltaReducer":
-        state = cls(cq, cached_join_tree(cq.hypergraph()), engine)
-        state._seed(db, "delta.reducer_build")
-        return state
-
-    # ----------------------------------------------------------- the waves
-
-    def _apply(self, deltas: Dict[str, Ops]) -> Dict[int, Set[Tup]]:
-        nodes = self.nodes
-        self._appended, self._down_crossed = {}, {}
-        recheck: Dict[int, Set[Tup]] = {}
-        crossed: Dict[int, Set[Tup]] = {}
-        obs.count("delta.ops_applied",
-                  self._base_ops(deltas, recheck, crossed))
-        if self._columnar:
-            for idx, new_rows in self._appended.items():
-                self._append_codes(nodes[idx], list(new_rows))
-        rechecked, flipped = self._up_wave(recheck, crossed)
-        for idx, rows in flipped.items():
-            node = nodes[idx]
-            node.dirty = True
-            added_here = self._appended.get(idx, {})
-            if any(row not in added_here for row in rows):
-                node.append_only = False
-        rechecked += self._down_wave(flipped)
-        obs.count("delta.rows_rechecked", rechecked)
-        if self._columnar:
-            for node in nodes:
-                self._maybe_compact(node)
-        return crossed
-
-    def _inserted(self, node: _ReducerNode, row: Tup) -> None:
-        # its physical index is assigned when the batch is encoded
-        self._appended.setdefault(node.index, {})[row] = None
-        node.added_rows[row] = None
-        node.dirty = True
-
-    def _removing(self, node: _ReducerNode, row: Tup) -> None:
-        node.dirty = True
-        phys = node.rows[row]
-        if self._columnar and phys is None:
-            # added earlier in this very batch, not yet encoded: cancel
-            # the pending append instead of tombstoning anything
-            del self._appended[node.index][row]
-        else:
-            node.append_only = False
-        if row in node.down:
-            node.down.discard(row)
-            for slot in range(len(node.children)):
-                key = node.ckey(slot, row)
-                if _bump(node.down_count[slot], key, -1):
-                    self._down_crossed.setdefault((node.index, slot),
-                                                  set()).add(key)
-        if self._columnar and phys is not None:
-            node.down_mask[phys] = False
-        node.added_rows.pop(row, None)
-
-    def _down_wave(self, flipped: Dict[int, List[Tup]]) -> int:
-        """Recheck the down marks parents first, so a node sees its
-        parent's final down counts.  Returns the rows rechecked."""
-        nodes = self.nodes
-        down_crossed = self._down_crossed
-        recheck: Dict[int, Set[Tup]] = {}
-        for idx, rows in flipped.items():
-            recheck.setdefault(idx, set()).update(rows)
-        for idx, new_rows in self._appended.items():
-            recheck.setdefault(idx, set()).update(new_rows)
-        rechecked = 0
-        for idx in reversed(self._bottom_up):
-            node = nodes[idx]
-            pending = recheck.get(idx, set())
-            if node.parent is not None:
-                for key in down_crossed.get((node.parent, node.slot), ()):
-                    pending |= node.pgroup.get(key, set())
-            added_here = self._appended.get(idx, {})
-            for row in pending:
-                if row not in node.rows:
-                    continue
-                rechecked += 1
-                new_down = row in node.up
-                if new_down and node.parent is not None:
-                    parent = nodes[node.parent]
-                    new_down = parent.down_count[node.slot].get(
-                        node.pkey(row), 0) > 0
-                if new_down == (row in node.down):
-                    continue
-                if new_down:
-                    node.down.add(row)
-                else:
-                    node.down.discard(row)
-                if self._columnar:
-                    node.down_mask[node.rows[row]] = new_down
-                for slot in range(len(node.children)):
-                    key = node.ckey(slot, row)
-                    if _bump(node.down_count[slot], key,
-                             1 if new_down else -1):
-                        down_crossed.setdefault((idx, slot), set()).add(key)
-                if row not in added_here:
-                    node.append_only = False
-                node.dirty = True
-        return rechecked
-
-    # --------------------------------------------------------- columnar io
-
-    def _append_codes(self, node: _ReducerNode, new_rows: List[Tup]) -> None:
-        from repro.engine.columnar import _encode_rows
-
-        width = len(node.variables)
-        new_cols = _encode_rows(new_rows, width, self._dict)
-        if node.cols is None:
-            node.cols = new_cols if width else []
-            node.down_mask = np.zeros(len(new_rows), dtype=bool)
-        else:
-            node.cols = [np.concatenate([old, new])
-                         for old, new in zip(node.cols, new_cols)]
-            node.down_mask = np.concatenate(
-                [node.down_mask, np.zeros(len(new_rows), dtype=bool)])
-        for i, row in enumerate(new_rows):
-            node.rows[row] = node.size + i
-        node.size += len(new_rows)
-
-    def _maybe_compact(self, node: _ReducerNode) -> None:
-        dead = node.size - len(node.rows)
-        if dead <= max(1024, len(node.rows)):
-            return
-        keep = np.fromiter(node.rows.values(), dtype=np.int64,
-                           count=len(node.rows))
-        node.cols = [c[keep] for c in (node.cols or [])]
-        node.down_mask = node.down_mask[keep]
-        node.size = len(node.rows)
-        for i, row in enumerate(node.rows):
-            node.rows[row] = i
-
-    # ------------------------------------------------------------ emission
-
-    def _emit(self, node: _ReducerNode):
-        if not node.dirty and node.emitted is not None:
-            return node.emitted
-        if not self._columnar:
-            from repro.eval.join import VarRelation
-
-            rel = VarRelation(node.variables,
-                              (r for r in node.rows if r in node.down))
-        else:
-            prev = node.emitted
-            new_alive = [r for r in node.added_rows if r in node.down]
-            if (prev is not None and node.append_only
-                    and len(new_alive) == len(node.added_rows)):
-                if new_alive:
-                    phys = np.fromiter((node.rows[r] for r in new_alive),
-                                       dtype=np.int64, count=len(new_alive))
-                    rel = prev.extended_with(
-                        [c[phys] for c in node.cols], len(new_alive))
-                    obs.count("delta.emit_appends")
-                else:
-                    # every change this round was an append cancelled by a
-                    # same-batch delete: the emitted relation is unchanged
-                    rel = prev
-            else:
-                # a node that never saw a row has no encoded columns yet;
-                # emit one empty column per variable, not zero columns
-                cols = (node.cols if node.cols is not None
-                        else [np.zeros(0, dtype=np.int64)
-                              for _ in node.variables])
-                mask = (node.down_mask[:node.size]
-                        if node.down_mask is not None
-                        else np.zeros(0, dtype=bool))
-                rel = ColumnarRelation.from_codes(
-                    node.variables,
-                    [c[:node.size][mask] for c in cols],
-                    len(node.down), self._dict)
-        node.emitted = rel
-        node.dirty = False
-        node.added_rows = {}
-        node.append_only = True
-        return rel
-
-    def result(self):
-        """``(tree, reduced relations)`` in atom order."""
-        return self.tree, [self._emit(node) for node in self.nodes]
 
 
 # ------------------------------------------------------------------ counter
@@ -681,4 +398,4 @@ class DeltaCounter(_DeltaPlan):
         return self.nodes[self.tree.root].msg.get((), 0)
 
 
-__all__ = ["DeltaCounter", "DeltaReducer", "SupportCounters"]
+__all__ = ["DeltaCounter", "SupportCounters"]

@@ -448,18 +448,6 @@ class ColumnarRelation:
         dup._probecache = self._probecache
         return dup
 
-    def extended_with(self, new_cols: Sequence[np.ndarray], count: int
-                      ) -> "ColumnarRelation":
-        """A new relation holding this one's rows plus ``count``
-        appended pre-encoded rows: the append-only fast path of
-        incremental maintenance.  The caller guarantees the appended
-        rows are not already present, so there is no dedupe pass."""
-        self._flush()
-        cols = [np.concatenate([old, new])
-                for old, new in zip(self._columns, new_cols)]
-        return type(self).from_codes(
-            self.variables, cols, self._nrows + count, self._dict)
-
     def to_varrelation(self):
         """Materialise as a tuple-backed VarRelation."""
         from repro.eval.join import VarRelation
@@ -625,27 +613,18 @@ def encoded_relation_columns(rel, dictionary: ValueDictionary
     """Dictionary-encoded columns of a stored :class:`Relation`.
 
     Cached on the relation itself, tagged with the relation version the
-    encoding was taken at.  A version-stale cache is *delta-patched*
-    when incremental maintenance is on and the relation's
-    :class:`~repro.data.relation.DeltaLog` still covers the gap —
-    appended rows are encoded and concatenated, deleted rows tombstoned
-    by one vectorized membership mask — so re-materialising a 100k-tuple
-    relation after a 1% delta costs O(delta) encoding plus one O(n)
-    gather instead of a full per-value re-encode.
+    encoding was taken at; a write makes the cache stale, and the next
+    call re-encodes the whole relation.
 
     The cache is the symbol-level share of the encode work: every atom
     over the relation, in every run, reads the same encoded columns.
     """
     cache = getattr(rel, "_colcache", None)
     version = getattr(rel, "version", None)
-    if cache is not None and len(cache) == 4 and cache[0] is dictionary:
-        if cache[3] == version:
-            obs.count("kernel.encode_cache_hits")
-            return cache[1], cache[2]
-        patched = _patch_encoded_columns(rel, dictionary, cache, version)
-        if patched is not None:
-            obs.count("kernel.encode_cache_patches")
-            return patched[1], patched[2]
+    if (cache is not None and len(cache) == 4 and cache[0] is dictionary
+            and cache[3] == version):
+        obs.count("kernel.encode_cache_hits")
+        return cache[1], cache[2]
     obs.count("kernel.encode_cache_misses")
     rows = rel.tuples()
     cols = _encode_rows(rows, rel.arity, dictionary)
@@ -654,62 +633,6 @@ def encoded_relation_columns(rel, dictionary: ValueDictionary
     except AttributeError:  # foreign relation type without the slot
         pass
     return cols, len(rows)
-
-
-def _patch_encoded_columns(rel, dictionary: ValueDictionary,
-                           cache, version):
-    """Catch a stale column cache up by replaying the relation's delta
-    log, or ``None`` when the gap is not patchable (incremental off,
-    overflowed log, zero-arity relation)."""
-    from repro.core.plancache import incremental_enabled
-
-    if not incremental_enabled() or version is None or rel.arity == 0:
-        return None
-    ops = getattr(rel, "deltas_since", lambda _v: None)(cache[3])
-    if not ops:
-        return None
-    old_cols, old_n = cache[1], cache[2]
-    # replay the ops against dict-of-tuples semantics: deletions of
-    # pre-cache rows tombstone their old position; insertions (including
-    # re-inserts of deleted rows) append at the end, preserving the
-    # insertion order rel.tuples() would report
-    deleted_old: set = set()
-    tail: Dict[Tup, None] = {}
-    for op, t in ops:
-        if op == "+":
-            tail[t] = None
-        elif t in tail:
-            del tail[t]
-        else:
-            deleted_old.add(t)
-    width = rel.arity
-    if deleted_old:
-        dead_cols = _encode_rows(list(deleted_old), width, dictionary)
-        joint = [np.concatenate([oc, dc])
-                 for oc, dc in zip(old_cols, dead_cols)]
-        ids, card = group_ids(joint, old_n + len(deleted_old))
-        dead = np.zeros(card, dtype=bool)
-        dead[ids[old_n:]] = True
-        keep = ~dead[ids[:old_n]]
-        base_cols = [c[keep] for c in old_cols]
-        base_n = int(keep.sum())
-    else:
-        base_cols, base_n = old_cols, old_n
-    if tail:
-        tail_cols = _encode_rows(list(tail), width, dictionary)
-        cols = [np.concatenate([b, t])
-                for b, t in zip(base_cols, tail_cols)]
-    else:
-        cols = base_cols
-    nrows = base_n + len(tail)
-    if nrows != len(rel):  # bookkeeping drift: rebuild cold
-        return None
-    new_cache = (dictionary, cols, nrows, version)
-    try:
-        rel._colcache = new_cache
-    except AttributeError:
-        return None
-    return new_cache
 
 
 def _masked_atom_columns(atom, cols, nrows,

@@ -18,7 +18,7 @@ flat delay of the free-connex engine.
 
 from __future__ import annotations
 
-from typing import Any, Iterator, List, Optional, Tuple
+from typing import Any, Iterator, List
 
 from repro import obs
 from repro.data.database import Database

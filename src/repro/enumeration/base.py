@@ -22,7 +22,6 @@ from typing import Any, Iterator, List, Optional, Tuple
 
 from repro import obs
 from repro.engine.enumerate import resolve_block_size
-from repro.errors import EnumerationError
 
 Answer = Tuple[Any, ...]
 

@@ -37,8 +37,8 @@ happens.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.data.database import Database
 from repro.enumeration.base import Answer, Enumerator

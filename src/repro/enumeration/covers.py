@@ -25,7 +25,6 @@ from typing import (
     Any,
     Callable,
     Dict,
-    FrozenSet,
     Hashable,
     Iterable,
     List,

@@ -25,7 +25,6 @@ from __future__ import annotations
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro import obs
-from repro.errors import NotAcyclicError
 from repro.engine.enumerate import BlockIterator, batchable, resolve_block_size
 from repro.enumeration.base import Answer, Enumerator
 from repro.eval.join import VarRelation

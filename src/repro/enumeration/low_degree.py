@@ -26,7 +26,6 @@ benchmarks to verify the pseudo-linear claim empirically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.data.database import Database
 from repro.enumeration.bounded_degree import (

@@ -28,14 +28,14 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.data.database import Database
 from repro.enumeration.free_connex import derive_free_join
 from repro.errors import EnumerationError, NotFreeConnexError, UnsupportedQueryError
 from repro.eval.join import VarRelation
 from repro.hypergraph.hypergraph import Hypergraph
-from repro.hypergraph.jointree import JoinTree, build_join_tree
+from repro.hypergraph.jointree import build_join_tree
 from repro.logic.cq import ConjunctiveQuery
 from repro.logic.terms import Variable
 

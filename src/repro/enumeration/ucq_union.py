@@ -27,7 +27,7 @@ Cheater's-Lemma-based variants.  EXPERIMENTS.md records this deviation.)
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Any, Iterator, List, Optional, Set, Tuple
 
 from repro import obs
 from repro.data.database import Database
@@ -36,12 +36,9 @@ from repro.enumeration.base import Answer, Enumerator
 from repro.enumeration.free_connex import FreeConnexEnumerator
 from repro.errors import NotFreeConnexError, UnsupportedQueryError
 from repro.hypergraph.unionext import (
-    DisjunctExtension,
     ProvidedSet,
     union_extension_plan,
 )
-from repro.logic.cq import ConjunctiveQuery
-from repro.logic.terms import Variable
 from repro.logic.ucq import UnionOfConjunctiveQueries
 
 

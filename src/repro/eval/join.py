@@ -9,7 +9,7 @@ but keyed by variables instead of positions).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.data.database import Database
 from repro.logic.atoms import Atom

@@ -13,8 +13,6 @@ Routes a Boolean query to the cheapest applicable engine:
 
 from __future__ import annotations
 
-from typing import Union
-
 from repro.data.database import Database
 from repro.errors import UnsupportedQueryError
 from repro.eval.naive import cq_is_satisfiable_naive, model_check_fo

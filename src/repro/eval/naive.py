@@ -13,7 +13,7 @@ Two engines, both exact on their whole fragment and used as ground truth:
 
 from __future__ import annotations
 
-from typing import Any, Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.data.database import Database
 from repro.errors import UnsupportedQueryError

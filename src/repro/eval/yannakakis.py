@@ -116,26 +116,9 @@ def full_reducer(cq: ConjunctiveQuery, db: Database,
     without corrupting the cache.
     """
     if tree is None and relations is None:
-        from repro.core.plancache import cached_plan, incremental_enabled
+        from repro.core.plancache import cached_plan
 
         eng = _engine(engine)
-        if incremental_enabled():
-            from repro.dynamic.delta import DeltaReducer
-
-            # delta-propagated reduction: the cached artefact is a
-            # DeltaReducer whose emitted relations are byte-identical
-            # (contents and row order) to _full_reduce's on this engine;
-            # updates refresh it through the per-relation delta logs
-            # instead of re-materialising ||D||.  A distinct plan kind
-            # keeps the stateful entries apart from the cold ones when
-            # incremental mode is toggled mid-process.
-            if DeltaReducer.supports(cq, eng):
-                state = cached_plan(
-                    "full_reducer_inc", cq, db, eng.name,
-                    lambda: DeltaReducer.build(cq, db, eng),
-                    refresher=lambda st, deltas: st.refreshed(deltas))
-                tree, reduced = state.result()
-                return tree, [r.copy() for r in reduced]
         tree, reduced = cached_plan(
             "full_reducer", cq, db, eng.name,
             lambda: _full_reduce(cached_join_tree(cq.hypergraph()),

@@ -16,7 +16,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict
 
 from repro.logic.cq import ConjunctiveQuery
 from repro.logic.parser import parse_cq

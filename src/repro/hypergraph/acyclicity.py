@@ -21,7 +21,7 @@ needs).
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Hashable, List, Optional, Set, Tuple
+from typing import Dict, Hashable, List, Optional, Set
 
 from repro.hypergraph.hypergraph import Hypergraph
 

@@ -18,7 +18,7 @@ equivalence on random hypergraphs.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Hashable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Hashable, List, Optional, Set
 
 from repro.hypergraph.hypergraph import Hypergraph
 

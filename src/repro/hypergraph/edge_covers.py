@@ -17,7 +17,7 @@ intermediates.  Computed exactly with scipy's LP solver.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Hashable, List, Optional, Sequence, Tuple
+from typing import Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import linprog

@@ -13,10 +13,9 @@ free edge.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 from repro.errors import NotAcyclicError, NotFreeConnexError
-from repro.hypergraph.hypergraph import Hypergraph
 from repro.hypergraph.jointree import JoinTree, build_join_tree, is_alpha_acyclic
 
 

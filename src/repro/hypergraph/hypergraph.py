@@ -16,8 +16,6 @@ from typing import (
     Hashable,
     Iterable,
     List,
-    Optional,
-    Sequence,
     Set,
     Tuple,
 )

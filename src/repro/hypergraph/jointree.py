@@ -17,7 +17,7 @@ The witnesses assemble into a join tree over the original edges.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Hashable, List, Optional, Set, Tuple
 
 from repro.errors import NotAcyclicError
 from repro.hypergraph.hypergraph import Hypergraph

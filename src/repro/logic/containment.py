@@ -17,7 +17,7 @@ homomorphism problem.  The same machinery gives static analysis:
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List
 
 from repro.logic.atoms import Atom
 from repro.logic.cq import ConjunctiveQuery

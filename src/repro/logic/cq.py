@@ -14,11 +14,11 @@ Structural predicates (acyclicity, free-connexity, star size) live in
 
 from __future__ import annotations
 
-from typing import Any, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import MalformedQueryError
 from repro.logic.atoms import Atom, Comparison
-from repro.logic.terms import Constant, Variable, as_term
+from repro.logic.terms import Variable, as_term
 
 
 class ConjunctiveQuery:

@@ -17,11 +17,11 @@ Formulas are immutable trees.  Evaluation of FO formulas lives in
 
 from __future__ import annotations
 
-from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.errors import MalformedQueryError
 from repro.logic.atoms import Atom, Comparison
-from repro.logic.terms import Constant, Term, Variable, as_term
+from repro.logic.terms import Term, Variable, as_term
 
 
 class SecondOrderVariable:

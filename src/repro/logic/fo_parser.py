@@ -22,7 +22,7 @@ relation symbol.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set
 
 from repro.errors import QuerySyntaxError
 from repro.logic.atoms import Atom, Comparison

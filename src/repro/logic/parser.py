@@ -28,7 +28,7 @@ The parser accepts a small Datalog-ish syntax:
 from __future__ import annotations
 
 import re
-from typing import Any, List, Optional, Sequence, Tuple, Union
+from typing import Any, List, Optional, Tuple, Union
 
 from repro.errors import QuerySyntaxError
 from repro.logic.atoms import Atom, Comparison

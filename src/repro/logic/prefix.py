@@ -16,7 +16,6 @@ The counting hierarchy (Theorem 5.3) and enumeration hierarchy
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
 
 from repro.logic.fo import Formula, is_quantifier_free, quantifier_prefix, to_prenex
 

@@ -20,11 +20,11 @@ negative fragment (Theorem 4.31).
 
 from __future__ import annotations
 
-from typing import Any, Dict, FrozenSet, Iterator, List, Sequence, Set, Tuple
+from typing import Any, Dict, Iterator, List, Sequence, Set, Tuple
 
 from repro.data.database import Database
 from repro.errors import MalformedQueryError
-from repro.logic.atoms import Atom, Comparison
+from repro.logic.atoms import Atom
 from repro.logic.cq import ConjunctiveQuery
 from repro.logic.ncq import NegativeConjunctiveQuery
 from repro.logic.terms import Constant, Variable, as_term

@@ -8,7 +8,7 @@ handles this without materialising the union).
 
 from __future__ import annotations
 
-from typing import Any, List, Sequence, Tuple
+from typing import Any, List, Sequence
 
 from repro.errors import MalformedQueryError
 from repro.logic.cq import ConjunctiveQuery

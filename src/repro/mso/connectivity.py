@@ -22,7 +22,7 @@ cross-check).
 
 from __future__ import annotations
 
-from typing import Any, Dict, FrozenSet, Hashable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Hashable, List, Optional, Tuple
 
 from repro.mso.treedecomp import (
     Graph,

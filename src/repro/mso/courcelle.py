@@ -21,12 +21,11 @@ width, i.e. linear in ||G|| — the bound of Theorem 3.11.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, Hashable, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Hashable, Iterable, List, Optional, Tuple
 
 from repro.mso.treedecomp import (
     Graph,
     NiceTreeDecomposition,
-    TreeDecomposition,
     make_nice,
     tree_decomposition,
 )

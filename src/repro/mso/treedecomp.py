@@ -14,8 +14,8 @@ validated against the three conditions, and normalised into *nice* form
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Hashable, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, Hashable, List, Optional, Set, Tuple
 
 from repro.data.database import Database
 

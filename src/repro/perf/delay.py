@@ -25,8 +25,7 @@ import statistics
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, \
-    Sequence
+from typing import Any, Callable, Dict, Iterator, List, Optional
 
 _NS = 1e-9
 

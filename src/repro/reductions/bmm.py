@@ -21,7 +21,7 @@ states those verdicts decisively via the ``effective_*`` facts.
 
 from __future__ import annotations
 
-from typing import Any, List, Sequence, Set, Tuple
+from typing import Any, List, Set, Tuple
 
 import numpy as np
 

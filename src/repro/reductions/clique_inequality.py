@@ -26,7 +26,7 @@ ACQ!= (Theorem 4.20).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.data.database import Database
 from repro.data.relation import Relation

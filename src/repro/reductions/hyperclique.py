@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 from itertools import combinations
-from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Set, Tuple
 
 from repro.data.database import Database
 from repro.logic.cq import ConjunctiveQuery

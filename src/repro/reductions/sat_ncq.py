@@ -11,7 +11,7 @@ alpha-acyclic NCQ evaluation, and tractability must retreat to
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from repro.csp.cnf import cnf_to_ncq
 from repro.data.database import Database

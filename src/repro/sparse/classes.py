@@ -11,7 +11,7 @@ the families sit on the intended side of the frontier.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict
 
 from repro.data.database import Database
 from repro.data import generators

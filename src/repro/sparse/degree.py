@@ -11,7 +11,7 @@ at most |G|^epsilon.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Optional
+from typing import Iterable
 
 from repro.data.database import Database
 

@@ -16,7 +16,7 @@ instances of the tests and EXPERIMENTS.md.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Dict, FrozenSet, Hashable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Hashable, List, Optional, Set
 
 from repro.mso.treedecomp import Graph
 

@@ -8,7 +8,7 @@ text.  No graphviz dependency: the functions emit strings.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.hypergraph.jointree import JoinTree

@@ -40,11 +40,11 @@ def default_block_size(request, monkeypatch):
 def cold_pipeline():
     """Run the test with incremental refresh off.
 
-    For tests that assert the spans or counters of the cold pipeline
-    (materialise, full reduction, the counting DP, workspace misses).
-    Under ``REPRO_INCREMENTAL=1`` the delta refreshers build and refresh
-    the plans and emit their own spans instead; the answers agree, so
-    only the telemetry these tests check would differ."""
+    For tests that assert the spans of the cold counting DP.  Under
+    ``REPRO_INCREMENTAL=1`` a quantifier-free count is served by the
+    maintained ``DeltaCounter``, which emits its own spans instead; the
+    count agrees, so only the telemetry these tests check would
+    differ.  Every other plan rebuilds cold in both modes."""
     with incremental_scope(False):
         yield
 

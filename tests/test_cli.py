@@ -277,6 +277,21 @@ def test_bench_takes_no_setting_its_provenance_omits(flag, capsys):
     assert exc.value.code == 2
 
 
+def test_bench_suites_run_with_refresh_and_tracing_off(small_suites):
+    """No provenance field records incremental refresh or tracing, so
+    the suites take neither from the caller, and both are restored."""
+    from repro import obs
+    from repro.core.plancache import incremental_enabled, incremental_scope
+    from repro.obs.observatory import run_suites
+
+    with incremental_scope(True), obs.capture() as tr:
+        records = run_suites(["bench", "selfjoin"], "t", repeats=1)
+        assert incremental_enabled() and obs.tracer() is tr
+    assert records
+    assert not [name for name in tr.counters if name.startswith("delta.")]
+    assert not tr.spans
+
+
 def test_bench_command_records_history(tmp_path, capsys, small_suites):
     import json
 
@@ -305,8 +320,7 @@ def test_bench_runs_every_suite(tmp_path, capsys, small_suites):
 
     assert main(_bench_args(tmp_path, suites=("dynamic", "selfjoin"))) == 0
     dynamic = load_snapshot(str(tmp_path / "BENCH_dynamic.json"))
-    assert {r["case"] for r in dynamic} == {"dynamic/count_refresh",
-                                            "dynamic/reduce_refresh"}
+    assert {r["case"] for r in dynamic} == {"dynamic/count_refresh"}
     assert [p["n"] for p in dynamic[0]["points"]] == [2, 20, 200]
     selfjoin = load_snapshot(str(tmp_path / "BENCH_selfjoin.json"))
     assert len(selfjoin) == 4

@@ -126,7 +126,6 @@ def test_write_chrome_trace(tmp_path):
 # ------------------------------------------------------- counter accuracy
 
 
-@pytest.mark.usefixtures("cold_pipeline")
 def test_counter_accuracy_two_atom_join():
     """Exact kernel/cache counts for a cold then warm free-connex run of
     a full 2-atom join on the columnar backend."""
@@ -153,7 +152,6 @@ def test_counter_accuracy_two_atom_join():
     assert warm.counters["enum.answers"] == len(warm_answers)
 
 
-@pytest.mark.usefixtures("cold_pipeline")
 def test_semijoin_spans_carry_cardinalities():
     q = parse_cq(FULL_QUERY)
     with obs.capture() as t:

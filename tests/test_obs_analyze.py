@@ -45,7 +45,6 @@ def no_delay_slack(monkeypatch):
 # ------------------------------------------------------------- the backend
 
 
-@pytest.mark.usefixtures("cold_pipeline")
 def test_analyze_free_connex_produces_the_full_row_set():
     q = parse_query(FREE_CONNEX)
     analysis = analyze(q, size=800, seed=3)
@@ -64,7 +63,6 @@ def test_analyze_free_connex_produces_the_full_row_set():
     assert all(r["status"] in (OK, FLAG, INFO) for r in analysis["rows"])
 
 
-@pytest.mark.usefixtures("cold_pipeline")
 @pytest.mark.parametrize("text, core_atoms", [(CORE_ONE_ATOM, 1),
                                               (CORE_TWO_ATOMS, 2)])
 def test_analyze_runs_the_core_of_a_cyclic_selfjoin_query(text, core_atoms):
@@ -86,7 +84,6 @@ def test_analyze_runs_the_core_of_a_cyclic_selfjoin_query(text, core_atoms):
     assert analysis["flagged"] == []
 
 
-@pytest.mark.usefixtures("cold_pipeline")
 def test_analyze_with_explicit_db_skips_the_scale_run():
     q = parse_query(FREE_CONNEX)
     db = random_database({"R": 2, "S": 2}, 30, 200, seed=1)
@@ -98,7 +95,6 @@ def test_analyze_with_explicit_db_skips_the_scale_run():
     assert prep and prep[0]["status"] in (OK, INFO)
 
 
-@pytest.mark.usefixtures("cold_pipeline")
 def test_semijoin_invariant_rows_report_filtering():
     q = parse_query(FREE_CONNEX)
     analysis = analyze(q, size=600, seed=2)

@@ -343,8 +343,9 @@ def _assert_index_matches_entries(cache):
 def test_serial_index_holds_only_live_keys(engine):
     """Refreshes move a long-lived relation's entries from key to key,
     and the entries of other live databases fill the LRU until it
-    evicts; the serial -> keys index must forget both."""
-    q = parse_cq("Q(x) :- R(x, z), S(z, y)")
+    evicts; the serial -> keys index must forget both.  The query is
+    quantifier-free, so its count is the plan that refreshes."""
+    q = parse_cq("Q(x, z, y) :- R(x, z), S(z, y)")
     db = _db()
     others = []
     cache = plan_cache()

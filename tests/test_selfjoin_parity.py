@@ -14,7 +14,6 @@ not hedged with the old "lower bound stated for self-join-free queries"
 caveat.
 """
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -126,7 +125,6 @@ def test_selfjoin_enumeration_parity(instance):
         assert served == built
 
 
-@pytest.mark.usefixtures("cold_pipeline")
 def test_interleaved_updates_invalidate_workspace():
     """Mutations bump the stored relation's version; the next query must
     see the new data on every backend (a stale shared materialisation
