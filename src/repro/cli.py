@@ -29,7 +29,7 @@ Commands
     per-operator rows comparing measured cardinalities and timings
     against the classifier's predicted class::
 
-        python -m repro analyze "Q(x) :- R(x, z), S(z, y)" [--html FILE]
+        python -m repro analyze "Q(x) :- R(x, z), S(z, y)" [--json FILE]
 
 ``figures``
     Regenerate the paper's three figures as text.
@@ -51,12 +51,6 @@ Commands
     rolling baseline into a nonzero exit code (default: warn only).
     ``--engine`` is its one pipeline flag, and each record's provenance
     names the engine, so every recorded time says what it ran on.
-
-``report``
-    Render the benchmark history as a self-contained HTML/SVG dashboard
-    (trajectories, scaling sweeps, verdicts, regression flags)::
-
-        python -m repro report -o report.html [--gate fail]
 
 ``run`` and ``explain`` accept ``--trace FILE`` (Chrome
 trace-event JSON for chrome://tracing / Perfetto) and ``--metrics``
@@ -310,7 +304,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     """Run one query fully instrumented and print the per-operator
-    estimated-vs-actual table; ``--html`` renders the panel."""
+    estimated-vs-actual table; ``--json`` also writes the analysis."""
     from repro.logic.parser import parse_query
     from repro.obs.analyze import analyze, render_text
 
@@ -327,11 +321,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             json.dump(analysis, fh, indent=2, default=str)
             fh.write("\n")
         print(f"wrote {args.json}", file=sys.stderr)
-    if args.html:
-        from repro.obs.report import write_analyze_html
-
-        write_analyze_html(args.html, analysis)
-        print(f"wrote {args.html}", file=sys.stderr)
     if args.strict and analysis["flagged"]:
         print(f"analyze: {len(analysis['flagged'])} operator(s) contradict "
               f"the predicted class — failing (--strict)", file=sys.stderr)
@@ -478,9 +467,8 @@ def _print_regressions(regressions, gate: str) -> int:
     """Print the gate standing per case; return the exit code that the
     ``--gate`` policy assigns to it."""
     flagged = [r for r in regressions if r.flagged]
-    if gate != "off":
-        for reg in regressions:
-            print(reg.describe())
+    for reg in regressions:
+        print(reg.describe())
     if not flagged:
         return 0
     if gate == "fail":
@@ -525,8 +513,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
               f"{record['expectation'] or '-':>15} {ok:>3}")
     print(f"recorded {len(records)} cases -> {args.history_dir} and "
           f"BENCH_*.json in {args.snapshot_dir}")
-    # gate only what this run measured: a case another writer recorded
-    # (or one a suite no longer runs) is `repro report`'s business
+    # gate only what this run measured, not a case another writer
+    # recorded or one a suite no longer runs
     recorded = {(r["suite"], r["case"]) for r in records}
     rc = _print_regressions(
         [reg for reg in Observatory(args.history_dir).regressions()
@@ -537,17 +525,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 1
     return rc
-
-
-def cmd_report(args: argparse.Namespace) -> int:
-    """Render the benchmark history as the HTML/SVG dashboard."""
-    from repro.obs.report import write_dashboard
-
-    path, regressions = write_dashboard(
-        args.output, args.history_dir,
-        baseline_n=args.baseline_n, min_band=args.band)
-    print(f"wrote {path}")
-    return _print_regressions(regressions, args.gate)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -612,9 +589,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "on for synthetic data, off with --data)")
     p.add_argument("--json", default=None, metavar="FILE",
                    help="also write the analysis dict as JSON")
-    p.add_argument("--html", default=None, metavar="FILE",
-                   help="also render the estimated-vs-actual panel as a "
-                        "self-contained HTML file")
     p.add_argument("--strict", action="store_true",
                    help="exit nonzero when any operator's actuals "
                         "contradict the predicted class")
@@ -653,8 +627,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--snapshot-dir", default=".",
                    help="directory of the BENCH_<suite>.json snapshots, "
                         "updated with the latest record per case")
-    p.add_argument("--gate", choices=("off", "warn", "fail"),
-                   default="warn",
+    p.add_argument("--gate", choices=("warn", "fail"), default="warn",
                    help="regression gate of the cases just run against "
                         "their rolling baselines: warn (default) prints "
                         "flags, fail exits nonzero")
@@ -663,20 +636,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "contradicts the classifier's expectation")
     _add_engine_flag(p)
     p.set_defaults(fn=cmd_bench)
-
-    p = sub.add_parser("report",
-                       help="render the benchmark history as an "
-                            "HTML/SVG dashboard")
-    p.add_argument("-o", "--output", default="report.html")
-    p.add_argument("--history-dir", default=DEFAULT_HISTORY_DIR)
-    p.add_argument("--baseline-n", type=int, default=5,
-                   help="rolling-baseline window (median of last N)")
-    p.add_argument("--band", type=float, default=0.30,
-                   help="minimum regression noise band (fraction)")
-    p.add_argument("--gate", choices=("off", "warn", "fail"),
-                   default="warn",
-                   help="exit policy when a case regressed")
-    p.set_defaults(fn=cmd_report)
 
     return parser
 

@@ -25,9 +25,9 @@ proportional to the delta's footprint rather than to ``||D||``.
   one plan the plan cache refreshes (``REPRO_INCREMENTAL``); every other
   plan rebuilds cold after a write.
 
-The plan-cache refresher mutates in place; an unexpected mid-refresh
-failure marks the state broken so the cache falls back to a cold build
-instead of serving a corrupt plan.
+``DeltaCounter``'s plan-cache refresher mutates in place; an
+unexpected mid-refresh failure marks the state broken so the cache falls
+back to a cold build instead of serving a corrupt plan.
 """
 
 from __future__ import annotations
@@ -170,7 +170,6 @@ class _DeltaPlan:
         self._by_relation: Dict[str, List[int]] = {}
         for node in self.nodes:
             self._by_relation.setdefault(node.name, []).append(node.index)
-        self._broken = False
 
     def _seed(self, db: Database, span: str):
         """Load the query's relations of ``db`` as one insert batch."""
@@ -178,18 +177,6 @@ class _DeltaPlan:
         with obs.span(span, nodes=len(self.nodes)):
             return self._apply({name: [("+", t) for t in rel]
                                 for name, rel in rels.items()})
-
-    def refreshed(self, deltas: Dict[str, Ops]) -> Optional["_DeltaPlan"]:
-        """Catch the plan up; None (cold fallback) when broken."""
-        if self._broken:
-            return None
-        try:
-            self._apply(deltas)
-        except Exception:  # defensive: never serve a half-refreshed plan
-            self._broken = True
-            obs.count("delta.refresh_broken")
-            return None
-        return self
 
 
 # ------------------------------------------------------------- up wave
@@ -312,6 +299,7 @@ class DeltaCounter(_DeltaPlan):
     """
 
     _node_cls = _CounterNode
+    _broken = False
 
     @staticmethod
     def supports(cq: ConjunctiveQuery) -> bool:
@@ -392,6 +380,18 @@ class DeltaCounter(_DeltaPlan):
                 self._adjust(node, node.pkey(row), contrib - old,
                              changed_keys)
         obs.count("delta.rows_rechecked", rechecked)
+
+    def refreshed(self, deltas: Dict[str, Ops]) -> Optional["DeltaCounter"]:
+        """Catch the plan up; None (cold fallback) when broken."""
+        if self._broken:
+            return None
+        try:
+            self._apply(deltas)
+        except Exception:  # defensive: never serve a half-refreshed plan
+            self._broken = True
+            obs.count("delta.refresh_broken")
+            return None
+        return self
 
     def total(self) -> int:
         """The maintained |join| (0 on an empty root message)."""

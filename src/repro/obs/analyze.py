@@ -23,9 +23,8 @@ operator:
 Synthetic runs execute twice (``size`` and ``2 * size``) so the scale
 checks have two points; with a user-supplied database only the
 single-run invariants apply.  The output is a plain data dict
-(:func:`analyze`), an ASCII table (:func:`render_text` — the ``repro
-analyze`` subcommand), and an HTML panel
-(:func:`repro.obs.report.render_analyze_html`).
+(:func:`analyze`, written as JSON by ``repro analyze --json``) and an
+ASCII table (:func:`render_text`, which ``repro analyze`` prints).
 """
 
 from __future__ import annotations

@@ -1,11 +1,6 @@
 """The complexity observatory: canonical benchmark records, history, and
 the regression gate.
 
-Before this module every ``BENCH_*.json`` at the repo root was a one-shot
-snapshot in an ad-hoc shape: no provenance, no history, no machine-checked
-link between a measured curve and the complexity class the planner
-assigned.  The observatory fixes all three:
-
 * **one schema** (:data:`SCHEMA`): a *record* is one benchmark case —
   a size sweep of one metric — with the full delay statistics
   (p50/p95/p99/p99.9), preprocessing times, throughput, and
@@ -16,7 +11,7 @@ assigned.  The observatory fixes all three:
 * **history**: every run appends its records to
   ``benchmarks/history/<suite>.jsonl`` (one JSON object per line), so
   the benchmark trajectory of the repository is a first-class artifact
-  that ``repro report`` can render and CI can archive;
+  that CI can archive;
 * **verdicts**: each record carries the log-log slope fit with CI and
   the categorical verdict (:mod:`repro.obs.fitting`) next to the
   *expected* verdict derived from :mod:`repro.core.classify`, so a
@@ -26,8 +21,8 @@ assigned.  The observatory fixes all three:
   case's latest headline measurement against a rolling baseline
   (median of the last N prior runs on the same machine, with a noise
   band widened by the baseline's own dispersion) and flags
-  regressions; ``repro bench`` / ``repro report`` surface the flags and
-  can turn them into a nonzero exit code.
+  regressions; ``repro bench`` surfaces the flags of the cases it ran
+  and can turn them into a nonzero exit code.
 """
 
 from __future__ import annotations
@@ -58,7 +53,7 @@ PROVENANCE_KEYS = ("git_sha", "timestamp", "python", "numpy", "platform",
                    "machine", "hostname", "engine", "block_size",
                    "timer_overhead_ns")
 
-#: default rolling-baseline depth and minimum relative noise band
+#: rolling-baseline depth and minimum relative noise band
 BASELINE_N = 5
 MIN_BAND = 0.30
 
@@ -225,7 +220,6 @@ class Regression:
     latest: float
     baseline: Optional[float]
     band: Optional[float]
-    threshold: Optional[float]
     n_baseline: int
     flagged: bool
 
@@ -291,31 +285,29 @@ class Observatory:
                         continue
         return records
 
-    def cases(self, suite: Optional[str] = None
-              ) -> Dict[Tuple[str, str], List[Dict[str, Any]]]:
+    def cases(self) -> Dict[Tuple[str, str], List[Dict[str, Any]]]:
         """History grouped by (suite, case), run order preserved."""
         grouped: Dict[Tuple[str, str], List[Dict[str, Any]]] = {}
-        for record in self.load(suite):
+        for record in self.load():
             grouped.setdefault((record["suite"], record["case"]),
                                []).append(record)
         return grouped
 
     # ------------------------------------------------- regression gate
 
-    def regressions(self, suite: Optional[str] = None,
-                    baseline_n: int = BASELINE_N,
-                    min_band: float = MIN_BAND) -> List[Regression]:
+    def regressions(self) -> List[Regression]:
         """Latest run vs rolling baseline, per case.
 
-        Baseline: median of the up-to-``baseline_n`` runs preceding the
-        latest that measured the same metric on the same ``machine``
-        (provenance fingerprint).  Noise band: ``max(min_band, 3 *
+        Baseline: median of the up-to-:data:`BASELINE_N` runs preceding
+        the latest that measured the same metric on the same ``machine``
+        (provenance fingerprint).  Noise band: ``max(MIN_BAND, 3 *
         MAD/median)`` — the baseline's own dispersion widens the band,
         so a machine that jitters 40% between runs does not page anyone
-        at +35%, while a stable series is still gated at ``min_band``.
+        at +35%, while a stable series is still gated at
+        :data:`MIN_BAND`.
         """
         out: List[Regression] = []
-        for (suite_name, case), runs in sorted(self.cases(suite).items()):
+        for (suite_name, case), runs in sorted(self.cases().items()):
             latest = headline(runs[-1])
             # only baseline against runs measuring the same metric — a
             # case that switched metric (e.g. after a recorder change)
@@ -327,21 +319,20 @@ class Observatory:
             machine = runs[-1]["provenance"]["machine"]
             prior = [headline(r) for r in runs[:-1]
                      if r["metric"] == metric
-                     and r["provenance"]["machine"] == machine][-baseline_n:]
+                     and r["provenance"]["machine"] == machine][-BASELINE_N:]
             if not prior:
                 out.append(Regression(suite_name, case,
                                       runs[-1]["metric"], latest,
-                                      None, None, None, 0, False))
+                                      None, None, 0, False))
                 continue
             baseline = statistics.median(prior)
             mad = statistics.median(abs(v - baseline) for v in prior)
-            band = min_band
+            band = MIN_BAND
             if baseline > 0:
-                band = max(min_band, 3.0 * mad / baseline)
-            threshold = baseline * (1.0 + band)
+                band = max(MIN_BAND, 3.0 * mad / baseline)
             out.append(Regression(
                 suite_name, case, runs[-1]["metric"], latest, baseline,
-                band, threshold, len(prior), bool(latest > threshold)))
+                band, len(prior), bool(latest > baseline * (1.0 + band))))
         return out
 
 

@@ -277,6 +277,20 @@ def test_bench_takes_no_setting_its_provenance_omits(flag, capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["report", "-o", "r.html"],
+    ["analyze", "Q(x) :- R(x, z), S(z, y)", "--html", "a.html"],
+    ["bench", "--gate", "off"],
+], ids=["report", "analyze-html", "bench-gate-off"])
+def test_deleted_readouts_are_usage_errors(argv, capsys):
+    """Results read out as text and JSON only: the HTML dashboard, the
+    HTML analyze panel and ``bench --gate off`` are usage errors (exit
+    2)."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
 def test_bench_suites_run_with_refresh_and_tracing_off(small_suites):
     """No provenance field records incremental refresh or tracing, so
     the suites take neither from the caller, and both are restored."""
@@ -340,7 +354,7 @@ def test_bench_runs_every_suite(tmp_path, capsys, small_suites):
 def test_bench_gates_only_the_suites_it_ran(tmp_path, capsys, small_suites):
     """A flagged case this run did not record (another suite's, or one
     its own suite no longer runs) neither prints nor fails ``bench
-    --gate fail``; ``report`` still gates it."""
+    --gate fail``."""
     from repro.obs.observatory import PROVENANCE_KEYS, Observatory, \
         make_record
 
@@ -357,39 +371,25 @@ def test_bench_gates_only_the_suites_it_ran(tmp_path, capsys, small_suites):
     assert "plan_cache" not in captured.out + captured.err
     assert "retired" not in captured.out + captured.err
     assert "bench/free_connex/delay" in captured.out
-    assert main(["report", "-o", str(tmp_path / "r.html"),
-                 "--history-dir", str(tmp_path / "hist"),
-                 "--gate", "fail"]) == 1
 
 
-def test_report_command(tmp_path, capsys, small_suites):
-    assert main(_bench_args(tmp_path)) == 0
-    out_html = tmp_path / "report.html"
-    assert main(["report", "-o", str(out_html),
-                 "--history-dir", str(tmp_path / "hist")]) == 0
-    assert "wrote" in capsys.readouterr().out
-    html = out_html.read_text()
-    assert "<svg" in html and "free_connex/delay" in html
-
-
-def test_report_gate_fails_on_slowed_entry(tmp_path, capsys, small_suites):
-    import json
-
+def test_bench_gate_fail_exits_nonzero_on_a_slowed_case(tmp_path, capsys,
+                                                        small_suites):
+    """A case this run recorded above its rolling baseline band prints
+    ``REGRESSION``; ``--gate fail`` exits 1 and ``--gate warn`` 0."""
     from repro.obs.observatory import Observatory
 
-    assert main(_bench_args(tmp_path, "--gate", "off")) == 0
-    obs = Observatory(str(tmp_path / "hist"))
-    slowed = json.loads(json.dumps(obs.load("bench")[-1]))
-    for point in slowed["points"]:
-        point["value"] *= 10
-    obs.append(slowed)
+    assert main(_bench_args(tmp_path)) == 0
+    history = Observatory(str(tmp_path / "hist"))
+    fast = history.load("bench")[-1]
+    for point in fast["points"]:
+        point["value"] /= 1000
+    for _ in range(3):
+        history.append(fast)
     capsys.readouterr()
-    assert main(["report", "-o", str(tmp_path / "r.html"),
-                 "--history-dir", str(tmp_path / "hist"),
-                 "--gate", "fail"]) == 1
+    assert main(_bench_args(tmp_path, "--gate", "fail")) == 1
     captured = capsys.readouterr()
-    assert "REGRESSION" in captured.out
+    assert f"bench/{fast['case']}: REGRESSION" in captured.out
     assert "failing" in captured.err
-    # warn-only keeps the exit code green on the same history
-    assert main(["report", "-o", str(tmp_path / "r.html"),
-                 "--history-dir", str(tmp_path / "hist")]) == 0
+    assert main(_bench_args(tmp_path, "--gate", "warn")) == 0
+    assert "warn-only" in capsys.readouterr().err

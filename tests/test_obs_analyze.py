@@ -1,7 +1,7 @@
 """``repro analyze`` — estimated-vs-actual introspection.
 
 Covers the analysis backend (per-operator rows, scale checks, flag
-semantics), the text/HTML renderings and the CLI subcommand.  The flag
+semantics), the text rendering and the CLI subcommand.  The flag
 tests break the constant-delay check on purpose (a zero growth slack),
 so any measured p99 counts as growth.
 """
@@ -17,7 +17,6 @@ from repro.logic.parser import parse_query
 from repro.obs import analyze as analyze_mod
 from repro.obs.analyze import FLAG, INFO, OK, analyze, delay_percentile, \
     render_text
-from repro.obs.report import render_analyze_html
 
 FREE_CONNEX = "Q(x) :- R(x, z), S(z, y)"
 ACYCLIC_ONLY = "Q(x, y) :- R(x, z), S(z, y)"
@@ -125,7 +124,7 @@ def test_delay_growth_flags_enumerate(no_delay_slack):
     assert "enumerate" in analysis["flagged"]
 
 
-# ------------------------------------------------------------- renderings
+# --------------------------------------------------------- text rendering
 
 
 def test_render_text_is_a_complete_table():
@@ -144,29 +143,16 @@ def test_render_text_names_the_flagged_operators(no_delay_slack):
     assert "FLAGGED: enumerate" in text
 
 
-def test_render_analyze_html_is_self_contained():
-    q = parse_query(FREE_CONNEX)
-    analysis = analyze(q, size=600, seed=2)
-    html_text = render_analyze_html(analysis)
-    assert html_text.startswith("<!DOCTYPE html>")
-    for r in analysis["rows"]:
-        assert r["operator"] in html_text
-    assert "<script" not in html_text  # inline-only, like the dashboard
-
-
 # -------------------------------------------------------------------- CLI
 
 
-def test_cli_analyze_prints_table_and_writes_html(tmp_path, capsys):
+def test_cli_analyze_prints_table(capsys):
     from repro.cli import main
 
-    out = tmp_path / "panel.html"
-    rc = main(["analyze", FREE_CONNEX, "--size", "500", "--seed", "2",
-               "--html", str(out)])
+    rc = main(["analyze", FREE_CONNEX, "--size", "500", "--seed", "2"])
     assert rc == 0
     stdout = capsys.readouterr().out
     assert "enumerate" in stdout and "constant-delay" in stdout
-    assert out.exists() and "<!DOCTYPE html>" in out.read_text()
 
 
 def test_cli_analyze_strict_fails_on_flag(no_delay_slack, capsys):
