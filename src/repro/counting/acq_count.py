@@ -193,13 +193,16 @@ def count_quantifier_free_acyclic(cq: ConjunctiveQuery, db: Database,
             # passing computes (any backend), refreshed through the
             # per-relation delta logs.  Engine-independent, so the state
             # is cached under a fixed pseudo-engine name and shared
-            # across backends.
+            # across backends.  A cached None (a count too large for
+            # its int64 sums) sends the count down the cold path.
             if DeltaCounter.supports(cq):
                 state = cached_plan(
                     "count_state", cq, db, "-",
                     lambda: DeltaCounter.build(cq, db),
-                    refresher=lambda st, deltas: st.refreshed(deltas))
-                return state.total()
+                    refresher=lambda st, deltas:
+                        st and st.refreshed(deltas))
+                if state is not None:
+                    return state.total()
     from repro.eval.yannakakis import materialise_atoms
 
     return count_full_acyclic_join(materialise_atoms(cq, db, engine), weights)

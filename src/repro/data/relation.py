@@ -106,8 +106,8 @@ class Relation:
         self._indexes: Dict[Tuple[int, ...], Dict[Tup, List[Tup]]] = {}
         # dictionary-encoded column cache of the columnar engine
         # (see repro.engine.columnar.encoded_relation_columns); the cache
-        # carries the version it was built at, so mutations keep it in
-        # place for delta patching instead of throwing it away
+        # carries the version it was built at, so a write makes it stale
+        # and the next encode re-encodes the whole relation
         self._colcache = None
         # bumped on every effective add/discard
         self._version = 0

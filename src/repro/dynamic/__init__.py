@@ -13,9 +13,10 @@ evaluation under updates.
   enumeration never reread the base data.
 * :class:`~repro.dynamic.delta.DeltaCounter` — the delta-propagation
   backend of the plan cache's incremental refresh path
-  (``REPRO_INCREMENTAL``): a cached Theorem 4.21 counting plan caught
-  up with per-relation :class:`~repro.data.relation.DeltaLog` ops
-  instead of rebuilt.  It is the only maintained plan; every other plan
+  (``REPRO_INCREMENTAL``): a cached Theorem 4.21 counting plan, kept on
+  code-indexed arrays seeded from the cold columnar kernel, caught up
+  with per-relation :class:`~repro.data.relation.DeltaLog` ops instead
+  of rebuilt.  It is the only maintained plan; every other plan
   rebuilds cold after a write.
 
 The view runs on :class:`~repro.dynamic.delta.SupportCounters`: the base
