@@ -104,31 +104,20 @@ def count_full_acyclic_join(relations: Sequence[VarRelation],
         if unweighted:
             with obs.span("count.message_passing", backend="columnar",
                           nodes=len(relations)):
-                return count_acyclic_join_columnar(relations, tree, charged,
+                return count_acyclic_join_columnar(relations, tree,
                                                    share_vars)
         if isinstance(weights, WeightFunction):
-            # weighted vectorized path: per-code weight gather; falls back
-            # to the exact per-tuple DP when the weights aren't machine
-            # floats (see WeightFunction.code_table)
-            import numpy as np
-
-            dictionary = relations[0].dictionary
-            used = np.zeros(len(dictionary), dtype=bool)
-            for node, mine in charged.items():
-                for v in mine:
-                    used[relations[node].column(v)] = True
-            codes = np.flatnonzero(used)
-            table = weights.code_table(dictionary, codes)
-            if table is not None:
+            # weighted vectorized path: per-row weight gathers; falls
+            # back to the exact per-tuple DP when the weights aren't
+            # machine floats (see WeightFunction.code_table)
+            weighted = _row_weights(relations, charged, weights)
+            if weighted is not None:
+                row_weights, integral_weights = weighted
                 with obs.span("count.message_passing",
                               backend="columnar_weighted",
                               nodes=len(relations)):
                     total = count_acyclic_join_columnar(
-                        relations, tree, charged, share_vars,
-                        weight_table=table)
-                used_weights = table[codes]
-                integral_weights = bool(
-                    np.all(used_weights == np.floor(used_weights)))
+                        relations, tree, share_vars, row_weights)
                 if integral_weights and float(total).is_integer():
                     return int(total)
                 return total
@@ -167,6 +156,38 @@ def count_full_acyclic_join(relations: Sequence[VarRelation],
 
         root_msg = messages[tree.root]
         return root_msg.get((), 0)
+
+
+def _row_weights(relations: Sequence[Any],
+                 charged: Dict[int, Tuple[Variable, ...]],
+                 weights: WeightFunction
+                 ) -> Optional[Tuple[Dict[int, Any], bool]]:
+    """Each columnar node's row weights (the product of its charged
+    variables' weights), and whether every weight is integral; None
+    when a weight is no machine float.
+
+    The weights are gathered from a table over the charged columns'
+    distinct codes alone (:meth:`WeightFunction.code_table`), so the
+    cost follows the counted relations, not the process-wide
+    dictionary they are encoded in."""
+    import numpy as np
+
+    from repro.engine.columnar import _unique_inverse
+
+    cols = [(node, relations[node].column(v))
+            for node, mine in charged.items() for v in mine]
+    codes, inverse = _unique_inverse(np.concatenate([c for _n, c in cols]))
+    table = weights.code_table(relations[0].dictionary, codes)
+    if table is None:
+        return None
+    per_cell = table[inverse]
+    out = {node: np.ones(len(relations[node]), dtype=np.float64)
+           for node in charged}
+    start = 0
+    for node, col in cols:
+        out[node] = out[node] * per_cell[start:start + len(col)]
+        start += len(col)
+    return out, bool(np.all(table == np.floor(table)))
 
 
 def count_quantifier_free_acyclic(cq: ConjunctiveQuery, db: Database,

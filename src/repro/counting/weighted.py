@@ -9,7 +9,6 @@ special case w = 1.
 
 from __future__ import annotations
 
-import weakref
 from typing import Any, Callable, Iterable, Mapping, Optional, Union
 
 
@@ -24,7 +23,6 @@ class WeightFunction:
                  default: Any = 1):
         self._default = default
         self._trivial = source is None and default == 1
-        self._table_cache: Optional[Any] = None
         if source is None:
             self._fn: Callable[[Any], Any] = lambda _x: default
         elif callable(source):
@@ -54,55 +52,39 @@ class WeightFunction:
         return cls(None, default=1)
 
     def code_table(self, dictionary, codes) -> Optional[Any]:
-        """Per-code float64 weight table for the columnar counting kernel.
+        """Float64 weights of ``codes`` for the columnar counting kernel.
 
-        Maps the values behind ``codes``, the codes a count reads from
-        ``dictionary`` (:class:`repro.engine.columnar.ValueDictionary`),
-        through the weight function into a numpy float64 array indexed by
-        code.  The weight function sees only those values: the dictionary
-        is shared across databases, and a weight need only be defined on
-        the domain of the database being counted.  Returns None — "use
-        the exact per-tuple path" — as soon as one of these weights is not
-        a machine numeric exactly representable in float64 (bools, floats,
-        and ints with |w| <= 2^53 qualify; Fractions, Decimals and other
-        field elements do not).
+        ``table[i]`` is the weight of the value behind ``codes[i]``, a
+        code the count reads from ``dictionary``
+        (:class:`repro.engine.columnar.ValueDictionary`).  The table and
+        the work follow ``codes`` alone: the dictionary is shared across
+        databases, so the weight function sees only the counted
+        database's values and need only be defined on them.  Returns
+        None — "use the exact per-tuple path" — as soon as one of these
+        weights is not a machine numeric exactly representable in
+        float64 (bools, floats, and ints with |w| <= 2^53 qualify;
+        Fractions, Decimals and other field elements do not).
 
         Float64 caveat: each *weight* is exact, but the kernel's sums
         and products are float64 arithmetic, so results of magnitude
         beyond 2^53 may round where the per-tuple path (arbitrary
         precision ints) would not.  Callers convert integral results
         back to int when every weight is integer-valued.
-
-        The table is memoised per dictionary and grows with it, so each
-        value's weight is computed once across repeated weighted counts.
         """
         import numpy as np
 
         from repro import obs
 
-        n = len(dictionary)
-        cache = self._table_cache
-        if cache is None or cache[0]() is not dictionary:
-            table, known = np.zeros(n), np.zeros(n, dtype=bool)
-        else:
-            _ref, table, known = cache
-            if len(table) < n:
-                grow = n - len(table)
-                table = np.concatenate([table, np.zeros(grow)])
-                known = np.concatenate([known, np.zeros(grow, dtype=bool)])
-        self._table_cache = (weakref.ref(dictionary), table, known)
-        fn = self._fn
-        for code in codes[~known[codes]].tolist():
-            w = fn(dictionary.decode(code))
+        fn, decode = self._fn, dictionary.decode
+        table = [fn(decode(code)) for code in codes.tolist()]
+        for w in table:
             if isinstance(w, bool) or isinstance(w, int):
                 if abs(w) > 2 ** 53:
                     return None
             elif not isinstance(w, float):
                 return None
-            table[code] = w
-            known[code] = True
-        obs.gauge("weights.code_table_size", n)
-        return table
+        obs.gauge("weights.code_table_size", len(table))
+        return np.array(table, dtype=np.float64)
 
 
 def sum_of_weights(answers: Iterable[Iterable[Any]],

@@ -3,9 +3,12 @@
 The tuple-at-a-time enumerators (:mod:`repro.enumeration.full_acyclic`)
 realise the paper's constant-delay bound with one Python-level hash probe
 per join-tree node per answer — correct, but interpreter speed dominates.
-Segoufin's habilitation frames delay as an *amortised budget*, which
-licenses emitting answers in blocks: a block of B answers produced by
-O(m) vectorized kernel calls costs O(m / B) interpreted steps per answer.
+"Enumeration Complexity: Incremental Time, Delay and Space" (arXiv
+2309.17042) frames delay as an *amortised budget*, which licenses
+emitting answers in blocks: a block of B answers produced by O(m)
+vectorized kernel calls costs O(m / B) interpreted steps per answer.
+It also measures *incremental time*, the cost of the first k answers,
+which is why blocks ramp up to B rather than start at it.
 
 :class:`BlockIterator` walks the join tree in the same parent-before-child
 order as the per-tuple enumerator, but carries a *batch* of partial
@@ -28,14 +31,22 @@ assignments as dictionary-encoded int64 columns:
   expansion, so the largest array ever materialised is
   ``block_size * max-fanout-per-node`` — memory stays proportional to the
   block size, not to the output;
-* at the leaves the finished batches are cut into blocks of exactly
-  ``block_size`` rows (a batch's short tail carries into the next
-  batch's first block, so only the stream's last block is shorter), and
-  each block's head columns are decoded through the shared
+* chunks and blocks follow one schedule (:func:`block_schedule`):
+  :data:`RAMP_START` (64) rows first, doubling up to ``block_size``,
+  then ``block_size``; each level of the walk keeps its own schedule,
+  so the first answers expand small chunks and ``islice(stream, k)``
+  pays for fewer than ``2k + 64`` answers, not for a whole block;
+* at the leaves the finished batches are cut into blocks of the
+  scheduled sizes (a batch's short tail carries into the next batch's
+  first block, so only the stream's last block is shorter), and each
+  block's head columns are decoded through the shared
   :class:`~repro.engine.columnar.ValueDictionary` and emitted as a list
   of Python tuples.  The dictionary's decode table is brought up to date
   while preprocessing, so its O(|dom|) rebuild never lands inside a
   block.
+
+Chunking rows differently never reorders the depth-first walk, so the
+answers and their order do not depend on the schedule.
 
 On globally consistent (fully reduced) inputs no probe comes back empty,
 so every expansion makes output progress — the amortised-delay analogue
@@ -63,6 +74,22 @@ from repro.logic.terms import Variable
 Tup = Tuple[Any, ...]
 
 DEFAULT_BLOCK_SIZE = 1024
+
+#: the batched pipeline's first block; blocks double from here up to B
+RAMP_START = 64
+
+
+def block_schedule(first: int, limit: int) -> Iterator[int]:
+    """Block sizes ``first``, ``2 * first``, ``4 * first``, ... up to
+    ``limit``, then ``limit`` for ever.
+
+    The ramp bounds incremental time, the cost of the first k answers:
+    the blocks holding them sum to less than ``2k + first`` answers, and
+    a long stream still pays one block step per ``limit`` answers."""
+    size = min(first, limit)
+    while True:
+        yield size
+        size = min(2 * size, limit)
 
 
 def resolve_block_size(block_size: Optional[int] = None) -> int:
@@ -242,7 +269,8 @@ class BlockIterator:
         projections belong to the free-connex preprocessing, which hands
         this class projection-free inputs).
     block_size:
-        Target answers per emitted block (the amortisation unit B).
+        The largest emitted block (the amortisation unit B); blocks
+        ramp up to it from :data:`RAMP_START`.
     tree:
         Optional prebuilt join tree (nodes indexing ``relations``).
     reduce:
@@ -361,8 +389,11 @@ class BlockIterator:
         return out, total
 
     def _walk(self, level: int, batch: Dict[Variable, np.ndarray],
-              nrows: int) -> Iterator[Tuple[List[np.ndarray], int]]:
-        """Depth-first block expansion: chunk to B rows, expand, recurse.
+              nrows: int, chunks: List[Iterator[int]]
+              ) -> Iterator[Tuple[List[np.ndarray], int]]:
+        """Depth-first block expansion: chunk, expand, recurse.  Each
+        level's chunks take their row counts from its own schedule,
+        ``chunks[level]``, so the first answers expand small chunks.
         Yields each finished batch as its head code columns and row
         count."""
         if nrows == 0:
@@ -370,45 +401,56 @@ class BlockIterator:
         if level == len(self._order):
             yield [batch[v] for v in self._head], nrows
             return
-        block = self.block_size
-        for start in range(0, nrows, block):
-            stop = min(start + block, nrows)
+        sizes = chunks[level]
+        start = 0
+        while start < nrows:
+            stop = min(start + next(sizes), nrows)
             chunk = {v: col[start:stop] for v, col in batch.items()}
             expanded, total = self._expand(level, chunk, stop - start)
-            yield from self._walk(level + 1, expanded, total)
+            yield from self._walk(level + 1, expanded, total, chunks)
+            start = stop
 
-    def _full_pieces(self, finished: Iterator[Tuple[List[np.ndarray], int]]
+    def _full_pieces(self, finished: Iterator[Tuple[List[np.ndarray], int]],
+                     sizes: Iterator[int]
                      ) -> Iterator[Tuple[List[np.ndarray], int]]:
-        """Cut the finished batches into pieces of exactly B rows; only
-        the stream's last piece may be shorter.  A batch's short tail is
-        carried into the next batch's first piece, so no block is cut
-        short at a batch boundary."""
-        block = self.block_size
+        """Cut the finished batches into pieces of the next size
+        ``sizes`` gives; only the stream's last piece may be shorter.
+        A batch's short tail is carried into the next batch's first
+        piece, so no block is cut short at a batch boundary."""
+        size = next(sizes)
         carry: List[np.ndarray] = []
         have = 0
         for cols, nrows in finished:
             start = 0
             if have:
-                start = min(block - have, nrows)
+                start = min(size - have, nrows)
                 carry = [np.concatenate((c0, c[:start]))
                          for c0, c in zip(carry, cols)]
                 have += start
-                if have < block:
+                if have < size:
                     continue
                 yield carry, have
-            stop = start + (nrows - start) // block * block
-            for s in range(start, stop, block):
-                yield [c[s:s + block] for c in cols], block
-            carry = [c[stop:] for c in cols]
-            have = nrows - stop
+                size = next(sizes)
+            while nrows - start >= size:
+                yield [c[start:start + size] for c in cols], size
+                start += size
+                size = next(sizes)
+            carry = [c[start:] for c in cols]
+            have = nrows - start
         if have:
             yield carry, have
 
     # -------------------------------------------------------------- iteration
 
     def blocks(self) -> Iterator[List[Tup]]:
-        """Yield answer blocks (lists of head tuples) of exactly B
-        answers; only the last block may be shorter.
+        """Yield answer blocks (lists of head tuples): the first holds
+        ``min(RAMP_START, B)`` answers, each next one twice as many up
+        to B, and every later block exactly B; only the last block may
+        be shorter.  Taking k answers thus decodes fewer than
+        ``2k + RAMP_START``, while a full scan pays one block step per
+        B answers.  Each call keeps its own ramp, so consumers sharing
+        one cached iterator never see each other's block sizes, and the
+        answers and their order do not depend on the block sizes.
 
         The head columns are decoded once per block.  Each block's
         production gap (consumer time excluded: the clock restarts after
@@ -421,9 +463,13 @@ class BlockIterator:
         root = self._relations[self._order[0]]
         batch = {v: root.column(v) for v in root.variables}
         table = self._dict.decode_table()
+        chunks = [block_schedule(RAMP_START, self.block_size)
+                  for _ in self._order]
+        finished = self._walk(1, batch, len(root), chunks)
         clock = time.perf_counter_ns
         last = clock()
-        for cols, n in self._full_pieces(self._walk(1, batch, len(root))):
+        for cols, n in self._full_pieces(
+                finished, block_schedule(RAMP_START, self.block_size)):
             if cols:
                 block = list(zip(*[table[c].tolist() for c in cols]))
             else:  # zero-ary head: n copies of ()

@@ -9,10 +9,11 @@ what :mod:`repro.perf.delay` measures.
 
 Answers leave an enumerator in *blocks*: :meth:`Enumerator.blocks` is
 the one answer stream, and iterating an enumerator walks its blocks at
-one C-level step per answer.  Segoufin's habilitation (arXiv 2309.17042)
-treats delay as an amortised budget, which is what licenses a block of B
-answers for B constant delays.  The per-answer stream ``_enumerate``
-stays for the consumers that interleave or time single answers.
+one C-level step per answer.  "Enumeration Complexity: Incremental
+Time, Delay and Space" (arXiv 2309.17042) treats delay as an amortised
+budget, which is what licenses a block of B answers for B constant
+delays.  The per-answer stream ``_enumerate`` stays for the consumers
+that interleave or time single answers.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import itertools
 from typing import Any, Iterator, List, Optional, Tuple
 
 from repro import obs
-from repro.engine.enumerate import resolve_block_size
+from repro.engine.enumerate import block_schedule, resolve_block_size
 
 Answer = Tuple[Any, ...]
 
@@ -108,18 +109,17 @@ class Enumerator:
         up to :attr:`block_size` B: the first answer costs one step of
         the per-answer stream, taking k answers runs it fewer than 2k
         steps (k + B once blocks are full), and a long scan pays one
-        block step per B answers."""
+        block step per B answers.  The batched pipeline ramps on the
+        same schedule (:func:`repro.engine.enumerate.block_schedule`)
+        from 64 answers."""
+        answers = self._enumerate()
         limit = resolve_block_size(self.block_size)
-        size = 1
-        block: List[Answer] = []
-        for answer in self._enumerate():
-            block.append(answer)
-            if len(block) >= size:
+        for size in block_schedule(1, limit):
+            block = list(itertools.islice(answers, size))
+            if block:
                 yield block
-                block = []
-                size = min(2 * size, limit)
-        if block:
-            yield block
+            if len(block) < size:
+                return
 
     # -- helpers ---------------------------------------------------------------
 

@@ -75,9 +75,10 @@ class FullJoinEnumerator(Enumerator):
         1024; below 1 raises :class:`~repro.errors.ConfigurationError`).
         When every relation is a ColumnarRelation over one shared
         dictionary, the batched pipeline
-        (:class:`repro.engine.enumerate.BlockIterator`) emits blocks of
-        exactly this size; otherwise the probe join's stream is chunked
-        into blocks of at most this size.
+        (:class:`repro.engine.enumerate.BlockIterator`) emits blocks
+        that ramp from 64 answers up to this size; otherwise the probe
+        join's stream is chunked into blocks of 1, 2, 4, ... answers up
+        to this size.
     """
 
     def __init__(self, relations: Sequence[VarRelation],

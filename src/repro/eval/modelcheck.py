@@ -6,7 +6,8 @@ Routes a Boolean query to the cheapest applicable engine:
   run on the plan's query (the homomorphic core when the classifier's
   verdict comes from it): a Yannakakis semijoin pass, O(||phi|| * ||D||),
   when that query is acyclic, a backtracking join (exponential in the
-  query only) otherwise;
+  query only) otherwise.  The verdict is a plan-cache entry, so a
+  repeat on an unchanged database runs neither;
 * beta-acyclic NCQ -> nest-point Davis-Putnam (quasi-linear, Thm 4.31);
 * other NCQ / FO sentences -> naive structural recursion.
 """
@@ -24,16 +25,26 @@ from repro.logic.ucq import UnionOfConjunctiveQueries
 
 
 def model_check(query, db: Database) -> bool:
-    """Does D satisfy the (Boolean) query?"""
+    """Does D satisfy the (Boolean) query?
+
+    A CQ's verdict is served through the plan cache as the ``decide``
+    plan kind (:func:`repro.core.plancache.cached_plan`), keyed like
+    every plan by the query, the engine name and the database
+    fingerprint: a repeat on an unchanged database is a cache hit, and
+    any write to the database rebuilds the verdict."""
     if isinstance(query, ConjunctiveQuery):
         if not query.is_boolean():
             raise UnsupportedQueryError("model_check expects a Boolean query")
         from repro.core.classify import plan_for
+        from repro.core.plancache import cached_plan
+        from repro.engine import get_engine
 
         plan = plan_for(query)
-        if plan.route in ("free-connex", "acyclic"):
-            return yannakakis_boolean(plan.query, db)
-        return cq_is_satisfiable_naive(plan.query, db)
+        check = (yannakakis_boolean
+                 if plan.route in ("free-connex", "acyclic")
+                 else cq_is_satisfiable_naive)
+        return cached_plan("decide", plan.query, db, get_engine().name,
+                           lambda: check(plan.query, db))
     if isinstance(query, UnionOfConjunctiveQueries):
         return any(model_check(d, db) for d in query.disjuncts)
     if isinstance(query, NegativeConjunctiveQuery):

@@ -37,7 +37,8 @@ class ConjunctiveQuery:
         Optional display name for the query ("Q" by default).
     """
 
-    __slots__ = ("name", "head", "atoms", "comparisons", "_var_cache")
+    __slots__ = ("name", "head", "atoms", "comparisons", "_var_cache",
+                 "_acyclic_cache")
 
     def __init__(self, head: Sequence[Any], atoms: Sequence[Atom],
                  comparisons: Sequence[Comparison] = (), name: str = "Q"):
@@ -59,12 +60,10 @@ class ConjunctiveQuery:
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "comparisons", comparisons)
         object.__setattr__(self, "_var_cache", None)
+        object.__setattr__(self, "_acyclic_cache", None)
         self._validate()
 
     def __setattr__(self, key: str, value: Any) -> None:
-        if key == "_var_cache":
-            object.__setattr__(self, key, value)
-            return
         raise AttributeError("ConjunctiveQuery is immutable")
 
     # ------------------------------------------------------------- validation
@@ -163,10 +162,14 @@ class ConjunctiveQuery:
         return Hypergraph(self.variable_set(), edges)
 
     def is_acyclic(self) -> bool:
-        """alpha-acyclicity (existence of a join tree, Section 4.1)."""
-        from repro.hypergraph.jointree import is_alpha_acyclic
+        """alpha-acyclicity (existence of a join tree, Section 4.1),
+        computed once per query object."""
+        if self._acyclic_cache is None:
+            from repro.hypergraph.jointree import is_alpha_acyclic
 
-        return is_alpha_acyclic(self.hypergraph())
+            object.__setattr__(self, "_acyclic_cache",
+                               is_alpha_acyclic(self.hypergraph()))
+        return self._acyclic_cache
 
     def is_free_connex(self) -> bool:
         """Free-connex acyclicity (Definition 4.4)."""

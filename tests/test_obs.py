@@ -184,9 +184,10 @@ def test_delay_records_raw_pairs_on_the_tracer():
 @pytest.mark.parametrize("engine", ["tuple", "columnar"])
 def test_delay_pairs_sum_to_the_answer_count(engine, block_size):
     """``enum.answers`` is the answer count, and the recorded pairs
-    cover every answer once: columnar blocks hold exactly B answers,
-    and the tuple engine's probe join, which has no native blocks,
-    records one pair per 256 answers whatever B is."""
+    cover every answer once: columnar blocks ramp from 64 answers,
+    doubling up to B, then hold exactly B until a shorter tail, and the
+    tuple engine's probe join, which has no native blocks, records one
+    pair per 256 answers whatever B is."""
     q = parse_cq(FULL_QUERY)
     db = _demo_db(n=600, seed=3)
     with obs.capture() as t:
@@ -194,11 +195,16 @@ def test_delay_pairs_sum_to_the_answer_count(engine, block_size):
             q, db, engine=engine, block_size=block_size))
     sizes = [n for _gap, n in t.delays]
     assert answers > 256
+    if engine == "tuple":
+        ramp, stride = [], 256
+    else:
+        ramp = [64, 128, 256, 512] if block_size == 1024 else []
+        stride = block_size
+    assert answers > sum(ramp) + stride
     assert sum(sizes) == answers == t.counters["enum.answers"]
     assert len(sizes) == t.counters["enum.blocks"]
-    stride = 256 if engine == "tuple" else block_size
-    assert sizes[:-1] == [stride] * (len(sizes) - 1)
-    assert 0 < sizes[-1] <= stride
+    full, tail = divmod(answers - sum(ramp), stride)
+    assert sizes == ramp + [stride] * full + ([tail] if tail else [])
     assert all(gap >= 0 for gap, _n in t.delays)
 
 

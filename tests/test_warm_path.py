@@ -1,0 +1,290 @@
+"""The warm path does no preprocessing twice.
+
+A repeated ``decide`` reads its verdict from the plan cache, a repeated
+columnar count reads the counting DP's grouping from the relations'
+probe caches, and the batched pipeline's blocks ramp from 64 answers up
+to B, so the first answers cost less than a whole block.  Each check
+compares against a naive count, a write that must rebuild, or the
+stream of exactly-B blocks.  The memo and the ramp exist on the
+columnar engine only, so those tests force it.
+"""
+
+import itertools
+import random
+
+import numpy as np
+import pytest
+
+from repro import obs
+from repro.core.plancache import clear_plan_cache, plan_cache
+from repro.core.planner import count, decide, enumerate_answers
+from repro.counting.acq_count import count_cq_naive, count_full_acyclic_join
+from repro.counting.weighted import WeightFunction
+from repro.data.database import Database
+from repro.data.relation import Relation
+from repro.engine import enumerate as block_module
+from repro.engine import use_engine
+from repro.engine.columnar import default_dictionary
+from repro.enumeration.free_connex import FreeConnexEnumerator
+from repro.eval.yannakakis import materialise_atoms
+from repro.logic.parser import parse_cq
+
+PATH3 = "Q(x, y, z, w) :- R(x, y), S(y, z), T(z, w)"
+SELFJOIN = "Q(x, y, z, w) :- R(x, y), R(y, z), R(z, w)"
+PROJ = "Q(x, z) :- R(x, y), S(y, z), T(z, w)"
+PREFIX = "Q(x, y, z) :- R(x, y), S(y, z), T(z, w)"
+ENGINES = pytest.mark.parametrize("engine", ["tuple", "columnar"])
+# dyadic weights: every product and sum the counts form is exact in
+# float64, so the columnar kernel and the naive sum agree bit for bit
+WEIGHTS = pytest.mark.parametrize(
+    "weights",
+    [None, WeightFunction(lambda v: v % 3 + 1),
+     WeightFunction(lambda v: (v % 5) * 0.25 + 0.5)],
+    ids=["unweighted", "integral", "dyadic"])
+# B -> the ramp before the first block of exactly B answers
+RAMPS = {7: [], 64: [], 100: [64], 1024: [64, 128, 256, 512]}
+
+
+@pytest.fixture(autouse=True)
+def _fresh_cache():
+    clear_plan_cache()
+    yield
+    clear_plan_cache()
+
+
+def _db(n=60, domain=15, seed=0, base=0):
+    rng = random.Random(seed)
+    return Database([
+        Relation(name, 2, [(base + rng.randrange(domain),
+                            base + rng.randrange(domain))
+                           for _ in range(n)])
+        for name in "RST"])
+
+
+#: an add, then a delete, on each of R, S and T
+WRITES = 6
+
+
+def _write(db, step):
+    """Write ``step``: an even step adds a tuple over the relation's
+    values that it lacks, an odd one deletes every tuple sharing a
+    value with its first tuple, so keys leave the relation."""
+    rel = list(db)[step // 2]
+    first = next(iter(rel))
+    if step % 2:
+        for t in [t for t in rel if t[0] == first[0] or t[1] == first[1]]:
+            rel.discard(t)
+    else:
+        values = sorted({v for t in rel for v in t})
+        rel.add(next(t for t in itertools.product(values, repeat=2)
+                     if t not in rel))
+
+
+# ------------------------------------------------------------------ decide
+
+
+@ENGINES
+def test_second_decide_is_a_plan_cache_hit(engine):
+    q = parse_cq("Q() :- R(x, y), S(y, z), T(z, w)")
+    db = _db()
+    with use_engine(engine):
+        with obs.capture() as cold:
+            assert decide(q, db)
+        hits = plan_cache().hits
+        with obs.capture() as warm:
+            assert decide(q, db)
+    assert [s for s in cold.spans if s.name == "yannakakis.semijoin"]
+    assert plan_cache().hits == hits + 1
+    assert warm.counters.get("plancache.hits") == 1
+    assert "plancache.misses" not in warm.counters
+    assert not [s for s in warm.spans if s.name == "yannakakis.semijoin"]
+
+
+@ENGINES
+@pytest.mark.parametrize("text, relation, witness", [
+    ("Q() :- R(x, y), S(y, z)", "S", (2, 5)),
+    ("Q() :- E(x, y), E(y, z), E(z, x)", "E", (3, 1)),
+], ids=["acyclic", "cyclic"])
+def test_a_write_rebuilds_the_verdict(engine, text, relation, witness):
+    """The last witness goes, then comes back: each write flips a
+    verdict that was served warm just before it."""
+    db = Database([Relation("R", 2, [(1, 2), (3, 4)]),
+                   Relation("S", 2, [(2, 5), (9, 9)]),
+                   Relation("E", 2, [(1, 2), (2, 3), (3, 1), (3, 4)])])
+    q = parse_cq(text)
+    rel = db.relation(relation)
+    with use_engine(engine):
+        assert decide(q, db) and decide(q, db)
+        rel.discard(witness)
+        assert not decide(q, db) and not decide(q, db)
+        rel.add(witness)
+        assert decide(q, db) and decide(q, db)
+
+
+# ------------------------------------------------------------------- count
+
+
+@pytest.mark.usefixtures("cold_pipeline")
+@pytest.mark.parametrize("text", [PATH3, SELFJOIN, PROJ])
+def test_second_count_reads_the_dp_grouping_from_the_probe_caches(text):
+    """The count's only probe-cache lookups are the DP's groupings and
+    gathers: the warm count finds every one of them."""
+    q = parse_cq(text)
+    db = _db()
+    with use_engine("columnar"):
+        with obs.capture() as cold:
+            expected = count(q, db)
+        with obs.capture() as warm:
+            assert count(q, db) == expected
+    lookups = (cold.counters.get("kernel.probe_cache_hits", 0)
+               + cold.counters["kernel.probe_cache_misses"])
+    assert expected == count_cq_naive(q, db)
+    assert "kernel.probe_cache_misses" not in warm.counters
+    assert warm.counters["kernel.probe_cache_hits"] == lookups
+
+
+@ENGINES
+@WEIGHTS
+@pytest.mark.parametrize("text", [PATH3, SELFJOIN, PROJ])
+def test_counts_after_each_write_match_the_naive_count(engine, weights,
+                                                       text):
+    q = parse_cq(text)
+    db = _db()
+    with use_engine(engine):
+        for step in range(WRITES):
+            assert count(q, db, weights) == count_cq_naive(q, db, weights)
+            _write(db, step)
+            assert count(q, db, weights) == count_cq_naive(q, db, weights)
+
+
+@WEIGHTS
+@pytest.mark.parametrize("text", [PATH3, SELFJOIN])
+def test_materialised_atoms_count_right_after_writes(weights, text):
+    """Unreduced atoms keep their symbol's probe cache until that symbol
+    is written: a write to one relation leaves the others' groupings
+    and gathers in place, so a gather must notice that its child
+    changed.  The data's values are encoded after 5,000 others, so
+    their codes lie far past the relations' sizes and each node's
+    groups are numbered by the rank of their key: a write that deletes
+    a key renumbers the groups after it, and a gather kept from before
+    it would point at the wrong groups.  The self-join's three atoms
+    share one probe cache, so all three nodes' groupings and both
+    edges' gathers live in one dict.  Cold, warm and after each write,
+    the count is the naive one."""
+    dictionary = default_dictionary()
+    filler = 10 ** 12 + len(dictionary)
+    dictionary.encode_column(np.arange(filler, filler + 5_000,
+                                       dtype=np.int64))
+    q = parse_cq(text)
+    db = _db(base=10 ** 13 + len(dictionary))
+    for step in range(WRITES + 1):
+        if step:
+            _write(db, step - 1)
+        for _run in ("cold", "warm"):
+            rels = materialise_atoms(q, db, "columnar")
+            if text == SELFJOIN:
+                assert rels[0]._probecache is rels[1]._probecache
+                assert rels[1]._probecache is rels[2]._probecache
+            assert count_full_acyclic_join(rels, weights) == \
+                count_cq_naive(q, db, weights)
+
+
+def test_weight_table_follows_the_count_not_the_dictionary():
+    """A weighted count's table holds the counted relations' distinct
+    values, however many values the process-wide dictionary has
+    encoded for other databases."""
+    dictionary = default_dictionary()
+    base = 10 ** 12 + len(dictionary)
+    dictionary.encode_column(np.arange(base, base + 50_000, dtype=np.int64))
+    # every row takes part in an answer, so the counted relations hold
+    # exactly these values
+    r = [(i, i % 5) for i in range(20)]
+    s = [(i % 5, 100 + i) for i in range(10)]
+    db = Database([Relation("R", 2, r), Relation("S", 2, s)])
+    q = parse_cq("Q(x, y, z) :- R(x, y), S(y, z)")
+    w = WeightFunction(lambda v: v % 3 + 1)
+    with obs.capture() as t:
+        got = count(q, db, w, engine="columnar")
+    assert len(dictionary) > 50_000
+    assert got == count_cq_naive(q, db, w)
+    values = {v for row in r + s for v in row}
+    assert t.gauges["weights.code_table_size"] == len(values)
+
+
+# ------------------------------------------------------------------ blocks
+
+
+def _block_db():
+    """Enough answers of PREFIX for every ramp, two blocks of B and a
+    shorter tail."""
+    return _db(n=1500, domain=300, seed=4)
+
+
+def _blocks(db, block_size):
+    e = FreeConnexEnumerator(parse_cq(PREFIX), db, engine="columnar",
+                             block_size=block_size)
+    return list(e.blocks())
+
+
+@pytest.mark.parametrize("block_size", sorted(RAMPS))
+def test_columnar_blocks_ramp_up_to_b(block_size):
+    sizes = [len(b) for b in _blocks(_block_db(), block_size)]
+    ramp = RAMPS[block_size]
+    full, tail = divmod(sum(sizes) - sum(ramp), block_size)
+    assert full >= 2 and tail > 0
+    assert sizes == ramp + [block_size] * full + [tail]
+
+
+def test_the_first_block_expands_small_chunks():
+    """Each level of the walk ramps its chunks too: the first block's
+    expansions each take at most 64 rows, not B."""
+    db = _block_db()
+    e = FreeConnexEnumerator(parse_cq(PREFIX), db, engine="columnar")
+    e.preprocess()
+    with obs.capture() as t:
+        assert len(next(e.blocks())) == 64
+    rows_in = [s.attrs["rows_in"] for s in t.spans if s.name == "block.expand"]
+    assert rows_in and max(rows_in) <= 64
+
+
+@pytest.mark.parametrize("block_size", sorted(RAMPS))
+def test_ramped_stream_is_the_exact_block_stream(block_size, monkeypatch):
+    """The ramp changes the block sizes, never the answers or their
+    order: the stream is the one exactly-B blocks give, and every
+    prefix ``islice`` takes is its prefix."""
+    db = _block_db()
+    q = parse_cq(PREFIX)
+    ramped = list(enumerate_answers(q, db, engine="columnar",
+                                    block_size=block_size))
+    prefixes = {k: list(itertools.islice(enumerate_answers(
+        q, db, engine="columnar", block_size=block_size), k))
+        for k in (1, 63, 64, 65, 100, 1025)}
+    monkeypatch.setattr(block_module, "RAMP_START", block_size)
+    exact_blocks = _blocks(db, block_size)
+    assert {len(b) for b in exact_blocks[:-1]} == {block_size}
+    exact = [a for b in exact_blocks for a in b]
+    assert len(exact) > 1025
+    assert ramped == exact
+    for k, prefix in prefixes.items():
+        assert prefix == exact[:k], k
+
+
+def test_interleaved_streams_keep_their_own_ramp():
+    """Two streams over one cached pipeline, advanced in turn, each
+    get the block sizes they get alone."""
+    db = _block_db()
+    q = parse_cq(PREFIX)
+    first, second = (FreeConnexEnumerator(q, db, engine="columnar")
+                     for _ in range(2))
+    first.preprocess()
+    second.preprocess()
+    assert first._inner is second._inner
+    alone = [len(b) for b in first.blocks()]
+    assert alone[:2] == [64, 128]
+    sizes = ([], [])
+    # zip_longest takes one block of each stream in turn
+    for pair in itertools.zip_longest(first.blocks(), second.blocks()):
+        for got, block in zip(sizes, pair):
+            if block is not None:
+                got.append(len(block))
+    assert sizes == (alone, alone)
