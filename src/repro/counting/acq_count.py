@@ -22,6 +22,7 @@ Cross-validation baseline: :func:`count_cq_naive`.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro import obs
@@ -48,8 +49,10 @@ def count_full_acyclic_join(relations: Sequence[VarRelation],
 
     When every relation is columnar and the weight is the plain counting
     weight, the messages are computed by vectorized group-sums
-    (:func:`repro.engine.columnar.count_acyclic_join_columnar`; exact up
-    to the int64 range) instead of per-tuple dict probes.
+    (:func:`repro.engine.columnar.count_acyclic_join_columnar`) instead
+    of per-tuple dict probes, unless the product of the relations' row
+    counts reaches :data:`repro.engine.columnar.COUNT_BOUND`, past which
+    int64 sums could wrap.
     """
     w = weights or WeightFunction.ones()
     relations = list(relations)
@@ -94,7 +97,11 @@ def count_full_acyclic_join(relations: Sequence[VarRelation],
             share_vars[node] = tuple(
                 v for v in relations[node].variables if v in parent_vars)
 
-    from repro.engine.columnar import ColumnarRelation, count_acyclic_join_columnar
+    from repro.engine.columnar import (
+        COUNT_BOUND,
+        ColumnarRelation,
+        count_acyclic_join_columnar,
+    )
 
     unweighted = weights is None or (
         isinstance(weights, WeightFunction) and weights.is_ones())
@@ -102,11 +109,14 @@ def count_full_acyclic_join(relations: Sequence[VarRelation],
            and r.dictionary is relations[0].dictionary
            for r in relations):
         if unweighted:
-            with obs.span("count.message_passing", backend="columnar",
-                          nodes=len(relations)):
-                return count_acyclic_join_columnar(relations, tree,
-                                                   share_vars)
-        if isinstance(weights, WeightFunction):
+            # int64 sums are exact below the bound; past it, the
+            # per-tuple DP below counts in Python ints
+            if math.prod(len(r) for r in relations) < COUNT_BOUND:
+                with obs.span("count.message_passing", backend="columnar",
+                              nodes=len(relations)):
+                    return count_acyclic_join_columnar(relations, tree,
+                                                       share_vars)
+        elif isinstance(weights, WeightFunction):
             # weighted vectorized path: per-row weight gathers; falls
             # back to the exact per-tuple DP when the weights aren't
             # machine floats (see WeightFunction.code_table)

@@ -45,6 +45,7 @@ import numpy as np
 from repro import obs
 from repro.data.database import Database
 from repro.engine.columnar import (
+    COUNT_BOUND,
     ColumnarRelation,
     _masked_atom_columns,
     _unique_inverse,
@@ -261,13 +262,6 @@ class SupportCounters:
 
 
 # ------------------------------------------------------------------ counter
-
-#: Every message, contribution and ``np.add.at`` partial sum of a
-#: maintained count is at most twice the product of its atoms' row
-#: counts, so below this bound int64 arithmetic is exact.  A state whose
-#: product reaches it is not built or refreshed: the count runs cold,
-#: which on the tuple engine is exact Python int arithmetic.
-COUNT_BOUND = 2 ** 62
 
 #: Two codes (or slots) below this pack into one int64 key.
 _PACK = 2 ** 31
@@ -524,9 +518,12 @@ class DeltaCounter:
     Engine-independent (rows are encoded in the process-wide value
     dictionary whatever the caller's backend) and exact: :meth:`build`
     and :meth:`refreshed` decline a state whose int64 sums could
-    overflow (:data:`COUNT_BOUND`), so the maintained total is the int
-    the cold message passing computes.  Unweighted only — float message
-    sums are order-sensitive, so weighted counting stays cold.
+    overflow (:data:`repro.engine.columnar.COUNT_BOUND`: every message,
+    contribution and ``np.add.at`` partial sum of a maintained count is
+    at most twice the product of its atoms' row counts), so the
+    maintained total is the int the cold count computes.  Unweighted
+    only — float message sums are order-sensitive, so weighted counting
+    stays cold.
     """
 
     _broken = False
@@ -641,15 +638,16 @@ class DeltaCounter:
             node.variables, [c[:node.n] for c in node.cols], node.n,
             self.dictionary) for node in self.nodes]
         share = {node.index: node.share for node in self.nodes}
-        for idx, values, first, sums in acyclic_join_messages(
+        for idx, values, groups, padded in acyclic_join_messages(
                 relations, self.tree, share):
             node = self.nodes[idx]
             node.contrib[:node.n] = values
-            if node.slotmaps[0] is None:        # the one key ()
-                node.msg = np.array([sums.sum()], dtype=np.int64)
+            if node.slotmaps[0] is None:        # the one key (), group 0
+                node.msg = np.array([padded[0]], dtype=np.int64)
             else:
                 node.msg = np.zeros(len(node.slotmaps[0]), dtype=np.int64)
-                node.msg[node.slots[0][first]] = sums
+                node.msg[node.slots[0][groups.first]] = \
+                    padded[groups.first_ids]
 
     def _reload(self, ins) -> None:
         """Reload every node with its live rows and ``ins``'s new rows

@@ -722,22 +722,41 @@ def materialise_atom_columnar(db, atom,
 # --------------------------------------------------------- counting kernel
 
 
+#: No sum of an unweighted count exceeds the product of its relations'
+#: row counts (a maintained one's, twice it), so below this bound int64
+#: sums are exact; a count whose product reaches it runs in Python ints.
+COUNT_BOUND = 2 ** 62
+
+
 class _DPGrouping:
     """A relation's rows grouped by one key, memoised for the counting DP.
 
     ``ids[i]`` is row ``i``'s group, in ``[0, card)``; ``first`` holds
     each group's first row, in row order, and ``first_ids`` those rows'
     groups, so the DP's message ``j`` (the key of row ``first[j]``) sums
-    group ``first_ids[j]``.
+    group ``first_ids[j]``.  :attr:`sizes` counts each group's rows: an
+    unweighted leaf's message, read warm instead of re-summed.
     """
 
-    __slots__ = ("ids", "card", "first", "first_ids")
+    __slots__ = ("ids", "card", "first", "first_ids", "_sizes")
 
     def __init__(self, ids: np.ndarray, card: int, first: np.ndarray):
         self.ids = ids
         self.card = card
         self.first = first
         self.first_ids = ids[first]
+        self._sizes: Optional[np.ndarray] = None
+
+    @property
+    def sizes(self) -> np.ndarray:
+        """Each group's row count, padded with one trailing 0 (the slot
+        of a key no row holds), built on first use and read-only: every
+        count over these columns shares it."""
+        if self._sizes is None:
+            sizes = np.bincount(self.ids, minlength=self.card + 1)
+            sizes.flags.writeable = False
+            self._sizes = sizes
+        return self._sizes
 
 
 def _dp_grouping(rel: ColumnarRelation,
@@ -754,15 +773,17 @@ def _dp_grouping(rel: ColumnarRelation,
 
 
 def _dp_gather(parent: ColumnarRelation, child: ColumnarRelation,
-               variables: Sequence[Variable],
+               edge: int, variables: Sequence[Variable],
                child_groups: _DPGrouping) -> np.ndarray:
     """For each row of ``parent``, the group of ``child_groups`` (the
     child's rows grouped by ``variables``) holding its key over
     ``variables``, or ``child_groups.card`` when no child row does.
 
-    Memoised on the parent by both ends' column positions and held
-    against ``child_groups``: the child's memo entry, which changes
-    whenever the child's columns do."""
+    Memoised on the parent by ``edge`` (the child's place among the
+    parent's children: two children may join the parent on the same
+    columns) and both ends' column positions, and held against
+    ``child_groups``: the child's memo entry, which changes whenever the
+    child's columns do."""
     def build() -> np.ndarray:
         first = child_groups.first
         g = len(first)
@@ -773,7 +794,7 @@ def _dp_gather(parent: ColumnarRelation, child: ColumnarRelation,
         slot[ids[:g]] = child_groups.first_ids
         return slot[ids[g:]]
 
-    key = ("dp_gather", tuple(parent.position(v) for v in variables),
+    key = ("dp_gather", edge, tuple(parent.position(v) for v in variables),
            tuple(child.position(v) for v in variables))
     return parent.cached_probe(key, build, against=child_groups)
 
@@ -790,19 +811,18 @@ def count_acyclic_join_columnar(relations: Sequence[ColumnarRelation],
     :func:`repro.counting.acq_count.count_full_acyclic_join` through
     :func:`acyclic_join_messages`, and reads the root's sum.
 
-    Unweighted (``row_weights=None``) sums run in int64, exact up to
-    its range.  With float64 ``row_weights`` (each row's product of
-    its charged variables' weights) the messages become float64:
-    IEEE semantics, see
+    Unweighted (``row_weights=None``) sums run in int64, exact while
+    the product of the relations' row counts is below
+    :data:`COUNT_BOUND` (the caller checks it).  With float64
+    ``row_weights`` (each row's product of its charged variables'
+    weights) the messages become float64: IEEE semantics, see
     :meth:`repro.counting.weighted.WeightFunction.code_table`.
     """
-    for _node, _values, _first, root_sums in acyclic_join_messages(
+    for _node, _values, _groups, root in acyclic_join_messages(
             relations, tree, share_vars, row_weights):
         pass                                    # the root comes last
-    if len(root_sums) == 0:
-        return 0
-    root = root_sums[0]
-    return float(root) if row_weights is not None else int(root)
+    # the root's one key is group 0, which sums to 0 when it has no rows
+    return float(root[0]) if row_weights is not None else int(root[0])
 
 
 def acyclic_join_messages(relations: Sequence[ColumnarRelation], tree,
@@ -810,45 +830,55 @@ def acyclic_join_messages(relations: Sequence[ColumnarRelation], tree,
                           row_weights: Optional[Dict[int, np.ndarray]]
                           = None
                           ) -> Iterator[Tuple[int, np.ndarray,
-                                              np.ndarray, np.ndarray]]:
+                                              _DPGrouping, np.ndarray]]:
     """The counting DP's messages, one node at a time, children first.
 
-    Yields ``(node, values, first, sums)``: ``values[i]`` is row ``i``'s
-    weight (int64 1, or ``row_weights[node][i]``) times its children's
-    message factors, and the message maps each key over
-    ``share_vars[node]``, the key of row ``first[j]``, to ``sums[j]``,
-    the sum of its rows' values (the root's one key is ``()``).  Its
-    keys come in first-occurrence order.
+    Yields ``(node, values, groups, padded)``: ``values[i]`` is row
+    ``i``'s weight (int64 1, or ``row_weights[node][i]``) times its
+    children's message factors, ``groups`` groups the rows by their key
+    over ``share_vars[node]``, and ``padded[g]`` is the sum of group
+    ``g``'s values (and ``padded[groups.card]`` is 0).  So the message
+    maps the key of row ``groups.first[j]`` to
+    ``padded[groups.first_ids[j]]``, in first-occurrence order (the
+    root's one key ``()`` is group 0).
+    ``groups`` and an unweighted leaf's ``values`` and ``padded`` belong
+    to the memo: copy them before writing.
 
     The grouping is the per-database part, and it is memoised on the
     relations (:func:`_dp_grouping`, :func:`_dp_gather`, through
     :meth:`ColumnarRelation.cached_probe`), so copies of a relation
-    share it: each node's group ids over its parent key, and each
-    edge's gather from parent row to child group.  A cold pass builds
-    them without a sort, in O(n + card) per node and edge; a warm pass
-    over unchanged columns runs only, per node, one gather and product
-    per child and one ``np.add.at`` into the node's message (a plain
-    sum for an unweighted node with one key, such as the root).
+    share it: each node's group ids over its parent key, its group
+    sizes, and each edge's gather from parent row to child group.  A
+    cold pass builds them without a sort, in O(n + card) per node and
+    edge.  An unweighted node with no children (every leaf, and the
+    root of a one-node tree) has all-one values, a read-only zero-stride
+    view, and its message is its memoised group sizes, so a warm pass
+    over unchanged columns does no work at it.  Every other node runs
+    one gather and product per child and one ``np.add.at`` into its
+    message (a plain sum for an unweighted node with one key, such as
+    the root).
     """
     messages: Dict[int, Tuple[_DPGrouping, np.ndarray]] = {}
     for node in tree.bottom_up():
         rel = relations[node]
         rel._flush()
         values = None if row_weights is None else row_weights[node]
-        for child in tree.children[node]:
+        for edge, child in enumerate(tree.children[node]):
             groups, padded = messages.pop(child)
-            factor = padded[_dp_gather(rel, relations[child],
+            factor = padded[_dp_gather(rel, relations[child], edge,
                                        share_vars[child], groups)]
             values = factor if values is None else values * factor
-        if values is None:
-            values = np.ones(len(rel), dtype=np.int64)
         groups = _dp_grouping(rel, share_vars[node])
-        # one slot past the groups stays 0: the factor of a parent row
-        # no child row matches
-        padded = np.zeros(groups.card + 1, dtype=values.dtype)
-        if share_vars[node] or values.dtype != np.int64:
-            np.add.at(padded, groups.ids, values)
-        else:       # one group: an int64 sum is exact in any order
-            padded[0] = values.sum()
+        if values is None:      # unweighted, no children
+            values = np.broadcast_to(np.int64(1), len(rel))
+            padded = groups.sizes
+        else:
+            # one slot past the groups stays 0: the factor of a parent
+            # row no child row matches
+            padded = np.zeros(groups.card + 1, dtype=values.dtype)
+            if share_vars[node] or values.dtype != np.int64:
+                np.add.at(padded, groups.ids, values)
+            else:   # one group: an int64 sum is exact in any order
+                padded[0] = values.sum()
         messages[node] = (groups, padded)
-        yield node, values, groups.first, padded[groups.first_ids]
+        yield node, values, groups, padded

@@ -180,3 +180,15 @@ def test_big_counts_are_exact_integers():
     q = parse_cq("Q(a, b) :- R(a, u), S(b, v)")
     db = generators.random_database({"R": 2, "S": 2}, 30, 200, seed=4)
     assert count_acq(q, db) == len(evaluate_cq_naive(q, db))
+
+
+@pytest.mark.parametrize("engine", ["tuple", "columnar"])
+def test_counts_past_int64_are_exact(engine):
+    """Seven relations of 1,000 rows joined on one value: 10^21
+    answers, past int64.  The product of the row counts reaches the
+    int64 kernel's bound, so the columnar engine counts exactly too."""
+    q = parse_cq("Q(a, b0, b1, b2, b3, b4, b5, b6) :- "
+                 + ", ".join(f"R{i}(a, b{i})" for i in range(7)))
+    db = Database.from_relations(
+        {f"R{i}": [(0, j) for j in range(1000)] for i in range(7)})
+    assert count_acq(q, db, engine=engine) == 10 ** 21

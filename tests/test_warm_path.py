@@ -1,12 +1,13 @@
 """The warm path does no preprocessing twice.
 
 A repeated ``decide`` reads its verdict from the plan cache, a repeated
-columnar count reads the counting DP's grouping from the relations'
-probe caches, and the batched pipeline's blocks ramp from 64 answers up
-to B, so the first answers cost less than a whole block.  Each check
-compares against a naive count, a write that must rebuild, or the
-stream of exactly-B blocks.  The memo and the ramp exist on the
-columnar engine only, so those tests force it.
+columnar count reads the counting DP's grouping, and each unweighted
+leaf's message (its group sizes), from the relations' probe caches, and
+the batched pipeline's blocks ramp from 64 answers up to B, so the
+first answers cost less than a whole block.  Each check compares
+against a naive count, a write that must rebuild, or the stream of
+exactly-B blocks.  The memo and the ramp exist on the columnar engine
+only, so those tests force it.
 """
 
 import itertools
@@ -18,7 +19,11 @@ import pytest
 from repro import obs
 from repro.core.plancache import clear_plan_cache, plan_cache
 from repro.core.planner import count, decide, enumerate_answers
-from repro.counting.acq_count import count_cq_naive, count_full_acyclic_join
+from repro.counting.acq_count import (
+    count_cq_naive,
+    count_full_acyclic_join,
+    derive_counting_join,
+)
 from repro.counting.weighted import WeightFunction
 from repro.data.database import Database
 from repro.data.relation import Relation
@@ -33,6 +38,11 @@ PATH3 = "Q(x, y, z, w) :- R(x, y), S(y, z), T(z, w)"
 SELFJOIN = "Q(x, y, z, w) :- R(x, y), R(y, z), R(z, w)"
 PROJ = "Q(x, z) :- R(x, y), S(y, z), T(z, w)"
 PREFIX = "Q(x, y, z) :- R(x, y), S(y, z), T(z, w)"
+# a one-node join tree, and a root with three leaves, two of which join
+# it on the same column
+SINGLE = "Q(x, y) :- R(x, y)"
+STAR = "Q(x, y, z, w, u) :- R(x, y), S(x, z), T(y, w), S(y, u)"
+COUNTED = [PATH3, SELFJOIN, PROJ, SINGLE, STAR]
 ENGINES = pytest.mark.parametrize("engine", ["tuple", "columnar"])
 # dyadic weights: every product and sum the counts form is exact in
 # float64, so the columnar kernel and the naive sum agree bit for bit
@@ -125,7 +135,7 @@ def test_a_write_rebuilds_the_verdict(engine, text, relation, witness):
 
 
 @pytest.mark.usefixtures("cold_pipeline")
-@pytest.mark.parametrize("text", [PATH3, SELFJOIN, PROJ])
+@pytest.mark.parametrize("text", COUNTED)
 def test_second_count_reads_the_dp_grouping_from_the_probe_caches(text):
     """The count's only probe-cache lookups are the DP's groupings and
     gathers: the warm count finds every one of them."""
@@ -145,7 +155,7 @@ def test_second_count_reads_the_dp_grouping_from_the_probe_caches(text):
 
 @ENGINES
 @WEIGHTS
-@pytest.mark.parametrize("text", [PATH3, SELFJOIN, PROJ])
+@pytest.mark.parametrize("text", COUNTED)
 def test_counts_after_each_write_match_the_naive_count(engine, weights,
                                                        text):
     q = parse_cq(text)
@@ -155,6 +165,71 @@ def test_counts_after_each_write_match_the_naive_count(engine, weights,
             assert count(q, db, weights) == count_cq_naive(q, db, weights)
             _write(db, step)
             assert count(q, db, weights) == count_cq_naive(q, db, weights)
+
+
+def _group_sizes(q, db):
+    """The group sizes the counting DP has built on the relations of
+    ``q``'s cached derived join, by relation schema and memo key: one
+    array per unweighted leaf it counted."""
+    return {(tuple(map(str, rel.variables)), key): entry._sizes
+            for rel in derive_counting_join(q, db, engine="columnar")
+            for key, (_against, entry) in rel._probecache.items()
+            if key[0] == "dp_group" and entry._sizes is not None}
+
+
+@pytest.mark.usefixtures("cold_pipeline")
+@pytest.mark.parametrize("text", [PATH3, PROJ, SINGLE, STAR])
+def test_warm_counts_share_each_leafs_read_only_group_sizes(text):
+    q = parse_cq(text)
+    db = _db()
+    with use_engine("columnar"):
+        expected = count(q, db)
+        first = _group_sizes(q, db)
+        assert count(q, db) == expected
+        second = _group_sizes(q, db)
+    leaves = {PATH3: 2, PROJ: 1, SINGLE: 1, STAR: 3}[text]
+    assert len(first) == leaves and first.keys() == second.keys()
+    for key, sizes in first.items():
+        assert second[key] is sizes
+        assert not sizes.flags.writeable
+        with pytest.raises(ValueError):
+            sizes[0] += 1
+    assert expected == count_cq_naive(q, db)
+
+
+@pytest.mark.usefixtures("cold_pipeline")
+def test_a_write_to_a_leaf_rebuilds_its_group_sizes():
+    """``T(z, w)`` is a leaf of PATH3's join tree: after a write to
+    ``T`` its group sizes are a fresh array and the count is the naive
+    one."""
+    q = parse_cq(PATH3)
+    db = _db()
+    with use_engine("columnar"):
+        count(q, db)
+        before = _group_sizes(q, db)
+        for step in (4, 5):             # an add to T, then a delete
+            _write(db, step)
+            assert count(q, db) == count_cq_naive(q, db)
+            after = _group_sizes(q, db)
+            (leaf,) = [key for key in after if key[0] == ("z", "w")]
+            assert after[leaf] is not before[leaf]
+            before = after
+
+
+@ENGINES
+@pytest.mark.parametrize("text", [PATH3, SINGLE, STAR])
+def test_a_leaf_emptied_by_deletes_counts_zero(engine, text):
+    """The last atom of each query is a leaf of its join tree (the
+    root of SINGLE's): its relation is emptied after a warm count."""
+    q = parse_cq(text)
+    db = _db()
+    rel = db.relation(q.atoms[-1].relation)
+    with use_engine(engine):
+        assert count(q, db) == count(q, db) > 0
+        for row in list(rel):
+            rel.discard(row)
+        assert count(q, db) == 0 == count_cq_naive(q, db)
+        assert count_full_acyclic_join(materialise_atoms(q, db)) == 0
 
 
 @WEIGHTS
