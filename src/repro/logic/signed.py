@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Any, Dict, Iterator, List, Sequence, Set, Tuple
 
 from repro.data.database import Database
-from repro.errors import MalformedQueryError
+from repro.errors import MalformedQueryError, QuerySyntaxError
 from repro.logic.atoms import Atom
 from repro.logic.cq import ConjunctiveQuery
 from repro.logic.ncq import NegativeConjunctiveQuery
@@ -140,15 +140,13 @@ def count_signed(query: SignedConjunctiveQuery, db: Database) -> int:
 
 
 def parse_signed(text: str) -> SignedConjunctiveQuery:
-    """Parse a rule that mixes positive and ``not`` atoms."""
-    from repro.logic.parser import _Parser, _tokenize
+    """Parse one rule that mixes positive and ``not`` atoms (``parse_query``'s syntax)."""
+    from repro.logic.parser import parse_rules
 
-    parser = _Parser(_tokenize(text), text)
-    head_name, head_terms, items = parser.parse_rule()
-    positive = [a for kind, a in items if kind == "atom"]
-    negative = [a for kind, a in items if kind == "neg"]
-    comparisons = [c for kind, c in items if kind == "cmp"]
+    (name, head, positive, negative, comparisons), *more = parse_rules(
+        text, lambda *rule: rule)
+    if more:
+        raise QuerySyntaxError(f"expected one signed rule, got {1 + len(more)}")
     if comparisons:
         raise MalformedQueryError("signed queries do not take comparisons here")
-    return SignedConjunctiveQuery(head_terms, positive, negative,
-                                  name=head_name)
+    return SignedConjunctiveQuery(head, positive, negative, name=name)
