@@ -52,7 +52,10 @@ def count_full_acyclic_join(relations: Sequence[VarRelation],
     (:func:`repro.engine.columnar.count_acyclic_join_columnar`) instead
     of per-tuple dict probes, unless the product of the relations' row
     counts reaches :data:`repro.engine.columnar.COUNT_BOUND`, past which
-    int64 sums could wrap.
+    int64 sums could wrap.  Weighted, the group-sums run in float64;
+    with integral weights only while that product times the largest
+    |weight| to the number of charged variables stays below 2^53, under
+    which every float64 sum is an exact integer.
     """
     w = weights or WeightFunction.ones()
     relations = list(relations)
@@ -119,7 +122,8 @@ def count_full_acyclic_join(relations: Sequence[VarRelation],
         elif isinstance(weights, WeightFunction):
             # weighted vectorized path: per-row weight gathers; falls
             # back to the exact per-tuple DP when the weights aren't
-            # machine floats (see WeightFunction.code_table)
+            # machine floats (see WeightFunction.code_table) or are
+            # integral with sums that could pass 2^53
             weighted = _row_weights(relations, charged, weights)
             if weighted is not None:
                 row_weights, integral_weights = weighted
@@ -174,7 +178,8 @@ def _row_weights(relations: Sequence[Any],
                  ) -> Optional[Tuple[Dict[int, Any], bool]]:
     """Each columnar node's row weights (the product of its charged
     variables' weights), and whether every weight is integral; None
-    when a weight is no machine float.
+    when a weight is no machine float, or when the weights are integral
+    and a float64 sum could pass 2^53, where it would round.
 
     The weights are gathered from a table over the charged columns'
     distinct codes alone (:meth:`WeightFunction.code_table`), so the
@@ -190,6 +195,12 @@ def _row_weights(relations: Sequence[Any],
     table = weights.code_table(relations[0].dictionary, codes)
     if table is None:
         return None
+    integral = bool(np.all(np.isfinite(table) & (table == np.floor(table))))
+    if integral:
+        # no sum exceeds (join size bound) * (largest weight)^(charged variables)
+        top = max(1, int(np.abs(table).max(initial=0)))
+        if math.prod(len(r) for r in relations) * top ** len(cols) >= 2 ** 53:
+            return None
     per_cell = table[inverse]
     out = {node: np.ones(len(relations[node]), dtype=np.float64)
            for node in charged}
@@ -197,7 +208,7 @@ def _row_weights(relations: Sequence[Any],
     for node, col in cols:
         out[node] = out[node] * per_cell[start:start + len(col)]
         start += len(col)
-    return out, bool(np.all(table == np.floor(table)))
+    return out, integral
 
 
 def count_quantifier_free_acyclic(cq: ConjunctiveQuery, db: Database,

@@ -68,8 +68,9 @@ class WeightFunction:
         Float64 caveat: each *weight* is exact, but the kernel's sums
         and products are float64 arithmetic, so results of magnitude
         beyond 2^53 may round where the per-tuple path (arbitrary
-        precision ints) would not.  Callers convert integral results
-        back to int when every weight is integer-valued.
+        precision ints) would not.  When every weight is integer-valued,
+        the caller runs the kernel only while no sum can pass 2^53, and
+        converts the result back to int.
         """
         import numpy as np
 

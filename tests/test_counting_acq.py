@@ -192,3 +192,16 @@ def test_counts_past_int64_are_exact(engine):
     db = Database.from_relations(
         {f"R{i}": [(0, j) for j in range(1000)] for i in range(7)})
     assert count_acq(q, db, engine=engine) == 10 ** 21
+
+
+@pytest.mark.parametrize("engine", ["tuple", "columnar"])
+def test_integral_weighted_counts_past_2_53_are_exact(engine):
+    """A star of three 999-row relations weighted by v * v + 1: the
+    weighted count is about 7.4e25, past float64's exact integers, so
+    the columnar engine leaves its float64 kernel for the exact DP."""
+    q = parse_cq("Q(a, b0, b1, b2) :- R0(a, b0), R1(a, b1), R2(a, b2)")
+    db = Database.from_relations(
+        {f"R{i}": [(1, j) for j in range(1, 1000)] for i in range(3)})
+    weights = WeightFunction(lambda v: v * v + 1)
+    expected = 2 * (sum(j * j + 1 for j in range(1, 1000))) ** 3
+    assert count_acq(q, db, weights, engine=engine) == expected
