@@ -389,6 +389,7 @@ def save_records(records: Iterable[Dict[str, Any]], history_dir: str,
     into ``<snapshot_dir>/BENCH_<suite>.json``: the one recorder every
     benchmark entry point writes through."""
     observatory = Observatory(history_dir)
+    os.makedirs(snapshot_dir, exist_ok=True)
     for record in records:
         observatory.append(record)
         merge_snapshot(os.path.join(snapshot_dir,

@@ -266,3 +266,10 @@ def test_save_records_appends_history_and_merges_snapshots(tmp_path):
     snapshot = load_snapshot(str(tmp_path / "BENCH_a.json"))
     assert [headline(r) for r in snapshot] == [2.0]
     assert len(load_snapshot(str(tmp_path / "BENCH_b.json"))) == 1
+
+
+def test_save_records_creates_the_snapshot_directory(tmp_path):
+    snapshots = tmp_path / "new" / "snapshots"
+    save_records([record_with(1.0, suite="a")], str(tmp_path / "hist"),
+                 str(snapshots))
+    assert len(load_snapshot(str(snapshots / "BENCH_a.json"))) == 1
