@@ -135,11 +135,6 @@ def _select_engine(args: argparse.Namespace) -> None:
         from repro.engine import set_engine
 
         set_engine(name)
-    incremental = getattr(args, "incremental", None)
-    if incremental is not None:
-        from repro.core.plancache import set_incremental_enabled
-
-        set_incremental_enabled(incremental)
 
 
 def _add_engine_flag(p: argparse.ArgumentParser) -> None:
@@ -147,17 +142,6 @@ def _add_engine_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--engine", default=None,
                    help="relational backend: tuple (default) or columnar "
                         "(also via the REPRO_ENGINE environment variable)")
-
-
-def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
-    """The shared pipeline knobs: --engine and --incremental."""
-    _add_engine_flag(p)
-    p.add_argument("--incremental", action=argparse.BooleanOptionalAction,
-                   default=None,
-                   help="delta-propagated plan maintenance: refresh cached "
-                        "plans through per-relation delta logs instead of "
-                        "rebuilding after updates (default off, env "
-                        "REPRO_INCREMENTAL)")
 
 
 def _add_obs_flags(p: argparse.ArgumentParser) -> None:
@@ -331,13 +315,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def _print_incremental_stats() -> None:
     """The delta-refresh line under ``repro explain``'s span tree (its
     render_explain footer carries the plan-cache line)."""
-    from repro.core.plancache import incremental_enabled, plan_cache
+    from repro.core.plancache import plan_cache
 
     st = plan_cache().stats()
     print(f"incremental: {st['refreshes']} refreshes, "
           f"{st['refresh_overflows']} delta-log overflows, "
-          f"{st['refresh_fallbacks']} refresher fallbacks "
-          f"({'on' if incremental_enabled() else 'off'})")
+          f"{st['refresh_fallbacks']} refresher fallbacks")
 
 
 #: timer-overhead sanity window for slope fitting: below 10ns the
@@ -546,7 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", action="store_true", help="print |Q(D)| only")
     p.add_argument("--limit", type=int, default=None,
                    help="stop after N answers")
-    _add_pipeline_flags(p)
+    _add_engine_flag(p)
     _add_obs_flags(p)
     p.set_defaults(fn=cmd_run)
 
@@ -564,7 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="trace the counting pipeline instead of enumeration")
     p.add_argument("--limit", type=int, default=None,
                    help="stop enumerating after N answers")
-    _add_pipeline_flags(p)
+    _add_engine_flag(p)
     _add_obs_flags(p)
     p.set_defaults(fn=cmd_explain)
 
@@ -592,7 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strict", action="store_true",
                    help="exit nonzero when any operator's actuals "
                         "contradict the predicted class")
-    _add_pipeline_flags(p)
+    _add_engine_flag(p)
     p.set_defaults(fn=cmd_analyze)
 
     p = sub.add_parser("doctor",

@@ -69,8 +69,9 @@ class WeightFunction:
         and products are float64 arithmetic, so results of magnitude
         beyond 2^53 may round where the per-tuple path (arbitrary
         precision ints) would not.  When every weight is integer-valued,
-        the caller runs the kernel only while no sum can pass 2^53, and
-        converts the result back to int.
+        the caller converts a total below 2^53 back to int and recounts
+        exactly past it (negative weights run the kernel only while no
+        sum can pass 2^53).
         """
         import numpy as np
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.plancache import incremental_scope
 from repro.data.database import Database
 from repro.data.relation import Relation
 from repro.engine import get_engine
@@ -34,19 +33,6 @@ def default_block_size(request, monkeypatch):
         monkeypatch.setattr("repro.engine.enumerate.DEFAULT_BLOCK_SIZE",
                             size)
     return size
-
-
-@pytest.fixture
-def cold_pipeline():
-    """Run the test with incremental refresh off.
-
-    For tests that assert the spans of the cold counting DP.  Under
-    ``REPRO_INCREMENTAL=1`` a quantifier-free count is served by the
-    maintained ``DeltaCounter``, which emits its own spans instead; the
-    count agrees, so only the telemetry these tests check would
-    differ.  Every other plan rebuilds cold in both modes."""
-    with incremental_scope(False):
-        yield
 
 
 @pytest.fixture

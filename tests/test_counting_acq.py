@@ -205,3 +205,43 @@ def test_integral_weighted_counts_past_2_53_are_exact(engine):
     weights = WeightFunction(lambda v: v * v + 1)
     expected = 2 * (sum(j * j + 1 for j in range(1, 1000))) ** 3
     assert count_acq(q, db, weights, engine=engine) == expected
+
+
+@pytest.mark.parametrize("engine", ["tuple", "columnar"])
+def test_integral_weighted_counts_below_2_53_stay_in_the_float_kernel(
+        engine):
+    """Three 50-row relations weighted up to 1,000: the bound on the
+    sums (the row counts' product times the largest weight to the four
+    charged variables, 1.25e17) passes 2^53, but the total does not, so
+    the columnar engine counts in its float64 kernel and returns the
+    tuple engine's exact int."""
+    q = parse_cq("Q(x, y, z, w) :- R(x, y), S(y, z), T(z, w)")
+    db = Database.from_relations(
+        {name: [(i % 10, i // 5) for i in range(50)] for name in "RST"})
+    weights = WeightFunction(lambda v: 1000 - 19 * v)
+    with obs.capture() as tr:
+        total = count_acq(q, db, weights, engine=engine)
+    assert [s.attrs["backend"] for s in tr.spans
+            if s.name == "count.message_passing"] == [
+                "columnar_weighted" if engine == "columnar" else "tuple"]
+    assert type(total) is int and total < 2 ** 53
+    assert total == count_acq(q, db, weights, engine="tuple") \
+        == count_cq_naive(q, db, weights)
+
+
+@pytest.mark.parametrize("engine", ["tuple", "columnar"])
+def test_negative_integral_weighted_counts_past_2_53_are_exact(engine):
+    """Weights of both signs can cancel a rounded sum out of the total,
+    so they keep the bound: past it the columnar engine recounts with
+    the exact DP, and equals the tuple engine."""
+    q = parse_cq("Q(a, b0, b1, b2) :- R0(a, b0), R1(a, b1), R2(a, b2)")
+    db = Database.from_relations(
+        {f"R{i}": [(1, j) for j in range(1, 1000)] for i in range(3)})
+    weights = WeightFunction(
+        lambda v: v * v + 1 if v % 2 else -(v * v + 1))
+    signed = sum(j * j + 1 if j % 2 else -(j * j + 1)
+                 for j in range(1, 1000))
+    total = count_acq(q, db, weights, engine=engine)
+    assert abs(total) > 2 ** 53
+    assert total == count_acq(q, db, weights, engine="tuple") \
+        == 2 * signed ** 3

@@ -1,21 +1,19 @@
 """Parity suite for the delta-propagated incremental refresh path.
 
-The contract under test: with ``--incremental`` / ``REPRO_INCREMENTAL=1``
-an interleaved stream of inserts, deletes and queries must produce
-results *byte-identical* to cold re-preprocessing after every update —
-reduced relations (contents AND row order), exact counts, weighted sums
-and enumeration order — on both engine backends, including the
-delta-log overflow boundary and plans the delta backend does not
-support (both of which must degrade gracefully to cold invalidation).
-The exact count is the one plan refreshed (``DeltaCounter``); the
-others rebuild cold after a write in both modes.
+The contract under test: an interleaved stream of inserts, deletes and
+queries must produce results *byte-identical* to cold re-preprocessing
+after every update — reduced relations (contents AND row order), exact
+counts, weighted sums and enumeration order — on both engine backends,
+including the delta-log overflow boundary and plans the delta backend
+does not support (both of which must degrade gracefully to cold
+invalidation).  The exact count is the one plan refreshed
+(``DeltaCounter``, seeded by the first count after a write); the others
+rebuild cold after a write.
 
 The cold reference is computed on a copy of the database
 (``db.copy()``), whose relations the plan cache has never seen, so
 nothing warm can leak into it.  A cold run on the same database would
-not do: the ``full_reducer``, ``free_connex`` and ``counting_join``
-plan kinds serve both incremental modes, so it would be handed the warm
-run's plans.
+not do: it would be handed the warm run's cached plans.
 """
 
 import pytest
@@ -23,12 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import obs
-from repro.core.plancache import (
-    clear_plan_cache,
-    incremental_scope,
-    plan_cache,
-    set_incremental_enabled,
-)
+from repro.core.plancache import clear_plan_cache, plan_cache
 from repro.core.planner import count
 from repro.counting.acq_count import count_acq
 from repro.counting.weighted import WeightFunction
@@ -50,10 +43,8 @@ ARITIES = {"R": 2, "S": 2, "T": 1}
 @pytest.fixture(autouse=True)
 def _fresh_state():
     clear_plan_cache()
-    set_incremental_enabled(None)
     yield
     clear_plan_cache()
-    set_incremental_enabled(None)
 
 
 def _db(seed_rows=()):
@@ -86,10 +77,8 @@ def _snapshot(cq, db, engine):
 
 
 def _assert_parity(cq, db, engine):
-    with incremental_scope(True):
-        warm = _snapshot(cq, db, engine)
-    with incremental_scope(False):
-        cold = _snapshot(cq, db.copy(), engine)
+    warm = _snapshot(cq, db, engine)
+    cold = _snapshot(cq, db.copy(), engine)
     assert warm[0] == cold[0], "reduced relations diverged (rows or order)"
     assert warm[1] == cold[1], "exact count diverged"
     assert warm[2] == cold[2], "weighted sum diverged"
@@ -141,7 +130,7 @@ def test_interleaved_stream_parity(engine, stream):
     _assert_parity(cq, db, engine)          # cold build primes the cache
     for ops in chunks:
         _apply(db, ops)
-        _assert_parity(cq, db, engine)      # now served via refresh
+        _assert_parity(cq, db, engine)      # the count seeds, then refreshes
 
 
 @pytest.mark.parametrize("engine", ENGINES)
@@ -153,8 +142,7 @@ def test_overflow_boundary_parity(engine, monkeypatch):
     db = _db([("R", (i, i % 3)) for i in range(8)]
              + [("S", (i % 3, i)) for i in range(8)]
              + [("T", (i,)) for i in range(8)])
-    with incremental_scope(True):
-        _snapshot(cq, db, engine)           # prime warm plans
+    _snapshot(cq, db, engine)               # prime warm plans
     # 12 effective mutations on R: far past the 4-entry ring
     for i in range(100, 112):
         db.relation("R").add((i % 3, i % 5))
@@ -171,7 +159,7 @@ def test_unsupported_plan_degrades_to_cold():
     """Repeated-variable atoms: the count refreshes through
     ``DeltaCounter``'s atom map, which keeps only the tuples whose
     repeated positions agree, and the other plans rebuild cold; the
-    incremental flag must not change answers."""
+    answers match a cold run's."""
     cq = parse_cq("Q(x, y) :- E(x, x), F(x, y)")
     db = Database([Relation("E", 2), Relation("F", 2)])
     for i in range(6):
@@ -203,23 +191,24 @@ def test_refresher_error_falls_back_to_cold(engine, run, naive, plan_cls,
     db = _db([("R", (i, i % 7)) for i in range(20)]
              + [("S", (i % 7, i % 5)) for i in range(20)]
              + [("T", (i % 5,)) for i in range(20)])
-    with incremental_scope(True):
-        run(cq, db, engine)                 # cold build primes the cache
-        db.relation("S").add((3, 4))
-        db.relation("T").discard((0,))
-        apply = plan_cls._apply
-        calls = []
+    run(cq, db, engine)                     # cold build primes the cache
+    apply = plan_cls._apply
+    calls = []
 
-        def apply_failing_once(self, deltas):
-            calls.append(deltas)
-            if len(calls) == 1:
-                raise RuntimeError("injected refresh failure")
-            return apply(self, deltas)
+    def apply_failing_on_refresh(self, deltas):
+        calls.append(deltas)
+        if len(calls) == 2:
+            raise RuntimeError("injected refresh failure")
+        return apply(self, deltas)
 
-        monkeypatch.setattr(plan_cls, "_apply", apply_failing_once)
-        with obs.capture() as tr:
-            result = run(cq, db, engine)
-    assert len(calls) == 2                  # the failed refresh, the cold seed
+    monkeypatch.setattr(plan_cls, "_apply", apply_failing_on_refresh)
+    db.relation("R").add((99, 3))
+    run(cq, db, engine)                     # the first write seeds the state
+    db.relation("S").add((3, 4))
+    db.relation("T").discard((0,))
+    with obs.capture() as tr:
+        result = run(cq, db, engine)
+    assert len(calls) == 2                  # the seed, the failed refresh
     assert result == naive(cq, db)
     assert tr.counters.get("delta.refresh_broken") == 1
     assert tr.counters.get("plancache.refresh_fallback") == 1
@@ -248,13 +237,12 @@ def test_noop_mutations_bump_nothing():
 def test_noop_mutations_do_not_invalidate_warm_plans():
     cq = parse_cq(PATH_QUERY)
     db = _db([("R", (1, 2)), ("S", (2, 3)), ("T", (3,))])
-    with incremental_scope(True):
-        before = _snapshot(cq, db, "columnar")
-        base = plan_cache().stats()
-        db.relation("R").add((1, 2))        # no-op
-        db.relation("T").discard((99,))     # no-op
-        after = _snapshot(cq, db, "columnar")
-        stats = plan_cache().stats()
+    before = _snapshot(cq, db, "columnar")
+    base = plan_cache().stats()
+    db.relation("R").add((1, 2))            # no-op
+    db.relation("T").discard((99,))         # no-op
+    after = _snapshot(cq, db, "columnar")
+    stats = plan_cache().stats()
     assert after == before
     assert stats["refreshes"] == base["refreshes"]      # pure cache hits
     assert stats["misses"] == base["misses"]
@@ -266,23 +254,13 @@ def test_noop_mutations_do_not_invalidate_warm_plans():
 def test_refresh_counters_in_stats():
     cq = parse_cq(PATH_QUERY)
     db = _db([("R", (1, 2)), ("S", (2, 3)), ("T", (3,))])
-    with incremental_scope(True):
-        _snapshot(cq, db, "columnar")       # cold misses
-        assert plan_cache().stats()["refreshes"] == 0
-        db.relation("S").add((2, 4))
-        _snapshot(cq, db, "columnar")
-        stats = plan_cache().stats()
-    # the counting state is the one plan refreshed; the others rebuild
+    _snapshot(cq, db, "columnar")           # cold misses
+    assert plan_cache().stats()["refreshes"] == 0
+    db.relation("S").add((2, 4))
+    _snapshot(cq, db, "columnar")
+    stats = plan_cache().stats()
+    # the count seeds its state in place of its cold plan, the one
+    # refresh; the other plans rebuild
     assert stats["refreshes"] == 1
     assert stats["refresh_fallbacks"] == 0
     assert stats["refresh_overflows"] == 0
-
-
-def test_incremental_off_never_refreshes():
-    cq = parse_cq(PATH_QUERY)
-    db = _db([("R", (1, 2)), ("S", (2, 3)), ("T", (3,))])
-    with incremental_scope(False):
-        _snapshot(cq, db, "columnar")
-        db.relation("S").add((2, 4))
-        _snapshot(cq, db, "columnar")
-    assert plan_cache().stats()["refreshes"] == 0
