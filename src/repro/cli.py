@@ -46,7 +46,7 @@ Commands
     The suites are ``bench`` (free-connex delay and preprocessing,
     acyclic total time, Algorithm 2 delay, the triangle lower bound),
     ``dynamic`` (delta refresh vs cold rebuild) and ``selfjoin``
-    (self-join queries on the per-symbol workspace).
+    (self-join queries sharing per-symbol work).
     ``--gate fail`` turns a regression of a case just run against its
     rolling baseline into a nonzero exit code (default: warn only).
     ``--engine`` is its one pipeline flag, and each record's provenance
@@ -215,47 +215,19 @@ def cmd_run(args: argparse.Namespace) -> int:
         _obs_finish(args, tracer, previous)
 
 
-def _synthetic_database(query, size: int, seed: int) -> Database:
-    """A random database matching the query's relation schema (for
-    ``explain`` without ``--data``)."""
-    from repro.data import generators
-    from repro.logic.cq import ConjunctiveQuery
-    from repro.logic.ucq import UnionOfConjunctiveQueries
-
-    if isinstance(query, ConjunctiveQuery):
-        disjuncts = [query]
-    elif isinstance(query, UnionOfConjunctiveQueries):
-        disjuncts = list(query.disjuncts)
-    else:
-        raise SystemExit(
-            "explain needs --data for this query class (synthetic data is "
-            "only generated for CQs and UCQs)"
-        )
-    schema: dict = {}
-    for d in disjuncts:
-        for atom in d.atoms:
-            arity = schema.setdefault(atom.relation, atom.arity)
-            if arity != atom.arity:
-                raise SystemExit(
-                    f"relation {atom.relation} used with arities {arity} "
-                    f"and {atom.arity}"
-                )
-    return generators.random_database(schema, max(4, size // 4), size,
-                                      seed=seed)
-
-
 def cmd_explain(args: argparse.Namespace) -> int:
     """Trace one evaluation and print the span tree + counters."""
     from repro import obs
     from repro.core.planner import count, enumerate_answers
     from repro.logic.parser import parse_query
+    from repro.obs.analyze import synthetic_database
 
     _select_engine(args)
     query = parse_query(args.query)
     if args.data:
         db = load_csv_database(args.data)
     else:
-        db = _synthetic_database(query, args.size, args.seed)
+        db = synthetic_database(query, args.size, args.seed)
     with obs.capture() as tr:
         if args.count:
             result = count(query, db)

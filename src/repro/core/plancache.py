@@ -92,28 +92,23 @@ class PlanCache:
         self.refresh_fallbacks = 0
 
     def stats(self) -> dict:
-        """This cache's counters and size, plus the hits, misses and
-        variant hits of every registered engine's
-        :class:`~repro.engine.symbols.SymbolWorkspace`, summed: per-symbol
-        work sharing rides the same repeated-query motivation as the
-        plan cache, so its counters surface here (and in doctor)
-        alongside the plan hit rates."""
-        from repro.engine import available_engines, get_engine
+        """This cache's counters and size, plus the process-wide hits,
+        misses and variant hits of the artefacts shared on stored
+        relations (:mod:`repro.engine.symbols`): per-symbol work sharing
+        rides the same repeated-query motivation as the plan cache, so
+        its counters surface here alongside the plan hit rates."""
+        from repro.engine.symbols import COUNTS
 
         self._purge()
-        workspaces = [get_engine(name).workspace
-                      for name in available_engines()]
         return {"hits": self.hits, "misses": self.misses,
                 "evictions": self.evictions,
                 "refreshes": self.refreshes,
                 "refresh_overflows": self.refresh_overflows,
                 "refresh_fallbacks": self.refresh_fallbacks,
                 "entries": len(self._entries), "maxsize": self.maxsize,
-                "symbol_workspace_hits": sum(ws.hits for ws in workspaces),
-                "symbol_workspace_misses":
-                    sum(ws.misses for ws in workspaces),
-                "symbol_workspace_variant_hits":
-                    sum(ws.variant_hits for ws in workspaces)}
+                **{key: COUNTS[key] for key in (
+                    "symbol_workspace_hits", "symbol_workspace_misses",
+                    "symbol_workspace_variant_hits")}}
 
     # --------------------------------------------------------------- lifetime
 

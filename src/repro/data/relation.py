@@ -88,7 +88,7 @@ class Relation:
         version of an object still in its constructor).
     """
 
-    __slots__ = ("name", "arity", "_tuples", "_indexes", "_colcache",
+    __slots__ = ("name", "arity", "_tuples", "_indexes", "_memo",
                  "_version", "_deltalog", "serial", "__weakref__")
 
     def __init__(self, name: str, arity: int, tuples: Optional[Iterable[Sequence[Any]]] = None):
@@ -104,11 +104,8 @@ class Relation:
         self._tuples: Dict[Tup, None] = {}
         # (columns) -> {key tuple -> list of full tuples}
         self._indexes: Dict[Tuple[int, ...], Dict[Tup, List[Tup]]] = {}
-        # dictionary-encoded column cache of the columnar engine
-        # (see repro.engine.columnar.encoded_relation_columns); the cache
-        # carries the version it was built at, so a write makes it stale
-        # and the next encode re-encodes the whole relation
-        self._colcache = None
+        # artefacts derived from the current version (see `memo`)
+        self._memo: Optional[Dict[Any, Any]] = None
         # bumped on every effective add/discard
         self._version = 0
         # effective mutations since (up to) `DEFAULT_DELTA_LOG_CAPACITY`
@@ -137,6 +134,7 @@ class Relation:
             return  # no-op: version and delta log must not move
         self._tuples[t] = None
         self._version += 1
+        self._memo = None
         self._deltalog.record("+", t)
         for cols, index in self._indexes.items():
             index.setdefault(tuple(t[c] for c in cols), []).append(t)
@@ -154,6 +152,7 @@ class Relation:
             return  # no-op: version and delta log must not move
         del self._tuples[t]
         self._version += 1
+        self._memo = None
         self._deltalog.record("-", t)
         for cols, index in self._indexes.items():
             key = tuple(t[c] for c in cols)
@@ -204,6 +203,16 @@ class Relation:
     def version(self) -> int:
         """Mutation counter: bumped by every effective add/discard."""
         return self._version
+
+    @property
+    def memo(self) -> Dict[Any, Any]:
+        """Artefacts derived from the current version, by key: the
+        engines' encoded columns, probe caches and masked rows (see
+        :mod:`repro.engine.symbols`).  The write that bumps the version
+        drops it, so no artefact outlives the rows it was built from."""
+        if self._memo is None:
+            self._memo = {}
+        return self._memo
 
     @property
     def delta_log(self) -> DeltaLog:

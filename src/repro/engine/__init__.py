@@ -12,7 +12,7 @@ on:
   joins; see ``benchmarks/test_bench_engines.py``).
 
 Both backends share per-symbol work (encodes, probe structures, masked
-atom variants) through :mod:`repro.engine.symbols`.
+atom variants) on each stored relation's memo (:mod:`repro.engine.symbols`).
 
 Selection, in decreasing precedence:
 

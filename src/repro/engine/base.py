@@ -1,9 +1,10 @@
 """Engine protocol: how algorithms obtain their relations.
 
 An *engine* materialises query atoms in the relation representation the
-join-tree algorithms operate on: it is a ``name``, a per-symbol
-``workspace`` and :meth:`Engine.materialise_atom`.  Both backends'
-relations share the ``VarRelation`` duck interface (``variables``,
+join-tree algorithms operate on: it is a ``name`` and
+:meth:`Engine.materialise_atom`, which shares per-symbol work through
+the stored relation's memo (:mod:`repro.engine.symbols`).  Both
+backends' relations share the ``VarRelation`` duck interface (``variables``,
 ``position``, ``project``, ``semijoin``, ``join``, ``index_on``,
 ``probe``, iteration, ``add``), so
 :func:`repro.eval.yannakakis.full_reducer`,
@@ -31,7 +32,7 @@ class Engine:
     def materialise_atom(self, db: Database, atom: Atom):
         """Materialise one atom against the database (constants and
         repeated variables resolved), sharing the per-symbol work through
-        the engine's :class:`~repro.engine.symbols.SymbolWorkspace`."""
+        the stored relation's memo (:mod:`repro.engine.symbols`)."""
         raise NotImplementedError
 
     def __repr__(self) -> str:
@@ -43,29 +44,21 @@ class TupleEngine(Engine):
 
     name = "tuple"
 
-    def __init__(self):
-        from repro.engine.symbols import SymbolWorkspace
-
-        self.workspace = SymbolWorkspace()
-
     def materialise_atom(self, db: Database, atom: Atom):
         """Materialise via :func:`repro.eval.join.atom_to_varrelation`;
         atoms with constants or repeated variables share one projected
-        row list per (symbol, signature, version) through the workspace,
-        so a self-join pair like ``E(x, x), E(y, y)`` pays the selection
-        scan once (the per-relation hash structures stay per-atom — they
-        key on variable names and are mutated by consumers)."""
-        from repro.engine.symbols import atom_signature
+        row list per signature on the stored relation's memo, so a
+        self-join pair like ``E(x, x), E(y, y)`` pays the selection scan
+        once per version (the per-relation hash structures stay per-atom
+        — they key on variable names and are mutated by consumers)."""
+        from repro.engine.symbols import atom_signature, shared
         from repro.eval.join import VarRelation, atom_to_varrelation
 
         sig = atom_signature(atom)
         if sig is None:
             return atom_to_varrelation(db, atom)
-        rel = db.relation(atom.relation)
-        entry = self.workspace.entry(atom.relation, rel)
-        rows = entry.variant(
-            ("rows", sig),
-            lambda: atom_to_varrelation(db, atom).tuples())
+        rows = shared(db.relation(atom.relation), sig,
+                      lambda: atom_to_varrelation(db, atom).tuples())
         return VarRelation(atom.variables(), rows)
 
 
@@ -76,7 +69,6 @@ class ColumnarEngine(Engine):
 
     def __init__(self, dictionary=None):
         from repro.engine.columnar import default_dictionary
-        from repro.engine.symbols import SymbolWorkspace
 
         # explicit None check: a freshly created (empty) ValueDictionary
         # is falsy, and silently swapping it for the process-global one
@@ -84,10 +76,8 @@ class ColumnarEngine(Engine):
         # that asked for isolation
         self.dictionary = (dictionary if dictionary is not None
                            else default_dictionary())
-        self.workspace = SymbolWorkspace()
 
     def materialise_atom(self, db: Database, atom: Atom):
         from repro.engine.columnar import materialise_atom_columnar
 
-        return materialise_atom_columnar(db, atom, self.dictionary,
-                                         workspace=self.workspace)
+        return materialise_atom_columnar(db, atom, self.dictionary)

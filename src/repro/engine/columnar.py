@@ -360,7 +360,7 @@ class ColumnarRelation:
 
         Keyed by *column positions*, not variable names: a probe depends
         only on the column arrays, so two same-symbol atoms sharing one
-        cache dict (:class:`repro.engine.symbols.SymbolWorkspace`)
+        cache dict (the stored relation's memo, :mod:`repro.engine.symbols`)
         resolve ``R(x, y)`` and ``R(u, v)`` probing column 0 to the same
         entry."""
         from repro.engine.enumerate import _BatchProbe
@@ -618,27 +618,24 @@ def encoded_relation_columns(rel, dictionary: ValueDictionary
                              ) -> Tuple[List[np.ndarray], int]:
     """Dictionary-encoded columns of a stored :class:`Relation`.
 
-    Cached on the relation itself, tagged with the relation version the
-    encoding was taken at; a write makes the cache stale, and the next
-    call re-encodes the whole relation.
-
-    The cache is the symbol-level share of the encode work: every atom
-    over the relation, in every run, reads the same encoded columns.
+    Memoised on the relation's current version under ``dictionary``
+    (see :mod:`repro.engine.symbols`): every atom over the relation, in
+    every run, reads the same encoded columns, and a write re-encodes
+    the whole relation on the next call.
     """
-    cache = getattr(rel, "_colcache", None)
-    version = getattr(rel, "version", None)
-    if (cache is not None and len(cache) == 4 and cache[0] is dictionary
-            and cache[3] == version):
-        obs.count("kernel.encode_cache_hits")
-        return cache[1], cache[2]
-    obs.count("kernel.encode_cache_misses")
-    rows = rel.tuples()
-    cols = _encode_rows(rows, rel.arity, dictionary)
-    try:
-        rel._colcache = (dictionary, cols, len(rows), version)
-    except AttributeError:  # foreign relation type without the slot
-        pass
-    return cols, len(rows)
+    cols, nrows, _probes = _encoded(rel, dictionary)
+    return cols, nrows
+
+
+def _encoded(rel, dictionary: ValueDictionary):
+    """``rel``'s encoded columns, row count and base probe cache."""
+    from repro.engine.symbols import shared
+
+    def build():
+        rows = rel.tuples()
+        return _encode_rows(rows, rel.arity, dictionary), len(rows), {}
+
+    return shared(rel, dictionary, build)
 
 
 def _masked_atom_columns(atom, cols, nrows,
@@ -671,52 +668,41 @@ def _masked_atom_columns(atom, cols, nrows,
 
 
 def materialise_atom_columnar(db, atom,
-                              dictionary: Optional[ValueDictionary] = None,
-                              workspace=None) -> ColumnarRelation:
+                              dictionary: Optional[ValueDictionary] = None
+                              ) -> ColumnarRelation:
     """Vectorized counterpart of :func:`repro.eval.join.atom_to_varrelation`:
     constants and repeated variables become boolean column masks.
 
-    With a :class:`~repro.engine.symbols.SymbolWorkspace`, the result
-    rides the per-symbol entry: all-distinct-variable atoms share the
-    entry's base probe cache (one sorted build per (symbol, positions,
+    The result rides the stored relation's memo: all-distinct-variable
+    atoms share its base probe cache (one sorted build per (positions,
     version) across every atom of the symbol), and masked atoms share
     one column set + probe cache per constant/dup-variable signature —
     ``R(x, x)`` and ``R(u, u)`` are materialised once.  The selected and
     projected columns depend only on the signature, never on variable
     names, which is what makes the share sound.
     """
-    from repro.engine.symbols import atom_signature
+    from repro.engine.symbols import atom_signature, shared
 
     # None check, not truthiness: an empty ValueDictionary is falsy but
     # still the dictionary the caller asked to encode into
     dictionary = dictionary if dictionary is not None else default_dictionary()
     rel = db.relation_for(atom)
-    variables = atom.variables()
     obs.count("kernel.materialise_atom")
-    cols, nrows = encoded_relation_columns(rel, dictionary)
+    cols, nrows, probes = _encoded(rel, dictionary)
     obs.gauge("dictionary.size", len(dictionary))
     sig = atom_signature(atom)
-    entry = workspace.entry(atom.relation, rel) \
-        if workspace is not None else None
-    if sig is None:
-        # base layout: the stored columns in term order, no copy; every
-        # such atom of the symbol shares the entry's probe cache
-        out = ColumnarRelation.from_codes(variables, cols, nrows, dictionary)
-        if entry is not None:
-            out._probecache = entry.probes
-        return out
-    if entry is not None:
-        out_cols, out_n, probes = entry.variant(
-            ("cols", sig),
-            lambda: _masked_atom_columns(atom, cols, nrows, dictionary)
-            + ({},))
-        out = ColumnarRelation.from_codes(variables, out_cols, out_n,
-                                          dictionary)
-        out._probecache = probes
-        return out
-    out_cols, out_n = _masked_atom_columns(atom, cols, nrows, dictionary)
-    # base rows are distinct, so the selected/projected rows are too
-    return ColumnarRelation.from_codes(variables, out_cols, out_n, dictionary)
+    if sig is not None:
+        base = cols, nrows
+        # base rows are distinct, so the selected/projected rows are too
+        cols, nrows, probes = shared(
+            rel, (dictionary, sig),
+            lambda: (*_masked_atom_columns(atom, *base, dictionary), {}),
+            counter="symbol_workspace_variant")
+    # no copy: every atom with this layout aliases the memo's arrays
+    out = ColumnarRelation.from_codes(atom.variables(), cols, nrows,
+                                      dictionary)
+    out._probecache = probes
+    return out
 
 
 # --------------------------------------------------------- counting kernel

@@ -1,48 +1,49 @@
-"""Engine-wide per-symbol work sharing: the :class:`SymbolWorkspace`.
+"""Per-symbol work sharing on the stored relation's memo.
 
 The unit of repeated work in a self-join query is the relation *symbol*,
 not the atom: ``R(x, y), R(y, z), R(z, x)`` names one stored relation
 three times, and every per-atom artefact — the dictionary encoding, the
 sorted probe structures, the constant/duplicate-variable masks —
 depends only on the stored rows and the *positions* involved, never on
-the variable names the atom happens to use.  This module lets both
-backends (tuple and columnar) share one build per (symbol, database
-version):
+the variable names the atom happens to use.  So each artefact lives in
+the stored relation's memo (:attr:`repro.data.relation.Relation.memo`),
+built once per version and read by every atom, run and engine over it:
 
-* one **entry** per (symbol, stored-relation serial, version), LRU'd;
-  like :mod:`repro.core.plancache`, the workspace holds each relation
-  only weakly, and its entries go on the first call after it dies;
-* per entry, one shared position-keyed **probe cache** served to every
-  all-distinct-variable atom over the symbol (``_BatchProbe`` keys on
-  column positions, so ``R(x, y)`` and ``R(u, v)`` probing column 0
-  resolve to the same structure);
-* per entry, a **variant** table keyed by the atom's constant/dup-var
-  *signature* — ``R(x, x)`` and ``R(u, u)`` share one masked column set
-  (and its own probe cache); ``R(3, x)`` and ``R(3, y)`` likewise —
-  closing the gap where masked atoms silently bypassed all sharing.
+* under a :class:`~repro.engine.columnar.ValueDictionary`, the encoded
+  columns and one position-keyed **probe cache** served to every
+  all-distinct-variable atom (``_BatchProbe`` keys on column positions,
+  so ``R(x, y)`` and ``R(u, v)`` probing column 0 resolve to the same
+  structure);
+* under ``(dictionary, signature)``, the masked column set, with its own
+  probe cache, of the atoms with that constant/dup-var
+  :func:`atom_signature` — ``R(x, x)`` and ``R(u, u)`` share one, and so
+  do ``R(3, x)`` and ``R(3, y)``;
+* under the signature alone, the tuple engine's projected rows.
+
+Keying on the dictionary keeps an engine with its own dictionary from
+reading another dictionary's codes.  The write that bumps a relation's
+version drops its memo, and the memo dies with its relation.
 
 Because shared materialisations reuse the *same ndarray objects*, the
 semijoin coalescing in :mod:`repro.eval.yannakakis` can prove two
 reduction passes identical by comparing column identities.
 
-Counters: each workspace counts its own ``hits``, ``misses`` and
-``variant_hits`` in plain ints, which
-:meth:`repro.core.plancache.PlanCache.stats` sums over the engines; the
-same events reach the active tracer as
-``engine.symbol_workspace_{hits,misses}`` and
-``engine.symbol_workspace_variant_{hits,misses}``.
+Counters: a build counts as a miss and a reuse as a hit, as
+``engine.symbol_workspace_{hits,misses}`` (a masked column set's as
+``engine.symbol_workspace_variant_{hits,misses}``) on the active tracer
+and in :data:`COUNTS`, whose totals
+:meth:`repro.core.plancache.PlanCache.stats` reports.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Any, Dict, Optional, Tuple
+from collections import Counter
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro import obs
-from repro.data.relation import DeathWatch
 
-#: stored-relation versions whose shared artefacts stay alive (LRU)
-SYMBOL_WORKSPACE_LIMIT = 64
+#: process-wide builds and reuses of shared artefacts, by counter name
+COUNTS: "Counter[str]" = Counter()
 
 
 def atom_signature(atom) -> Optional[Tuple]:
@@ -50,7 +51,7 @@ def atom_signature(atom) -> Optional[Tuple]:
 
     ``None`` for the *base* layout (all terms distinct variables): such
     atoms materialise to the stored columns in term order, so they all
-    share the entry's base probe cache.  Otherwise a hashable tuple of
+    share the base probe cache.  Otherwise a hashable tuple of
     ``('const', pos, value)`` / ``('dup', pos, first_pos)`` markers:
     two atoms with equal signatures select and project exactly the same
     rows and columns regardless of their variable names, so their
@@ -70,99 +71,25 @@ def atom_signature(atom) -> Optional[Tuple]:
     return tuple(marks) if marks else None
 
 
-class _SymbolEntry:
-    """Shared artefacts of one (symbol, stored relation, version)."""
-
-    __slots__ = ("workspace", "probes", "variants")
-
-    def __init__(self, workspace: "SymbolWorkspace"):
-        #: the workspace that counts this entry's variant hits
-        self.workspace = workspace
-        #: position-keyed probe cache for the base (all-distinct) layout;
-        #: installed as the materialised relations' ``_probecache``
-        self.probes: Dict[Any, Any] = {}
-        #: signature -> backend-specific payload (masked column sets,
-        #: projected row lists, ...) plus their own shared probe caches
-        self.variants: Dict[Any, Any] = {}
-
-    def variant(self, key: Any, builder) -> Any:
-        """Memoise one masked/derived materialisation on the entry."""
-        payload = self.variants.get(key)
-        if payload is None:
-            obs.count("engine.symbol_workspace_variant_misses")
-            payload = builder()
-            self.variants[key] = payload
-        else:
-            self.workspace.variant_hits += 1
-            obs.count("engine.symbol_workspace_variant_hits")
-        return payload
-
-
-class SymbolWorkspace:
-    """Per-engine registry of shared per-symbol artefacts.
-
-    Keys are (symbol, stored relation's serial, version); a mutation
-    bumps the stored relation's version, and the next lookup drops the
-    stale entry.  Entries whose relation died go on the next call.
-    """
-
-    def __init__(self, limit: int = SYMBOL_WORKSPACE_LIMIT):
-        self.limit = int(limit)
-        self._entries: "OrderedDict[Tuple[str, int, int], _SymbolEntry]" = \
-            OrderedDict()
-        self._deaths = DeathWatch()
-        self.hits = 0
-        self.misses = 0
-        self.variant_hits = 0
-
-    def _purge(self) -> None:
-        dead = self._deaths.drain()
-        if dead:
-            for key in [k for k in self._entries if k[1] in dead]:
-                del self._entries[key]
-
-    def entry(self, name: str, rel: Any) -> _SymbolEntry:
-        """The live entry for ``rel``'s current version (hit), or a fresh
-        one replacing its stale versions (miss)."""
-        self._purge()
-        key = (name, rel.serial, rel.version)
-        found = self._entries.get(key)
-        if found is not None:
-            self._entries.move_to_end(key)
-            self.hits += 1
-            obs.count("engine.symbol_workspace_hits")
-            return found
-        self.misses += 1
-        obs.count("engine.symbol_workspace_misses")
-        for k in [k for k in self._entries if k[:2] == key[:2]]:
-            del self._entries[k]
-        self._deaths.watch(rel)
-        made = _SymbolEntry(self)
-        self._entries[key] = made
-        while len(self._entries) > self.limit:
-            self._entries.popitem(last=False)
-        return made
-
-    def stats(self) -> Dict[str, int]:
-        """Introspection for tests/doctor: live workspace inventory."""
-        self._purge()
-        return {
-            "entries": len(self._entries),
-            "probes": sum(len(e.probes) for e in self._entries.values()),
-            "variants": sum(len(e.variants)
-                            for e in self._entries.values()),
-        }
-
-    def clear(self) -> None:
-        self._entries.clear()
-        self._deaths.clear()
-        self.hits = 0
-        self.misses = 0
-        self.variant_hits = 0
+def shared(rel, key: Any, build: Callable[[], Any],
+           counter: str = "symbol_workspace") -> Any:
+    """Stored relation ``rel``'s artefact ``key`` at its current
+    version: ``build()``'s result, built on the first call (a miss) and
+    reused after (a hit)."""
+    memo = rel.memo
+    value = memo.get(key)
+    if value is None:
+        value = memo[key] = build()
+        event = counter + "_misses"
+    else:
+        event = counter + "_hits"
+    COUNTS[event] += 1
+    obs.count("engine." + event)
+    return value
 
 
 __all__ = [
-    "SYMBOL_WORKSPACE_LIMIT",
-    "SymbolWorkspace",
+    "COUNTS",
     "atom_signature",
+    "shared",
 ]

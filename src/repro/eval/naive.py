@@ -13,6 +13,7 @@ Two engines, both exact on their whole fragment and used as ground truth:
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.data.database import Database
@@ -59,50 +60,56 @@ def _atom_order(cq: ConjunctiveQuery, db: Database) -> List[Atom]:
 def satisfying_assignments(cq: ConjunctiveQuery, db: Database) -> Iterator[Assignment]:
     """All assignments of *all* variables satisfying the body (no
     projection, duplicates by construction impossible)."""
-    ordered = _atom_order(cq, db)
-    comparisons = list(cq.comparisons)
+    yield from _backtrack(_atom_order(cq, db), db, 0, {},
+                          list(cq.comparisons))
 
-    def comparisons_ready(assignment: Assignment, pending: List[Comparison]
-                          ) -> Optional[List[Comparison]]:
-        """Evaluate comparisons whose variables are all bound; None = failed."""
-        still: List[Comparison] = []
-        for comp in pending:
-            if all(v in assignment for v in comp.variables()):
-                if not comp.evaluate(assignment):
-                    return None
-            else:
-                still.append(comp)
-        return still
 
-    def backtrack(i: int, assignment: Assignment, pending: List[Comparison]
-                  ) -> Iterator[Assignment]:
-        if i == len(ordered):
-            yield dict(assignment)
-            return
-        atom = ordered[i]
-        rel = db.relation(atom.relation)
-        bound_positions: List[int] = []
-        key: List[Any] = []
-        for pos, term in enumerate(atom.terms):
-            if isinstance(term, Constant):
-                bound_positions.append(pos)
-                key.append(term.value)
-            elif term in assignment:
-                bound_positions.append(pos)
-                key.append(assignment[term])
-        for t in rel.probe(bound_positions, key) if bound_positions else rel:
-            if not atom.matches(t):
-                continue
-            binding = atom.bind(t)
-            new_vars = [v for v in binding if v not in assignment]
-            assignment.update({v: binding[v] for v in new_vars})
-            next_pending = comparisons_ready(assignment, pending)
-            if next_pending is not None:
-                yield from backtrack(i + 1, assignment, next_pending)
-            for v in new_vars:
-                del assignment[v]
+def _comparisons_ready(assignment: Assignment, pending: List[Comparison]
+                       ) -> Optional[List[Comparison]]:
+    """Evaluate comparisons whose variables are all bound; None = failed."""
+    still: List[Comparison] = []
+    for comp in pending:
+        if all(v in assignment for v in comp.variables()):
+            if not comp.evaluate(assignment):
+                return None
+        else:
+            still.append(comp)
+    return still
 
-    yield from backtrack(0, {}, comparisons)
+
+def _backtrack(ordered: List[Atom], db: Database, i: int,
+               assignment: Assignment, pending: List[Comparison]
+               ) -> Iterator[Assignment]:
+    """Extend ``assignment`` through ``ordered[i:]``.  A module-level
+    function, like the FO recursion below: a nested one would reach
+    itself, and ``db``, through its own closure, a cycle that keeps the
+    database alive until a garbage collection."""
+    if i == len(ordered):
+        yield dict(assignment)
+        return
+    atom = ordered[i]
+    rel = db.relation(atom.relation)
+    bound_positions: List[int] = []
+    key: List[Any] = []
+    for pos, term in enumerate(atom.terms):
+        if isinstance(term, Constant):
+            bound_positions.append(pos)
+            key.append(term.value)
+        elif term in assignment:
+            bound_positions.append(pos)
+            key.append(assignment[term])
+    for t in rel.probe(bound_positions, key) if bound_positions else rel:
+        if not atom.matches(t):
+            continue
+        binding = atom.bind(t)
+        new_vars = [v for v in binding if v not in assignment]
+        assignment.update({v: binding[v] for v in new_vars})
+        next_pending = _comparisons_ready(assignment, pending)
+        if next_pending is not None:
+            yield from _backtrack(ordered, db, i + 1, assignment,
+                                  next_pending)
+        for v in new_vars:
+            del assignment[v]
 
 
 def evaluate_cq_naive(cq: ConjunctiveQuery, db: Database) -> Set[Tuple[Any, ...]]:
@@ -134,69 +141,73 @@ def evaluate_fo(formula: Formula, db: Database,
     ``so_assignment`` maps each free second-order variable to a set of
     tuples.  Cost is ``O(||D||^q)`` with q the quantifier depth.
     """
-    assignment = assignment or {}
-    so_assignment = so_assignment or {}
+    return _holds(formula, db, assignment or {}, so_assignment or {})
 
-    def value(term) -> Any:
-        if isinstance(term, Constant):
-            return term.value
-        if term not in assignment:
-            raise UnsupportedQueryError(f"unbound variable {term!r} in FO evaluation")
-        return assignment[term]
 
-    def rec(f: Formula) -> bool:
-        if isinstance(f, RelAtom):
-            rel = db.relation(f.atom.relation)
-            return tuple(value(t) for t in f.atom.terms) in rel
-        if isinstance(f, CompareAtom):
-            return f.comparison.evaluate(
-                {v: assignment[v] for v in f.comparison.variables()}
+def _value(term, assignment: Assignment) -> Any:
+    if isinstance(term, Constant):
+        return term.value
+    if term not in assignment:
+        raise UnsupportedQueryError(f"unbound variable {term!r} in FO evaluation")
+    return assignment[term]
+
+
+def _holds(f: Formula, db: Database, assignment: Assignment,
+           so_assignment: SOAssignment) -> bool:
+    """:func:`evaluate_fo`'s structural recursion."""
+    if isinstance(f, RelAtom):
+        rel = db.relation(f.atom.relation)
+        return tuple(_value(t, assignment) for t in f.atom.terms) in rel
+    if isinstance(f, CompareAtom):
+        return f.comparison.evaluate(
+            {v: assignment[v] for v in f.comparison.variables()}
+        )
+    if isinstance(f, SOAtom):
+        interp = so_assignment.get(f.so_var)
+        if interp is None:
+            raise UnsupportedQueryError(
+                f"free second-order variable {f.so_var!r} has no interpretation"
             )
-        if isinstance(f, SOAtom):
-            interp = so_assignment.get(f.so_var)
-            if interp is None:
-                raise UnsupportedQueryError(
-                    f"free second-order variable {f.so_var!r} has no interpretation"
-                )
-            return tuple(value(t) for t in f.terms) in interp
-        if isinstance(f, Not):
-            return not rec(f.child)
-        if isinstance(f, And):
-            return all(rec(c) for c in f.operands)
-        if isinstance(f, Or):
-            return any(rec(c) for c in f.operands)
-        if isinstance(f, (Exists, ForAll)):
-            variables = f.variables
-            domain = db.domain
+        return tuple(_value(t, assignment) for t in f.terms) in interp
+    if isinstance(f, Not):
+        return not _holds(f.child, db, assignment, so_assignment)
+    if isinstance(f, And):
+        return all(_holds(c, db, assignment, so_assignment)
+                   for c in f.operands)
+    if isinstance(f, Or):
+        return any(_holds(c, db, assignment, so_assignment)
+                   for c in f.operands)
+    if isinstance(f, (Exists, ForAll)):
+        return _quantified(f, 0, db.domain, db, assignment, so_assignment)
+    raise UnsupportedQueryError(f"unknown FO node {f!r}")
 
-            def try_all(i: int) -> bool:
-                if i == len(variables):
-                    return rec(f.child)
-                v = variables[i]
-                previous = assignment.get(v, _MISSING)
-                results = (
-                    any(_bind_and(try_all, assignment, v, d, i) for d in domain)
-                    if isinstance(f, Exists)
-                    else all(_bind_and(try_all, assignment, v, d, i) for d in domain)
-                )
-                if previous is _MISSING:
-                    assignment.pop(v, None)
-                else:
-                    assignment[v] = previous
-                return results
 
-            return try_all(0)
-        raise UnsupportedQueryError(f"unknown FO node {f!r}")
-
-    return rec(formula)
+def _quantified(f: Formula, i: int, domain: List[Any], db: Database,
+                assignment: Assignment, so_assignment: SOAssignment) -> bool:
+    """Quantifier block ``f`` from its ``i``-th variable on: the
+    variable takes each domain value in turn, up to the first witness
+    (``Exists``) or counterexample (``ForAll``), and gets its earlier
+    value back after."""
+    if i == len(f.variables):
+        return _holds(f.child, db, assignment, so_assignment)
+    v = f.variables[i]
+    previous = assignment.get(v, _MISSING)
+    decisive = isinstance(f, Exists)    # the child value that decides
+    result = not decisive
+    for d in domain:
+        assignment[v] = d
+        if bool(_quantified(f, i + 1, domain, db, assignment,
+                            so_assignment)) is decisive:
+            result = decisive
+            break
+    if previous is _MISSING:
+        assignment.pop(v, None)
+    else:
+        assignment[v] = previous
+    return result
 
 
 _MISSING = object()
-
-
-def _bind_and(fn, assignment: Assignment, v: Variable, d: Any, i: int) -> bool:
-    assignment[v] = d
-    return fn(i + 1)
 
 
 def model_check_fo(formula: Formula, db: Database,
@@ -218,17 +229,8 @@ def fo_answers(formula: Formula, db: Database,
     force over the domain (||D||^{#free} candidates)."""
     free = sorted(formula.free_variables(), key=lambda v: v.name) if head is None else list(head)
     out: Set[Tuple[Any, ...]] = set()
-    domain = db.domain
-
-    def assign(i: int, current: Assignment) -> None:
-        if i == len(free):
-            if evaluate_fo(formula, db, dict(current), so_assignment):
-                out.add(tuple(current[v] for v in free))
-            return
-        for d in domain:
-            current[free[i]] = d
-            assign(i + 1, current)
-        current.pop(free[i], None)
-
-    assign(0, {})
+    for values in product(db.domain, repeat=len(free)):
+        current = dict(zip(free, values))
+        if evaluate_fo(formula, db, current, so_assignment):
+            out.add(tuple(current[v] for v in free))
     return out

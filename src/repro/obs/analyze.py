@@ -54,9 +54,16 @@ INFO = "info"
 # ------------------------------------------------------------------ running
 
 
-def _synthetic_database(query: Any, size: int, seed: int):
-    """A random database matching the query's relation schema."""
+def synthetic_database(query: Any, size: int, seed: int):
+    """A random database matching a CQ's or UCQ's relation schema (what
+    ``repro explain`` and ``repro analyze`` run on without ``--data``).
+
+    Any other query class raises
+    :class:`~repro.errors.UnsupportedQueryError`, and a relation used at
+    two arities :class:`~repro.errors.MalformedQueryError`.
+    """
     from repro.data import generators
+    from repro.errors import MalformedQueryError, UnsupportedQueryError
     from repro.logic.cq import ConjunctiveQuery
     from repro.logic.ucq import UnionOfConjunctiveQueries
 
@@ -65,15 +72,15 @@ def _synthetic_database(query: Any, size: int, seed: int):
     elif isinstance(query, UnionOfConjunctiveQueries):
         disjuncts = list(query.disjuncts)
     else:
-        raise ValueError(
-            "analyze needs an explicit database for this query class "
-            "(synthetic data is only generated for CQs and UCQs)")
+        raise UnsupportedQueryError(
+            "this query class needs a database (--data): synthetic data "
+            "is only generated for CQs and UCQs")
     schema: Dict[str, int] = {}
     for d in disjuncts:
         for atom in d.atoms:
             arity = schema.setdefault(atom.relation, atom.arity)
             if arity != atom.arity:
-                raise ValueError(
+                raise MalformedQueryError(
                     f"relation {atom.relation} used with arities "
                     f"{arity} and {atom.arity}")
     return generators.random_database(schema, max(4, size // 4), size,
@@ -187,8 +194,8 @@ def analyze(query: Any, db: Any = None, *, size: int = 4000,
     if scale is None:
         scale = db is None
     if db is None:
-        db = _synthetic_database(query, size, seed)
-        db2 = _synthetic_database(query, 2 * size, seed) if scale else None
+        db = synthetic_database(query, size, seed)
+        db2 = synthetic_database(query, 2 * size, seed) if scale else None
     else:
         try:
             size = sum(len(r) for r in db.relations())
@@ -263,7 +270,7 @@ def analyze(query: Any, db: Any = None, *, size: int = 4000,
         row("symbol_share", "one build per symbol per version",
             f"{ws_hits} hits / {ws_misses} misses, "
             f"{coalesced} coalesced semijoins",
-            INFO, "shared per-symbol workspace")
+            INFO, "shared on the stored relations")
 
     # preprocessing: the full reduce
     key = "yannakakis.full_reduce"

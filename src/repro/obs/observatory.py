@@ -589,10 +589,10 @@ def run_dynamic_suite(size: int, repeats: int = 2,
 
 def run_selfjoin_suite(sizes: Sequence[int], repeats: int = 2,
                        seed: int = 7) -> List[Dict[str, Any]]:
-    """Engine-wide per-symbol work sharing on self-join queries.
+    """Per-symbol work sharing on self-join queries.
 
-    Every case runs on columnar instances, where each (symbol, db
-    version) gets one dictionary encode, one probe build and one
+    Every case runs on columnar instances, where each stored relation's
+    version gets one dictionary encode, one probe build and one
     materialised column set, and semijoin passes over the same columns
     coalesce.  Points use ``n`` = ||D|| and ``value`` = the best wall
     seconds of ``repeats`` runs, each after
@@ -611,10 +611,11 @@ def run_selfjoin_suite(sizes: Sequence[int], repeats: int = 2,
       R(z,x) (evaluation is superlinear by Theorem 4.9, so only the
       linear preprocessing is swept).
 
-    Each point also carries the workspace counters from one freshly
-    instantiated engine (``symbol_cache_misses`` must be 1 and
-    ``symbol_cache_hits`` k-1 for a k-atom self-join — the "one build
-    per symbol per version" provenance).
+    Each point also carries the sharing counters of the first
+    materialisation of the path's atoms on the point's freshly generated
+    database (``symbol_cache_misses`` must be 1 and ``symbol_cache_hits``
+    k-1 for a k-atom self-join — the "one build per symbol per version"
+    provenance).
     """
     from repro import obs
     from repro.core.plancache import clear_plan_cache
@@ -652,10 +653,10 @@ def run_selfjoin_suite(sizes: Sequence[int], repeats: int = 2,
         # join's output stays O(||D||) and enumeration wall time
         # measures the join, not an exploding output
         db = generators.random_database({"R": 2}, size, size, seed=seed)
-        # sharing provenance on a cold engine: k same-symbol atoms must
-        # produce exactly 1 workspace miss (the build) and k-1 hits
+        # sharing provenance on the fresh database: k same-symbol atoms
+        # must produce exactly 1 miss (the build) and k-1 hits
         with obs.capture() as tracer:
-            materialise_atoms(path_query, db, engine=ColumnarEngine())
+            materialise_atoms(path_query, db, engine=engine)
         for name, (_query, fn) in cases.items():
             points[name].append({
                 "n": db.size(),

@@ -58,6 +58,23 @@ def test_run_bad_query_prints_one_error_line(tables, capsys):
     assert len(err) == 1 and err[0].startswith("repro: error: ")
 
 
+@pytest.mark.parametrize("command", ["explain", "analyze"])
+@pytest.mark.parametrize("query", [
+    "Q() :- not R(x, y)",                       # neither a CQ nor a UCQ
+    "Q(x) :- R(x) ; Q(x) :- R(x, y)",           # R at two arities
+], ids=["ncq", "two-arities"])
+def test_no_synthetic_database_prints_one_error_line(command, query,
+                                                     capsys):
+    """Without ``--data`` both commands generate data only for CQs and
+    UCQs; any other query ends in one typed error line (exit 2), not a
+    traceback or a bare exit."""
+    assert main([command, query, "--size", "50"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("repro: error: ")
+
+
 EXPLAIN = ["explain", "Q(x) :- R(x, z), S(z, y)", "--size", "200"]
 DEAD_ENGINE = ("repro: error: unknown engine 'parallel'; "
                "available: ['columnar', 'tuple']")

@@ -263,12 +263,11 @@ def test_build_past_the_bound_encodes_nothing(monkeypatch):
     encoded: a state that cannot be built costs no encode."""
     cq = parse_cq(PATH)
     db = _path_db()
-    db.relation("R").add((99, 1))               # the column cache is stale
+    db.relation("R").add((99, 1))               # the memo is dropped
     monkeypatch.setattr(delta, "COUNT_BOUND", 100)
     with obs.capture() as tr:
         assert DeltaCounter.build(cq, db) is None
-    assert not any(name.startswith("kernel.encode")
-                   for name in tr.counters)
+    assert "engine.symbol_workspace_misses" not in tr.counters
 
 
 def test_messages_follow_the_state_not_the_dictionary():

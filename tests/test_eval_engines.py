@@ -1,10 +1,13 @@
 """Unit + randomized integration tests for the evaluation engines:
 naive CQ/FO evaluation, Yannakakis (Theorem 4.2), model checking."""
 
+import gc
 import random
+import weakref
 
 import pytest
 
+from repro.counting.acq_count import count_cq_naive
 from repro.data import generators
 from repro.data.database import Database
 from repro.errors import NotAcyclicError, UnsupportedQueryError
@@ -137,6 +140,44 @@ def test_fo_answers_matches_cq(small_db):
 
     q = parse_cq("Q(x) :- R(x, z), S(z, y)")
     assert fo_answers(cq_to_fo(q), small_db) == evaluate_cq_naive(q, small_db)
+
+
+def _fo_sentence():
+    x, y = Variable("x"), Variable("y")
+    return ForAll([x, y], Or(Not(RelAtom("R", [x, y])),
+                             Exists(["w"], RelAtom("S", [y, "w"]))))
+
+
+NAIVE_ENTRY_POINTS = {
+    "evaluate_cq_naive": lambda db: evaluate_cq_naive(
+        parse_cq("Q(x, y) :- R(x, z), S(z, y)"), db),
+    "count_cq_naive": lambda db: count_cq_naive(
+        parse_cq("Q(x) :- R(x, z), S(z, y)"), db),
+    "cq_is_satisfiable_naive": lambda db: cq_is_satisfiable_naive(
+        parse_cq("Q() :- R(x, z), S(z, y)"), db),
+    "model_check_fo": lambda db: model_check_fo(_fo_sentence(), db),
+    "fo_answers": lambda db: fo_answers(
+        Exists(["y"], RelAtom("R", [Variable("x"), "y"])), db),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(NAIVE_ENTRY_POINTS))
+def test_naive_evaluation_frees_its_database(entry):
+    """The naive evaluators recurse through module-level functions, so
+    no reference cycle outlives a call: with the collector off, the
+    database dies with its last reference."""
+    db = Database.from_relations({
+        "R": [(1, 2), (2, 3), (3, 4), (1, 3)],
+        "S": [(2, 10), (3, 30), (4, 40), (3, 10)],
+    })
+    gc.disable()
+    try:
+        assert NAIVE_ENTRY_POINTS[entry](db)
+        alive = weakref.ref(db)
+        del db
+        assert alive() is None
+    finally:
+        gc.enable()
 
 
 def test_model_check_requires_sentence(small_db):

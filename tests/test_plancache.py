@@ -20,7 +20,7 @@ from repro.core.planner import count, decide, enumerate_answers
 from repro.data.database import Database
 from repro.data.relation import Relation
 from repro.dynamic.delta import DeltaCounter
-from repro.engine import resolve_engine, use_engine
+from repro.engine import use_engine
 from repro.enumeration.free_connex import FreeConnexEnumerator
 from repro.eval.naive import evaluate_cq_naive
 from repro.eval.yannakakis import full_reducer
@@ -61,7 +61,7 @@ def test_hit_miss_accounting():
                 "entries": 1, "maxsize": 4}
     stats = cache.stats()
     assert {k: stats[k] for k in expected} == expected
-    # sharing telemetry (summed over the engines' workspaces) rides along
+    # the process-wide sharing telemetry rides along
     assert stats["symbol_workspace_hits"] >= 0
     cache.clear()
     expected = {"hits": 0, "misses": 0, "evictions": 0,
@@ -200,8 +200,8 @@ ENGINES = pytest.mark.parametrize("engine", ["tuple", "columnar"])
 # join, rebuilt after each write, or a maintained ``DeltaCounter``
 INCREMENTAL = pytest.mark.parametrize("incremental", [False, True],
                                       ids=["cold", "incremental"])
-# a free-connex query, one whose masked atom R(x, x) rides the symbol
-# workspace on both engines, and a full one (its count keeps a
+# a free-connex query, one whose masked atom R(x, x) rides the stored
+# relation's memo on both engines, and a full one (its count keeps a
 # DeltaCounter once the database is written)
 QUERIES = ["Q(x) :- R(x, z), S(z, y)", "Q(x) :- R(x, x), S(x, y)",
            "Q(x, z, y) :- R(x, z), S(z, y)"]
@@ -265,8 +265,6 @@ def _holds_state():
 @INCREMENTAL
 @pytest.mark.parametrize("cyclic", [False, True], ids=["refcount", "cycle"])
 def test_dropped_database_leaves_both_caches(engine, incremental, cyclic):
-    workspace = resolve_engine(engine).workspace
-    workspace.clear()
     db = _db()
     db.relation("R").add((5, 5))        # a row the masked atom keeps
     _run_all_tasks(db, engine)
@@ -275,7 +273,6 @@ def test_dropped_database_leaves_both_caches(engine, incremental, cyclic):
     assert _holds_state() == incremental
     serials = {rel.serial for rel in db}
     assert _keys_citing(serials)
-    assert workspace.stats()["entries"] > 0
     alive = weakref.ref(db.relation("R"))
     gc.disable()
     try:
@@ -291,7 +288,6 @@ def test_dropped_database_leaves_both_caches(engine, incremental, cyclic):
     assert alive() is None              # no cache entry kept it alive
     len(plan_cache())                   # one cache call purges
     assert _keys_citing(serials) == []
-    assert workspace.stats()["entries"] == 0
 
 
 @ENGINES

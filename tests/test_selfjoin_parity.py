@@ -1,19 +1,24 @@
 """Parity and unit tests for engine-wide per-symbol work sharing.
 
 Self-join queries name one stored relation through several atoms, and
-the :class:`repro.engine.symbols.SymbolWorkspace` shares one build (one
-dictionary encode, one probe structure, one masked column set) per
-(symbol, database version) across all of them.  Sharing must be
+the stored relation's memo (:mod:`repro.engine.symbols`) shares one
+build (one dictionary encode, one probe structure, one masked column
+set) per relation version across all of them.  Sharing must be
 invisible: every backend must return exactly the answers of the naive
 evaluator — including duplicate-variable atoms ``R(x, x)``, constant
-atoms ``R(3, y)``, and interleaved updates that invalidate the
-workspace mid-stream — and must enumerate in the same order whether
-the workspace is built or serves the run.  The classifier half pins the
+atoms ``R(3, y)``, and interleaved updates that drop the memo
+mid-stream — and must enumerate in the same order whether the memo is
+built or serves the run.  The classifier half pins the
 Carmeli–Segoufin self-join analysis: core-based verdicts are decisive,
 not hedged with the old "lower bound stated for self-join-free queries"
 caveat.
 """
 
+import gc
+import weakref
+
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,8 +29,11 @@ from repro.data.database import Database
 from repro.data.relation import Relation
 from repro import obs
 from repro.engine.base import ColumnarEngine, TupleEngine
-from repro.engine.symbols import SymbolWorkspace, atom_signature
+from repro.engine.columnar import (ValueDictionary, default_dictionary,
+                                   encoded_relation_columns)
+from repro.engine.symbols import atom_signature, shared
 from repro.enumeration.free_connex import FreeConnexEnumerator
+from repro.eval.join import atom_to_varrelation
 from repro.eval.naive import cq_is_satisfiable_naive, evaluate_cq_naive
 from repro.eval.yannakakis import full_reducer, yannakakis, yannakakis_boolean
 from repro.logic.atoms import Atom
@@ -110,7 +118,7 @@ def test_selfjoin_enumeration_parity(instance):
     """Quantifier-free variant (all variables in the head): free-connex
     by construction, so every backend must enumerate the same answer
     set, and the *order* within one backend must not depend on whether
-    the run built the workspace (a fresh engine) or was served by it
+    the run built the memo (the engine's first run) or was served by it
     (the same engine again, with the plan cache cleared)."""
     cq, db = instance
     all_vars = sorted(cq.variables(), key=lambda v: v.name)
@@ -126,10 +134,10 @@ def test_selfjoin_enumeration_parity(instance):
 
 
 def test_interleaved_updates_invalidate_workspace():
-    """Mutations bump the stored relation's version; the next query must
-    see the new data on every backend (a stale shared materialisation
-    would be silently wrong), and workspace misses account for the
-    invalidation."""
+    """Mutations bump the stored relation's version and drop its memo;
+    the next query must see the new data on every backend (a stale
+    shared materialisation would be silently wrong), and misses account
+    for the rebuild."""
     q = parse_cq("Q(x, y, z) :- R(x, y), R(y, z)")
     db = Database([Relation("R", 2, [(i, i + 1) for i in range(20)])])
     for step in range(4):
@@ -145,13 +153,13 @@ def test_interleaved_updates_invalidate_workspace():
             > misses_before
 
 
-# ------------------------------------------------------- workspace internals
+# ------------------------------------------------------------ memo internals
 
 
 def test_same_symbol_atoms_share_one_probe_cache():
-    """All-distinct-variable atoms over one symbol share the entry's
-    position-keyed probe cache: one workspace miss (the first atom), one
-    hit (the second), and ``R(x, y)`` / ``R(y, z)`` probing column 0
+    """All-distinct-variable atoms over one symbol share the memo's
+    position-keyed probe cache: one miss (the first atom), one hit (the
+    second), and ``R(x, y)`` / ``R(y, z)`` probing column 0
     resolve to the same probe object."""
     db = Database([Relation("E", 2, [(i % 25, (i * 7) % 25)
                                      for i in range(800)])])
@@ -221,39 +229,114 @@ def test_atom_signature_layouts():
 
 
 def test_workspace_hit_miss_and_version_invalidation():
-    ws = SymbolWorkspace()
+    """The memo builds each artefact once per version: a second lookup
+    at the same version is a hit, a no-op write keeps the memo, and a
+    write that bumps the version drops it, so the next lookup builds
+    afresh."""
     r = Relation("R", 2, [(1, 2)])
-    e1 = ws.entry("R", r)
-    assert ws.entry("R", r) is e1          # same version: hit
+    builds = []
+
+    def build():
+        builds.append(len(r))
+        return [len(r)]
+
+    with obs.capture() as tracer:
+        first = shared(r, "key", build)
+        assert shared(r, "key", build) is first        # same version: hit
+    assert tracer.counters.get("engine.symbol_workspace_misses") == 1
+    assert tracer.counters.get("engine.symbol_workspace_hits") == 1
+    r.add((1, 2))                                  # no-op: no version bump
+    assert shared(r, "key", build) is first
     r.add((3, 4))                                  # version bump
-    e2 = ws.entry("R", r)
-    assert e2 is not e1
-    assert ws.stats()["entries"] == 1              # stale entry dropped
+    assert r.memo == {}                            # stale memo dropped
+    assert shared(r, "key", build) == [2]
+    assert builds == [1, 2]
 
 
 def test_workspace_variant_memoised_once():
-    ws = SymbolWorkspace()
-    r = Relation("R", 2, [(1, 1), (1, 2)])
-    entry = ws.entry("R", r)
-    calls = []
+    """Each signature's masked artefact is built once per version,
+    whatever the atoms' variable names: on columnar a variant miss for
+    the first atom of each signature and a variant hit for every later
+    one, beside one miss and three hits of the encoded columns; on
+    tuple one projected row list per signature.  The memo holds one
+    entry per artefact."""
+    db = Database([Relation("E", 2, [(1, 1), (1, 2), (2, 2)])])
+    x, u = Variable("x"), Variable("u")
+    atoms = [Atom("E", (x, x)), Atom("E", (u, u)),
+             Atom("E", (x, Constant(2))), Atom("E", (u, Constant(2)))]
+    before = plan_cache().stats()["symbol_workspace_variant_hits"]
+    with obs.capture() as tracer:
+        for atom in atoms:
+            ColumnarEngine().materialise_atom(db, atom)
+    assert tracer.counters.get("engine.symbol_workspace_misses") == 1
+    assert tracer.counters.get("engine.symbol_workspace_hits") == 3
+    assert tracer.counters.get("engine.symbol_workspace_variant_misses") == 2
+    assert tracer.counters.get("engine.symbol_workspace_variant_hits") == 2
+    assert plan_cache().stats()["symbol_workspace_variant_hits"] \
+        - before == 2
+    with obs.capture() as tracer:
+        rows = [TupleEngine().materialise_atom(db, atom) for atom in atoms]
+    assert tracer.counters.get("engine.symbol_workspace_misses") == 2
+    assert tracer.counters.get("engine.symbol_workspace_hits") == 2
+    assert [set(r) for r in rows] == [{(1,), (2,)}] * 4
+    # the encoded columns, two masked column sets, two row lists
+    assert len(db.relation("E").memo) == 5
 
-    def build():
-        calls.append(1)
-        return ("payload",)
 
-    key = ("cols", (("dup", 1, 0),))
-    assert entry.variant(key, build) == ("payload",)
-    assert entry.variant(key, build) == ("payload",)
-    assert len(calls) == 1
-    assert ws.stats()["variants"] == 1
+@pytest.mark.parametrize("text", [
+    "Q(x, y, z) :- R(x, y), R(y, z)",
+    "Q(x, y) :- R(x, x), R(x, y)",
+    "Q(y, z) :- R(3, y), R(y, z)",
+])
+def test_engines_with_their_own_dictionaries_share_nothing(text):
+    """Two columnar engines over one database, one with its own
+    dictionary, materialise the same atoms in turn.  The memo keys each
+    columnar artefact on its dictionary, so each engine reads its own
+    codes and probe caches, and its counts and answers are the naive
+    evaluator's."""
+    own = ValueDictionary()
+    # past every code the default dictionary gives this data, so the
+    # two engines' codes for it are disjoint
+    filler = len(default_dictionary()) + 1_000
+    own.encode_column(np.arange(10 ** 15, 10 ** 15 + filler,
+                                dtype=np.int64))
+    engines = (ColumnarEngine(), ColumnarEngine(own))
+    q = parse_cq(text)
+    db = Database([Relation("R", 2, [(i % 7, (3 * i) % 7)
+                                     for i in range(30)])])
+    expect = evaluate_cq_naive(q, db)
+    first = {}
+    for _round in range(2):
+        for eng in engines:
+            rels = [eng.materialise_atom(db, atom) for atom in q.atoms]
+            for rel, atom in zip(rels, q.atoms):
+                assert rel.dictionary is eng.dictionary
+                assert set(rel) == set(atom_to_varrelation(db, atom))
+            first.setdefault(eng.dictionary, rels[0])
+            clear_plan_cache()
+            assert count_acq(q, db, engine=eng) == len(expect)
+            assert set(yannakakis(q, db, engine=eng)) == expect
+    a, b = (first[eng.dictionary] for eng in engines)
+    assert a._probecache is not b._probecache
+    column = a.variables[0]
+    assert not set(a.column(column).tolist()) \
+        & set(b.column(column).tolist())
 
 
-def test_workspace_lru_eviction():
-    ws = SymbolWorkspace(limit=2)
-    rels = [Relation(f"R{i}", 1, [(i,)]) for i in range(3)]
-    for rel in rels:
-        ws.entry(rel.name, rel)
-    assert ws.stats()["entries"] == 2              # oldest evicted
+def test_a_write_frees_the_encoded_columns():
+    """The write that bumps a relation's version drops its memo: with
+    the collector off, the encoded columns die at the write."""
+    rel = Relation("R", 2, [(i, i + 1) for i in range(50)])
+    cols, _nrows = encoded_relation_columns(rel, default_dictionary())
+    column = weakref.ref(cols[0])
+    del cols
+    gc.disable()
+    try:
+        assert column() is not None            # held by the memo
+        rel.add((100, 101))
+        assert column() is None
+    finally:
+        gc.enable()
 
 
 def test_semijoin_coalescing_counted_and_sound():
