@@ -26,10 +26,11 @@ relations can never be hit again: :meth:`PlanCache.put` drops the entry
 a new one supersedes (same kind, query, engine, extra and relation
 serials), and the cache holds one entry per plan of each live database.
 
-A plan looked up with a ``refresher`` (the one kind that is: the
-``count`` slot of :func:`repro.counting.acq_count.count_acq`) is caught
-up from the delta logs rather than rebuilt when only the fingerprint
-moved.
+The ``count`` slot of :func:`repro.counting.acq_count.count_acq` holds
+an unweighted count's total, so a repeat on an unwritten database runs
+no kernel.  A plan looked up with a ``refresher`` (the one kind that
+is: a quantifier-free count's slot) is caught up from the delta logs
+rather than rebuilt when only the fingerprint moved.
 
 Cached values are returned as-is: callers that hand mutable relations to
 consumers must copy them first (see ``full_reducer``).  Enumerator-level
@@ -66,12 +67,7 @@ class PlanCache:
         # relation's death purges just its own entries
         self._citing: Dict[int, Set[Hashable]] = {}
         self._deaths = DeathWatch()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.refreshes = 0
-        self.refresh_overflows = 0
-        self.refresh_fallbacks = 0
+        self.clear()
 
     # ------------------------------------------------------------------ state
 
@@ -80,23 +76,27 @@ class PlanCache:
         return len(self._entries)
 
     def clear(self) -> None:
+        """Drop every entry and restart the counters."""
+        from repro.engine.symbols import COUNTS
+
         self._entries.clear()
         self._latest.clear()
         self._citing.clear()
         self._deaths.clear()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.refreshes = 0
-        self.refresh_overflows = 0
-        self.refresh_fallbacks = 0
+        self.hits = self.misses = self.evictions = 0
+        self.refreshes = self.refresh_overflows = self.refresh_fallbacks = 0
+        # stats() reports the process-wide counts since this snapshot
+        self._symbols_at = {key: COUNTS[key] for key in (
+            "symbol_workspace_hits", "symbol_workspace_misses",
+            "symbol_workspace_variant_hits")}
 
     def stats(self) -> dict:
-        """This cache's counters and size, plus the process-wide hits,
-        misses and variant hits of the artefacts shared on stored
-        relations (:mod:`repro.engine.symbols`): per-symbol work sharing
-        rides the same repeated-query motivation as the plan cache, so
-        its counters surface here alongside the plan hit rates."""
+        """This cache's counters and size, plus the hits, misses and
+        variant hits of the artefacts shared on stored relations
+        (:mod:`repro.engine.symbols`) since the cache was made or last
+        cleared: per-symbol work sharing rides the same repeated-query
+        motivation as the plan cache, so its counters surface here
+        alongside the plan hit rates."""
         from repro.engine.symbols import COUNTS
 
         self._purge()
@@ -106,9 +106,8 @@ class PlanCache:
                 "refresh_overflows": self.refresh_overflows,
                 "refresh_fallbacks": self.refresh_fallbacks,
                 "entries": len(self._entries), "maxsize": self.maxsize,
-                **{key: COUNTS[key] for key in (
-                    "symbol_workspace_hits", "symbol_workspace_misses",
-                    "symbol_workspace_variant_hits")}}
+                **{key: COUNTS[key] - start
+                   for key, start in self._symbols_at.items()}}
 
     # --------------------------------------------------------------- lifetime
 
@@ -208,12 +207,6 @@ class PlanCache:
             return None, _MISS
         return prev_key, self._entries[prev_key]
 
-    def replace(self, key: Hashable, value: Any) -> Any:
-        """Cache a refreshed plan under the current key; :meth:`put`
-        drops the stale entry it was refreshed from."""
-        self.refreshes += 1
-        return self.put(key, value)
-
 
 _GLOBAL = PlanCache()
 
@@ -306,7 +299,9 @@ def cached_plan(kind: str, query: Hashable, db, engine_name: str,
                 else:
                     obs.count("plancache.refresh")
                     obs.count("plancache.delta_applied", n_ops)
-                    return cache.replace(key, value)
+                    cache.refreshes += 1
+                    # put drops the stale entry it was refreshed from
+                    return cache.put(key, value)
     with obs.span("plan.build", kind=kind, cache="miss"):
         value = builder()
     return cache.put(key, value)

@@ -260,31 +260,30 @@ def derive_counting_join(cq: ConjunctiveQuery, db: Database, engine=None
 
 
 def _count_slot(cq: ConjunctiveQuery, db: Database, engine) -> Any:
-    """An unweighted quantifier-free count's one plan-cache slot, keyed
-    on no engine: each engine's derived join, reduced outside the cache,
-    until the database is written, then the
+    """An unweighted count from its plan-cache slot (kind ``count``,
+    keyed on no engine): the total a miss reduces, derives
+    (:func:`~repro.eval.yannakakis.free_join`) and counts cold, until a
+    write.  Then a quantifier-free count's slot holds the
     :class:`~repro.dynamic.delta.DeltaCounter` that
-    :meth:`~repro.dynamic.delta.DeltaCounter.caught_up` seeds on the
-    first count after a write and refreshes after each later one."""
+    :meth:`~repro.dynamic.delta.DeltaCounter.caught_up` seeds or
+    refreshes, and any other count's rebuilds cold."""
     from repro.core.plancache import cached_plan
     from repro.dynamic.delta import DeltaCounter
     from repro.engine import resolve_engine
 
     eng = resolve_engine(engine)
 
-    def derive() -> Dict[str, Optional[List[VarRelation]]]:
+    def build() -> Any:
         tree = cached_join_tree(cq.hypergraph())
-        reduced = full_reducer(cq, db, tree, engine=eng)[1]
-        return {eng.name: free_join(cq, reduced)}
+        derived = free_join(cq, full_reducer(cq, db, tree, engine=eng)[1])
+        return 0 if derived is None else count_full_acyclic_join(derived)
 
-    plan = cached_plan("count", cq, db, "-", derive,
-                       refresher=lambda plan, deltas:
-                           DeltaCounter.caught_up(plan, cq, db, deltas))
-    if isinstance(plan, DeltaCounter):
-        return plan
-    if eng.name not in plan:            # derived on another engine
-        plan.update(derive())
-    return plan[eng.name]
+    refresher = None
+    if DeltaCounter.supports(cq):
+        def refresher(plan, deltas):
+            return DeltaCounter.caught_up(plan, cq, db, deltas)
+    plan = cached_plan("count", cq, db, "-", build, refresher=refresher)
+    return plan.total() if isinstance(plan, DeltaCounter) else plan
 
 
 def count_acq(cq: ConjunctiveQuery, db: Database,
@@ -298,8 +297,10 @@ def count_acq(cq: ConjunctiveQuery, db: Database,
     is phi(D), a quantifier-free acyclic join counted by the Theorem 4.21
     DP.  A quantifier-free query's derived join is its reduced atoms.
 
-    An unweighted quantifier-free count keeps one plan-cache slot
-    (:func:`_count_slot`), which a write turns into a maintained state.
+    An unweighted count keeps its total in one plan-cache slot
+    (:func:`_count_slot`): a repeat on an unwritten database reads it
+    and runs no kernel, and a write turns a quantifier-free count's slot
+    into a maintained state.  A weighted count derives and runs the DP.
 
     Weights apply to the free variables (answers are tuples over the
     head), matching the #F-CQ definition of Section 4.4.
@@ -308,17 +309,11 @@ def count_acq(cq: ConjunctiveQuery, db: Database,
         raise UnsupportedQueryError("comparisons are not supported in counting")
     if not cq.is_acyclic():
         raise NotAcyclicError(f"query {cq!r} is not acyclic; use count_cq_naive")
-    from repro.dynamic.delta import DeltaCounter
-
     with obs.span("count.acq", atoms=len(cq.atoms)):
-        unweighted = weights is None or (
-            isinstance(weights, WeightFunction) and weights.is_ones())
-        if unweighted and DeltaCounter.supports(cq):
-            derived = _count_slot(cq, db, engine)
-            if isinstance(derived, DeltaCounter):
-                return derived.total()
-        else:
-            derived = derive_counting_join(cq, db, engine=engine)
+        if weights is None or (isinstance(weights, WeightFunction)
+                               and weights.is_ones()):
+            return _count_slot(cq, db, engine)
+        derived = derive_counting_join(cq, db, engine=engine)
         if derived is None:
             return 0
         # a satisfiable Boolean query derives nothing to join: one answer

@@ -26,11 +26,11 @@ proportional to the delta's footprint rather than to ``||D||``.
   dictionary.  It is seeded from the cold columnar kernel's messages,
   and a delta recomputes just the contributions under the keys whose
   sums moved, one level at a time.  It is the one plan the plan cache
-  refreshes: an unweighted quantifier-free count's slot holds each
-  engine's cold derived join until the database is written, and the
-  first count after a write seeds one state in their place, which every
-  engine reads (:meth:`DeltaCounter.caught_up`).  Every other plan
-  rebuilds cold after a write.
+  refreshes: an unweighted count's slot holds the cold total until the
+  database is written, and for a quantifier-free query the first count
+  after a write seeds one state in its place, which every engine reads
+  (:meth:`DeltaCounter.caught_up`).  Every other plan rebuilds cold
+  after a write.
 
 ``DeltaCounter``'s plan-cache refresher mutates in place; an
 unexpected mid-refresh failure marks the state broken so the cache falls
@@ -763,9 +763,10 @@ class DeltaCounter:
     @classmethod
     def caught_up(cls, plan: Any, cq: ConjunctiveQuery, db: Database,
                   deltas: Dict[str, Ops]) -> Optional["DeltaCounter"]:
-        """The refresher of a count's plan-cache slot: its state
-        refreshed with ``deltas``, or a state seeded from ``db`` in
-        place of the cold derived joins it holds until the first write.
+        """The refresher of a quantifier-free count's plan-cache slot:
+        its state refreshed with ``deltas``, or a state seeded from
+        ``db`` in place of the cold total it holds until the first
+        write.
         None (a cold rebuild) when the state is broken, fails to seed or
         is past its int64 bound, or when the counted relations' logged
         ops pass a tenth of their rows plus 4: on a 2-CPU host a refresh

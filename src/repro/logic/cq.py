@@ -37,19 +37,19 @@ class ConjunctiveQuery:
         Optional display name for the query ("Q" by default).
     """
 
-    __slots__ = ("name", "head", "atoms", "comparisons", "_var_cache",
-                 "_acyclic_cache")
+    __slots__ = ("name", "head", "atoms", "comparisons", "_variables",
+                 "_acyclic_cache", "_hash")
 
     def __init__(self, head: Sequence[Any], atoms: Sequence[Atom],
                  comparisons: Sequence[Comparison] = (), name: str = "Q"):
-        head_vars: List[Variable] = []
+        head_vars: Dict[Variable, None] = {}     # a set, in head order
         for h in head:
             t = as_term(h)
             if not isinstance(t, Variable):
                 raise MalformedQueryError(f"head terms must be variables, got {t!r}")
             if t in head_vars:
                 raise MalformedQueryError(f"duplicate head variable {t!r}")
-            head_vars.append(t)
+            head_vars[t] = None
         atoms = tuple(atoms)
         if not atoms:
             raise MalformedQueryError("a conjunctive query needs at least one atom")
@@ -59,8 +59,8 @@ class ConjunctiveQuery:
         object.__setattr__(self, "head", tuple(head_vars))
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "comparisons", comparisons)
-        object.__setattr__(self, "_var_cache", None)
         object.__setattr__(self, "_acyclic_cache", None)
+        object.__setattr__(self, "_hash", None)
         self._validate()
 
     def __setattr__(self, key: str, value: Any) -> None:
@@ -69,20 +69,26 @@ class ConjunctiveQuery:
     # ------------------------------------------------------------- validation
 
     def _validate(self) -> None:
+        """Check arities and safety in one pass; keep the variables."""
         arities: Dict[str, int] = {}
+        body: Dict[Variable, None] = {}
         for atom in self.atoms:
-            seen = arities.setdefault(atom.relation, atom.arity)
-            if seen != atom.arity:
+            terms = atom.terms
+            seen = arities.setdefault(atom.relation, len(terms))
+            if seen != len(terms):
                 raise MalformedQueryError(
-                    f"relation {atom.relation!r} used at arities {seen} and {atom.arity}"
+                    f"relation {atom.relation!r} used at arities {seen} and {len(terms)}"
                 )
-        body_vars = self.variable_set()
+            for t in terms:
+                if isinstance(t, Variable):
+                    body[t] = None
+        object.__setattr__(self, "_variables", tuple(body))
         for v in self.head:
-            if v not in body_vars:
+            if v not in body:
                 raise MalformedQueryError(f"head variable {v!r} does not occur in the body")
         for comp in self.comparisons:
             for v in comp.variables():
-                if v not in body_vars:
+                if v not in body:
                     raise MalformedQueryError(
                         f"comparison variable {v!r} does not occur in any relational atom"
                     )
@@ -103,13 +109,7 @@ class ConjunctiveQuery:
 
     def variables(self) -> Tuple[Variable, ...]:
         """All variables, in order of first occurrence in the body."""
-        if self._var_cache is None:
-            seen: Dict[Variable, None] = {}
-            for atom in self.atoms:
-                for v in atom.variables():
-                    seen.setdefault(v, None)
-            object.__setattr__(self, "_var_cache", tuple(seen))
-        return self._var_cache
+        return self._variables
 
     def variable_set(self) -> FrozenSet[Variable]:
         return frozenset(self.variables())
@@ -242,7 +242,12 @@ class ConjunctiveQuery:
         )
 
     def __hash__(self) -> int:
-        return hash((self.head, frozenset(self.atoms), frozenset(self.comparisons)))
+        # immutable, and hashed by every plan-cache lookup: hash once
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash(
+                (self.head, frozenset(self.atoms),
+                 frozenset(self.comparisons))))
+        return self._hash
 
     def __repr__(self) -> str:
         head = ", ".join(v.name for v in self.head)

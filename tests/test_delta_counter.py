@@ -46,7 +46,7 @@ def _builds(run):
 @ENGINES
 def test_counts_of_an_unwritten_database_build_no_state(engine):
     """A count on a fresh database, and repeats on one never written,
-    rerun the DP over the cached derived join and seed nothing."""
+    read the cached total and seed nothing."""
     cq = parse_cq(PATH)
     db = _path_db()
     expected = len(evaluate_cq_naive(cq, db))
@@ -76,9 +76,9 @@ def test_the_first_count_after_a_write_seeds_the_state(engine):
 
 
 def test_both_engines_read_one_slot_and_one_state():
-    """Each engine's cold join and, after a write, the one state that
-    both engines read share the count's slot: a write is caught up
-    once, whichever engine counts next."""
+    """The cold total and, after a write, the one state that both
+    engines read share the count's slot: a write is caught up once,
+    whichever engine counts next."""
     cq = parse_cq(PATH)
     db = _path_db()
     expected = len(evaluate_cq_naive(cq, db))

@@ -9,6 +9,8 @@ by construction; the naive evaluator is the ground truth."""
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
+from repro.core.plancache import clear_plan_cache
 from repro.counting.acq_count import count_acq, count_quantifier_free_acyclic
 from repro.data.database import Database
 from repro.data.relation import Relation
@@ -122,10 +124,19 @@ def test_full_reducer_parity(instance):
 @settings(max_examples=60, deadline=None)
 @given(acyclic_instance())
 def test_count_parity(instance):
+    """Each engine counts on an empty plan cache, so each call builds
+    the count's slot with its own kernel rather than reading the total
+    the other engine cached."""
     cq, db = instance
     expect = (1 if cq_is_satisfiable_naive(cq, db) else 0) \
         if cq.is_boolean() else len(evaluate_cq_naive(cq, db))
-    assert count_acq(cq, db, engine="tuple") == expect
-    assert count_acq(cq, db, engine="columnar") == expect
+    for engine in ("tuple", "columnar"):
+        clear_plan_cache()
+        with obs.capture() as tr:
+            assert count_acq(cq, db, engine=engine) == expect
+        assert [s.attrs["kind"] for s in tr.spans
+                if s.name == "plan.build"] == ["count"]
+        assert {s.attrs["backend"] for s in tr.spans
+                if s.name == "count.message_passing"} <= {engine}
     if cq.is_quantifier_free() and not cq.is_boolean():
         assert count_quantifier_free_acyclic(cq, db, engine="columnar") == expect

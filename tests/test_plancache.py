@@ -67,9 +67,35 @@ def test_hit_miss_accounting():
     expected = {"hits": 0, "misses": 0, "evictions": 0,
                 "refreshes": 0, "refresh_overflows": 0,
                 "refresh_fallbacks": 0,
-                "entries": 0, "maxsize": 4}
+                "entries": 0, "maxsize": 4,
+                "symbol_workspace_hits": 0, "symbol_workspace_misses": 0,
+                "symbol_workspace_variant_hits": 0}
     stats = cache.stats()
     assert {k: stats[k] for k in expected} == expected
+
+
+def test_clear_restarts_the_workspace_counts():
+    """The workspace keys count from the cache's making or last clear;
+    clearing leaves the process-wide counts as they are."""
+    from repro.engine.symbols import COUNTS
+    from repro.eval.yannakakis import materialise_atoms
+
+    keys = ("symbol_workspace_hits", "symbol_workspace_misses",
+            "symbol_workspace_variant_hits")
+    cache = PlanCache()
+    # the base columns and the masked R(y, y): built, then reused
+    q = parse_cq("Q(x, y) :- R(x, y), R(y, y)")
+    db = _db()
+    for _ in range(2):
+        materialise_atoms(q, db, "columnar")
+    assert all(cache.stats()[key] > 0 for key in keys)
+    before = dict(COUNTS)
+    cache.clear()
+    assert dict(COUNTS) == before
+    assert [cache.stats()[key] for key in keys] == [0, 0, 0]
+    materialise_atoms(q, db, "columnar")
+    assert [cache.stats()[key] for key in keys] == \
+        [COUNTS[key] - before.get(key, 0) for key in keys]
 
 
 def test_none_is_a_cacheable_value():
@@ -196,8 +222,8 @@ def test_warm_enumeration_matches_cold(engine):
 # ------------------------------------------------------------- lifetimes
 
 ENGINES = pytest.mark.parametrize("engine", ["tuple", "columnar"])
-# what a written database's counts keep in their slots: the cold derived
-# join, rebuilt after each write, or a maintained ``DeltaCounter``
+# what a written database's counts keep in their slots: the cold total,
+# rebuilt after each write, or a maintained ``DeltaCounter``
 INCREMENTAL = pytest.mark.parametrize("incremental", [False, True],
                                       ids=["cold", "incremental"])
 # a free-connex query, one whose masked atom R(x, x) rides the stored
@@ -218,9 +244,9 @@ def _run_all_tasks(db, engine):
 
 @ENGINES
 def test_stats_count_the_workspace_events_the_tracer_sees(engine):
-    """``stats()`` sums the engines' own workspace counters: over a cold
-    and then a warm run, each moves by the captured tracer's counter of
-    the same name."""
+    """``stats()`` reports the process-wide counts of the artefacts
+    memoised on stored relations: over a cold and then a warm run, each
+    moves by the captured tracer's counter of the same name."""
     db = _db()
     db.relation("R").add((5, 5))        # a row the masked atom keeps
     misses = {}

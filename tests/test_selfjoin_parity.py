@@ -104,12 +104,19 @@ def test_selfjoin_answer_parity(instance):
 @settings(max_examples=40, deadline=None)
 @given(selfjoin_instance())
 def test_selfjoin_count_parity(instance):
+    """The cache is cleared before each engine's count, so each builds
+    the count's slot with its own kernel."""
     cq, db = instance
     expect = (1 if cq_is_satisfiable_naive(cq, db) else 0) \
         if cq.is_boolean() else len(evaluate_cq_naive(cq, db))
-    clear_plan_cache()
     for engine in ENGINES:
-        assert count_acq(cq, db, engine=engine) == expect
+        clear_plan_cache()
+        with obs.capture() as tr:
+            assert count_acq(cq, db, engine=engine) == expect
+        assert [s.attrs["kind"] for s in tr.spans
+                if s.name == "plan.build"] == ["count"]
+        assert {s.attrs["backend"] for s in tr.spans
+                if s.name == "count.message_passing"} <= {engine}
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,10 +1,11 @@
 """The warm path does no preprocessing twice.
 
 A repeated ``decide`` reads its verdict from the plan cache, a repeated
-columnar count reads the counting DP's grouping, and each unweighted
-leaf's message (its group sizes), from the relations' probe caches, and
-the batched pipeline's blocks ramp from 64 answers up to B, so the
-first answers cost less than a whole block.  Each check compares
+unweighted count reads its total from its slot and runs no kernel, the
+counting DP that a weighted count reruns reads its grouping, and each
+unweighted leaf's message (its group sizes), from the relations' probe
+caches, and the batched pipeline's blocks ramp from 64 answers up to B,
+so the first answers cost less than a whole block.  Each check compares
 against a naive count, a write that must rebuild, or the stream of
 exactly-B blocks.  The memo and the ramp exist on the columnar engine
 only, so those tests force it.
@@ -20,7 +21,6 @@ from repro import obs
 from repro.core.plancache import clear_plan_cache, plan_cache
 from repro.core.planner import count, decide, enumerate_answers
 from repro.counting.acq_count import (
-    _count_slot,
     count_cq_naive,
     count_full_acyclic_join,
     derive_counting_join,
@@ -48,11 +48,10 @@ COUNTED = [PATH3, SELFJOIN, PROJ, SINGLE, STAR]
 ENGINES = pytest.mark.parametrize("engine", ["tuple", "columnar"])
 # dyadic weights: every product and sum the counts form is exact in
 # float64, so the columnar kernel and the naive sum agree bit for bit
+WEIGHTED = {"integral": WeightFunction(lambda v: v % 3 + 1),
+            "dyadic": WeightFunction(lambda v: (v % 5) * 0.25 + 0.5)}
 WEIGHTS = pytest.mark.parametrize(
-    "weights",
-    [None, WeightFunction(lambda v: v % 3 + 1),
-     WeightFunction(lambda v: (v % 5) * 0.25 + 0.5)],
-    ids=["unweighted", "integral", "dyadic"])
+    "weights", [None, *WEIGHTED.values()], ids=["unweighted", *WEIGHTED])
 # B -> the ramp before the first block of exactly B answers
 RAMPS = {7: [], 64: [], 100: [64], 1024: [64, 128, 256, 512]}
 
@@ -136,22 +135,24 @@ def test_a_write_rebuilds_the_verdict(engine, text, relation, witness):
 # ------------------------------------------------------------------- count
 
 
+@ENGINES
 @pytest.mark.parametrize("text", COUNTED)
-def test_second_count_reads_the_dp_grouping_from_the_probe_caches(text):
-    """The count's only probe-cache lookups are the DP's groupings and
-    gathers: the warm count finds every one of them."""
+def test_second_count_reads_the_cached_total(engine, text):
+    """The cold count runs the DP; the warm one returns the total its
+    slot holds, with no probe-cache lookup and no message passing."""
     q = parse_cq(text)
     db = _db()
-    with use_engine("columnar"):
+    with use_engine(engine):
         with obs.capture() as cold:
             expected = count(q, db)
         with obs.capture() as warm:
             assert count(q, db) == expected
-    lookups = (cold.counters.get("kernel.probe_cache_hits", 0)
-               + cold.counters["kernel.probe_cache_misses"])
     assert expected == count_cq_naive(q, db)
-    assert "kernel.probe_cache_misses" not in warm.counters
-    assert warm.counters["kernel.probe_cache_hits"] == lookups
+    assert [s.attrs["backend"] for s in cold.spans
+            if s.name == "count.message_passing"] == [engine]
+    assert not [s for s in warm.spans if s.name == "count.message_passing"]
+    assert not [key for key in warm.counters
+                if key.startswith("kernel.probe_cache_")]
 
 
 @ENGINES
@@ -168,13 +169,79 @@ def test_counts_after_each_write_match_the_naive_count(engine, weights,
             assert count(q, db, weights) == count_cq_naive(q, db, weights)
 
 
-def _counted_join(q, db):
-    """The cached derived join a columnar ``count`` of ``q`` reads: its
-    count slot's for a query whose count the slot keeps, else
-    :func:`derive_counting_join`'s."""
-    if DeltaCounter.supports(q):
-        return _count_slot(q, db, "columnar")
-    return derive_counting_join(q, db, engine="columnar")
+@ENGINES
+@pytest.mark.parametrize("weights", WEIGHTED.values(), ids=list(WEIGHTED))
+@pytest.mark.parametrize("text", COUNTED)
+def test_a_weighted_count_never_reads_the_cached_total(engine, weights,
+                                                        text):
+    """Weighted counts before and after the unweighted one that fills
+    the slot run their own DP and sum the weights."""
+    q = parse_cq(text)
+    db = _db()
+    expected = count_cq_naive(q, db, weights)
+    with use_engine(engine):
+        assert count(q, db, weights) == expected
+        assert count(q, db) == count_cq_naive(q, db)
+        assert count(q, db, weights) == expected
+
+
+def _entries():
+    """The kinds and values of the plan cache's live entries."""
+    return [(key[0], value) for key, value in plan_cache()._entries.items()]
+
+
+@ENGINES
+@pytest.mark.parametrize("text, expected", [
+    (PROJ, None),
+    ("Q() :- R(x, y), S(y, z), T(z, w)", 1),
+    ("Q(x, z) :- R(x, y), S(y, z), T(z, 99)", 0),
+    ("Q(x, y, z) :- R(x, y), S(y, z), T(z, 99)", 0),
+], ids=["projected", "boolean", "unsatisfiable-projected",
+        "unsatisfiable-full"])
+def test_a_count_keeps_one_entry_holding_its_total(engine, text, expected):
+    """The cold count builds one entry, the slot holding its total (1
+    for a satisfiable Boolean query, 0 for one with no answer), and the
+    warm count reads it: a projected count keeps no derived join and no
+    reduced atoms beside it."""
+    q = parse_cq(text)
+    db = _db()
+    total = count_cq_naive(q, db)
+    assert expected in (None, total)
+    with use_engine(engine):
+        for run in ("cold", "warm"):
+            with obs.capture() as t:
+                assert count(q, db) == total
+            builds = [s.attrs["kind"] for s in t.spans
+                      if s.name == "plan.build"]
+            assert builds == (["count"] if run == "cold" else []), run
+            assert _entries() == [("count", total)]
+
+
+@ENGINES
+@pytest.mark.parametrize("text, seeds", [(PROJ, False), (PATH3, True)],
+                         ids=["projected", "quantifier-free"])
+def test_after_a_write_the_slot_rebuilds_or_seeds(engine, text, seeds):
+    """A write turns a quantifier-free count's total into a seeded
+    :class:`DeltaCounter`; a projected count has no maintained state
+    and rebuilds its total cold."""
+    q = parse_cq(text)
+    db = _db()
+    with use_engine(engine):
+        assert count(q, db) == count_cq_naive(q, db)
+        for step in range(WRITES):
+            _write(db, step)
+            with obs.capture() as t:
+                assert count(q, db) == count_cq_naive(q, db)
+            builds = [s.attrs["kind"] for s in t.spans
+                      if s.name == "plan.build"]
+            seeded = sum(s.name == "delta.counter_build" for s in t.spans)
+            (kind, value), = _entries()
+            assert kind == "count"
+            assert isinstance(value, DeltaCounter) == seeds
+            if seeds:
+                assert (builds, seeded) == ([], step == 0)
+            else:
+                assert (builds, seeded) == (["count"], 0)
 
 
 def _group_sizes(relations):
@@ -189,13 +256,19 @@ def _group_sizes(relations):
 
 @pytest.mark.parametrize("text", [PATH3, PROJ, SINGLE, STAR])
 def test_warm_counts_share_each_leafs_read_only_group_sizes(text):
+    """The DP over the cached derived join, the one a weighted count
+    reruns, reads each unweighted leaf's group sizes back from the
+    unchanged columns' probe caches."""
     q = parse_cq(text)
     db = _db()
-    with use_engine("columnar"):
-        expected = count(q, db)
-        first = _group_sizes(_counted_join(q, db))
-        assert count(q, db) == expected
-        second = _group_sizes(_counted_join(q, db))
+
+    def dp():
+        derived = derive_counting_join(q, db, engine="columnar")
+        return count_full_acyclic_join(derived), _group_sizes(derived)
+
+    expected, first = dp()
+    total, second = dp()
+    assert total == expected
     leaves = {PATH3: 2, PROJ: 1, SINGLE: 1, STAR: 3}[text]
     assert len(first) == leaves and first.keys() == second.keys()
     for key, sizes in first.items():
