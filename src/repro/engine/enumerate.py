@@ -43,10 +43,20 @@ assignments as dictionary-encoded int64 columns:
   :class:`~repro.engine.columnar.ValueDictionary` and emitted as a list
   of Python tuples.  The dictionary's decode table is brought up to date
   while preprocessing, so its O(|dom|) rebuild never lands inside a
-  block.
+  block;
+* the decoded *ramp*, every block before the first block of exactly
+  ``block_size`` answers (64, 128, 256 and 512 answers at B = 1024;
+  fewer than 2B at any B), is memoised on the iterator by the first
+  consumer that decodes it.  The plan cache shares one iterator per
+  database version, so a warm ``islice(stream, k)`` with k inside the
+  ramp copies memoised blocks and runs no walk; a consumer that reads
+  past the memo walks from the root and skips the memoised pieces
+  without decoding them.
 
 Chunking rows differently never reorders the depth-first walk, so the
-answers and their order do not depend on the schedule.
+answers and their order do not depend on the schedule.  Each iterator
+reads :data:`RAMP_START` once, when it is built, so its memo and every
+later walk cut the same blocks.
 
 On globally consistent (fully reduced) inputs no probe comes back empty,
 so every expansion makes output progress — the amortised-delay analogue
@@ -59,6 +69,7 @@ random free-connex queries.
 
 from __future__ import annotations
 
+import itertools
 import time
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -278,9 +289,12 @@ class BlockIterator:
         global consistency).
 
     :meth:`blocks` yields lists of up to ``block_size`` answers.  It is
-    restartable — all state below is immutable after construction, so
-    one ``BlockIterator`` can be shared (e.g. through the plan cache) by
-    many consumers.
+    restartable, so one ``BlockIterator`` can be shared (e.g. through
+    the plan cache) by many consumers.  The probe structures and the
+    block schedule are fixed at construction; the only state that grows
+    after it is the memo of the decoded ramp blocks (fewer than
+    ``2 * block_size`` answers), which every consumer reads and none
+    can alter: it holds tuples and hands out copies.
     """
 
     def __init__(self, relations: Sequence[ColumnarRelation],
@@ -295,6 +309,14 @@ class BlockIterator:
             )
         self._head = tuple(head)
         self.block_size = resolve_block_size(block_size)
+        self._ramp_start = RAMP_START
+        # the ramp: every block before the first of exactly B answers
+        self._ramp_blocks = sum(1 for _ in itertools.takewhile(
+            lambda size: size < self.block_size, self._schedule()))
+        self._ramp: List[Tuple[Tup, ...]] = []
+        # set once a walk ended inside the ramp or at its last block:
+        # the memo is then the whole stream
+        self._ramp_is_stream = False
         relations = list(relations)
         if tree is None:
             h = Hypergraph(
@@ -442,15 +464,27 @@ class BlockIterator:
 
     # -------------------------------------------------------------- iteration
 
+    def _schedule(self) -> Iterator[int]:
+        """This iterator's block (and chunk) sizes."""
+        return block_schedule(self._ramp_start, self.block_size)
+
     def blocks(self) -> Iterator[List[Tup]]:
         """Yield answer blocks (lists of head tuples): the first holds
         ``min(RAMP_START, B)`` answers, each next one twice as many up
         to B, and every later block exactly B; only the last block may
         be shorter.  Taking k answers thus decodes fewer than
         ``2k + RAMP_START``, while a full scan pays one block step per
-        B answers.  Each call keeps its own ramp, so consumers sharing
-        one cached iterator never see each other's block sizes, and the
+        B answers.  Every call cuts the same blocks, so consumers
+        sharing one cached iterator see the same block sizes, and the
         answers and their order do not depend on the block sizes.
+
+        The ramp's blocks (those before the first block of exactly B)
+        are decoded once per iterator: the first consumer to decode one
+        stores it in the memo, and every later call yields a copy of
+        it, counted as one ``enum.ramp_hits``, without walking.  Only a
+        call that reads past the memo starts the walk from the root; it
+        skips the memoised pieces without decoding them, so a full scan
+        costs what it would with no memo.
 
         The head columns are decoded once per block.  Each block's
         production gap (consumer time excluded: the clock restarts after
@@ -460,20 +494,40 @@ class BlockIterator:
         hot path stays untouched."""
         if self._empty:
             return
+        ramp = self._ramp
+        index = 0
+        clock = time.perf_counter_ns
+        last = clock()
+        while index < len(ramp):
+            block = list(ramp[index])
+            obs.count("enum.ramp_hits")
+            obs.delay(clock() - last, len(block))
+            yield block
+            last = clock()
+            index += 1
+        if self._ramp_is_stream:
+            return
         root = self._relations[self._order[0]]
         batch = {v: root.column(v) for v in root.variables}
         table = self._dict.decode_table()
-        chunks = [block_schedule(RAMP_START, self.block_size)
-                  for _ in self._order]
+        chunks = [self._schedule() for _ in self._order]
         finished = self._walk(1, batch, len(root), chunks)
-        clock = time.perf_counter_ns
-        last = clock()
-        for cols, n in self._full_pieces(
-                finished, block_schedule(RAMP_START, self.block_size)):
+        pieces = self._full_pieces(finished, self._schedule())
+        # consume the pieces the memo served, undecoded
+        next(itertools.islice(pieces, index, index), None)
+        for cols, n in pieces:
             if cols:
                 block = list(zip(*[table[c].tolist() for c in cols]))
             else:  # zero-ary head: n copies of ()
                 block = [()] * n
+            if index < self._ramp_blocks:
+                # a store, not an append: a consumer interleaved with
+                # this one (or another thread) may have memoised an
+                # equal block here since this walk started
+                ramp[index:index + 1] = [tuple(block)]
             obs.delay(clock() - last, n)
             yield block
             last = clock()
+            index += 1
+        if index <= self._ramp_blocks:
+            self._ramp_is_stream = True

@@ -1,11 +1,15 @@
 """The two-phase enumeration protocol (paper Section 2.3.3).
 
 An :class:`Enumerator` separates *preprocessing* (allowed to read the whole
-database, builds indexes, finds the first solution) from *enumeration*
+database, builds indexes, may find the first solutions) from *enumeration*
 (emits answers one by one, no repetition).  The split is part of the
 complexity claims — Constant-Delay_lin means linear preprocessing and a
 delay depending on the query only — so it is explicit in the API and is
-what :mod:`repro.perf.delay` measures.
+what :mod:`repro.perf.delay` measures.  On the columnar engine the first
+answers are decoded by the first enumeration, and the plan-cached
+pipeline keeps them, its ramp blocks
+(:class:`repro.engine.enumerate.BlockIterator`), so a warm repeat on an
+unwritten database copies them without walking again.
 
 Answers leave an enumerator in *blocks*: :meth:`Enumerator.blocks` is
 the one answer stream, and iterating an enumerator walks its blocks at

@@ -6,8 +6,10 @@ enumerator on random free-connex CQs, for every block size — the order
 may differ (blocks follow key-sorted probe runs), but nothing may be
 dropped, duplicated, or invented, at any chunking boundary.  On one
 engine, every way of reading the answers (the planner, iteration, the
-blocks, the per-answer stream) gives the same sequence, and the batch
-probe's gathers find the same runs as ``searchsorted`` would.
+blocks, the per-answer stream) gives the same sequence, a warm read of
+every prefix (served from the cached pipeline's ramp memo) gives the
+cold one, and the batch probe's gathers find the same runs as
+``searchsorted`` would.
 """
 
 import itertools
@@ -20,6 +22,7 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.core.classify import plan_for
+from repro.core.plancache import clear_plan_cache
 from repro.core.planner import enumerate_answers
 from repro.data.database import Database
 from repro.data.relation import Relation
@@ -261,6 +264,27 @@ def test_every_reading_gives_one_sequence(engine, instance):
         assert all(blocks), block_size
         assert [a for b in blocks for a in b] == planned, block_size
         assert per_answer == planned, block_size
+
+
+def _take(cq, db, k):
+    return list(itertools.islice(enumerate_answers(cq, db), k))
+
+
+@settings(max_examples=40, deadline=None)
+@given(free_connex_instance())
+def test_a_warm_read_of_every_prefix_equals_the_first(instance):
+    """Prefixes read in order on a cold plan cache (the pipeline
+    memoises its ramp blocks as they grow), then read again warm, are
+    the same answers in the same order as one cold scan."""
+    cq, db = instance
+    clear_plan_cache()
+    full = list(enumerate_answers(cq, db))
+    ks = sorted({*range(min(len(full), 200) + 2), len(full)})
+    clear_plan_cache()
+    first = [_take(cq, db, k) for k in ks]
+    warm = [_take(cq, db, k) for k in ks]
+    assert first == [full[:k] for k in ks]
+    assert warm == first
 
 
 def test_unsupported_query_raises_at_first_next():

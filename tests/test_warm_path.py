@@ -5,9 +5,11 @@ unweighted count reads its total from its slot and runs no kernel, the
 counting DP that a weighted count reruns reads its grouping, and each
 unweighted leaf's message (its group sizes), from the relations' probe
 caches, and the batched pipeline's blocks ramp from 64 answers up to B,
-so the first answers cost less than a whole block.  Each check compares
-against a naive count, a write that must rebuild, or the stream of
-exactly-B blocks.  The memo and the ramp exist on the columnar engine
+so the first answers cost less than a whole block.  The ramp's decoded
+blocks are memoised on the cached pipeline, so a warm first-100 copies
+them and walks nothing.  Each check compares against a naive count or
+answer set, a write that must rebuild, a cold stream, or the stream of
+exactly-B blocks.  The memos and the ramp exist on the columnar engine
 only, so those tests force it.
 """
 
@@ -33,6 +35,7 @@ from repro.engine import enumerate as block_module
 from repro.engine import use_engine
 from repro.engine.columnar import default_dictionary
 from repro.enumeration.free_connex import FreeConnexEnumerator
+from repro.eval.naive import evaluate_cq_naive
 from repro.eval.yannakakis import materialise_atoms
 from repro.logic.parser import parse_cq
 
@@ -424,6 +427,8 @@ def test_ramped_stream_is_the_exact_block_stream(block_size, monkeypatch):
         q, db, engine="columnar", block_size=block_size), k))
         for k in (1, 63, 64, 65, 100, 1025)}
     monkeypatch.setattr(block_module, "RAMP_START", block_size)
+    # an iterator reads RAMP_START when it is built: build a fresh one
+    clear_plan_cache()
     exact_blocks = _blocks(db, block_size)
     assert {len(b) for b in exact_blocks[:-1]} == {block_size}
     exact = [a for b in exact_blocks for a in b]
@@ -443,12 +448,208 @@ def test_interleaved_streams_keep_their_own_ramp():
     first.preprocess()
     second.preprocess()
     assert first._inner is second._inner
-    alone = [len(b) for b in first.blocks()]
-    assert alone[:2] == [64, 128]
-    sizes = ([], [])
+    alone = list(first.blocks())
+    assert [len(b) for b in alone[:2]] == [64, 128]
+    streams = ([], [])
     # zip_longest takes one block of each stream in turn
     for pair in itertools.zip_longest(first.blocks(), second.blocks()):
-        for got, block in zip(sizes, pair):
+        for got, block in zip(streams, pair):
             if block is not None:
-                got.append(len(block))
-    assert sizes == (alone, alone)
+                got.append(block)
+    assert streams == (alone, alone)
+
+
+# ------------------------------------------------------------- ramp memo
+
+
+def _iterator(q, db, block_size=None):
+    """The cached pipeline's block iterator for ``q`` on ``db``."""
+    e = FreeConnexEnumerator(q, db, engine="columnar", block_size=block_size)
+    e.preprocess()
+    return e._inner._block_iter
+
+
+def _prefix(q, db, k, block_size=None):
+    return list(itertools.islice(enumerate_answers(
+        q, db, engine="columnar", block_size=block_size), k))
+
+
+PREFIXES = (1, 63, 64, 65, 100, 192, 960, 961)
+
+
+@pytest.mark.parametrize("block_size", sorted(RAMPS))
+def test_warm_prefixes_equal_the_cold_stream(block_size):
+    """Prefixes read while the memo fills, then again once it is full,
+    and full scans, all equal the stream a cold pipeline gives."""
+    db = _block_db()
+    q = parse_cq(PREFIX)
+    cold = _prefix(q, db, None, block_size)
+    assert len(cold) > 961 + 2 * block_size
+    clear_plan_cache()
+    for memo in ("filling", "full"):
+        for k in PREFIXES:
+            assert _prefix(q, db, k, block_size) == cold[:k], (memo, k)
+        assert _prefix(q, db, None, block_size) == cold, memo
+    memo = _iterator(q, db, block_size)._ramp
+    assert [len(b) for b in memo] == RAMPS[block_size]
+
+
+@pytest.mark.parametrize("edit", ["clear", "append"])
+def test_a_consumer_cannot_alter_the_memo(edit):
+    """Editing a yielded block, the one its first consumer decoded or a
+    copy of the memo, changes nothing the next consumer reads."""
+    db = _block_db()
+    q = parse_cq(PREFIX)
+    cold = _prefix(q, db, None)
+    clear_plan_cache()
+    for _consumer in range(2):
+        it = _iterator(q, db)
+        for block in itertools.islice(it.blocks(), 5):
+            if edit == "clear":
+                block.clear()
+            else:
+                block.append(("not", "an", "answer"))
+        assert _prefix(q, db, None) == cold
+
+
+@pytest.mark.parametrize("block_size", sorted(RAMPS))
+@pytest.mark.parametrize("taken", [1, 65, 200])
+def test_a_full_scan_after_a_consumer_left_mid_ramp(block_size, taken):
+    """A consumer leaves after ``taken`` answers, part-way through the
+    ramp; a second takes more than the memo holds and leaves too; a
+    full scan then serves the memo, walks past it and equals the cold
+    stream."""
+    db = _block_db()
+    q = parse_cq(PREFIX)
+    cold = _prefix(q, db, None, block_size)
+    clear_plan_cache()
+    assert _prefix(q, db, taken, block_size) == cold[:taken]
+    assert _prefix(q, db, 2 * taken, block_size) == cold[:2 * taken]
+    assert _prefix(q, db, None, block_size) == cold
+
+
+def test_interleaved_consumers_fill_the_memo_once():
+    """Two consumers walk a cold iterator in turn, each past the blocks
+    the other memoised: every ramp block lands in the memo once, in
+    order, and both read the cold blocks."""
+    db = _block_db()
+    q = parse_cq(PREFIX)
+    cold = _blocks(db, None)
+    clear_plan_cache()
+    it = _iterator(q, db)
+    first, second = it.blocks(), it.blocks()
+    got = ([], [])
+    for reader in (0, 1, 1, 0, 0, 1, 1, 0, 0, 1):
+        got[reader].append(next((first, second)[reader]))
+    assert got == (cold[:5], cold[:5])
+    assert [list(b) for b in it._ramp] == cold[:4]
+    assert _prefix(q, db, None) == [a for b in cold for a in b]
+
+
+def test_a_built_iterator_keeps_its_ramp_start(monkeypatch):
+    """An iterator reads ``RAMP_START`` when it is built: patched after
+    a consumer memoised part of the ramp, the cached iterator's later
+    walks still cut the blocks of its memo, and only a fresh plan takes
+    the new start."""
+    db = _block_db()
+    q = parse_cq(PREFIX)
+    cold = _blocks(db, None)
+    clear_plan_cache()
+    assert _prefix(q, db, 100) == [a for b in cold for a in b][:100]
+    monkeypatch.setattr(block_module, "RAMP_START", 32)
+    assert _blocks(db, None) == cold
+    clear_plan_cache()
+    assert [len(b) for b in _blocks(db, None)[:3]] == [32, 64, 128]
+
+
+def _chain_db(n):
+    """``Q(x, y, z) :- R(x, y), S(y, z)`` on this database has exactly
+    ``n`` answers: each ``y`` has one ``S`` row."""
+    return Database([Relation("R", 2, [(i, i % 10) for i in range(n)]),
+                     Relation("S", 2, [(j, -j) for j in range(10)])])
+
+
+@pytest.mark.parametrize("block_size, n, sizes", [
+    (1024, 100, [64, 36]),
+    (1024, 960, [64, 128, 256, 512]),
+    (100, 30, [30]),
+    (100, 64, [64]),
+], ids=["inside-1024", "last-block-1024", "inside-100", "last-block-100"])
+@pytest.mark.parametrize("first_reads", ["all", "exactly-n"])
+def test_a_stream_that_ends_in_the_ramp(block_size, n, sizes, first_reads):
+    """A stream that ends inside the ramp, or exactly at its last
+    block.  Once a walk has seen the end, a later scan serves the memo
+    alone and expands nothing; a first consumer that stops at the last
+    answer leaves the end for the next one to find."""
+    db = _chain_db(n)
+    q = parse_cq("Q(x, y, z) :- R(x, y), S(y, z)")
+    expected = evaluate_cq_naive(q, db)
+    it = _iterator(q, db, block_size)
+    if first_reads == "all":
+        first = list(it.blocks())
+    else:
+        first = list(itertools.islice(it.blocks(), len(sizes)))
+    assert [len(b) for b in first] == sizes
+    cold = [a for b in first for a in b]
+    assert len(cold) == n and set(cold) == expected
+    for scan in range(2):
+        with obs.capture() as t:
+            assert _prefix(q, db, None, block_size) == cold
+        walked = [s for s in t.spans if s.name == "block.expand"]
+        assert bool(walked) == (first_reads == "exactly-n" and scan == 0)
+        assert t.counters["enum.ramp_hits"] == len(sizes)
+    assert [len(b) for b in it._ramp] == sizes
+
+
+@ENGINES
+@pytest.mark.parametrize("block_size", sorted(RAMPS))
+def test_after_a_write_the_first_100_are_the_naive_answers(engine,
+                                                          block_size):
+    """Fewer than 100 answers, so a first-100 is the whole answer set:
+    after each add or discard it equals the naive answers, though the
+    memo of the plan before the write was full."""
+    db = _db(n=40, domain=20)
+    q = parse_cq(PREFIX)
+    with use_engine(engine):
+        for step in range(WRITES + 1):
+            if step:
+                _write(db, step - 1)
+            expected = evaluate_cq_naive(q, db)
+            assert 0 < len(expected) < 100
+            for run in ("cold", "warm"):
+                got = list(itertools.islice(enumerate_answers(
+                    q, db, block_size=block_size), 100))
+                assert len(got) == len(set(got))
+                assert set(got) == expected, (step, run)
+
+
+@pytest.mark.parametrize("block_size",
+                         [1, 7, 63, 64, 65, 100, 129, 1000, 1024])
+def test_the_memo_holds_fewer_than_2b_answers(block_size):
+    """After a full scan the memo holds the ramp: fewer than 2B
+    answers, in blocks each shorter than B."""
+    db = _block_db()
+    q = parse_cq(PREFIX)
+    _prefix(q, db, None, block_size)
+    memo = [len(b) for b in _iterator(q, db, block_size)._ramp]
+    assert sum(memo) < 2 * block_size
+    assert all(size < block_size for size in memo)
+    if block_size in RAMPS:
+        assert memo == RAMPS[block_size]
+
+
+def test_a_warm_first_100_reads_two_memo_blocks():
+    """``enum.ramp_hits`` counts the blocks served from the memo: none
+    on a cold first-100, which expands its chunks; both of a warm one's
+    blocks (64 and 128 answers), with no expansion."""
+    db = _block_db()
+    q = parse_cq(PREFIX)
+    with obs.capture() as cold:
+        first = _prefix(q, db, 100)
+    with obs.capture() as warm:
+        assert _prefix(q, db, 100) == first
+    assert "enum.ramp_hits" not in cold.counters
+    assert [s for s in cold.spans if s.name == "block.expand"]
+    assert warm.counters["enum.ramp_hits"] == 2
+    assert warm.counters["enum.answers"] == 64 + 128
+    assert not [s for s in warm.spans if s.name == "block.expand"]
