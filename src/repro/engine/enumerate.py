@@ -314,9 +314,6 @@ class BlockIterator:
         self._ramp_blocks = sum(1 for _ in itertools.takewhile(
             lambda size: size < self.block_size, self._schedule()))
         self._ramp: List[Tuple[Tup, ...]] = []
-        # set once a walk ended inside the ramp or at its last block:
-        # the memo is then the whole stream
-        self._ramp_is_stream = False
         relations = list(relations)
         if tree is None:
             h = Hypergraph(
@@ -505,8 +502,6 @@ class BlockIterator:
             yield block
             last = clock()
             index += 1
-        if self._ramp_is_stream:
-            return
         root = self._relations[self._order[0]]
         batch = {v: root.column(v) for v in root.variables}
         table = self._dict.decode_table()
@@ -529,5 +524,3 @@ class BlockIterator:
             yield block
             last = clock()
             index += 1
-        if index <= self._ramp_blocks:
-            self._ramp_is_stream = True
