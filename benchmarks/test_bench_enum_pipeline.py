@@ -18,10 +18,12 @@ at the repo root.
 
 import time
 
+import pytest
 from _util import format_rows, record, record_case
 
 from repro.core.plancache import clear_plan_cache
 from repro.data import generators
+from repro.engine import enumerate as block_module
 from repro.enumeration.free_connex import FreeConnexEnumerator
 from repro.logic.parser import parse_cq
 from repro.obs.fitting import fit_loglog
@@ -42,26 +44,32 @@ def make_db(n, seed=7):
 
 
 def _measure_mode(q, db, engine, block_size, max_outputs):
-    """(DelayProfile, wall-clock answers/second) for one configuration.
+    """(DelayProfile, wall-clock answers/second) for one configuration,
+    at block size ``block_size`` (``None``: the default B).
 
     The wall-based throughput (outputs / enumeration wall time) is the
     recorded number: inside a block the per-answer gap can round to zero,
     which would make the profile's delay-sum throughput infinite.  It
     times ``iter(enumerator)``, the stream a request reads.
     """
-    clear_plan_cache()
-    enum = FreeConnexEnumerator(q, db, engine=engine, block_size=block_size)
-    profile = measure_enumerator(enum, max_outputs=max_outputs)
-    enum2 = FreeConnexEnumerator(q, db, engine=engine, block_size=block_size)
-    clear_plan_cache()
-    enum2.preprocess()
-    start = time.perf_counter()
-    n_out = 0
-    for _ in iter(enum2):
-        n_out += 1
-        if n_out >= max_outputs:
-            break
-    wall = time.perf_counter() - start
+    with pytest.MonkeyPatch.context() as mp:
+        if block_size is not None:
+            mp.setattr(block_module, "DEFAULT_BLOCK_SIZE", block_size)
+        clear_plan_cache()
+        enum = FreeConnexEnumerator(q, db, engine=engine)
+        profile = measure_enumerator(enum, max_outputs=max_outputs)
+        enum2 = FreeConnexEnumerator(q, db, engine=engine)
+        clear_plan_cache()
+        enum2.preprocess()
+        start = time.perf_counter()
+        n_out = 0
+        for _ in iter(enum2):
+            n_out += 1
+            if n_out >= max_outputs:
+                break
+        wall = time.perf_counter() - start
+        if block_size is not None:
+            clear_plan_cache()  # no plan built at this B outlives it
     return profile, n_out / max(wall, 1e-9)
 
 

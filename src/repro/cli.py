@@ -54,8 +54,7 @@ Commands
 
 ``run`` and ``explain`` accept ``--trace FILE`` (Chrome
 trace-event JSON for chrome://tracing / Perfetto) and ``--metrics``
-(flat JSON counters/gauges on stderr); the ``REPRO_TRACE`` environment
-variable does the same without flags.
+(flat JSON counters/gauges on stderr).
 
 A library error (:class:`~repro.errors.ReproError`: a malformed query or
 CSV row, an unsupported query, an unknown engine) prints one
@@ -148,8 +147,7 @@ def _add_obs_flags(p: argparse.ArgumentParser) -> None:
     """The shared observability knobs (--trace / --metrics)."""
     p.add_argument("--trace", default=None, metavar="FILE",
                    help="write a Chrome trace-event JSON of the run "
-                        "(open in chrome://tracing or Perfetto); the "
-                        "REPRO_TRACE environment variable does the same")
+                        "(open in chrome://tracing or Perfetto)")
     p.add_argument("--metrics", action="store_true",
                    help="dump flat JSON metrics (counters, gauges, "
                         "plan-cache stats) to stderr after the run")
@@ -159,8 +157,7 @@ def _obs_setup(args: argparse.Namespace):
     """Install a fresh tracer when --trace/--metrics ask for one.
 
     Returns (tracer, previous) to hand to :func:`_obs_finish`; tracer is
-    None when neither flag was given (the REPRO_TRACE environment path
-    is then still honoured by the obs module itself)."""
+    None when neither flag was given."""
     if not (getattr(args, "trace", None) or getattr(args, "metrics", False)):
         return None, None
     from repro import obs

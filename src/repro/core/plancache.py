@@ -10,7 +10,7 @@ preprocessing phase is pure recomputation.  This module caches it.
 
 :class:`PlanCache` is a small LRU keyed on
 
-    (kind, query, engine name, extra, database fingerprint)
+    (kind, query, engine name, database fingerprint)
 
 where the fingerprint (:meth:`repro.data.database.Database.fingerprint`)
 combines each stored relation's process-unique ``serial``, its mutation
@@ -23,8 +23,8 @@ cache call after one of them dies purges it.
 
 Versions only grow, so an entry keyed on an older version of its
 relations can never be hit again: :meth:`PlanCache.put` drops the entry
-a new one supersedes (same kind, query, engine, extra and relation
-serials), and the cache holds one entry per plan of each live database.
+a new one supersedes (same kind, query, engine and relation serials),
+and the cache holds one entry per plan of each live database.
 
 The ``count`` slot of :func:`repro.counting.acq_count.count_acq` holds
 an unweighted count's total, so a repeat on an unwritten database runs
@@ -59,7 +59,7 @@ class PlanCache:
     def __init__(self, maxsize: int = DEFAULT_MAXSIZE):
         self.maxsize = int(maxsize)
         self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
-        # (kind, query, engine, extra, relation serials) -> the live
+        # (kind, query, engine, relation serials) -> the live
         # entry's full key: the entry a newer fingerprint of the same
         # relations supersedes, and the predecessor a refresh starts from
         self._latest: Dict[Hashable, Hashable] = {}
@@ -120,18 +120,17 @@ class PlanCache:
     @staticmethod
     def _serials(key: Hashable) -> Tuple[int, ...]:
         """The relation serials a :meth:`key_for` key cites."""
-        if isinstance(key, tuple) and len(key) == 5 and key[4] is not None:
+        if isinstance(key, tuple) and len(key) == 4 and key[3] is not None:
             return tuple(serial for _name, serial, _version, _len
-                         in key[4][1])
+                         in key[3][1])
         return ()
 
     @classmethod
     def _slot(cls, key: Hashable) -> Optional[Hashable]:
-        """``key`` without the versions: (kind, query, engine, extra,
-        relation serials), or ``None`` for a key not from
-        :meth:`key_for`."""
-        if isinstance(key, tuple) and len(key) == 5:
-            return key[:4] + (cls._serials(key),)
+        """``key`` without the versions: (kind, query, engine, relation
+        serials), or ``None`` for a key not from :meth:`key_for`."""
+        if isinstance(key, tuple) and len(key) == 4:
+            return key[:3] + (cls._serials(key),)
         return None
 
     def _drop(self, key: Hashable) -> None:
@@ -155,10 +154,9 @@ class PlanCache:
     # ----------------------------------------------------------------- lookup
 
     @staticmethod
-    def key_for(kind: str, query: Hashable, db, engine_name: str,
-                extra: Hashable = ()) -> Hashable:
+    def key_for(kind: str, query: Hashable, db, engine_name: str) -> Hashable:
         """The cache key: query canonical form + database fingerprint."""
-        return (kind, query, engine_name, extra,
+        return (kind, query, engine_name,
                 db.fingerprint() if db is not None else None)
 
     def get(self, key: Hashable) -> Any:
@@ -253,14 +251,13 @@ def _collect_deltas(db, old_fp, new_fp
 
 
 def cached_plan(kind: str, query: Hashable, db, engine_name: str,
-                builder: Callable[[], Any], extra: Hashable = (),
+                builder: Callable[[], Any],
                 refresher: Optional[Callable[[Any, Dict[str, list]], Any]]
                 = None) -> Any:
     """Fetch-or-build helper used by the preprocessing entry points.
 
     ``builder`` runs (and its result is cached, holding ``db``'s
-    relations weakly) only on a miss.  ``extra`` distinguishes
-    same-query plans with different knobs (the enumeration block size).
+    relations weakly) only on a miss.
 
     ``refresher`` opts the plan kind into delta propagation: when a
     lookup misses only because the database fingerprint moved,
@@ -274,7 +271,7 @@ def cached_plan(kind: str, query: Hashable, db, engine_name: str,
     """
     cache = _GLOBAL
     with obs.span("plan.fingerprint", kind=kind):
-        key = PlanCache.key_for(kind, query, db, engine_name, extra)
+        key = PlanCache.key_for(kind, query, db, engine_name)
     value = cache.get(key)
     if value is not _MISS:
         obs.count("plancache.hits")
@@ -285,7 +282,7 @@ def cached_plan(kind: str, query: Hashable, db, engine_name: str,
     if refresher is not None and db is not None:
         prev_key, stale = cache.predecessor(key)
         if stale is not _MISS:
-            deltas = _collect_deltas(db, prev_key[4], key[4])
+            deltas = _collect_deltas(db, prev_key[3], key[3])
             if deltas is None:
                 cache.refresh_overflows += 1
                 obs.count("plancache.delta_overflow")

@@ -49,38 +49,33 @@ def decide(query: QueryLike, db: Database) -> bool:
         return model_check(query, db)
 
 
-def enumerate_answers(query: QueryLike, db: Database, engine=None,
-                      block_size=None) -> Iterator[Tuple[Any, ...]]:
+def enumerate_answers(query: QueryLike, db: Database, engine=None
+                      ) -> Iterator[Tuple[Any, ...]]:
     """Enumerate the answers with the best applicable delay guarantee.
 
     ``engine`` selects the relational backend (see :mod:`repro.engine`;
-    default: the process-wide selection) and ``block_size`` the largest
-    answer block (default
-    :data:`~repro.engine.enumerate.DEFAULT_BLOCK_SIZE`; a value below 1
-    raises :class:`~repro.errors.ConfigurationError`).
+    default: the process-wide selection).
 
     The answers come out of the chosen enumerator's blocks
-    (:meth:`repro.enumeration.base.Enumerator.blocks`) at one C-level
-    step each.  Nothing runs before the first ``next()``: errors surface
-    there, and taking one answer builds at most one block.
+    (:meth:`repro.enumeration.base.Enumerator.blocks`, at most
+    :data:`~repro.engine.enumerate.DEFAULT_BLOCK_SIZE` answers each) at
+    one C-level step each.  Nothing runs before the first ``next()``:
+    errors surface there, and taking one answer builds at most one
+    block.
     """
-    return itertools.chain.from_iterable(
-        _answer_blocks(query, db, engine, block_size))
+    return itertools.chain.from_iterable(_answer_blocks(query, db, engine))
 
 
-def _answer_blocks(query: QueryLike, db: Database, engine, block_size
+def _answer_blocks(query: QueryLike, db: Database, engine
                    ) -> Iterator[List[Tuple[Any, ...]]]:
-    from repro.engine.enumerate import resolve_block_size
-
-    block_size = resolve_block_size(block_size)
     if not obs.enabled():
-        yield from _route_blocks(query, db, engine, block_size)
+        yield from _route_blocks(query, db, engine)
         return
     with obs.span("planner.enumerate", **_span_attrs(query)):
-        yield from _route_blocks(query, db, engine, block_size)
+        yield from _route_blocks(query, db, engine)
 
 
-def _route_blocks(query: QueryLike, db: Database, engine, block_size
+def _route_blocks(query: QueryLike, db: Database, engine
                   ) -> Iterator[List[Tuple[Any, ...]]]:
     """The answer blocks of the route the query's plan picks; a route
     that materialises its answers hands them out as one block."""
@@ -90,8 +85,7 @@ def _route_blocks(query: QueryLike, db: Database, engine, block_size
         if plan.route == "free-connex":
             from repro.enumeration.free_connex import FreeConnexEnumerator
 
-            yield from FreeConnexEnumerator(q, db, engine=engine,
-                                            block_size=block_size).blocks()
+            yield from FreeConnexEnumerator(q, db, engine=engine).blocks()
         elif plan.route == "acyclic":
             from repro.enumeration.acq_linear import LinearDelayACQEnumerator
 
@@ -118,8 +112,7 @@ def _route_blocks(query: QueryLike, db: Database, engine, block_size
     if isinstance(query, UnionOfConjunctiveQueries):
         from repro.enumeration.ucq_union import enumerate_ucq
 
-        yield from enumerate_ucq(query, db, engine=engine,
-                                 block_size=block_size).blocks()
+        yield from enumerate_ucq(query, db, engine=engine).blocks()
         return
     if isinstance(query, NegativeConjunctiveQuery):
         from repro.csp.ncq_solver import ncq_answers

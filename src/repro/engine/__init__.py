@@ -32,31 +32,19 @@ from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional, Union
 
 from repro.engine.base import ColumnarEngine, Engine, TupleEngine
-from repro.engine.enumerate import (
-    DEFAULT_BLOCK_SIZE,
-    BlockIterator,
-    batchable,
-    resolve_block_size,
-)
+from repro.engine.enumerate import DEFAULT_BLOCK_SIZE, BlockIterator, batchable
 from repro.errors import ConfigurationError
 
 DEFAULT_ENGINE = "tuple"
 ENV_VAR = "REPRO_ENGINE"
 
-_REGISTRY: Dict[str, Engine] = {}
+_REGISTRY: Dict[str, Engine] = {"tuple": TupleEngine(),
+                                "columnar": ColumnarEngine()}
 _SELECTED: Optional[str] = None
 
 
-def register_engine(engine: Engine, replace: bool = False) -> Engine:
-    """Register a backend under ``engine.name``."""
-    if engine.name in _REGISTRY and not replace:
-        raise ValueError(f"engine {engine.name!r} is already registered")
-    _REGISTRY[engine.name] = engine
-    return engine
-
-
 def available_engines() -> List[str]:
-    """Names of all registered backends."""
+    """Names of the backends."""
     return sorted(_REGISTRY)
 
 
@@ -108,14 +96,10 @@ def resolve_engine(engine: Union[Engine, str, None]) -> Engine:
     return get_engine(engine)
 
 
-register_engine(TupleEngine())
-register_engine(ColumnarEngine())
-
 __all__ = [
     "Engine",
     "TupleEngine",
     "ColumnarEngine",
-    "register_engine",
     "available_engines",
     "get_engine",
     "set_engine",
@@ -125,6 +109,5 @@ __all__ = [
     "ENV_VAR",
     "BlockIterator",
     "batchable",
-    "resolve_block_size",
     "DEFAULT_BLOCK_SIZE",
 ]

@@ -27,15 +27,14 @@ assignments as dictionary-encoded int64 columns:
   batch key's rank and its run of matching rows from the probe's
   tables, ``repeat``/``cumsum`` the runs open, and gather both sides'
   columns — O(1) work per key, no per-tuple Python;
-* batches are re-chunked to at most ``block_size`` rows *before* each
-  expansion, so the largest array ever materialised is
-  ``block_size * max-fanout-per-node`` — memory stays proportional to the
-  block size, not to the output;
+* batches are re-chunked to at most B rows *before* each expansion,
+  so the largest array ever materialised is ``B * max-fanout-per-node``
+  — memory stays proportional to the block size, not to the output;
 * chunks and blocks follow one schedule (:func:`block_schedule`):
-  :data:`RAMP_START` (64) rows first, doubling up to ``block_size``,
-  then ``block_size``; each level of the walk keeps its own schedule,
-  so the first answers expand small chunks and ``islice(stream, k)``
-  pays for fewer than ``2k + 64`` answers, not for a whole block;
+  :data:`RAMP_START` (64) rows first, doubling up to B, then B; each
+  level of the walk keeps its own schedule, so the first answers expand
+  small chunks and ``islice(stream, k)`` pays for fewer than ``2k + 64``
+  answers, not for a whole block;
 * at the leaves the finished batches are cut into blocks of the
   scheduled sizes (a batch's short tail carries into the next batch's
   first block, so only the stream's last block is shorter), and each
@@ -45,8 +44,8 @@ assignments as dictionary-encoded int64 columns:
   while preprocessing, so its O(|dom|) rebuild never lands inside a
   block;
 * the decoded *ramp*, every block before the first block of exactly
-  ``block_size`` answers (64, 128, 256 and 512 answers at B = 1024;
-  fewer than 2B at any B), is memoised on the iterator by the first
+  B answers (64, 128, 256 and 512 answers at B = 1024; fewer than 2B
+  at any B), is memoised on the iterator by the first
   consumer that decodes it.  The plan cache shares one iterator per
   database version, so a warm ``islice(stream, k)`` with k inside the
   ramp copies memoised blocks and runs no walk; a consumer that reads
@@ -54,9 +53,10 @@ assignments as dictionary-encoded int64 columns:
   without decoding them.
 
 Chunking rows differently never reorders the depth-first walk, so the
-answers and their order do not depend on the schedule.  Each iterator
-reads :data:`RAMP_START` once, when it is built, so its memo and every
-later walk cut the same blocks.
+answers and their order do not depend on the schedule.  B is
+:data:`DEFAULT_BLOCK_SIZE`, a constant of the algorithm, not a setting.
+Each iterator reads it and :data:`RAMP_START` once, when it is built, so
+its memo and every later walk cut the same blocks.
 
 On globally consistent (fully reduced) inputs no probe comes back empty,
 so every expansion makes output progress — the amortised-delay analogue
@@ -77,13 +77,14 @@ import numpy as np
 
 from repro import obs
 from repro.engine.columnar import ColumnarRelation, _unique_inverse
-from repro.errors import ConfigurationError
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.hypergraph.jointree import JoinTree, cached_join_tree
 from repro.logic.terms import Variable
 
 Tup = Tuple[Any, ...]
 
+#: B, the largest answer block: the amortisation unit of the batched
+#: pipeline, and the largest block the per-answer stream is chunked into
 DEFAULT_BLOCK_SIZE = 1024
 
 #: the batched pipeline's first block; blocks double from here up to B
@@ -101,18 +102,6 @@ def block_schedule(first: int, limit: int) -> Iterator[int]:
     while True:
         yield size
         size = min(2 * size, limit)
-
-
-def resolve_block_size(block_size: Optional[int] = None) -> int:
-    """Normalise a ``block_size`` argument: ``None`` means
-    :data:`DEFAULT_BLOCK_SIZE`, and a value below 1 raises
-    :class:`~repro.errors.ConfigurationError`."""
-    if block_size is None:
-        return DEFAULT_BLOCK_SIZE
-    if block_size <= 0:
-        raise ConfigurationError(
-            f"block_size must be a positive integer, got {block_size!r}")
-    return int(block_size)
 
 
 def batchable(relations: Sequence[Any]) -> bool:
@@ -259,8 +248,8 @@ def build_probe(rel: ColumnarRelation, probe_vars: Sequence[Variable]):
     (:meth:`ColumnarRelation.cached_probe`, shared across ``copy()``
     views and invalidated by the relation's version counter) means
     repeated enumerator builds over the same reduced relations — warm
-    plan-cache runs, reruns at a different block size — skip the
-    rebuild entirely.  Dispatches through
+    plan-cache runs, rebuilds after the plan cache was cleared — skip
+    the rebuild entirely.  Dispatches through
     :meth:`ColumnarRelation.batch_probe`, whose position-keyed cache
     entries are shared across same-symbol atoms.
     """
@@ -279,27 +268,24 @@ class BlockIterator:
         Output variable order; must cover every join variable (genuine
         projections belong to the free-connex preprocessing, which hands
         this class projection-free inputs).
-    block_size:
-        The largest emitted block (the amortisation unit B); blocks
-        ramp up to it from :data:`RAMP_START`.
     tree:
         Optional prebuilt join tree (nodes indexing ``relations``).
     reduce:
         Run the full reducer first (True unless the caller guarantees
         global consistency).
 
-    :meth:`blocks` yields lists of up to ``block_size`` answers.  It is
-    restartable, so one ``BlockIterator`` can be shared (e.g. through
-    the plan cache) by many consumers.  The probe structures and the
-    block schedule are fixed at construction; the only state that grows
-    after it is the memo of the decoded ramp blocks (fewer than
-    ``2 * block_size`` answers), which every consumer reads and none
+    :meth:`blocks` yields lists of up to B answers
+    (:data:`DEFAULT_BLOCK_SIZE`), ramping up to B from
+    :data:`RAMP_START`.  It is restartable, so one ``BlockIterator`` can
+    be shared (e.g. through the plan cache) by many consumers.  The
+    probe structures and the block schedule are fixed at construction;
+    the only state that grows after it is the memo of the decoded ramp
+    blocks (fewer than 2B answers), which every consumer reads and none
     can alter: it holds tuples and hands out copies.
     """
 
     def __init__(self, relations: Sequence[ColumnarRelation],
                  head: Sequence[Variable],
-                 block_size: Optional[int] = None,
                  tree: Optional[JoinTree] = None,
                  reduce: bool = True):
         if not batchable(relations):
@@ -308,11 +294,11 @@ class BlockIterator:
                 "ValueDictionary; materialise them on the columnar engine"
             )
         self._head = tuple(head)
-        self.block_size = resolve_block_size(block_size)
+        self._block_size = DEFAULT_BLOCK_SIZE
         self._ramp_start = RAMP_START
         # the ramp: every block before the first of exactly B answers
         self._ramp_blocks = sum(1 for _ in itertools.takewhile(
-            lambda size: size < self.block_size, self._schedule()))
+            lambda size: size < self._block_size, self._schedule()))
         self._ramp: List[Tuple[Tup, ...]] = []
         relations = list(relations)
         if tree is None:
@@ -337,7 +323,7 @@ class BlockIterator:
         self._probes: List[Optional[_BatchProbe]] = []
         bound: set = set()
         with obs.span("block_iter.build_probes", levels=len(self._order),
-                      block_size=self.block_size):
+                      block_size=self._block_size):
             for level, node in enumerate(self._order):
                 rel = relations[node]
                 pv = tuple(v for v in rel.variables if v in bound)
@@ -463,7 +449,7 @@ class BlockIterator:
 
     def _schedule(self) -> Iterator[int]:
         """This iterator's block (and chunk) sizes."""
-        return block_schedule(self._ramp_start, self.block_size)
+        return block_schedule(self._ramp_start, self._block_size)
 
     def blocks(self) -> Iterator[List[Tup]]:
         """Yield answer blocks (lists of head tuples): the first holds

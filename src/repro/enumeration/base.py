@@ -23,10 +23,10 @@ that interleave or time single answers.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Iterator, List, Optional, Tuple
+from typing import Any, Iterator, List, Tuple
 
 from repro import obs
-from repro.engine.enumerate import block_schedule, resolve_block_size
+from repro.engine import enumerate as batched
 
 Answer = Tuple[Any, ...]
 
@@ -54,10 +54,6 @@ class Enumerator:
     protocol, so a trace shows the linear-preprocessing/constant-delay
     split directly.  With tracing disabled both phases run unwrapped.
     """
-
-    #: the largest block :meth:`_blocks` chunks the per-answer stream
-    #: into; ``None`` means ``DEFAULT_BLOCK_SIZE`` (1024)
-    block_size: Optional[int] = None
 
     def __init__(self) -> None:
         self._preprocessed = False
@@ -110,15 +106,15 @@ class Enumerator:
         """Chunk :meth:`_enumerate` into blocks.
 
         The first block holds one answer and each next one twice as many,
-        up to :attr:`block_size` B: the first answer costs one step of
-        the per-answer stream, taking k answers runs it fewer than 2k
-        steps (k + B once blocks are full), and a long scan pays one
-        block step per B answers.  The batched pipeline ramps on the
-        same schedule (:func:`repro.engine.enumerate.block_schedule`)
-        from 64 answers."""
+        up to B (:data:`~repro.engine.enumerate.DEFAULT_BLOCK_SIZE`, read
+        at each call): the first answer costs one step of the per-answer
+        stream, taking k answers runs it fewer than 2k steps (k + B once
+        blocks are full), and a long scan pays one block step per B
+        answers.  The batched pipeline ramps on the same schedule
+        (:func:`repro.engine.enumerate.block_schedule`) from 64
+        answers."""
         answers = self._enumerate()
-        limit = resolve_block_size(self.block_size)
-        for size in block_schedule(1, limit):
+        for size in batched.block_schedule(1, batched.DEFAULT_BLOCK_SIZE):
             block = list(itertools.islice(answers, size))
             if block:
                 yield block

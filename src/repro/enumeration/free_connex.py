@@ -30,7 +30,6 @@ from typing import Iterator, List, Optional
 
 from repro import obs
 from repro.data.database import Database
-from repro.engine.enumerate import resolve_block_size
 from repro.enumeration.base import Answer, Enumerator
 from repro.enumeration.full_acyclic import FullJoinEnumerator
 from repro.errors import NotFreeConnexError, UnsupportedQueryError
@@ -61,8 +60,7 @@ class FreeConnexEnumerator(Enumerator):
     """Linear-preprocessing, constant-delay enumeration of a free-connex
     acyclic conjunctive query (without comparisons)."""
 
-    def __init__(self, cq: ConjunctiveQuery, db: Database, engine=None,
-                 block_size: Optional[int] = None):
+    def __init__(self, cq: ConjunctiveQuery, db: Database, engine=None):
         super().__init__()
         if cq.has_comparisons():
             raise UnsupportedQueryError(
@@ -73,7 +71,6 @@ class FreeConnexEnumerator(Enumerator):
         self.cq = cq
         self.db = db
         self.engine = engine
-        self.block_size = resolve_block_size(block_size)
         self._inner: Optional[FullJoinEnumerator] = None
         self._boolean_true = False
 
@@ -88,8 +85,7 @@ class FreeConnexEnumerator(Enumerator):
 
         eng = resolve_engine(self.engine)
         kind, payload = cached_plan("free_connex", self.cq, self.db,
-                                    eng.name, self._build_plan,
-                                    extra=(self.block_size,))
+                                    eng.name, self._build_plan)
         if kind == "bool":
             self._boolean_true = payload
         else:
@@ -106,8 +102,7 @@ class FreeConnexEnumerator(Enumerator):
             return ("bool", derived is not None)
         if derived is None:
             return ("enum", None)
-        inner = FullJoinEnumerator(derived, self.cq.head, reduce=True,
-                                   block_size=self.block_size)
+        inner = FullJoinEnumerator(derived, self.cq.head, reduce=True)
         inner.preprocess()
         return ("enum", inner)
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro import obs
-from repro.engine.enumerate import BlockIterator, batchable, resolve_block_size
+from repro.engine.enumerate import BlockIterator, batchable
 from repro.enumeration.base import Answer, Enumerator
 from repro.eval.join import VarRelation
 from repro.hypergraph.hypergraph import Hypergraph
@@ -57,6 +57,13 @@ def reduce_relations(tree: JoinTree, relations: List[VarRelation]
 class FullJoinEnumerator(Enumerator):
     """Enumerate the natural join of ``relations`` with constant delay.
 
+    When every relation is a ColumnarRelation over one shared
+    dictionary, the batched pipeline
+    (:class:`repro.engine.enumerate.BlockIterator`) emits blocks that
+    ramp from 64 answers up to B (``DEFAULT_BLOCK_SIZE``, 1024);
+    otherwise the probe join's stream is chunked into blocks of 1, 2,
+    4, ... answers up to B.
+
     Parameters
     ----------
     relations:
@@ -70,25 +77,14 @@ class FullJoinEnumerator(Enumerator):
         When True (default) run the full reducer first, guaranteeing
         global consistency; set False only when the inputs are known
         consistent (saves one linear pass).
-    block_size:
-        The largest answer block (``None``: ``DEFAULT_BLOCK_SIZE``,
-        1024; below 1 raises :class:`~repro.errors.ConfigurationError`).
-        When every relation is a ColumnarRelation over one shared
-        dictionary, the batched pipeline
-        (:class:`repro.engine.enumerate.BlockIterator`) emits blocks
-        that ramp from 64 answers up to this size; otherwise the probe
-        join's stream is chunked into blocks of 1, 2, 4, ... answers up
-        to this size.
     """
 
     def __init__(self, relations: Sequence[VarRelation],
-                 head: Sequence[Variable], reduce: bool = True,
-                 block_size: Optional[int] = None):
+                 head: Sequence[Variable], reduce: bool = True):
         super().__init__()
         self._relations = list(relations)
         self._head = tuple(head)
         self._reduce = reduce
-        self.block_size = resolve_block_size(block_size)
         self._block_iter: Optional[BlockIterator] = None
         all_vars: Dict[Variable, None] = {}
         for r in self._relations:
@@ -122,8 +118,7 @@ class FullJoinEnumerator(Enumerator):
             # batched columnar pipeline: probe structures replace the
             # decoded hash indexes entirely
             self._block_iter = BlockIterator(
-                self._relations, self._head, block_size=self.block_size,
-                tree=self._tree, reduce=False)
+                self._relations, self._head, tree=self._tree, reduce=False)
             return
         # DFS preorder; for each node, the probe variables (shared with parent)
         self._order = self._tree.top_down()

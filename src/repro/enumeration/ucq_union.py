@@ -27,7 +27,7 @@ Cheater's-Lemma-based variants.  EXPERIMENTS.md records this deviation.)
 
 from __future__ import annotations
 
-from typing import Any, Iterator, List, Optional, Set, Tuple
+from typing import Any, Iterator, List, Set, Tuple
 
 from repro import obs
 from repro.data.database import Database
@@ -44,8 +44,7 @@ from repro.logic.ucq import UnionOfConjunctiveQueries
 
 def _materialise_provided(db: Database, ucq: UnionOfConjunctiveQueries,
                           prov: ProvidedSet,
-                          provider_query=None, engine=None,
-                          block_size: Optional[int] = None) -> Relation:
+                          provider_query=None, engine=None) -> Relation:
     """The fresh relation interpreting P(prov.variables).
 
     Contents: for each answer of the provider projected onto S (computed
@@ -58,44 +57,34 @@ def _materialise_provided(db: Database, ucq: UnionOfConjunctiveQueries,
     fresh relations.
     """
     with obs.span("ucq.materialise_provided", provider=prov.provider_index):
-        return _materialise_provided_impl(
-            db, ucq, prov, provider_query=provider_query, engine=engine,
-            block_size=block_size)
-
-
-def _materialise_provided_impl(db: Database, ucq: UnionOfConjunctiveQueries,
-                               prov: ProvidedSet,
-                               provider_query=None, engine=None,
-                               block_size: Optional[int] = None) -> Relation:
-    provider = provider_query if provider_query is not None \
-        else ucq.disjuncts[prov.provider_index]
-    hom = prov.hom_dict()
-    s_ordered = tuple(sorted(prov.s_vars, key=lambda v: v.name))
-    s_query = provider.with_head(s_ordered)
-    enum = FreeConnexEnumerator(s_query, db, engine=engine,
-                                block_size=block_size)
-    # for each output coordinate, the provider variables mapping onto it
-    preimages: List[Tuple[int, ...]] = []
-    for v in prov.variables:
-        idxs = tuple(i for i, u in enumerate(s_ordered) if hom[u] is v)
-        if not idxs:
-            raise UnsupportedQueryError(
-                f"provided variable {v!r} has no preimage in S — invalid plan"
-            )
-        preimages.append(idxs)
-    rel = Relation(f"__prov_{prov.provider_index}", len(prov.variables))
-    for tup in enum:
-        out: List[Any] = []
-        ok = True
-        for idxs in preimages:
-            vals = {tup[i] for i in idxs}
-            if len(vals) != 1:
-                ok = False
-                break
-            out.append(tup[idxs[0]])
-        if ok:
-            rel.add(tuple(out))
-    return rel
+        provider = provider_query if provider_query is not None \
+            else ucq.disjuncts[prov.provider_index]
+        hom = prov.hom_dict()
+        s_ordered = tuple(sorted(prov.s_vars, key=lambda v: v.name))
+        enum = FreeConnexEnumerator(provider.with_head(s_ordered), db,
+                                    engine=engine)
+        # for each output coordinate, the provider variables mapping onto it
+        preimages: List[Tuple[int, ...]] = []
+        for v in prov.variables:
+            idxs = tuple(i for i, u in enumerate(s_ordered) if hom[u] is v)
+            if not idxs:
+                raise UnsupportedQueryError(
+                    f"provided variable {v!r} has no preimage in S — "
+                    "invalid plan")
+            preimages.append(idxs)
+        rel = Relation(f"__prov_{prov.provider_index}", len(prov.variables))
+        for tup in enum:
+            out: List[Any] = []
+            ok = True
+            for idxs in preimages:
+                vals = {tup[i] for i in idxs}
+                if len(vals) != 1:
+                    ok = False
+                    break
+                out.append(tup[idxs[0]])
+            if ok:
+                rel.add(tuple(out))
+        return rel
 
 
 class UCQEnumerator(Enumerator):
@@ -103,12 +92,11 @@ class UCQEnumerator(Enumerator):
     admit free-connex union extensions."""
 
     def __init__(self, ucq: UnionOfConjunctiveQueries, db: Database,
-                 engine=None, block_size: Optional[int] = None):
+                 engine=None):
         super().__init__()
         self.ucq = ucq
         self.db = db
         self.engine = engine
-        self.block_size = block_size
         self._streams: List[Iterator[Answer]] = []
 
     def _preprocess(self) -> None:
@@ -132,13 +120,11 @@ class UCQEnumerator(Enumerator):
                     provider_query = plan[prov.provider_index].extended
                 rel = _materialise_provided(shared_db, self.ucq, prov,
                                             provider_query=provider_query,
-                                            engine=self.engine,
-                                            block_size=self.block_size)
+                                            engine=self.engine)
                 rel.name = name
                 shared_db.add_relation(rel)
             enum = FreeConnexEnumerator(ext.extended, shared_db,
-                                        engine=self.engine,
-                                        block_size=self.block_size)
+                                        engine=self.engine)
             enum.preprocess()
             enumerators[ext_index] = enum
         self._streams = [e._enumerate() for e in enumerators]
@@ -190,11 +176,10 @@ class MaterialisedUnionEnumerator(Enumerator):
 
 
 def enumerate_ucq(ucq: UnionOfConjunctiveQueries, db: Database,
-                  engine=None,
-                  block_size: Optional[int] = None) -> Enumerator:
+                  engine=None) -> Enumerator:
     """Best applicable engine for a UCQ."""
     try:
-        enum = UCQEnumerator(ucq, db, engine=engine, block_size=block_size)
+        enum = UCQEnumerator(ucq, db, engine=engine)
         enum.preprocess()
         return enum
     except (NotFreeConnexError, UnsupportedQueryError):

@@ -54,7 +54,6 @@ class EnumerationError(ReproError):
 
 class ConfigurationError(ReproError, ValueError):
     """Raised when a setting is invalid: an unknown engine name
-    (``--engine``, ``REPRO_ENGINE``), a ``block_size`` below 1 or an
-    unreadable ``--data`` directory.  Also a
-    :class:`ValueError`, so callers that catch ``ValueError`` for a bad
-    setting keep working."""
+    (``--engine``, ``REPRO_ENGINE``) or an unreadable ``--data``
+    directory.  Also a :class:`ValueError`, so callers that catch
+    ``ValueError`` for a bad setting keep working."""

@@ -289,14 +289,6 @@ def atoms_of(formula: Formula) -> List[Atom]:
     return out
 
 
-def relation_names_of(formula: Formula) -> List[str]:
-    """Distinct relation symbols, in first-occurrence order."""
-    seen: Dict[str, None] = {}
-    for atom in atoms_of(formula):
-        seen.setdefault(atom.relation, None)
-    return list(seen)
-
-
 def is_quantifier_free(formula: Formula) -> bool:
     """No Exists/ForAll node anywhere in the tree (the Sigma_0 test)."""
     if isinstance(formula, (Exists, ForAll)):

@@ -77,19 +77,3 @@ def classify_prefix(formula: Formula) -> PrefixClass:
     if not blocks:
         return PrefixClass(0, "", relational)
     return PrefixClass(len(blocks), blocks[0][0], relational)
-
-
-def is_sigma(formula: Formula, k: int) -> bool:
-    """Is the formula (syntactically, after prenexing) in Sigma_k?"""
-    cls = classify_prefix(formula)
-    return PrefixClass(k, "E", cls.relational).contains(cls) or (
-        cls.k == k and cls.leading == "E"
-    )
-
-
-def is_pi(formula: Formula, k: int) -> bool:
-    """Is the formula (after prenexing) in Pi_k?"""
-    cls = classify_prefix(formula)
-    return PrefixClass(k, "A", cls.relational).contains(cls) or (
-        cls.k == k and cls.leading == "A"
-    )

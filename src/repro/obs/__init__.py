@@ -25,17 +25,12 @@ benchmarked under 2% on the 100k-tuple enumeration benchmark
 (``benchmarks/test_bench_obs_overhead.py``) — so instrumentation stays
 on permanently.
 
-Activation: :func:`enable` / :func:`capture` / the CLI flags
-(``--trace FILE``, ``--metrics``, ``repro explain``), or the
-``REPRO_TRACE`` environment variable — ``1``/``true`` enables tracing
-for the process, any other non-empty value is treated as a path and the
-Chrome trace (plus a ``<path>.metrics.json`` dump) is written there at
-interpreter exit.
+Activation: :func:`enable` / :func:`capture`, or the CLI flags
+(``--trace FILE``, ``--metrics``, ``repro explain``).
 """
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from typing import Any, Dict, Iterator, Optional, Union
 
@@ -53,8 +48,6 @@ from repro.obs.trace import (
     Span,
     Tracer,
 )
-
-ENV_VAR = "REPRO_TRACE"
 
 _TRACER: Union[Tracer, NullTracer] = NULL_TRACER
 
@@ -147,37 +140,7 @@ def write_chrome_trace(path: str,
     return _write_chrome_trace(path, t if t is not None else _TRACER)
 
 
-def _atexit_dump(path: str) -> str:
-    """The ``REPRO_TRACE=<path>`` exit hook: Chrome trace at ``path``
-    plus a ``<path>.metrics.json`` metrics dump (the tracer's counters
-    and gauges, and the plan-cache stats) so the flat numbers are not
-    lost unless ``--metrics`` was passed explicitly."""
-    import json
-
-    _write_chrome_trace(path, _TRACER)
-    metrics_path = path + ".metrics.json"
-    with open(metrics_path, "w") as fh:
-        json.dump(metrics_dump(_TRACER), fh, indent=2, default=str)
-    return metrics_path
-
-
-def _init_from_environment() -> None:
-    """Honour ``REPRO_TRACE`` at import: enable tracing, and when the
-    value names a file, dump the Chrome trace + metrics there at
-    process exit."""
-    value = os.environ.get(ENV_VAR, "").strip()
-    if value and value.lower() not in ("0", "false", "off", "no"):
-        enable()
-        if value.lower() not in ("1", "true", "yes", "on"):
-            import atexit
-
-            atexit.register(lambda: _atexit_dump(value))
-
-
-_init_from_environment()
-
 __all__ = [
-    "ENV_VAR",
     "NULL_SPAN",
     "NULL_TRACER",
     "NullTracer",

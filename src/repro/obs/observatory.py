@@ -67,7 +67,7 @@ class SchemaError(ValueError):
 
 def collect_provenance(timestamp: str) -> Dict[str, Any]:
     """Assemble the provenance block for a run, naming the process-wide
-    engine and block size.
+    engine and the block size B.
 
     ``timestamp`` is passed in by the runner (the CLI or the benchmark
     process) rather than sampled here, so one invocation stamps all its
@@ -75,7 +75,8 @@ def collect_provenance(timestamp: str) -> Dict[str, Any]:
     """
     import platform as _platform
 
-    from repro.engine import get_engine, resolve_block_size
+    from repro.engine import get_engine
+    from repro.engine.enumerate import DEFAULT_BLOCK_SIZE
     from repro.perf.delay import timer_overhead_ns
 
     try:
@@ -101,7 +102,7 @@ def collect_provenance(timestamp: str) -> Dict[str, Any]:
         "machine": f"{os.cpu_count()}cpu-{sys.implementation.name}",
         "hostname": _platform.node() or "unknown",
         "engine": get_engine().name,
-        "block_size": resolve_block_size(None),
+        "block_size": DEFAULT_BLOCK_SIZE,
         "timer_overhead_ns": timer_overhead_ns(),
         "cpu_count": os.cpu_count(),
     }
@@ -710,8 +711,8 @@ def run_suites(names: Iterable[str], timestamp: str, quick: bool = False,
 
     Provenance is collected once per run and stamped on every record,
     with the engine each case pinned.  No record says whether tracing
-    was on, so the suites run with it off, whatever ``REPRO_TRACE``
-    says, and the caller's tracer is restored afterwards."""
+    was on, so the suites run with it off, even under a library
+    caller's live tracer, which is restored afterwards."""
     from repro import obs
 
     provenance = collect_provenance(timestamp)

@@ -1,13 +1,34 @@
-"""Shared fixtures: small canonical databases and queries."""
+"""Shared fixtures: small canonical databases and queries, and the
+block size enumeration runs at."""
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import pytest
 
+from repro.core.plancache import clear_plan_cache
 from repro.data.database import Database
 from repro.data.relation import Relation
+from repro.engine import enumerate as block_module
 from repro.engine import get_engine
 from repro.logic.parser import parse_cq
+
+
+@contextmanager
+def at_block_size(size):
+    """Enumerate at block size ``size`` in the scope: patch
+    ``DEFAULT_BLOCK_SIZE`` and clear the plan cache on entry and on
+    exit, since a cached pipeline keeps the block size it was built
+    with.  A context manager, not a fixture, so a ``@given`` body can
+    enter it once per example."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(block_module, "DEFAULT_BLOCK_SIZE", size)
+        clear_plan_cache()
+        try:
+            yield
+        finally:
+            clear_plan_cache()
 
 
 def pytest_generate_tests(metafunc):
@@ -20,19 +41,19 @@ def pytest_generate_tests(metafunc):
 
 
 @pytest.fixture
-def default_block_size(request, monkeypatch):
-    """The block size enumerators take when the caller passes none:
-    ``DEFAULT_BLOCK_SIZE``, or 7 where :func:`pytest_generate_tests`
-    asks for it.  Seven-answer blocks put block boundaries everywhere
-    in the columnar pipeline: in the chunked answer stream, in the carry
-    between batches and in the gather probes' batches.  On the tuple
-    engine a block only chunks the per-answer stream, so the suite runs
-    there at the default alone."""
+def default_block_size(request):
+    """The block size enumerators run at: ``DEFAULT_BLOCK_SIZE``, or 7
+    where :func:`pytest_generate_tests` asks for it.  Seven-answer
+    blocks put block boundaries everywhere in the columnar pipeline: in
+    the chunked answer stream, in the carry between batches and in the
+    gather probes' batches.  On the tuple engine a block only chunks the
+    per-answer stream, so the suite runs there at the default alone."""
     size = getattr(request, "param", None)
-    if size is not None:
-        monkeypatch.setattr("repro.engine.enumerate.DEFAULT_BLOCK_SIZE",
-                            size)
-    return size
+    if size is None:
+        yield None
+        return
+    with at_block_size(size):
+        yield size
 
 
 @pytest.fixture

@@ -15,6 +15,7 @@ from repro.engine import use_engine
 from repro.logic.parser import parse_cq, parse_query
 from repro.obs.export import chrome_trace, metrics_dump, render_explain
 from repro.obs.trace import NULL_SPAN_CONTEXT, NULL_TRACER, Tracer
+from tests.conftest import at_block_size
 
 
 @pytest.fixture(autouse=True)
@@ -190,9 +191,8 @@ def test_delay_pairs_sum_to_the_answer_count(engine, block_size):
     pair per 256 answers whatever B is."""
     q = parse_cq(FULL_QUERY)
     db = _demo_db(n=600, seed=3)
-    with obs.capture() as t:
-        answers = sum(1 for _ in enumerate_answers(
-            q, db, engine=engine, block_size=block_size))
+    with at_block_size(block_size), obs.capture() as t:
+        answers = sum(1 for _ in enumerate_answers(q, db, engine=engine))
     sizes = [n for _gap, n in t.delays]
     assert answers > 256
     if engine == "tuple":
@@ -306,6 +306,7 @@ def test_metrics_dump_shape():
     pc = m["plan_cache"]
     for key in ("hits", "misses", "evictions", "entries", "maxsize"):
         assert key in pc
+    assert "registry" not in m
 
 
 def test_plan_cache_eviction_counter():
@@ -322,22 +323,6 @@ def test_plan_cache_eviction_counter():
 def test_global_cache_eviction_in_stats():
     st = plan_cache().stats()
     assert "evictions" in st
-
-
-def test_atexit_dump_writes_metrics_next_to_trace(tmp_path):
-    path = str(tmp_path / "run.trace.json")
-    tracer = obs.enable()
-    with obs.span("dump.span"):
-        obs.count("dump.check", 9)
-    metrics_path = obs._atexit_dump(path)
-    obs.disable()
-    assert metrics_path == path + ".metrics.json"
-    trace = json.load(open(path))
-    assert "traceEvents" in trace
-    dump = json.load(open(metrics_path))
-    assert dump["counters"]["dump.check"] == 9
-    assert "plan_cache" in dump and "registry" not in dump
-    assert tracer is not None
 
 
 def test_render_explain_mentions_phases():

@@ -149,17 +149,16 @@ def test_fingerprint_changes_on_mutation():
     assert db.fingerprint() != fp1            # version is monotone
 
 
-def test_keys_distinguish_kind_engine_extra_and_db():
+def test_keys_distinguish_kind_engine_and_db():
     q = parse_cq("Q(x) :- R(x, z), S(z, y)")
     db1, db2 = _db(), _db()
     keys = {
         PlanCache.key_for("a", q, db1, "tuple"),
         PlanCache.key_for("b", q, db1, "tuple"),
         PlanCache.key_for("a", q, db1, "columnar"),
-        PlanCache.key_for("a", q, db1, "tuple", extra=7),
         PlanCache.key_for("a", q, db2, "tuple"),  # distinct serials per db
     }
-    assert len(keys) == 5
+    assert len(keys) == 4
 
 
 # ------------------------------------------------------------- cached_plan

@@ -38,6 +38,7 @@ from repro.enumeration.free_connex import FreeConnexEnumerator
 from repro.eval.naive import evaluate_cq_naive
 from repro.eval.yannakakis import materialise_atoms
 from repro.logic.parser import parse_cq
+from tests.conftest import at_block_size
 
 PATH3 = "Q(x, y, z, w) :- R(x, y), S(y, z), T(z, w)"
 SELFJOIN = "Q(x, y, z, w) :- R(x, y), R(y, z), R(z, w)"
@@ -387,15 +388,15 @@ def _block_db():
     return _db(n=1500, domain=300, seed=4)
 
 
-def _blocks(db, block_size):
-    e = FreeConnexEnumerator(parse_cq(PREFIX), db, engine="columnar",
-                             block_size=block_size)
+def _blocks(db):
+    e = FreeConnexEnumerator(parse_cq(PREFIX), db, engine="columnar")
     return list(e.blocks())
 
 
 @pytest.mark.parametrize("block_size", sorted(RAMPS))
 def test_columnar_blocks_ramp_up_to_b(block_size):
-    sizes = [len(b) for b in _blocks(_block_db(), block_size)]
+    with at_block_size(block_size):
+        sizes = [len(b) for b in _blocks(_block_db())]
     ramp = RAMPS[block_size]
     full, tail = divmod(sum(sizes) - sum(ramp), block_size)
     assert full >= 2 and tail > 0
@@ -421,15 +422,13 @@ def test_ramped_stream_is_the_exact_block_stream(block_size, monkeypatch):
     prefix ``islice`` takes is its prefix."""
     db = _block_db()
     q = parse_cq(PREFIX)
-    ramped = list(enumerate_answers(q, db, engine="columnar",
-                                    block_size=block_size))
-    prefixes = {k: list(itertools.islice(enumerate_answers(
-        q, db, engine="columnar", block_size=block_size), k))
-        for k in (1, 63, 64, 65, 100, 1025)}
-    monkeypatch.setattr(block_module, "RAMP_START", block_size)
-    # an iterator reads RAMP_START when it is built: build a fresh one
-    clear_plan_cache()
-    exact_blocks = _blocks(db, block_size)
+    with at_block_size(block_size):
+        ramped = _prefix(q, db, None)
+        prefixes = {k: _prefix(q, db, k) for k in (1, 63, 64, 65, 100, 1025)}
+        monkeypatch.setattr(block_module, "RAMP_START", block_size)
+        # an iterator reads RAMP_START when it is built: build a fresh one
+        clear_plan_cache()
+        exact_blocks = _blocks(db)
     assert {len(b) for b in exact_blocks[:-1]} == {block_size}
     exact = [a for b in exact_blocks for a in b]
     assert len(exact) > 1025
@@ -462,16 +461,16 @@ def test_interleaved_streams_keep_their_own_ramp():
 # ------------------------------------------------------------- ramp memo
 
 
-def _iterator(q, db, block_size=None):
+def _iterator(q, db):
     """The cached pipeline's block iterator for ``q`` on ``db``."""
-    e = FreeConnexEnumerator(q, db, engine="columnar", block_size=block_size)
+    e = FreeConnexEnumerator(q, db, engine="columnar")
     e.preprocess()
     return e._inner._block_iter
 
 
-def _prefix(q, db, k, block_size=None):
-    return list(itertools.islice(enumerate_answers(
-        q, db, engine="columnar", block_size=block_size), k))
+def _prefix(q, db, k):
+    return list(itertools.islice(enumerate_answers(q, db, engine="columnar"),
+                                 k))
 
 
 PREFIXES = (1, 63, 64, 65, 100, 192, 960, 961)
@@ -483,14 +482,15 @@ def test_warm_prefixes_equal_the_cold_stream(block_size):
     and full scans, all equal the stream a cold pipeline gives."""
     db = _block_db()
     q = parse_cq(PREFIX)
-    cold = _prefix(q, db, None, block_size)
-    assert len(cold) > 961 + 2 * block_size
-    clear_plan_cache()
-    for memo in ("filling", "full"):
-        for k in PREFIXES:
-            assert _prefix(q, db, k, block_size) == cold[:k], (memo, k)
-        assert _prefix(q, db, None, block_size) == cold, memo
-    memo = _iterator(q, db, block_size)._ramp
+    with at_block_size(block_size):
+        cold = _prefix(q, db, None)
+        assert len(cold) > 961 + 2 * block_size
+        clear_plan_cache()
+        for memo in ("filling", "full"):
+            for k in PREFIXES:
+                assert _prefix(q, db, k) == cold[:k], (memo, k)
+            assert _prefix(q, db, None) == cold, memo
+        memo = _iterator(q, db)._ramp
     assert [len(b) for b in memo] == RAMPS[block_size]
 
 
@@ -521,11 +521,12 @@ def test_a_full_scan_after_a_consumer_left_mid_ramp(block_size, taken):
     stream."""
     db = _block_db()
     q = parse_cq(PREFIX)
-    cold = _prefix(q, db, None, block_size)
-    clear_plan_cache()
-    assert _prefix(q, db, taken, block_size) == cold[:taken]
-    assert _prefix(q, db, 2 * taken, block_size) == cold[:2 * taken]
-    assert _prefix(q, db, None, block_size) == cold
+    with at_block_size(block_size):
+        cold = _prefix(q, db, None)
+        clear_plan_cache()
+        assert _prefix(q, db, taken) == cold[:taken]
+        assert _prefix(q, db, 2 * taken) == cold[:2 * taken]
+        assert _prefix(q, db, None) == cold
 
 
 def test_interleaved_consumers_fill_the_memo_once():
@@ -534,7 +535,7 @@ def test_interleaved_consumers_fill_the_memo_once():
     order, and both read the cold blocks."""
     db = _block_db()
     q = parse_cq(PREFIX)
-    cold = _blocks(db, None)
+    cold = _blocks(db)
     clear_plan_cache()
     it = _iterator(q, db)
     first, second = it.blocks(), it.blocks()
@@ -547,19 +548,22 @@ def test_interleaved_consumers_fill_the_memo_once():
 
 
 def test_a_built_iterator_keeps_its_ramp_start(monkeypatch):
-    """An iterator reads ``RAMP_START`` when it is built: patched after
-    a consumer memoised part of the ramp, the cached iterator's later
-    walks still cut the blocks of its memo, and only a fresh plan takes
-    the new start."""
+    """An iterator reads ``RAMP_START`` and ``DEFAULT_BLOCK_SIZE`` when
+    it is built: patched after a consumer memoised part of the ramp, the
+    cached iterator's later walks still cut the blocks of its memo, and
+    only a fresh plan takes the new start and B."""
     db = _block_db()
     q = parse_cq(PREFIX)
-    cold = _blocks(db, None)
+    cold = _blocks(db)
     clear_plan_cache()
     assert _prefix(q, db, 100) == [a for b in cold for a in b][:100]
+    # patched in place, not through at_block_size, which would clear
+    # the plan cache and with it the iterator under test
     monkeypatch.setattr(block_module, "RAMP_START", 32)
-    assert _blocks(db, None) == cold
+    monkeypatch.setattr(block_module, "DEFAULT_BLOCK_SIZE", 100)
+    assert _blocks(db) == cold
     clear_plan_cache()
-    assert [len(b) for b in _blocks(db, None)[:3]] == [32, 64, 128]
+    assert [len(b) for b in _blocks(db)[:4]] == [32, 64, 100, 100]
 
 
 def _chain_db(n):
@@ -583,18 +587,19 @@ def test_a_stream_that_ends_in_the_ramp(block_size, n, sizes, first_reads):
     db = _chain_db(n)
     q = parse_cq("Q(x, y, z) :- R(x, y), S(y, z)")
     expected = evaluate_cq_naive(q, db)
-    it = _iterator(q, db, block_size)
-    if first_reads == "all":
-        first = list(it.blocks())
-    else:
-        first = list(itertools.islice(it.blocks(), len(sizes)))
-    assert [len(b) for b in first] == sizes
-    cold = [a for b in first for a in b]
-    assert len(cold) == n and set(cold) == expected
-    for _ in range(2):
-        with obs.capture() as t:
-            assert _prefix(q, db, None, block_size) == cold
-        assert t.counters["enum.ramp_hits"] == len(sizes)
+    with at_block_size(block_size):
+        it = _iterator(q, db)
+        if first_reads == "all":
+            first = list(it.blocks())
+        else:
+            first = list(itertools.islice(it.blocks(), len(sizes)))
+        assert [len(b) for b in first] == sizes
+        cold = [a for b in first for a in b]
+        assert len(cold) == n and set(cold) == expected
+        for _ in range(2):
+            with obs.capture() as t:
+                assert _prefix(q, db, None) == cold
+            assert t.counters["enum.ramp_hits"] == len(sizes)
     assert [len(b) for b in it._ramp] == sizes
 
 
@@ -607,15 +612,14 @@ def test_after_a_write_the_first_100_are_the_naive_answers(engine,
     memo of the plan before the write was full."""
     db = _db(n=40, domain=20)
     q = parse_cq(PREFIX)
-    with use_engine(engine):
+    with use_engine(engine), at_block_size(block_size):
         for step in range(WRITES + 1):
             if step:
                 _write(db, step - 1)
             expected = evaluate_cq_naive(q, db)
             assert 0 < len(expected) < 100
             for run in ("cold", "warm"):
-                got = list(itertools.islice(enumerate_answers(
-                    q, db, block_size=block_size), 100))
+                got = list(itertools.islice(enumerate_answers(q, db), 100))
                 assert len(got) == len(set(got))
                 assert set(got) == expected, (step, run)
 
@@ -627,8 +631,9 @@ def test_the_memo_holds_fewer_than_2b_answers(block_size):
     answers, in blocks each shorter than B."""
     db = _block_db()
     q = parse_cq(PREFIX)
-    _prefix(q, db, None, block_size)
-    memo = [len(b) for b in _iterator(q, db, block_size)._ramp]
+    with at_block_size(block_size):
+        _prefix(q, db, None)
+        memo = [len(b) for b in _iterator(q, db)._ramp]
     assert sum(memo) < 2 * block_size
     assert all(size < block_size for size in memo)
     if block_size in RAMPS:
