@@ -32,7 +32,6 @@ from repro.errors import NotAcyclicError, UnsupportedQueryError
 from repro.eval.join import VarRelation
 from repro.eval.naive import evaluate_cq_naive
 from repro.eval.yannakakis import free_join, full_reducer
-from repro.hypergraph.hypergraph import Hypergraph
 from repro.hypergraph.jointree import cached_join_tree
 from repro.logic.cq import ConjunctiveQuery
 from repro.logic.terms import Variable
@@ -69,11 +68,14 @@ def count_full_acyclic_join(relations: Sequence[VarRelation],
         relations = [r for r in relations if len(r.variables) > 0]
         if not relations:
             return 1
-    h = Hypergraph(
-        {v for r in relations for v in r.variables},
-        [frozenset(r.variables) for r in relations],
+    from repro.engine.columnar import (
+        COUNT_BOUND,
+        ColumnarRelation,
+        count_acyclic_join_columnar,
+        message_tree,
     )
-    tree = cached_join_tree(h)
+
+    tree, share_vars = message_tree(relations)
 
     # variables charged at each node: those absent from the parent
     charged: Dict[int, Tuple[Variable, ...]] = {}
@@ -88,23 +90,6 @@ def count_full_acyclic_join(relations: Sequence[VarRelation],
             mine = tuple(v for v in here if v not in parent_vars and v not in seen_top)
         charged[node] = mine
         seen_top.update(mine)
-
-    # variables each node shares with its parent (the message key schema)
-    share_vars: Dict[int, Tuple[Variable, ...]] = {}
-    for node in tree.bottom_up():
-        parent = tree.parent[node]
-        if parent is None:
-            share_vars[node] = ()
-        else:
-            parent_vars = set(relations[parent].variables)
-            share_vars[node] = tuple(
-                v for v in relations[node].variables if v in parent_vars)
-
-    from repro.engine.columnar import (
-        COUNT_BOUND,
-        ColumnarRelation,
-        count_acyclic_join_columnar,
-    )
 
     unweighted = weights is None or (
         isinstance(weights, WeightFunction) and weights.is_ones())

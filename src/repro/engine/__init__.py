@@ -32,7 +32,7 @@ from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional, Union
 
 from repro.engine.base import ColumnarEngine, Engine, TupleEngine
-from repro.engine.enumerate import DEFAULT_BLOCK_SIZE, BlockIterator, batchable
+from repro.engine.enumerate import BlockIterator, batchable
 from repro.errors import ConfigurationError
 
 DEFAULT_ENGINE = "tuple"
@@ -109,5 +109,4 @@ __all__ = [
     "ENV_VAR",
     "BlockIterator",
     "batchable",
-    "DEFAULT_BLOCK_SIZE",
 ]

@@ -55,6 +55,8 @@ from typing import (
 import numpy as np
 
 from repro import obs
+from repro.hypergraph.hypergraph import Hypergraph
+from repro.hypergraph.jointree import JoinTree, cached_join_tree
 from repro.logic.terms import Constant, Variable
 
 Tup = Tuple[Any, ...]
@@ -785,6 +787,23 @@ def _dp_gather(parent: ColumnarRelation, child: ColumnarRelation,
     return parent.cached_probe(key, build, against=child_groups)
 
 
+def message_tree(relations: Sequence[Any]
+                 ) -> Tuple[JoinTree, Dict[int, Tuple[Variable, ...]]]:
+    """A join tree of ``relations`` (node ``i`` holds ``relations[i]``;
+    memoised on the hypergraph) and each node's message key for
+    :func:`acyclic_join_messages`: the node's variables that its tree
+    parent also has, in the node's column order (none at the root)."""
+    tree = cached_join_tree(Hypergraph(
+        {v for r in relations for v in r.variables},
+        [frozenset(r.variables) for r in relations]))
+    share_vars = {
+        node: () if parent is None else tuple(
+            v for v in relations[node].variables
+            if relations[parent].has_variable(v))
+        for node, parent in tree.parent.items()}
+    return tree, share_vars
+
+
 def count_acyclic_join_columnar(relations: Sequence[ColumnarRelation],
                                 tree,
                                 share_vars: Dict[int, Tuple[Variable, ...]],
@@ -826,7 +845,10 @@ def acyclic_join_messages(relations: Sequence[ColumnarRelation], tree,
     ``g``'s values (and ``padded[groups.card]`` is 0).  So the message
     maps the key of row ``groups.first[j]`` to
     ``padded[groups.first_ids[j]]``, in first-occurrence order (the
-    root's one key ``()`` is group 0).
+    root's one key ``()`` is group 0).  The sums take ``row_weights``'
+    dtype: object arrays of Python ints stay exact past int64, which is
+    how :mod:`repro.enumeration.random_access` indexes a join at or past
+    :data:`COUNT_BOUND`.
     ``groups`` and an unweighted leaf's ``values`` and ``padded`` belong
     to the memo: copy them before writing.
 

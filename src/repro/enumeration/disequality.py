@@ -210,7 +210,8 @@ class DisequalityEnumerator(Enumerator):
             # nothing is left to join; the checks still apply
             self._boolean_true = self._passes({})
             return
-        self._inner = FullJoinEnumerator(derived, self.cq.head, reduce=True)
+        # globally consistent already, as in FreeConnexEnumerator
+        self._inner = FullJoinEnumerator(derived, self.cq.head, reduce=False)
         self._inner.preprocess()
 
     def _projected_core(self, drop_vars: Set[Variable]) -> ConjunctiveQuery:

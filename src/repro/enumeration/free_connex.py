@@ -102,7 +102,9 @@ class FreeConnexEnumerator(Enumerator):
             return ("bool", derived is not None)
         if derived is None:
             return ("enum", None)
-        inner = FullJoinEnumerator(derived, self.cq.head, reduce=True)
+        # each derived relation projects phi(D)'s assignments, so the
+        # join is globally consistent already: no second reduction
+        inner = FullJoinEnumerator(derived, self.cq.head, reduce=False)
         inner.preprocess()
         return ("enum", inner)
 

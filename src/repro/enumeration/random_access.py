@@ -11,63 +11,51 @@ queries one can, after the same linear preprocessing, support
   materialising the answer set.
 
 The structure making this possible is the derived quantifier-free join
-of the free-connex engine: over its join tree, count, for every node
-tuple, the number of join results in the subtree below it (one linear
-message-passing pass, as in the counting engine, but *keeping* the
-per-tuple counts).  An answer index then decomposes along the tree like
-a mixed-radix numeral: at each node, a binary search over the sibling
-tuples' cumulative counts picks the branch, and the children split the
-residual index by their subtree-count products.
+of the free-connex engine and the counting kernel's messages over its
+join tree (:func:`repro.engine.columnar.acyclic_join_messages`, one
+linear bottom-up pass, Theorem 4.21), kept per row instead of summed
+away: each row's subtree count, its group of rows sharing its key over
+the parent's variables, and, per tree edge, each parent row's child
+group.  A node's rows are sorted stably by group, with a running sum
+of their counts, so a group is one contiguous run of cumulative counts.
 
-``answer(j)`` costs O(|query| * log ||D||); random order is sampling
-indexes without replacement (a Fisher-Yates over [0, count) driven by a
-permutation generator that stores O(#emitted) state).
+The answer order is a mixed-radix numeral over the tree: the root's
+rows, in the derived relation's row order, are the most significant
+digit; under a fixed row, its children's subtrees split the residual
+index with the rightmost child varying fastest; and within a child's
+group the rows again follow the derived relation's row order.  The
+join is derived on columnar relations whatever the engine, so the order
+is the same on both.  ``answer(j)`` descends the tree by a binary
+search in each group's run, in O(|query| * log ||D||).  Random order
+samples indexes without replacement (a Fisher-Yates over [0, count)
+driven by a permutation generator that stores O(#emitted) state).
+
+The sums are int64 while the product of the derived relations' row
+counts stays below :data:`~repro.engine.columnar.COUNT_BOUND`; at or
+past it the same kernel sums Python ints (all-ones object row
+weights), so counts and indexes stay exact past 2^63.
 """
 
 from __future__ import annotations
 
+import math
 import random
-from bisect import bisect_right
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
+import numpy as np
+
 from repro.data.database import Database
+from repro.engine.columnar import (
+    COUNT_BOUND,
+    _dp_gather,
+    acyclic_join_messages,
+    message_tree,
+)
 from repro.enumeration.free_connex import derive_free_join
-from repro.errors import EnumerationError, NotFreeConnexError, UnsupportedQueryError
-from repro.eval.join import VarRelation
-from repro.hypergraph.hypergraph import Hypergraph
-from repro.hypergraph.jointree import build_join_tree
+from repro.errors import NotFreeConnexError, UnsupportedQueryError
 from repro.logic.cq import ConjunctiveQuery
-from repro.logic.terms import Variable
 
 Tup = Tuple[Any, ...]
-
-
-class _NodeIndex:
-    """Per (node, parent-key) bucket: the node's tuples in a fixed order
-    with cumulative subtree counts, enabling O(log) index descent."""
-
-    __slots__ = ("tuples", "cumulative")
-
-    def __init__(self) -> None:
-        self.tuples: List[Tup] = []
-        self.cumulative: List[int] = []  # cumulative[i] = sum counts[0..i]
-
-    def add(self, tup: Tup, count: int) -> None:
-        total = self.cumulative[-1] if self.cumulative else 0
-        self.tuples.append(tup)
-        self.cumulative.append(total + count)
-
-    def total(self) -> int:
-        return self.cumulative[-1] if self.cumulative else 0
-
-    def locate(self, index: int) -> Tuple[Tup, int]:
-        """The tuple owning ``index`` and the residual index within it."""
-        pos = bisect_right(self.cumulative, index)
-        if pos >= len(self.tuples):
-            raise EnumerationError(
-                f"index {index} out of range (bucket total {self.total()})")
-        before = self.cumulative[pos - 1] if pos else 0
-        return self.tuples[pos], index - before
 
 
 class RandomAccessEnumerator:
@@ -89,110 +77,81 @@ class RandomAccessEnumerator:
     # ------------------------------------------------------------ building
 
     def _prepare(self) -> None:
-        derived = derive_free_join(self.cq, self.db)
-        if self.cq.is_boolean():
-            # zero or one answer: the empty tuple
-            self._boolean_count = 0 if derived is None else 1
-            self._relations: List[VarRelation] = []
+        derived = derive_free_join(self.cq, self.db, engine="columnar")
+        # a satisfiable Boolean query has one answer, (), and no join
+        self._total = 0 if derived is None else 1
+        self._root: Optional[int] = None
+        if not derived:
             return
-        self._boolean_count = None
-        if derived is None:
-            self._relations = []
-            self._total = 0
-            return
-        h = Hypergraph(
-            {v for r in derived for v in r.variables},
-            [frozenset(r.variables) for r in derived],
-        )
-        tree = build_join_tree(h)
-        from repro.enumeration.full_acyclic import reduce_relations
-
-        self._relations = reduce_relations(tree, list(derived))
-        if any(len(r) == 0 for r in self._relations):
-            self._total = 0
-            return
-        self._tree = tree
-        self._order = tree.top_down()
-        # probe variables per node (shared with parent)
-        self._probe_vars: Dict[int, Tuple[Variable, ...]] = {}
-        for node in self._order:
-            parent = tree.parent[node]
-            if parent is None:
-                self._probe_vars[node] = ()
-            else:
-                pv = set(self._relations[parent].variables)
-                self._probe_vars[node] = tuple(
-                    v for v in self._relations[node].variables if v in pv)
-        # bottom-up subtree counts per tuple, bucketed by parent key
-        self._buckets: Dict[int, Dict[Tup, _NodeIndex]] = {}
-        counts: Dict[int, Dict[Tup, int]] = {}
-        for node in tree.bottom_up():
-            rel = self._relations[node]
-            pv = self._probe_vars[node]
-            key_pos = [rel.position(v) for v in pv]
-            child_info = []
-            for c in tree.children[node]:
-                cpv = self._probe_vars[c]
-                child_info.append(
-                    (c, [rel.position(v) for v in cpv]))
-            node_counts: Dict[Tup, int] = {}
-            buckets: Dict[Tup, _NodeIndex] = {}
-            for t in rel:
-                count = 1
-                for c, pos in child_info:
-                    child_key = tuple(t[p] for p in pos)
-                    bucket = self._buckets[c].get(child_key)
-                    count *= bucket.total() if bucket else 0
-                if count == 0:
-                    continue  # cannot happen after reduction, defensive
-                node_counts[t] = count
-                key = tuple(t[p] for p in key_pos)
-                buckets.setdefault(key, _NodeIndex()).add(t, count)
-            counts[node] = node_counts
-            self._buckets[node] = buckets
-        root_bucket = self._buckets[tree.root].get(())
-        self._total = root_bucket.total() if root_bucket else 0
+        tree, share_vars = message_tree(derived)
+        weights = None
+        if math.prod(len(r) for r in derived) >= COUNT_BOUND:
+            # int64 sums could wrap: sum Python ints instead
+            weights = {node: np.ones(len(r), dtype=object)
+                       for node, r in enumerate(derived)}
+        # per node: rows sorted stably by group, their running count,
+        # each group's run [bounds[g], bounds[g + 1]) and total
+        self._runs = {}
+        groups_of = {}
+        for node, values, groups, padded in acyclic_join_messages(
+                derived, tree, share_vars, weights):
+            order = np.argsort(groups.ids, kind="stable")
+            bounds = np.zeros(groups.card + 2, dtype=np.int64)
+            np.cumsum(groups.sizes, out=bounds[1:])
+            self._runs[node] = (order, np.cumsum(values[order]), bounds,
+                                padded)
+            groups_of[node] = groups
+        # per node: its children and each parent row's group in each
+        self._children = {
+            node: [(child, _dp_gather(derived[node], derived[child], edge,
+                                      share_vars[child], groups_of[child]))
+                   for edge, child in enumerate(tree.children[node])]
+            for node in tree.nodes()}
+        # each head variable's column, in the first relation holding it
+        self._head = []
+        for v in self.cq.head:
+            node = next(n for n, r in enumerate(derived) if r.has_variable(v))
+            self._head.append((derived[node].column(v), node))
+        self._decode = derived[0].dictionary.decode
+        self._root = tree.root
+        self._total = int(self._runs[tree.root][3][0])
 
     # ------------------------------------------------------------- queries
 
     def count(self) -> int:
         """|phi(D)| (also obtainable via the counting engine; here it is a
         by-product of the index)."""
-        if self._boolean_count is not None:
-            return self._boolean_count
-        return getattr(self, "_total", 0)
+        return self._total
 
     def answer(self, j: int) -> Tup:
         """The j-th answer, 0-based, in the index's fixed order."""
-        if j < 0 or j >= self.count():
-            raise IndexError(f"answer index {j} out of range 0..{self.count() - 1}")
-        if self._boolean_count is not None:
+        if j < 0 or j >= self._total:
+            raise IndexError(
+                f"answer index {j} out of range 0..{self._total - 1}")
+        if self._root is None:      # a Boolean query's one answer
             return ()
-        assignment: Dict[Variable, Any] = {}
+        rows: Dict[int, int] = {}
+        self._descend(self._root, 0, j, rows)
+        return tuple(self._decode(int(col[rows[node]]))
+                     for col, node in self._head)
 
-        def descend(node: int, index: int) -> None:
-            pv = self._probe_vars[node]
-            key = tuple(assignment[v] for v in pv)
-            bucket = self._buckets[node][key]
-            tup, residual = bucket.locate(index)
-            rel = self._relations[node]
-            for v, val in zip(rel.variables, tup):
-                assignment[v] = val
-            # split the residual index across the children (mixed radix,
-            # rightmost child varies fastest)
-            children = self._tree.children[node]
-            child_totals = []
-            for c in children:
-                cpv = self._probe_vars[c]
-                ckey = tuple(assignment[v] for v in cpv)
-                child_totals.append((c, self._buckets[c][ckey].total()))
-            for c, total in reversed(child_totals):
-                index_c = residual % total
-                residual //= total
-                descend(c, index_c)
-
-        descend(self._tree.root, j)
-        return tuple(assignment[v] for v in self.cq.head)
+    def _descend(self, node: int, group: int, index: int,
+                 rows: Dict[int, int]) -> None:
+        """Pick the row of ``node``'s ``group`` owning ``index``, then
+        split the residual over its children."""
+        order, cum, bounds, _padded = self._runs[node]
+        lo, hi = int(bounds[group]), int(bounds[group + 1])
+        before = int(cum[lo - 1]) if lo else 0
+        pos = lo + int(cum[lo:hi].searchsorted(before + index, "right"))
+        residual = before + index - (int(cum[pos - 1]) if pos else 0)
+        row = int(order[pos])
+        rows[node] = row
+        # mixed radix, rightmost child varying fastest
+        for child, gather in reversed(self._children[node]):
+            child_group = int(gather[row])
+            total = int(self._runs[child][3][child_group])
+            residual, index_c = divmod(residual, total)
+            self._descend(child, child_group, index_c, rows)
 
     def __len__(self) -> int:
         return self.count()

@@ -1,18 +1,24 @@
-"""Shared fixtures: small canonical databases and queries, and the
-block size enumeration runs at."""
+"""Shared fixtures: small canonical databases and queries, the block
+size enumeration runs at, and a hypothesis strategy of free-connex
+instances."""
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 
 import pytest
+from hypothesis import assume
+from hypothesis import strategies as st
 
 from repro.core.plancache import clear_plan_cache
 from repro.data.database import Database
 from repro.data.relation import Relation
 from repro.engine import enumerate as block_module
 from repro.engine import get_engine
+from repro.logic.atoms import Atom
+from repro.logic.cq import ConjunctiveQuery
 from repro.logic.parser import parse_cq
+from repro.logic.terms import Variable
 
 
 @contextmanager
@@ -54,6 +60,50 @@ def default_block_size(request):
         return
     with at_block_size(size):
         yield size
+
+
+DOMAIN = st.integers(min_value=0, max_value=4)
+
+
+def _rows(draw, arity, max_rows=10):
+    return draw(st.lists(
+        st.tuples(*([DOMAIN] * arity)), min_size=0, max_size=max_rows))
+
+
+@st.composite
+def free_connex_instance(draw):
+    """A random free-connex acyclic CQ with a database (tree-structured
+    atom generation guarantees alpha-acyclicity; free-connexity is
+    enforced by assumption)."""
+    n_atoms = draw(st.integers(min_value=1, max_value=4))
+    atom_vars = []
+    fresh = 0
+    for i in range(n_atoms):
+        if i == 0:
+            shared = []
+        else:
+            parent = atom_vars[draw(st.integers(0, i - 1))]
+            shared = draw(st.lists(st.sampled_from(parent), min_size=1,
+                                   max_size=len(parent), unique=True))
+        n_fresh = draw(st.integers(min_value=0 if shared else 1, max_value=2))
+        mine = list(shared)
+        for _ in range(n_fresh):
+            mine.append(Variable(f"v{fresh}"))
+            fresh += 1
+        atom_vars.append(draw(st.permutations(mine)))
+
+    atoms = [Atom(f"R{i}", vs) for i, vs in enumerate(atom_vars)]
+    all_vars = sorted({v for vs in atom_vars for v in vs},
+                      key=lambda v: v.name)
+    head = draw(st.lists(st.sampled_from(all_vars), unique=True, min_size=1,
+                         max_size=len(all_vars)))
+    cq = ConjunctiveQuery(head, atoms)
+    assume(cq.is_free_connex())
+
+    db = Database()
+    for i, vs in enumerate(atom_vars):
+        db.add_relation(Relation(f"R{i}", len(vs), _rows(draw, len(vs))))
+    return cq, db
 
 
 @pytest.fixture

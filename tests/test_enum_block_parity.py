@@ -18,7 +18,6 @@ from collections import Counter
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
-from hypothesis import strategies as st
 
 from repro import obs
 from repro.core.classify import plan_for
@@ -41,59 +40,14 @@ from repro.errors import UnsupportedQueryError
 from repro.eval.naive import evaluate_cq_naive
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.hypergraph.jointree import JoinTree
-from repro.logic.atoms import Atom
-from repro.logic.cq import ConjunctiveQuery
 from repro.logic.parser import parse_cq
 from repro.logic.terms import Variable
-from tests.conftest import at_block_size
+from tests.conftest import at_block_size, free_connex_instance
 
 # columnar runs repeat every test at block size 7 (tests/conftest.py)
 pytestmark = pytest.mark.usefixtures("default_block_size")
 
 BLOCK_SIZES = (1, 7, 1024)
-
-DOMAIN = st.integers(min_value=0, max_value=4)
-
-
-def _rows(draw, arity, max_rows=10):
-    return draw(st.lists(
-        st.tuples(*([DOMAIN] * arity)), min_size=0, max_size=max_rows))
-
-
-@st.composite
-def free_connex_instance(draw):
-    """A random free-connex acyclic CQ with a database (tree-structured
-    atom generation guarantees alpha-acyclicity; free-connexity is
-    enforced by assumption)."""
-    n_atoms = draw(st.integers(min_value=1, max_value=4))
-    atom_vars = []
-    fresh = 0
-    for i in range(n_atoms):
-        if i == 0:
-            shared = []
-        else:
-            parent = atom_vars[draw(st.integers(0, i - 1))]
-            shared = draw(st.lists(st.sampled_from(parent), min_size=1,
-                                   max_size=len(parent), unique=True))
-        n_fresh = draw(st.integers(min_value=0 if shared else 1, max_value=2))
-        mine = list(shared)
-        for _ in range(n_fresh):
-            mine.append(Variable(f"v{fresh}"))
-            fresh += 1
-        atom_vars.append(draw(st.permutations(mine)))
-
-    atoms = [Atom(f"R{i}", vs) for i, vs in enumerate(atom_vars)]
-    all_vars = sorted({v for vs in atom_vars for v in vs},
-                      key=lambda v: v.name)
-    head = draw(st.lists(st.sampled_from(all_vars), unique=True, min_size=1,
-                         max_size=len(all_vars)))
-    cq = ConjunctiveQuery(head, atoms)
-    assume(cq.is_free_connex())
-
-    db = Database()
-    for i, vs in enumerate(atom_vars):
-        db.add_relation(Relation(f"R{i}", len(vs), _rows(draw, len(vs))))
-    return cq, db
 
 
 @settings(max_examples=60, deadline=None)

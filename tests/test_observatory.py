@@ -6,7 +6,8 @@ from functools import partial
 
 import pytest
 
-from repro.engine import DEFAULT_BLOCK_SIZE, use_engine
+from repro.engine import use_engine
+from repro.engine.enumerate import DEFAULT_BLOCK_SIZE
 from repro.obs.observatory import (
     BASELINE_N,
     PROVENANCE_KEYS,

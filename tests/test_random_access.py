@@ -1,14 +1,21 @@
 """Tests for random-access / random-order enumeration (the [23]
 extension the paper's Section 4.3 points at)."""
 
+from collections import Counter
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.data import generators
 from repro.data.database import Database
+from repro.engine import use_engine
+from repro.enumeration import random_access
 from repro.enumeration.random_access import RandomAccessEnumerator
 from repro.errors import NotFreeConnexError, UnsupportedQueryError
 from repro.eval.naive import evaluate_cq_naive
 from repro.logic.parser import parse_cq
+from tests.conftest import free_connex_instance
 
 # columnar runs repeat every test at block size 7 (tests/conftest.py)
 pytestmark = pytest.mark.usefixtures("default_block_size")
@@ -125,3 +132,100 @@ def test_large_instance_random_access_is_fast():
         ra.answer((i * 2654435761) % n)
     per_access = (time.perf_counter() - start) / 500
     assert per_access < 1e-3  # far below a linear scan
+
+
+@settings(max_examples=60, deadline=None)
+@given(free_connex_instance(), st.integers(0, 2 ** 16))
+def test_index_is_the_answer_set_in_one_order(instance, seed):
+    """On either engine: the count is the naive one, ``in_order`` is
+    ``answer(0..count)``, that is the answer set without repeats, random
+    order permutes it and sampling without replacement draws distinct
+    answers.  The index always derives on columnar relations, so both
+    engines give the same order."""
+    cq, db = instance
+    truth = evaluate_cq_naive(cq, db)
+    orders = []
+    for engine in ("tuple", "columnar"):
+        with use_engine(engine):
+            ra = RandomAccessEnumerator(cq, db)
+        assert ra.count() == len(truth), engine
+        in_order = list(ra.in_order())
+        assert in_order == [ra.answer(j) for j in range(ra.count())]
+        assert len(set(in_order)) == len(in_order)
+        assert set(in_order) == truth, engine
+        assert Counter(ra.random_order(seed)) == Counter(in_order)
+        k = min(3, ra.count())
+        sample = ra.sample(k, seed=seed, replacement=False)
+        assert len(set(sample)) == k and set(sample) <= truth
+        orders.append(in_order)
+    assert orders[0] == orders[1]
+
+
+@pytest.mark.parametrize("text, relations, expected", [
+    # T is the root, R and S its children: the root's rows in stored
+    # order, under each the rightmost child fastest, each group of a
+    # child's rows in stored order
+    ("Q(a, b, d, e) :- T(a, b), R(a, d), S(b, e)",
+     {"T": [(2, 1), (1, 1)], "R": [(1, 10), (2, 12), (1, 11)],
+      "S": [(1, 21), (1, 20)]},
+     [(2, 1, 12, 21), (2, 1, 12, 20), (1, 1, 10, 21), (1, 1, 10, 20),
+      (1, 1, 11, 21), (1, 1, 11, 20)]),
+    # the tuple engine materialises an atom repeating a variable in
+    # index-bucket order, (1, 9) before (2, 5); the index derives on
+    # columnar relations whatever the engine, so stored order holds
+    ("Q(x) :- T(x, x, y), S(y, y)",
+     {"T": [(1, 1, 9), (2, 2, 5), (1, 1, 5)], "S": [(5, 5)]},
+     [(2,), (1,)]),
+])
+def test_answer_order_is_fixed_on_both_engines(text, relations, expected):
+    q = parse_cq(text)
+    db = Database.from_relations(relations)
+    for engine in ("tuple", "columnar"):
+        with use_engine(engine):
+            assert list(RandomAccessEnumerator(q, db).in_order()) \
+                == expected, engine
+
+
+def test_python_int_sums_give_the_int64_order(monkeypatch):
+    """Past ``COUNT_BOUND`` the kernel sums Python ints; forcing that
+    path gives the same count, answers and order as int64 sums."""
+    cases = [(parse_cq(text), make_db(seed))
+             for text in QUERIES for seed in range(4)]
+    expected = []
+    for q, db in cases:
+        ra = RandomAccessEnumerator(q, db)
+        expected.append((ra.count(), list(ra.in_order()),
+                         ra.sample(5, seed=1)))
+    monkeypatch.setattr(random_access, "COUNT_BOUND", 1)
+    for (q, db), want in zip(cases, expected):
+        ra = RandomAccessEnumerator(q, db)
+        for _order, cum, _bounds, _padded in ra._runs.values():
+            assert cum.dtype == object
+        assert (ra.count(), list(ra.in_order()),
+                ra.sample(5, seed=1)) == want
+
+
+def test_count_past_two_to_the_63_is_exact():
+    """Seven 1,000-row branches on one shared value: 1000 ** 7 answers,
+    past int64, counted and indexed exactly."""
+    width, branches = 1000, 7
+    db = Database.from_relations(
+        {f"R{i}": [(1, j) for j in range(width)] for i in range(branches)})
+    heads = ", ".join(f"b{i}" for i in range(branches))
+    body = ", ".join(f"R{i}(a, b{i})" for i in range(branches))
+    ra = RandomAccessEnumerator(parse_cq(f"Q(a, {heads}) :- {body}"), db)
+    count = ra.count()
+    assert count == width ** branches and count > 2 ** 63
+    assert ra.answer(0) == (1,) + (0,) * branches
+    assert ra.answer(count - 1) == (1,) + (width - 1,) * branches
+    # the join tree is the chain R0 -> R1 -> ... -> R6 (GYO absorbs each
+    # Ri into the next), so j's base-1000 digits, least significant
+    # first, are b0 ... b6
+    indexes = (2 ** 63 - 1, 2 ** 63, 2 ** 63 + 1)
+    around = [ra.answer(j) for j in indexes]
+    assert len(set(around)) == 3
+    assert around == [(1,) + tuple(j // width ** i % width
+                                   for i in range(branches))
+                      for j in indexes]
+    with pytest.raises(IndexError):
+        ra.answer(count)
